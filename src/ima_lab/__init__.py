@@ -51,7 +51,6 @@ from .mpa import (
     ComposedMap,
     DarmoisMap,
     RotatedGaussianMPA,
-    compose_spurious,
     darmois_build,
     rotation_matrix_2d,
     spurious_darmois,
@@ -94,7 +93,6 @@ __all__ = [
     "ComposedMap",
     "DarmoisMap",
     "RotatedGaussianMPA",
-    "compose_spurious",
     "darmois_build",
     "rotation_matrix_2d",
     "spurious_darmois",

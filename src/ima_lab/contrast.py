@@ -37,21 +37,39 @@ def _as_jacobian(J) -> np.ndarray:
     return J
 
 
-def local_contrast_unclamped(J, rank_tol: float = RANK_TOL) -> float:
-    """Local IMA contrast before the zero clamp; may come back a hair
-    negative from floating point.  Callers that need clamp accounting
-    (the Monte Carlo estimators) use this and clamp themselves."""
-    J = _as_jacobian(J)
-    m, d = J.shape
+def local_contrast_batch(J, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Unclamped local IMA contrast of stacked Jacobians.
+
+    ``J`` has shape (..., m, d) with m >= d; the result has shape (...).
+    Rows whose smallest singular value is at most ``rank_tol`` times the
+    largest come back as NaN so the caller can count rejections, the
+    convention of :func:`local_contrast_from_gram`.  Each value and each
+    rejection is bit for bit what the SVD of that one matrix gives.
+    """
+    J = np.asarray(J, dtype=float)
+    if J.ndim < 2:
+        raise DomainError(f"expected a stack of matrices (..., m, d), got shape {J.shape}")
+    if not np.all(np.isfinite(J)):
+        raise NonFiniteError("matrix contains non-finite entries")
+    m, d = J.shape[-2:]
     if m < d:
         raise DomainError(f"Jacobian must be tall or square (m >= d), got {m}x{d}")
     sv = np.linalg.svd(J, compute_uv=False)
-    if sv[-1] <= rank_tol * sv[0] or sv[0] == 0.0:
-        raise RankDeficientError(
-            f"singular value ratio {sv[-1] / sv[0] if sv[0] else 0.0:.3e} below rank_tol={rank_tol:.1e}"
-        )
-    col_norms = np.linalg.norm(J, axis=0)
-    return float(np.sum(np.log(col_norms)) - np.sum(np.log(sv)))
+    rank_ok = sv[..., -1] > rank_tol * sv[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.sum(np.log(np.linalg.norm(J, axis=-2)), axis=-1) - np.sum(np.log(sv), axis=-1)
+    return np.where(rank_ok, value, np.nan)
+
+
+def local_contrast_unclamped(J, rank_tol: float = RANK_TOL) -> float:
+    """Local IMA contrast of one m x d Jacobian before the zero clamp; may
+    come back a hair negative from floating point.  A batch of one of
+    :func:`local_contrast_batch` that raises RankDeficientError where the
+    batch gives NaN."""
+    value = float(local_contrast_batch(_as_jacobian(J)[None], rank_tol)[0])
+    if math.isnan(value):
+        raise RankDeficientError(f"singular value ratio below rank_tol={rank_tol:.1e}")
+    return value
 
 
 def local_ima_contrast(J, rank_tol: float = RANK_TOL) -> float:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
+from .contrast import RANK_TOL
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -427,17 +428,27 @@ class SphericalSampler:
     def unit(m: int) -> "SphericalSampler":
         return SphericalSampler(m, None)
 
-    def sample_columns(self, d: int, seed: int) -> np.ndarray:
-        """(m, d) matrix with i.i.d. spherically symmetric columns."""
-        gen = generator(seed)
-        g = gen.standard_normal((self.ambient_dim, d))
-        norms = np.linalg.norm(g, axis=0)
-        directions = g / norms
-        if self.radial_law is None:
-            return directions
-        u = np.clip(gen.random(d), 1e-16, 1.0 - 1e-16)
-        radii = self.radial_law.quantile_array(u)
-        return directions * radii
+    def sample_columns(self, d: int, seed) -> np.ndarray:
+        """(m, d) matrix with i.i.d. spherically symmetric columns.
+
+        A 1-d sequence of k seeds gives a (k, m, d) stack whose matrix j
+        is bit for bit the int-seed call with ``seed[j]``.
+        """
+        ndim = np.ndim(seed)
+        if ndim > 1:
+            raise DomainError(f"seed must be an integer or a 1-d sequence, got ndim {ndim}")
+        seeds = [seed] if ndim == 0 else seed
+        g = np.empty((len(seeds), self.ambient_dim, d))
+        u = np.empty((len(seeds), d))
+        for j, s in enumerate(seeds):
+            gen = generator(s)
+            gen.standard_normal(out=g[j])
+            if self.radial_law is not None:
+                gen.random(out=u[j])
+        columns = g / np.linalg.norm(g, axis=-2, keepdims=True)
+        if self.radial_law is not None:
+            columns *= self.radial_law.quantile_array(np.clip(u, 1e-16, 1.0 - 1e-16))[:, None, :]
+        return columns[0] if ndim == 0 else columns
 
     def to_config(self):
         radial = None if self.radial_law is None else self.radial_law.to_config()
@@ -448,15 +459,17 @@ def sample_isotropic_matrix(
     m: int,
     d: int,
     sampler: SphericalSampler | None = None,
-    seed: int = 0,
-    rank_tol: float = 1e-10,
+    seed=0,
+    rank_tol: float = RANK_TOL,
     max_attempts: int = 3,
 ) -> np.ndarray:
     """m x d matrix with i.i.d. spherically symmetric columns, verified to
     have full column rank against the relative singular-value threshold.
 
     A failed rank check resamples with a derived sub-seed up to
-    ``max_attempts`` times before raising RankDeficientError.
+    ``max_attempts`` times before raising RankDeficientError.  A 1-d
+    sequence of k seeds gives a (k, m, d) stack whose matrix j is bit for
+    bit the int-seed call with ``seed[j]``, resamples included.
     """
     if m < d:
         raise DimensionMismatchError(f"need m >= d, got m={m}, d={d}")
@@ -468,12 +481,19 @@ def sample_isotropic_matrix(
         )
     from .seeding import substream
 
+    scalar = np.ndim(seed) == 0
+    seeds = [seed] if scalar else list(seed)
+    J = np.empty((len(seeds), m, d))
+    failed = np.arange(len(seeds))
     for attempt in range(max_attempts):
-        attempt_seed = seed if attempt == 0 else substream(seed, 0xA11E, attempt)
-        J = sampler.sample_columns(d, attempt_seed)
-        sv = np.linalg.svd(J, compute_uv=False)
-        if sv[-1] > rank_tol * sv[0]:
-            return J
+        J[failed] = sampler.sample_columns(
+            d, [seeds[j] if attempt == 0 else substream(seeds[j], 0xA11E, attempt) for j in failed]
+        )
+        sv = np.linalg.svd(J[failed], compute_uv=False)
+        failed = failed[~(sv[:, -1] > rank_tol * sv[:, 0])]
+        if not failed.size:
+            return J[0] if scalar else J
     raise RankDeficientError(
-        f"sampled matrix failed the rank check {max_attempts} times (m={m}, d={d}, seed={seed})"
+        f"sampled matrix failed the rank check {max_attempts} times "
+        f"(m={m}, d={d}, seed={seeds[failed[0]]})"
     )

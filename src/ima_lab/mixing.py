@@ -322,7 +322,7 @@ def sample_grid_map(
         sampler = SphericalSampler.standard_gaussian(m)
     if sampler.ambient_dim != m:
         raise DimensionMismatchError(f"sampler ambient dimension {sampler.ambient_dim} != m={m}")
-    blocks = np.stack([sampler.sample_columns(d, substream(seed, t)) for t in range(p)])
+    blocks = sampler.sample_columns(d, [substream(seed, t) for t in range(p)])
     if m > p * d:
         stacked = blocks.transpose(1, 0, 2).reshape(m, p * d)
         sv = np.linalg.svd(stacked, compute_uv=False)
@@ -400,6 +400,21 @@ class TwoPieceMap(MixingMap):
         sk = s[self.k]
         lo = self.J0[:, self.k] * sk
         hi = self.J1[:, self.k] * (sk - self.c) + self.J0[:, self.k] * self.c
+        return shared + lo * smooth_step(self.c - sk, self.eps) + hi * smooth_step(sk - self.c, self.eps)
+
+    def evaluate_batch(self, S):
+        S = np.asarray(S, dtype=float)
+        if S.ndim != 2 or S.shape[1] != self.d:
+            raise DimensionMismatchError(f"expected points of shape (n, {self.d})")
+        if not np.all(np.isfinite(S)):
+            raise NonFiniteError("evaluation points contain non-finite entries")
+        sk = S[:, self.k, None]
+        if self.eps == 0.0:
+            return np.where(sk <= self.c, S @ self.J0.T, S @ self.J1.T + self.c1)
+        col0 = self.J0[:, self.k]
+        shared = S @ self.J0.T - sk * col0
+        lo = sk * col0
+        hi = (sk - self.c) * self.J1[:, self.k] + col0 * self.c
         return shared + lo * smooth_step(self.c - sk, self.eps) + hi * smooth_step(sk - self.c, self.eps)
 
     def jacobian(self, s):

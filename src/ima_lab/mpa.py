@@ -142,14 +142,6 @@ class RotatedGaussianMPA:
         return self.rotation * np.outer(d_out, d_in)
 
 
-def mpa_forward(a: RotatedGaussianMPA, s) -> np.ndarray:
-    return a.evaluate(s)
-
-
-def mpa_jacobian(a: RotatedGaussianMPA, s) -> np.ndarray:
-    return a.jacobian(s)
-
-
 # ---------------------------------------------------------------------------
 # joint density specs for the Darmois construction (d = 2)
 # ---------------------------------------------------------------------------
@@ -451,10 +443,6 @@ def darmois_build(spec, resolution: int = 512) -> DarmoisMap:
     return DarmoisMap(spec, resolution)
 
 
-def darmois_jacobian(dm: DarmoisMap, x) -> np.ndarray:
-    return dm.jacobian(x)
-
-
 class DarmoisInverse:
     """Inverse Darmois stage (0,1)^2 -> rectangle; its Jacobian is the
     triangular inverse of the forward Jacobian at the preimage."""
@@ -523,10 +511,6 @@ class ComposedMap(MixingMap):
             J = Js if J is None else Js @ J
             x = stage.evaluate(x)
         return J
-
-
-def compose_spurious(stages) -> ComposedMap:
-    return ComposedMap(stages)
 
 
 def spurious_mpa(f: MixingMap, a: RotatedGaussianMPA) -> ComposedMap:

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ima_lab.contrast import (
+    RANK_TOL,
     hadamard_gap_upper_bound,
+    local_contrast_batch,
     local_contrast_from_gram,
+    local_contrast_unclamped,
     local_ima_contrast,
     offdiag_coherence,
     theoretical_success_bound,
@@ -79,6 +84,87 @@ class TestLocalContrast:
         batch = local_contrast_from_gram(grams)
         for J, value in zip(mats, batch):
             assert max(value, 0.0) == pytest.approx(local_ima_contrast(J), abs=1e-9)
+
+
+def svd_route(J, rank_tol=RANK_TOL):
+    """The per-matrix SVD route the batched kernel replaced: the contrast
+    of one matrix, or None where the rank check rejects it."""
+    sv = np.linalg.svd(J, compute_uv=False)
+    if sv[-1] <= rank_tol * sv[0] or sv[0] == 0.0:
+        return None
+    return float(np.sum(np.log(np.linalg.norm(J, axis=0))) - np.sum(np.log(sv)))
+
+
+def conditioned_stack(k, m, d, log_ratio, seed):
+    """k random m x d matrices whose singular values fall geometrically
+    from 1 to 10**log_ratio, so the smallest-to-largest ratio is set."""
+    rng = np.random.default_rng(seed)
+    sv = np.geomspace(1.0, 10.0**log_ratio, d) if d > 1 else np.ones(1)
+    U = np.linalg.qr(rng.standard_normal((k, m, d)))[0]
+    V = np.linalg.qr(rng.standard_normal((k, d, d)))[0]
+    return (U * sv) @ V.transpose(0, 2, 1) * rng.uniform(0.1, 10.0, size=(k, 1, 1))
+
+
+shapes = st.integers(1, 4).flatmap(lambda d: st.tuples(st.just(d), st.integers(d, 64)))
+
+
+class TestContrastBatch:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        shape=shapes,
+        k=st.integers(1, 6),
+        log_ratio=st.floats(-12.0, -2.0),
+        zero_row=st.one_of(st.none(), st.integers(0, 5)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_the_per_matrix_svd_route(self, shape, k, log_ratio, zero_row, seed):
+        d, m = shape
+        J = conditioned_stack(k, m, d, log_ratio, seed)
+        if zero_row is not None:
+            J[zero_row % k] = 0.0
+        values = local_contrast_batch(J)
+        assert values.shape == (k,)
+        for row, value in zip(J, values):
+            expected = svd_route(row)
+            if expected is None:
+                assert np.isnan(value)
+                with pytest.raises(RankDeficientError):
+                    local_contrast_unclamped(row)
+            else:
+                assert value == expected
+                assert local_contrast_unclamped(row) == expected
+
+    def test_leading_axes_are_kept(self):
+        J = conditioned_stack(6, 9, 3, -3.0, seed=1)
+        grid = local_contrast_batch(J.reshape(2, 3, 9, 3))
+        assert grid.shape == (2, 3)
+        assert np.array_equal(grid.ravel(), local_contrast_batch(J))
+
+    def test_zero_matrices_are_rejected(self):
+        assert np.all(np.isnan(local_contrast_batch(np.zeros((3, 5, 2)))))
+        with pytest.raises(RankDeficientError):
+            local_contrast_unclamped(np.zeros((5, 2)))
+
+    @settings(deadline=None)
+    @given(
+        shape=shapes,
+        k=st.integers(1, 4),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        where=st.integers(0, 10**6),
+    )
+    def test_nonfinite_entries_raise(self, shape, k, bad, where):
+        d, m = shape
+        J = conditioned_stack(k, m, d, -2.0, seed=where)
+        J.reshape(-1)[where % J.size] = bad
+        with pytest.raises(NonFiniteError):
+            local_contrast_batch(J)
+
+    @settings(deadline=None)
+    @given(d=st.integers(2, 4), data=st.data(), k=st.integers(1, 4))
+    def test_wide_matrices_raise(self, d, data, k):
+        m = data.draw(st.integers(1, d - 1))
+        with pytest.raises(DomainError):
+            local_contrast_batch(np.ones((k, m, d)))
 
 
 class TestHadamardBound:

@@ -13,9 +13,16 @@ from ima_lab.distributions import (
     Uniform,
     law_from_config,
     sample_factorial,
+    UnivariateLaw,
     sample_isotropic_matrix,
 )
-from ima_lab.errors import DimensionMismatchError, DomainError, ValidationError
+from ima_lab.errors import (
+    DimensionMismatchError,
+    DomainError,
+    RankDeficientError,
+    ValidationError,
+)
+from ima_lab.seeding import substream
 
 ALL_LAWS = [
     Uniform(0.0, 1.0),
@@ -133,6 +140,22 @@ class TestFactorial:
         assert p.pdf(s) == pytest.approx(expected, rel=1e-12)
 
 
+class ZeroFirstRadius(UnivariateLaw):
+    """chi(m) radius, except that the first matrix of each of the first
+    ``zero_calls`` calls gets zero radii, so it fails the rank check."""
+
+    def __init__(self, m, zero_calls):
+        self.law = Chi(m)
+        self.zero_calls = zero_calls
+
+    def quantile_array(self, u):
+        radii = self.law.quantile_array(u)
+        if self.zero_calls > 0:
+            self.zero_calls -= 1
+            radii[0] = 0.0
+        return radii
+
+
 class TestSphericalSampler:
     def test_unit_radial_gives_unit_norms(self):
         J = sample_isotropic_matrix(10, 3, SphericalSampler.unit(10), seed=4)
@@ -148,6 +171,30 @@ class TestSphericalSampler:
         a = sample_isotropic_matrix(12, 4, s, seed=31)
         b = sample_isotropic_matrix(12, 4, s, seed=31)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("factory", [SphericalSampler.standard_gaussian, SphericalSampler.unit])
+    def test_seed_vector_equals_stacked_int_seed_calls(self, factory):
+        m, d = 17, 3
+        seeds = [substream(41, i) for i in range(6)]
+        stacked = np.stack([sample_isotropic_matrix(m, d, factory(m), seed=s) for s in seeds])
+        batch = sample_isotropic_matrix(m, d, factory(m), seed=seeds)
+        assert batch.shape == (len(seeds), m, d)
+        assert np.array_equal(batch, stacked)
+
+    def test_rank_failure_resamples_from_the_derived_seed(self):
+        m, d = 9, 3
+        seeds = [substream(3, i) for i in range(4)]
+        plain = SphericalSampler.standard_gaussian(m)
+        batch = sample_isotropic_matrix(m, d, SphericalSampler(m, ZeroFirstRadius(m, 1)), seeds)
+        assert np.array_equal(batch[0], plain.sample_columns(d, substream(seeds[0], 0xA11E, 1)))
+        assert np.array_equal(batch[1:], plain.sample_columns(d, seeds[1:]))
+        single = sample_isotropic_matrix(m, d, SphericalSampler(m, ZeroFirstRadius(m, 1)), seeds[0])
+        assert np.array_equal(single, batch[0])
+
+    def test_rank_failure_on_every_attempt_raises(self):
+        sampler = SphericalSampler(9, ZeroFirstRadius(9, 3))
+        with pytest.raises(RankDeficientError):
+            sample_isotropic_matrix(9, 3, sampler, seed=[5, 6], max_attempts=3)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):

@@ -1,8 +1,24 @@
 import numpy as np
 import pytest
 
-from ima_lab.distributions import FactorialDistribution, Gaussian, Laplace, Uniform
-from ima_lab.errors import DegenerateMapError, DomainError, NonMonotoneError, TrivialRotationError
+from ima_lab import experiments
+from ima_lab.contrast import local_contrast_unclamped
+from ima_lab.distributions import (
+    FactorialDistribution,
+    Gaussian,
+    Laplace,
+    SphericalSampler,
+    Uniform,
+    sample_isotropic_matrix,
+)
+from ima_lab.errors import (
+    DegenerateMapError,
+    DomainError,
+    NonMonotoneError,
+    OnKnotError,
+    RankDeficientError,
+    TrivialRotationError,
+)
 from ima_lab.experiments import (
     AffineTransform,
     CubeTransform,
@@ -19,8 +35,9 @@ from ima_lab.experiments import (
     transform_from_config,
     trend_nondecreasing,
 )
-from ima_lab.mixing import LinearMap, random_conformal_map, sample_grid_map
+from ima_lab.mixing import LinearMap, MixingMap, random_conformal_map, sample_grid_map
 from ima_lab.mpa import rotation_matrix_2d
+from ima_lab.seeding import substream
 
 
 class TestEstimateGlobalContrast:
@@ -72,7 +89,74 @@ class TestEstimateGlobalContrast:
             estimate_global_contrast(f, p_s, 100, seed=0)
 
 
+class KinkedMap(MixingMap):
+    """Map on R^2 whose Jacobian is refused on s_0 = 0.5 and is rank
+    deficient on s_1 = 0, so both rejection routes can be placed."""
+
+    d = 2
+    m = 3
+
+    def jacobian(self, s):
+        if s[0] == 0.5:
+            raise OnKnotError("on the kink")
+        return np.array([[1.0, s[0]], [0.0, s[1]], [s[1], 0.0]])
+
+
+def scalar_estimate(mapping, points):
+    """Reference for the chunked estimator: one scalar contrast per point."""
+    values, rejections = [], 0
+    for s in points:
+        try:
+            values.append(local_contrast_unclamped(mapping.jacobian(s)))
+        except (RankDeficientError, OnKnotError):
+            rejections += 1
+    return experiments._estimate_from_values(np.asarray(values), rejections, len(points))
+
+
+class TestChunkedEstimate:
+    def test_chunks_match_the_scalar_loop_with_both_rejection_routes(self, monkeypatch):
+        points = np.random.default_rng(3).standard_normal((2000, 2))
+        points[[4, 700]] = [[0.5, 1.0], [2.0, 0.0]]  # one refused, one rank deficient
+        # 7 points per chunk, so the rejections fall in different chunks
+        monkeypatch.setattr(experiments, "CHUNK_BYTES", 8 * 3 * 2 * 7)
+        assert experiments._chunk_size(3, 2) == 7
+        chunked = experiments._estimate_at_points(KinkedMap(), points)
+        assert chunked == scalar_estimate(KinkedMap(), points)
+        assert chunked.rejection_count == 2
+
+    def test_one_chunk_matches_the_scalar_loop(self):
+        points = np.random.default_rng(4).standard_normal((300, 2))
+        assert experiments._estimate_at_points(KinkedMap(), points) == scalar_estimate(
+            KinkedMap(), points
+        )
+
+
+def trial_by_trial_success(d, delta, m, mi, trials, seed):
+    """Reference for the chunked sweep: one sampled matrix per trial."""
+    sampler = SphericalSampler.standard_gaussian(m)
+    hits = sum(
+        local_contrast_unclamped(sample_isotropic_matrix(m, d, sampler, substream(seed, mi, i))) <= delta
+        for i in range(trials)
+    )
+    return hits / trials
+
+
 class TestConcentrationSweep:
+    # m = 512, d = 3 gives 21 trials per chunk; m = 2048 gives 5
+    CHUNKED = dict(d=3, delta=0.1, m_list=[512, 2048], seed=13)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunk_boundaries_leave_rows_unchanged(self, offset):
+        trials = experiments._chunk_size(512, 3) + offset
+        rows = concentration_sweep(**self.CHUNKED, trials=trials)
+        for mi, row in enumerate(rows):
+            assert row.empirical_success == trial_by_trial_success(3, 0.1, row.m, mi, trials, 13)
+
+    def test_chunked_rows_do_not_depend_on_threads(self):
+        trials = experiments._chunk_size(512, 3) + 1
+        one = concentration_sweep(**self.CHUNKED, trials=trials, threads=1)
+        assert one == concentration_sweep(**self.CHUNKED, trials=trials, threads=2)
+
     def test_d1_always_succeeds(self):
         rows = concentration_sweep(d=1, delta=0.05, m_list=[4, 16], trials=200, seed=10)
         assert all(r.empirical_success == 1.0 for r in rows)

@@ -212,6 +212,15 @@ class TestTwoPiece:
             s = rng.standard_normal(3)
             assert np.max(np.abs(tp.jacobian(s) - jacobian_fd(tp, s, 1e-6))) <= 1e-4
 
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_batch_matches_stacked_scalar_evaluate(self, eps):
+        tp = self._draw(seed=11, eps=eps)
+        S = np.random.default_rng(12).standard_normal((400, 3))
+        S[:40, 1] = 0.4  # on the boundary s_k == c
+        S[40:80, 1] = 0.4 + np.linspace(-0.06, 0.06, 40)  # across the smoothing window
+        stacked = np.stack([tp.evaluate(s) for s in S])
+        assert np.max(np.abs(tp.evaluate_batch(S) - stacked)) <= 1e-12
+
     def test_smoothed_matches_raw_outside_window(self):
         raw = self._draw(seed=9, eps=0.0)
         smooth = self._draw(seed=9, eps=0.05)
