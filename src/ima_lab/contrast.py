@@ -22,6 +22,13 @@ from .errors import DomainError, NonFiniteError, RankDeficientError, ZeroColumnE
 #: relative singular-value threshold below which a Jacobian counts as rank deficient
 RANK_TOL = 1e-10
 
+#: eigenvalue ratio of J^T J (the squared singular-value ratio of J) at or
+#: below which :func:`local_contrast_from_gram` hands a row back as NaN.
+#: eigvalsh resolves eigenvalues to about 1e-16 of the largest, so the Gram
+#: route's value error grows like 1e-16 / ratio: about 1e-9 relative at
+#: 1e-8, 1e-7 at 1e-10 and 1e-3 at 1e-14 (20 x 3 Jacobians).
+GRAM_RATIO_TOL = 1e-8
+
 #: negative contrast values within this slack are clamped to zero
 CLAMP_SLACK = 1e-12
 
@@ -94,21 +101,23 @@ def clamp_contrast(value: float) -> float:
     return value
 
 
-def local_contrast_from_gram(G: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def local_contrast_from_gram(G: np.ndarray) -> np.ndarray:
     """Batched unclamped local contrast from stacked Gram matrices G = J^T J.
 
-    ``G`` has shape (..., d, d); entries that fail the (squared) rank
-    check come back as NaN so the caller can count rejections.  Used by
-    the experiment fast path; agrees with :func:`local_ima_contrast` to
-    floating-point accuracy for well-conditioned Jacobians once clamped.
+    ``G`` has shape (..., d, d).  Rows whose eigenvalue ratio is at most
+    :data:`GRAM_RATIO_TOL` come back as NaN: there the Gram route can
+    neither match the SVD route's value nor decide its rank check, so the
+    caller scores them by the SVD of J (:func:`local_contrast_batch`),
+    which also makes every rejection.  Used by the experiment fast path,
+    whose cost per row does not depend on m.
     """
     G = np.asarray(G, dtype=float)
     eigvals = np.linalg.eigvalsh(G)
     diag = np.diagonal(G, axis1=-2, axis2=-1)
-    rank_ok = eigvals[..., 0] > (rank_tol**2) * eigvals[..., -1]
+    resolved = eigvals[..., 0] > GRAM_RATIO_TOL * eigvals[..., -1]
     with np.errstate(divide="ignore", invalid="ignore"):
         value = 0.5 * (np.sum(np.log(diag), axis=-1) - np.sum(np.log(eigvals), axis=-1))
-    return np.where(rank_ok, value, np.nan)
+    return np.where(resolved, value, np.nan)
 
 
 def hadamard_gap_upper_bound(d: int, eps: float) -> float:

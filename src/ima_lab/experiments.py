@@ -100,16 +100,21 @@ class ContrastEstimate:
     rejection_count: int
 
 
-def _estimate_from_values(values: np.ndarray, rejections: int, requested: int) -> ContrastEstimate:
+def _estimate_from_values(values: np.ndarray) -> ContrastEstimate:
+    """Contrast estimate from per-draw unclamped contrasts, NaN where the
+    draw was rejected."""
+    rejected = np.isnan(values)
+    rejections = int(np.sum(rejected))
+    values = values[~rejected]
     if values.size and np.min(values) < -CLAMP_SLACK:
         raise FloatingPointError(
             f"contrast {np.min(values):.3e} below -{CLAMP_SLACK:.0e}; lost precision"
         )
     clamps = int(np.sum(values < 0.0))
     clamped = np.maximum(values, 0.0)
-    if rejections > MAX_REJECTION_FRACTION * requested:
+    if rejections > MAX_REJECTION_FRACTION * rejected.size:
         raise DegenerateMapError(
-            f"{rejections}/{requested} draws rejected (> {MAX_REJECTION_FRACTION:.1%})"
+            f"{rejections}/{rejected.size} draws rejected (> {MAX_REJECTION_FRACTION:.1%})"
         )
     n = clamped.size
     mean = float(clamped.mean()) if n else 0.0
@@ -135,45 +140,48 @@ def estimate_global_contrast(
         raise ValidationError(f"source dimension {p_s.dim} != map input dimension {mapping.d}")
     draws = sample_factorial(p_s, n, seed)
     if isinstance(mapping, SmoothGridMap) and mapping.eps > 0.0:
-        values = local_contrast_from_gram(mapping.gram_batch(draws))
-        rejections = int(np.sum(np.isnan(values)))
-        return _estimate_from_values(values[~np.isnan(values)], rejections, n)
-    return _estimate_at_points(mapping, draws)
+        return _estimate_from_values(_score_grid(mapping, draws))
+    return _estimate_from_values(_score_at_points(mapping, draws))
 
 
-def _estimate_at_points(mapping: MixingMap, points: np.ndarray) -> ContrastEstimate:
-    """Contrast estimate from the Jacobians at ``points``, collected point
-    by point and scored by one kernel call per chunk.  A point whose
-    Jacobian raises a rejectable error, or fails the kernel's rank check,
-    counts as a rejection."""
+def _score_at_points(mapping: MixingMap, points: np.ndarray) -> np.ndarray:
+    """Unclamped local contrast at each point, NaN where rejected.  The
+    Jacobians are collected point by point and scored by one SVD kernel
+    call per chunk; a point whose Jacobian raises a rejectable error, or
+    fails the kernel's rank check, is rejected."""
     chunk = _chunk_size(mapping.m, mapping.d)
-    values = []
-    rejections = 0
+    values = np.full(len(points), np.nan)
     for start in range(0, len(points), chunk):
-        jacobians = []
-        for s in points[start:start + chunk]:
+        rows, jacobians = [], []
+        for i, s in enumerate(points[start:start + chunk], start):
             try:
                 jacobians.append(mapping.jacobian(s))
+                rows.append(i)
             except _REJECTABLE:
-                rejections += 1
+                pass
         if jacobians:
-            scored = local_contrast_batch(np.stack(jacobians))
-            rejections += int(np.sum(np.isnan(scored)))
-            values.append(scored[~np.isnan(scored)])
-    values = np.concatenate(values) if values else np.empty(0)
-    return _estimate_from_values(values, rejections, len(points))
+            values[rows] = local_contrast_batch(np.stack(jacobians))
+    return values
 
 
-def boundary_statistics(
-    mapping: SmoothGridMap, p_s: FactorialDistribution, n: int, seed: int
-) -> tuple[float, float]:
-    """(fraction of draws with a coordinate within eps of a knot,
-    mean contrast over those draws) for a smoothed grid map."""
-    draws = sample_factorial(p_s, n, seed)
-    mask = mapping.boundary_mask(draws)
+def _score_grid(grid: SmoothGridMap, draws: np.ndarray) -> np.ndarray:
+    """Unclamped local contrast at each draw, NaN where rejected, by the
+    Gram route.  Rows too ill-conditioned for it are re-scored by the SVD
+    of their Jacobian, so value and rejection follow the SVD rule there."""
+    values = local_contrast_from_gram(grid.gram_batch(draws))
+    redo = np.isnan(values)
+    if redo.any():
+        values[redo] = _score_at_points(grid, draws[redo])
+    return values
+
+
+def boundary_statistics(mask: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+    """(fraction of draws with a coordinate within eps of a knot, mean
+    contrast over those draws) for a smoothed grid map, from its
+    ``boundary_mask`` and per-draw contrasts (NaN where rejected)."""
     if not mask.any():
         return 0.0, 0.0
-    values = local_contrast_from_gram(mapping.gram_batch(draws[mask]))
+    values = values[mask]
     values = np.maximum(values[~np.isnan(values)], 0.0)
     return float(mask.mean()), float(values.mean()) if values.size else 0.0
 
@@ -304,15 +312,23 @@ def genericity_experiment(
 
         def one_trial(i: int, m=m, mi=mi):
             trial_seed = substream(seed, mi, i)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                grid = sample_grid_map(d, m, delta_grid, eps=eps, seed=substream(trial_seed, 0))
-            warned = any("injectivity" in str(w.message) for w in caught)
-            est = estimate_global_contrast(grid, p_s, n_mc, substream(trial_seed, 1))
-            frac, bmean = boundary_statistics(grid, p_s, n_mc, substream(trial_seed, 1))
-            return est.mean <= delta_contrast, frac, bmean, warned
+            grid = sample_grid_map(d, m, delta_grid, eps=eps, seed=substream(trial_seed, 0))
+            draws = sample_factorial(p_s, n_mc, substream(trial_seed, 1))
+            values = _score_grid(grid, draws)
+            frac, bmean = boundary_statistics(grid.boundary_mask(draws), values)
+            return _estimate_from_values(values).mean <= delta_contrast, frac, bmean
 
-        results = run_indexed(trials, one_trial, threads)
+        # the warnings state is process-global, so it is swapped once here,
+        # on the calling thread, and never from the pool's threads
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = run_indexed(trials, one_trial, threads)
+        warned = False
+        for w in caught:
+            if "injectivity" in str(w.message):
+                warned = True
+            else:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
         rows.append(
             GenericityRow(
                 m=m,
@@ -325,7 +341,7 @@ def genericity_experiment(
                 empirical_success=sum(r[0] for r in results) / trials,
                 boundary_fraction_mean=sum(r[1] for r in results) / trials,
                 boundary_contrast_mean=sum(r[2] for r in results) / trials,
-                construction_warning=any(r[3] for r in results),
+                construction_warning=warned,
             )
         )
     return rows
@@ -634,8 +650,8 @@ def reparam_invariance_check(
 
     reparam_map = ComposedMap([LinearMap(P.T), InverseElementwiseStage(transforms), mapping])
 
-    base = _estimate_at_points(mapping, draws)
-    re = _estimate_at_points(reparam_map, transformed)
+    base = _estimate_from_values(_score_at_points(mapping, draws))
+    re = _estimate_from_values(_score_at_points(reparam_map, transformed))
     return ReparamReport(
         mean_base=base.mean,
         stderr_base=base.stderr,

@@ -199,7 +199,8 @@ class SmoothGridMap(MixingMap):
         # block-column cross Grams, (d, d, p, p); lets the Gram of the
         # Jacobian at any point be assembled from the blend weights alone
         self._block_gram = np.einsum("tmi,umj->ijtu", blocks, blocks)
-        self._m_warning = self.m <= self.p * self.d
+        # cell edges 0, delta, ..., p delta, where the blend windows sit
+        self._edges = np.arange(self.p + 1) * self.delta
 
     @property
     def knots(self) -> np.ndarray:
@@ -212,8 +213,7 @@ class SmoothGridMap(MixingMap):
 
     def _blend_values(self, coords: np.ndarray) -> np.ndarray:
         """Evaluator blend weights, shape coords.shape + (p,)."""
-        edges = np.arange(self.p + 1) * self.delta
-        x = coords[..., None] - edges  # ... x (p+1)
+        x = coords[..., None] - self._edges  # ... x (p+1)
         if self.eps > 0.0:
             steps = smooth_step(x, self.eps)
         else:
@@ -221,10 +221,16 @@ class SmoothGridMap(MixingMap):
         return steps[..., :-1] - steps[..., 1:]
 
     def _jacobian_weights(self, coords: np.ndarray) -> np.ndarray:
-        """Jacobian blend weights (the q-coefficients), shape coords.shape + (p,)."""
-        edges = np.arange(self.p + 1) * self.delta
-        x = coords[..., None] - edges
-        q = _blend_coeff(x, self.eps)
+        """Jacobian blend weights (the q-coefficients), shape coords.shape + (p,).
+
+        Outside the window (-eps, eps] of an edge, q is step + x * 0.0,
+        which is exactly (x > eps); only the window entries pay for the
+        sine and cosine of :func:`_blend_coeff`."""
+        x = coords[..., None] - self._edges
+        above = x > self.eps
+        q = above.astype(float)
+        window = ~(above | (x <= -self.eps))
+        q[window] = _blend_coeff(x[window], self.eps)
         return q[..., :-1] - q[..., 1:]
 
     def evaluate(self, s):
@@ -273,8 +279,7 @@ class SmoothGridMap(MixingMap):
     def boundary_mask(self, S: np.ndarray) -> np.ndarray:
         """True for points with some coordinate within eps of a knot."""
         S = np.asarray(S, dtype=float)
-        dist = np.abs(S[:, :, None] - self.knots[None, None, :])
-        return np.any(dist.min(axis=2) <= self.eps, axis=1)
+        return np.any(np.abs(S[:, :, None] - self.knots) <= self.eps, axis=(1, 2))
 
     def descriptor(self) -> dict:
         return {

@@ -229,12 +229,16 @@ class TestSphericalSampler:
 
     def test_coherence_concentration(self):
         # mean off-diagonal coherence decreases in m and is < 0.05 at m=2048
+        # seed-vector calls draw the int-seed matrices; 200 seeds per call
+        # keep the m = 2048 stack at 6.5 MB
         means = []
         for m in (8, 32, 128, 512, 2048):
             sampler = SphericalSampler.standard_gaussian(m)
+            seeds = [m * 10000 + i for i in range(2000)]
             vals = [
-                offdiag_coherence(sample_isotropic_matrix(m, 2, sampler, seed=m * 10000 + i))
-                for i in range(2000)
+                offdiag_coherence(J)
+                for start in range(0, len(seeds), 200)
+                for J in sample_isotropic_matrix(m, 2, sampler, seeds[start:start + 200])
             ]
             means.append(np.mean(vals))
         assert all(a > b for a, b in zip(means, means[1:]))

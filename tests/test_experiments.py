@@ -1,14 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ima_lab import experiments
-from ima_lab.contrast import local_contrast_unclamped
+from ima_lab.contrast import (
+    GRAM_RATIO_TOL,
+    local_contrast_batch,
+    local_contrast_from_gram,
+    local_contrast_unclamped,
+)
 from ima_lab.distributions import (
     FactorialDistribution,
     Gaussian,
     Laplace,
     SphericalSampler,
     Uniform,
+    sample_factorial,
     sample_isotropic_matrix,
 )
 from ima_lab.errors import (
@@ -35,7 +43,13 @@ from ima_lab.experiments import (
     transform_from_config,
     trend_nondecreasing,
 )
-from ima_lab.mixing import LinearMap, MixingMap, random_conformal_map, sample_grid_map
+from ima_lab.mixing import (
+    LinearMap,
+    MixingMap,
+    SmoothGridMap,
+    random_conformal_map,
+    sample_grid_map,
+)
 from ima_lab.mpa import rotation_matrix_2d
 from ima_lab.seeding import substream
 
@@ -104,13 +118,17 @@ class KinkedMap(MixingMap):
 
 def scalar_estimate(mapping, points):
     """Reference for the chunked estimator: one scalar contrast per point."""
-    values, rejections = [], 0
+    values = []
     for s in points:
         try:
             values.append(local_contrast_unclamped(mapping.jacobian(s)))
         except (RankDeficientError, OnKnotError):
-            rejections += 1
-    return experiments._estimate_from_values(np.asarray(values), rejections, len(points))
+            values.append(np.nan)
+    return experiments._estimate_from_values(np.asarray(values))
+
+
+def chunked_estimate(mapping, points):
+    return experiments._estimate_from_values(experiments._score_at_points(mapping, points))
 
 
 class TestChunkedEstimate:
@@ -120,13 +138,13 @@ class TestChunkedEstimate:
         # 7 points per chunk, so the rejections fall in different chunks
         monkeypatch.setattr(experiments, "CHUNK_BYTES", 8 * 3 * 2 * 7)
         assert experiments._chunk_size(3, 2) == 7
-        chunked = experiments._estimate_at_points(KinkedMap(), points)
+        chunked = chunked_estimate(KinkedMap(), points)
         assert chunked == scalar_estimate(KinkedMap(), points)
         assert chunked.rejection_count == 2
 
     def test_one_chunk_matches_the_scalar_loop(self):
         points = np.random.default_rng(4).standard_normal((300, 2))
-        assert experiments._estimate_at_points(KinkedMap(), points) == scalar_estimate(
+        assert chunked_estimate(KinkedMap(), points) == scalar_estimate(
             KinkedMap(), points
         )
 
@@ -197,8 +215,8 @@ class TestGenericity:
 
     def test_boundary_statistics_zero_for_interior_sources(self):
         g = sample_grid_map(d=2, m=20, delta=0.5, eps=0.01, seed=16)
-        p_s = FactorialDistribution.iid(Uniform(0.1, 0.4), 2)
-        frac, mean_c = boundary_statistics(g, p_s, 500, seed=17)
+        draws = sample_factorial(FactorialDistribution.iid(Uniform(0.1, 0.4), 2), 500, seed=17)
+        frac, mean_c = boundary_statistics(g.boundary_mask(draws), experiments._score_grid(g, draws))
         assert frac == 0.0 and mean_c == 0.0
 
     def test_smaller_eps_leaves_success_within_noise(self):
@@ -216,6 +234,103 @@ class TestGenericity:
         rows = genericity_experiment(d=2, m_list=[4], delta_grid=0.5, eps=0.01,
                                      delta_contrast=0.5, trials=3, n_mc=100, seed=41)
         assert rows[0].construction_warning
+
+    def test_pool_threads_leave_the_warnings_state_alone(self, recwarn):
+        # the warnings state is process-global: swapping it from two pool
+        # threads at once used to leave it changed, and let warnings escape
+        for seed in range(10):
+            filters, showwarning = list(warnings.filters), warnings.showwarning
+            rows = genericity_experiment(d=2, m_list=[4], delta_grid=0.5, eps=0.01,
+                                         delta_contrast=0.5, trials=40, n_mc=50,
+                                         seed=seed, threads=2)
+            assert rows[0].construction_warning
+            assert warnings.filters == filters
+            assert warnings.showwarning is showwarning
+        assert not [w for w in recwarn if "injectivity" in str(w.message)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            dict(d=2, m_list=[4, 16, 64], delta_grid=0.5, eps=0.01),
+            dict(d=3, m_list=[8, 40], delta_grid=0.3, eps=0.05),
+        ],
+    )
+    def test_one_pass_equals_the_two_pass_reference(self, config, threads):
+        kwargs = dict(config, delta_contrast=0.1, trials=12, n_mc=400, seed=42)
+        assert genericity_experiment(**kwargs, threads=threads) == two_pass_genericity(**kwargs)
+
+
+def two_pass_genericity(d, m_list, delta_grid, eps, delta_contrast, trials, n_mc, seed):
+    """Reference for the one-pass genericity trial: the contrast estimate
+    and the boundary statistics each draw the same points and score their
+    own Grams, with the boundary mask taken from the nearest knot."""
+    p_s = FactorialDistribution.iid(Uniform(0.0, 1.0), d)
+    rows = []
+    for mi, m in enumerate(sorted(m_list)):
+        successes, fracs, bmeans, warned = [], [], [], False
+        for i in range(trials):
+            trial_seed = substream(seed, mi, i)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                grid = sample_grid_map(d, m, delta_grid, eps=eps, seed=substream(trial_seed, 0))
+            warned |= any("injectivity" in str(w.message) for w in caught)
+            est = estimate_global_contrast(grid, p_s, n_mc, substream(trial_seed, 1))
+            successes.append(est.mean <= delta_contrast)
+            draws = sample_factorial(p_s, n_mc, substream(trial_seed, 1))
+            nearest = np.abs(draws[:, :, None] - grid.knots).min(axis=2)
+            mask = np.any(nearest <= eps, axis=1)
+            frac, bmean = 0.0, 0.0
+            if mask.any():
+                values = local_contrast_from_gram(grid.gram_batch(draws[mask]))
+                values = np.maximum(values[~np.isnan(values)], 0.0)
+                frac, bmean = float(mask.mean()), float(values.mean()) if values.size else 0.0
+            fracs.append(frac)
+            bmeans.append(bmean)
+        rows.append(
+            experiments.GenericityRow(
+                m=m, d=d, delta_grid=delta_grid, eps=eps, trials=trials, n_mc=n_mc,
+                delta_contrast=delta_contrast,
+                empirical_success=sum(successes) / trials,
+                boundary_fraction_mean=sum(fracs) / trials,
+                boundary_contrast_mean=sum(bmeans) / trials,
+                construction_warning=warned,
+            )
+        )
+    return rows
+
+
+def constant_grid_map(m, d, log_ratio, seed):
+    """A grid map whose blocks are all one m x d matrix with singular values
+    falling geometrically from 1 to 10**log_ratio; its Jacobian is that
+    matrix away from s = 0, with columns rescaled inside the first window."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((m, d)))[0]
+    V = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    J = (U * np.geomspace(1.0, 10.0**log_ratio, d)) @ V.T
+    return SmoothGridMap(np.stack([J] * 3), delta=0.5, eps=0.05)
+
+
+class TestGramConditioningGuard:
+    @pytest.mark.parametrize("log_ratio", np.linspace(-2.0, -11.0, 19))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_gram_route_follows_the_svd_route(self, d, log_ratio):
+        grid = constant_grid_map(20, d, log_ratio, seed=int(-10 * log_ratio) + d)
+        draws = np.random.default_rng(d).random((300, d))
+        draws[:5, 0] = [0.0, 0.01, 0.05, 0.5, 1.0]  # window edges, knots and cube faces
+        values = experiments._score_grid(grid, draws)
+        svd = local_contrast_batch(np.stack([grid.jacobian(s) for s in draws]))
+        assert np.array_equal(np.isnan(values), np.isnan(svd))
+        assert np.allclose(values, svd, rtol=1e-7, atol=1e-7, equal_nan=True)
+
+    def test_rows_past_the_tolerance_are_scored_by_svd(self):
+        # a singular-value ratio a decade below the square root of the tolerance
+        grid = constant_grid_map(20, 2, 0.5 * np.log10(GRAM_RATIO_TOL) - 1.0, seed=3)
+        draws = np.random.default_rng(3).random((50, 2)) * 0.8 + 0.1
+        assert np.all(np.isnan(local_contrast_from_gram(grid.gram_batch(draws))))
+        svd = local_contrast_batch(np.stack([grid.jacobian(s) for s in draws]))
+        assert not np.any(np.isnan(svd))
+        assert np.array_equal(experiments._score_grid(grid, draws), svd)
 
 
 class TestTrendHelper:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ima_lab.contrast import local_ima_contrast
 from ima_lab.distributions import SphericalSampler
@@ -16,6 +20,8 @@ from ima_lab.mixing import (
     Inversion,
     LinearMap,
     Similarity,
+    SmoothGridMap,
+    _blend_coeff,
     conformality_defect,
     injectivity_probe,
     jacobian_fd,
@@ -160,6 +166,41 @@ class TestGridMap:
         a = sample_grid_map(d=2, m=16, delta=0.5, eps=0.01, seed=77)
         b = sample_grid_map(d=2, m=16, delta=0.5, eps=0.01, seed=77)
         assert np.array_equal(a.blocks, b.blocks)
+
+
+@st.composite
+def grid_points(draw):
+    """A grid map shape (d, delta, eps) and points in the unit cube, mixing
+    uniform coordinates with 0, 1, every knot and every knot +- eps."""
+    d = draw(st.integers(1, 3))
+    delta = draw(st.sampled_from([1.0, 0.5, 0.3, 0.25, 0.2, 0.1]))
+    eps = draw(st.floats(1e-6, 0.99)) * delta / 4.0
+    grid = SmoothGridMap(np.ones((math.ceil(1.0 / delta) + 1, 2, d)), delta, eps)
+    special = sorted({0.0, 1.0} | {c for k in grid.knots for c in (k, k - eps, k + eps)})
+    special = [c for c in special if 0.0 <= c <= 1.0]
+    coord = st.one_of(st.floats(0.0, 1.0), st.sampled_from(special))
+    n = draw(st.integers(1, 20))
+    S = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n)))
+    return grid, S
+
+
+class TestGridWindows:
+    @settings(deadline=None, max_examples=200)
+    @given(case=grid_points())
+    def test_windowed_weights_equal_the_full_blend_bit_for_bit(self, case):
+        grid, S = case
+        x = S[..., None] - np.arange(grid.p + 1) * grid.delta
+        q = _blend_coeff(x, grid.eps)
+        full = q[..., :-1] - q[..., 1:]
+        windowed = grid._jacobian_weights(S)
+        assert np.array_equal(windowed.view(np.int64), full.view(np.int64))
+
+    @settings(deadline=None, max_examples=200)
+    @given(case=grid_points())
+    def test_boundary_mask_equals_the_nearest_knot_rule(self, case):
+        grid, S = case
+        nearest = np.abs(S[:, :, None] - grid.knots).min(axis=2)
+        assert np.array_equal(grid.boundary_mask(S), np.any(nearest <= grid.eps, axis=1))
 
 
 class TestTwoPiece:
