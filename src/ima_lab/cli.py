@@ -25,7 +25,8 @@ from .distributions import (
     SphericalSampler,
     law_from_config,
 )
-from .errors import NumericalError, ValidationError
+from . import schema
+from .errors import DomainError, NumericalError, ValidationError
 from .experiments import (
     ContrastEstimate,
     ReparamRow,
@@ -46,18 +47,17 @@ SEED_ENV_VAR = "IMA_LAB_SEED"
 _COMMANDS = ("contrast", "sweep", "genericity", "spurious", "reparam")
 
 
-def _require_keys(obj: dict, allowed: dict, where: str) -> None:
-    """Strict schema: unknown keys are rejected, required ones must exist."""
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ValidationError(f"unknown keys {sorted(unknown)} in {where}")
-    missing = [k for k, required in allowed.items() if required and k not in obj]
-    if missing:
-        raise ValidationError(f"missing required keys {missing} in {where}")
+def _dimension(desc: dict, key: str) -> int:
+    if key not in desc:
+        raise ValidationError(f"map family {desc['family']!r} needs {key!r} in its descriptor")
+    value = schema.integer(desc[key], f"map descriptor {key!r}")
+    if value < 1:
+        raise DomainError(f"map descriptor {key!r} must be >= 1, got {value}")
+    return value
 
 
 def _build_map(desc: dict, seed: int):
-    _require_keys(
+    schema.require_keys(
         desc,
         {"family": True, "d": False, "m": False, "delta": False, "eps": False,
          "seed": False, "matrix": False, "scale": False, "with_inversion": False,
@@ -65,26 +65,32 @@ def _build_map(desc: dict, seed: int):
         "map descriptor",
     )
     family = desc["family"]
-    map_seed = desc.get("seed", seed)
+    map_seed = schema.integer(desc.get("seed", seed), "map descriptor 'seed'")
     if family == "linear":
         from .mixing import LinearMap
 
         if "matrix" in desc:
-            return LinearMap(np.asarray(desc["matrix"], dtype=float))
-        sampler = _sampler_factory(desc.get("radial", "chi"))(desc["m"])
+            return LinearMap(schema.real_array(desc["matrix"], "map descriptor 'matrix'"))
+        m, d = _dimension(desc, "m"), _dimension(desc, "d")
+        sampler = _sampler_factory(desc.get("radial", "chi"))(m)
         from .distributions import sample_isotropic_matrix
 
-        return LinearMap(sample_isotropic_matrix(desc["m"], desc["d"], sampler, map_seed))
+        return LinearMap(sample_isotropic_matrix(m, d, sampler, map_seed))
     if family == "grid":
-        sampler = _sampler_factory(desc.get("radial", "chi"))(desc["m"])
+        m, d = _dimension(desc, "m"), _dimension(desc, "d")
+        if "delta" not in desc:
+            raise ValidationError("map family 'grid' needs 'delta' in its descriptor")
+        sampler = _sampler_factory(desc.get("radial", "chi"))(m)
         return sample_grid_map(
-            desc["d"], desc["m"], desc["delta"], sampler, desc.get("eps", 0.0), map_seed
+            d, m, schema.real(desc["delta"], "map descriptor 'delta'"), sampler,
+            schema.real(desc.get("eps", 0.0), "map descriptor 'eps'"), map_seed,
         )
     if family == "conformal":
         return random_conformal_map(
-            desc["d"], desc["m"], map_seed,
-            scale=desc.get("scale", 1.0),
-            with_inversion=desc.get("with_inversion", False),
+            _dimension(desc, "d"), _dimension(desc, "m"), map_seed,
+            scale=schema.real(desc.get("scale", 1.0), "map descriptor 'scale'"),
+            with_inversion=schema.boolean(desc.get("with_inversion", False),
+                                          "map descriptor 'with_inversion'"),
         )
     raise ValidationError(f"unknown map family {family!r}")
 
@@ -106,7 +112,7 @@ def _source_from_config(cfg) -> FactorialDistribution:
 # ---------------------------------------------------------------------------
 
 def _run_contrast(params: dict, seed: int, threads: int):
-    _require_keys(
+    schema.require_keys(
         params,
         {"matrix": False, "map": False, "source": False, "n_samples": False},
         "contrast params",
@@ -126,7 +132,7 @@ def _run_contrast(params: dict, seed: int, threads: int):
 
 
 def _run_sweep(params: dict, seed: int, threads: int):
-    _require_keys(
+    schema.require_keys(
         params,
         {"d": True, "delta": True, "m_list": True, "trials": True,
          "kappa": False, "radial": False},
@@ -145,7 +151,7 @@ def _run_sweep(params: dict, seed: int, threads: int):
 
 
 def _run_genericity(params: dict, seed: int, threads: int):
-    _require_keys(
+    schema.require_keys(
         params,
         {"d": True, "m_list": True, "delta_grid": True, "eps": True,
          "delta_contrast": True, "trials": True, "n_mc": True},
@@ -165,7 +171,7 @@ def _run_genericity(params: dict, seed: int, threads: int):
 
 
 def _run_spurious(params: dict, seed: int, threads: int):
-    _require_keys(
+    schema.require_keys(
         params,
         {"m": False, "source": False, "rotation_deg": False,
          "darmois_resolution": False, "n_mc": False, "floor": False},
@@ -188,26 +194,29 @@ def _run_spurious(params: dict, seed: int, threads: int):
 
 
 def _run_reparam(params: dict, seed: int, threads: int):
-    _require_keys(params, {"configs": True, "n_mc": False}, "reparam params")
-    n = int(params.get("n_mc", 2000))
+    schema.require_keys(params, {"configs": True, "n_mc": False}, "reparam params")
+    n = schema.integer(params.get("n_mc", 2000), "reparam 'n_mc'")
     rows = []
-    for idx, cfg in enumerate(params["configs"]):
-        _require_keys(
-            cfg, {"map": True, "source": True, "perm": True, "transforms": True},
-            f"reparam config {idx}",
+    for idx, cfg in enumerate(schema.array(params["configs"], "reparam 'configs'")):
+        where = f"reparam config {idx}"
+        schema.require_keys(
+            cfg, {"map": True, "source": True, "perm": True, "transforms": True}, where,
         )
         from .seeding import substream
 
         mapping = _build_map(cfg["map"], substream(seed, idx, 0))
         source = _source_from_config(cfg["source"])
-        transforms = [transform_from_config(t) for t in cfg["transforms"]]
+        perm = [schema.integer(p, f"{where} 'perm'") for p in schema.array(cfg["perm"], f"{where} 'perm'")]
+        transforms = [
+            transform_from_config(t) for t in schema.array(cfg["transforms"], f"{where} 'transforms'")
+        ]
         report = reparam_invariance_check(
-            mapping, source, cfg["perm"], transforms, n, substream(seed, idx, 1)
+            mapping, source, perm, transforms, n, substream(seed, idx, 1)
         )
         rows.append(
             ReparamRow(
                 config_index=idx,
-                perm="-".join(str(p) for p in cfg["perm"]),
+                perm="-".join(str(p) for p in perm),
                 transforms="|".join(t["kind"] for t in cfg["transforms"]),
                 n_samples=n,
                 mean_base=report.mean_base,
@@ -247,7 +256,7 @@ def load_run_config(path: str) -> dict:
 def validate_run_config(config: dict) -> dict:
     if not isinstance(config, dict):
         raise ValidationError("run config must be a JSON object")
-    _require_keys(
+    schema.require_keys(
         config,
         {"command": True, "params": True, "master_seed": False,
          "threads": False, "output_dir": False},

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
+from . import schema
 from .contrast import RANK_TOL
 from .errors import (
     DimensionMismatchError,
@@ -340,17 +341,17 @@ _LAW_KINDS = {
 
 def law_from_config(config: dict) -> UnivariateLaw:
     """Build a law from a ``{"kind": ..., "params": {...}}`` object."""
-    if not isinstance(config, dict) or set(config) - {"kind", "params"}:
-        raise ValidationError(f"law config must have only 'kind' and 'params' keys, got {config!r}")
-    kind = config.get("kind")
-    if kind not in _LAW_KINDS:
+    schema.require_keys(config, {"kind": True, "params": False}, "law config")
+    kind = config["kind"]
+    if not isinstance(kind, str) or kind not in _LAW_KINDS:
         raise ValidationError(f"unknown law kind {kind!r}; expected one of {sorted(_LAW_KINDS)}")
     cls, allowed = _LAW_KINDS[kind]
-    params = config.get("params", {})
-    unknown = set(params) - set(allowed)
-    if unknown:
-        raise ValidationError(f"unknown parameters {sorted(unknown)} for law kind {kind!r}")
-    return cls(**params)
+    where = f"law kind {kind!r} params"
+    params = schema.require_keys(config.get("params", {}), dict.fromkeys(allowed, False), where)
+    return cls(**{
+        name: (schema.integer if name == "points" else schema.real)(value, f"{where} {name!r}")
+        for name, value in params.items()
+    })
 
 
 @dataclass(frozen=True)
@@ -385,7 +386,9 @@ class FactorialDistribution:
 
     @staticmethod
     def from_config(configs) -> "FactorialDistribution":
-        return FactorialDistribution(tuple(law_from_config(c) for c in configs))
+        return FactorialDistribution(
+            tuple(law_from_config(c) for c in schema.array(configs, "source law list"))
+        )
 
     @staticmethod
     def iid(law: UnivariateLaw, d: int) -> "FactorialDistribution":

@@ -76,3 +76,8 @@ class NormalizationError(NumericalError):
 
 class DegenerateMapError(NumericalError):
     """Too many Monte Carlo draws were rejected for rank deficiency."""
+
+
+#: errors that reject one Monte Carlo draw rather than the whole run; a
+#: map's ``jacobian_batch`` marks such rows in its ``rejected`` mask
+REJECTABLE = (RankDeficientError, OnKnotError, NearPoleError, OutOfTableError)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import schema
 from .contrast import (
     CLAMP_SLACK,
     local_contrast_batch,
@@ -34,11 +35,7 @@ from .distributions import (
 from .errors import (
     DegenerateMapError,
     DomainError,
-    NearPoleError,
     NonMonotoneError,
-    OnKnotError,
-    OutOfTableError,
-    RankDeficientError,
     ValidationError,
 )
 from .mixing import LinearMap, MixingMap, SmoothGridMap, random_conformal_map, sample_grid_map
@@ -53,8 +50,6 @@ from .mpa import (
     spurious_mpa,
 )
 from .seeding import substream
-
-_REJECTABLE = (RankDeficientError, OnKnotError, NearPoleError, OutOfTableError)
 
 #: largest tolerated fraction of rejected Monte Carlo draws
 MAX_REJECTION_FRACTION = 1e-3
@@ -145,22 +140,15 @@ def estimate_global_contrast(
 
 
 def _score_at_points(mapping: MixingMap, points: np.ndarray) -> np.ndarray:
-    """Unclamped local contrast at each point, NaN where rejected.  The
-    Jacobians are collected point by point and scored by one SVD kernel
-    call per chunk; a point whose Jacobian raises a rejectable error, or
-    fails the kernel's rank check, is rejected."""
+    """Unclamped local contrast at each point, NaN where rejected: one
+    ``jacobian_batch`` call and one SVD kernel call per chunk.  A point the
+    map rejects, or whose Jacobian fails the kernel's rank check, is
+    rejected."""
     chunk = _chunk_size(mapping.m, mapping.d)
     values = np.full(len(points), np.nan)
     for start in range(0, len(points), chunk):
-        rows, jacobians = [], []
-        for i, s in enumerate(points[start:start + chunk], start):
-            try:
-                jacobians.append(mapping.jacobian(s))
-                rows.append(i)
-            except _REJECTABLE:
-                pass
-        if jacobians:
-            values[rows] = local_contrast_batch(np.stack(jacobians))
+        J, rejected = mapping.jacobian_batch(points[start:start + chunk])
+        values[start:start + chunk][~rejected] = local_contrast_batch(J[~rejected])
     return values
 
 
@@ -532,23 +520,24 @@ class TanhTransform(ElementwiseTransform):
         return np.arctanh(np.asarray(y, dtype=float))
 
     def dforward(self, x):
-        return 1.0 / np.cosh(np.asarray(x, dtype=float)) ** 2
+        # np.square, not ** 2: a 0-d cosh comes back as np.float64, whose
+        # ** 2 is libm pow and can differ from the array result in the last bit
+        return 1.0 / np.square(np.cosh(np.asarray(x, dtype=float)))
 
     def to_config(self):
         return {"kind": "tanh"}
 
 
 def transform_from_config(config: dict) -> ElementwiseTransform:
-    kind = config.get("kind")
+    kind = schema.require_keys(config, {"kind": True, "a": False, "b": False}, "transform")["kind"]
     if kind == "affine":
-        extra = set(config) - {"kind", "a", "b"}
-        if extra:
-            raise ValidationError(f"unknown transform keys {sorted(extra)}")
-        return AffineTransform(config.get("a", 1.0), config.get("b", 0.0))
-    if kind == "cube":
-        return CubeTransform()
-    if kind == "tanh":
-        return TanhTransform()
+        return AffineTransform(
+            schema.real(config.get("a", 1.0), "affine transform 'a'"),
+            schema.real(config.get("b", 0.0), "affine transform 'b'"),
+        )
+    if kind in ("cube", "tanh"):
+        schema.require_keys(config, {"kind": True}, f"{kind} transform")
+        return CubeTransform() if kind == "cube" else TanhTransform()
     raise ValidationError(f"unknown transform kind {kind!r}")
 
 
@@ -560,7 +549,9 @@ def _validate_monotone(transform: ElementwiseTransform, probe: np.ndarray) -> No
 
 class InverseElementwiseStage:
     """Stage applying component-wise inverses h_i^{-1}; Jacobian is
-    diag(1 / h_i'(h_i^{-1}(x_i)))."""
+    diag(1 / h_i'(h_i^{-1}(x_i))).  ``evaluate`` and ``jacobian`` broadcast
+    over leading axes, (..., d) -> (..., d) and (..., d, d), so the batch
+    methods are one call each."""
 
     def __init__(self, transforms):
         self.transforms = tuple(transforms)
@@ -569,12 +560,20 @@ class InverseElementwiseStage:
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
-        return np.array([t.inverse(xi) for t, xi in zip(self.transforms, x)])
+        return np.stack([t.inverse(x[..., i]) for i, t in enumerate(self.transforms)], axis=-1)
 
     def jacobian(self, x):
         pre = self.evaluate(x)
-        derivs = np.array([float(t.dforward(pi)) for t, pi in zip(self.transforms, pre)])
-        return np.diag(1.0 / derivs)
+        derivs = np.stack([t.dforward(pre[..., i]) for i, t in enumerate(self.transforms)], axis=-1)
+        J = np.zeros(derivs.shape + (self.d_in,))
+        diag = np.arange(self.d_in)
+        J[..., diag, diag] = 1.0 / derivs
+        return J
+
+    evaluate_batch = evaluate
+
+    def jacobian_batch(self, X):
+        return self.jacobian(X), np.zeros(len(X), dtype=bool)
 
 
 def permutation_matrix(perm) -> np.ndarray:
@@ -636,8 +635,14 @@ def reparam_invariance_check(
     where s~ = P h(s), using common random numbers; the global-contrast
     proposition predicts exact equality."""
     transforms = tuple(transforms)
+    perm = list(perm)
     if len(transforms) != mapping.d:
         raise ValidationError("need one element-wise transform per latent dimension")
+    if p_s.dim != mapping.d or len(perm) != mapping.d:
+        raise ValidationError(
+            f"source dimension {p_s.dim} and permutation length {len(perm)} must both be "
+            f"the map input dimension {mapping.d}"
+        )
     probe = np.linspace(-0.9, 0.9, 33) if mapping.domain != "unit-cube" else np.linspace(0.01, 0.99, 33)
     for t in transforms:
         _validate_monotone(t, probe)

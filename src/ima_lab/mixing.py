@@ -11,8 +11,18 @@ Families:
 * conformal embeddings (orthonormal embedding composed with similarity
   and sphere-inversion primitives), which satisfy J^T J = lambda^2 I.
 
-Every family exposes ``evaluate``/``jacobian``; ``jacobian_fd`` provides
-the central-difference oracle used by the tests.
+Every family exposes ``evaluate``/``jacobian`` and their batched twins
+``evaluate_batch``/``jacobian_batch``; ``jacobian_fd`` provides the
+central-difference oracle used by the tests.
+
+Jacobian protocol: ``jacobian_batch(S)`` takes (n, d) points and returns
+``(J, rejected)``, J of shape (n, m, d) and ``rejected`` a bool mask of
+the rows whose scalar ``jacobian`` would raise one of
+:data:`errors.REJECTABLE` (those rows of J are NaN).  Any other error is
+raised, as the scalar call would.  The vectorised families compute the
+batch directly and their scalar ``jacobian`` is a batch of one; a map that
+defines only ``jacobian`` gets the batch by the row loop
+:func:`jacobian_rows`.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ import numpy as np
 
 from .contrast import RANK_TOL
 from .errors import (
+    REJECTABLE,
     DimensionMismatchError,
     DomainError,
     NearPoleError,
@@ -77,16 +88,76 @@ def _blend_coeff(s, eps: float):
 
 
 # ---------------------------------------------------------------------------
-# map base class
+# batch protocol defaults and map base class
 # ---------------------------------------------------------------------------
+
+def jacobian_rows(stage, S) -> tuple[np.ndarray, np.ndarray]:
+    """``jacobian_batch`` by one scalar ``stage.jacobian`` call per row: the
+    protocol default for maps and stages without a vectorised batch.  Rows
+    whose call raises a REJECTABLE error are rejected and left NaN."""
+    S = np.asarray(S, dtype=float)
+    J = np.full((len(S), stage.d_out, stage.d_in), np.nan)
+    rejected = np.zeros(len(S), dtype=bool)
+    for i, s in enumerate(S):
+        try:
+            J[i] = stage.jacobian(s)
+        except REJECTABLE:
+            rejected[i] = True
+    return J, rejected
+
+
+def evaluate_rows(stage, S) -> np.ndarray:
+    """``evaluate_batch`` by one scalar ``stage.evaluate`` call per row."""
+    S = np.asarray(S, dtype=float)
+    out = np.empty((len(S), stage.d_out))
+    for i, s in enumerate(S):
+        out[i] = stage.evaluate(s)
+    return out
+
+
+def chain_jacobian_batch(stages, X: np.ndarray, m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``jacobian_batch`` of the composition of ``stages`` (applied first to
+    last) at the rows of X, by the chain rule on stacked stage Jacobians.
+    A row rejected by one stage is dropped from the later ones, and the
+    last stage is never evaluated."""
+    n = len(X)
+    alive = np.arange(n)
+    J = None
+    for i, stage in enumerate(stages):
+        Js, rejected = stage.jacobian_batch(X)
+        if rejected.any():
+            keep = ~rejected
+            alive, X, Js = alive[keep], X[keep], Js[keep]
+            J = None if J is None else J[keep]
+        J = Js if J is None else Js @ J
+        if i + 1 < len(stages):
+            X = stage.evaluate_batch(X)
+    out = np.full((n, m, d), np.nan)
+    out[alive] = J
+    rejected = np.ones(n, dtype=bool)
+    rejected[alive] = False
+    return out, rejected
+
 
 class MixingMap:
     """A map s -> x from R^d onto a d-dimensional manifold in R^m with an
-    analytic Jacobian.  Immutable after construction; evaluation is pure."""
+    analytic Jacobian.  Immutable after construction; evaluation is pure.
+
+    A subclass defines ``jacobian`` or ``jacobian_batch`` (see the module
+    docstring for the protocol); the defaults here loop over the scalar
+    calls."""
 
     d: int
     m: int
     domain: str = FULL_SPACE
+
+    @property
+    def d_in(self) -> int:
+        return self.d
+
+    @property
+    def d_out(self) -> int:
+        return self.m
 
     def evaluate(self, s: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -97,19 +168,32 @@ class MixingMap:
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return self.evaluate(s)
 
-    def evaluate_batch(self, S: np.ndarray) -> np.ndarray:
-        S = np.asarray(S, dtype=float)
-        return np.stack([self.evaluate(s) for s in S])
+    evaluate_batch = evaluate_rows
+    jacobian_batch = jacobian_rows
+
+    def _jacobian_of_one(self, s, rejection: Exception | None = None) -> np.ndarray:
+        """Jacobian at one point as a batch of one of ``jacobian_batch``;
+        raises ``rejection`` where the batch rejects the point."""
+        J, rejected = self.jacobian_batch(self._check_point(s)[None])
+        if rejected[0]:
+            raise rejection
+        return J[0]
 
     def _check_point(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         if s.shape != (self.d,):
             raise DimensionMismatchError(f"expected a point of shape ({self.d},), got {s.shape}")
-        if not np.all(np.isfinite(s)):
-            raise NonFiniteError("evaluation point contains non-finite entries")
-        if self.domain == UNIT_CUBE and (np.any(s < 0.0) or np.any(s > 1.0)):
-            raise OutOfDomainError(f"point {s} outside the unit cube")
-        return s
+        return self._check_points(s[None])[0]
+
+    def _check_points(self, S) -> np.ndarray:
+        S = np.asarray(S, dtype=float)
+        if S.ndim != 2 or S.shape[1] != self.d:
+            raise DimensionMismatchError(f"expected points of shape (n, {self.d}), got {S.shape}")
+        if not np.all(np.isfinite(S)):
+            raise NonFiniteError("evaluation points contain non-finite entries")
+        if self.domain == UNIT_CUBE and (np.any(S < 0.0) or np.any(S > 1.0)):
+            raise OutOfDomainError("evaluation points outside the unit cube")
+        return S
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -143,13 +227,16 @@ class LinearMap(MixingMap):
         return out if self.offset is None else out + self.offset
 
     def jacobian(self, s):
-        self._check_point(s)
-        return self.J.copy()
+        return self._jacobian_of_one(s)
 
     def evaluate_batch(self, S):
-        S = np.asarray(S, dtype=float)
-        out = S @ self.J.T
+        # one matrix-vector product per row, bit for bit the scalar J @ s
+        out = (self.J @ np.asarray(S, dtype=float)[..., None])[..., 0]
         return out if self.offset is None else out + self.offset
+
+    def jacobian_batch(self, S):
+        S = self._check_points(S)
+        return np.repeat(self.J[None], len(S), axis=0), np.zeros(len(S), dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +343,21 @@ class SmoothGridMap(MixingMap):
         return np.einsum("ndm,nd->nm", slopes, local) + consts.sum(axis=1)
 
     def jacobian(self, s):
-        s = self._check_point(s)
-        if self.eps == 0.0:
-            dist = np.abs(s[:, None] - self.knots[None, :])
-            if np.any(dist <= _KNOT_TOL):
-                raise OnKnotError(
-                    "unsmoothed grid map has no Jacobian on a knot; use eps > 0 or move the point"
-                )
-            t = self._cells(s) - 1
-            return self.blocks[t, :, np.arange(self.d)].T
-        w = self._jacobian_weights(s[None, :])[0]  # (d, p)
-        return np.einsum("tmk,kt->mk", self.blocks, w)
+        return self._jacobian_of_one(s, OnKnotError(
+            "unsmoothed grid map has no Jacobian on a knot; use eps > 0 or move the point"
+        ))
+
+    def jacobian_batch(self, S):
+        S = self._check_points(S)
+        if self.eps > 0.0:
+            w = self._jacobian_weights(S)  # (n, d, p)
+            return np.einsum("tmk,nkt->nmk", self.blocks, w), np.zeros(len(S), dtype=bool)
+        # eps = 0: column k is block t's column k for the cell t holding s_k
+        rejected = np.any(np.abs(S[:, :, None] - self.knots) <= _KNOT_TOL, axis=(1, 2))
+        t = self._cells(S) - 1  # (n, d)
+        J = self.blocks[t, :, np.arange(self.d)].transpose(0, 2, 1)
+        J[rejected] = np.nan
+        return J, rejected
 
     def gram_batch(self, S: np.ndarray) -> np.ndarray:
         """Stacked Jacobian Grams J(s)^T J(s), shape (n, d, d), assembled
@@ -408,11 +499,7 @@ class TwoPieceMap(MixingMap):
         return shared + lo * smooth_step(self.c - sk, self.eps) + hi * smooth_step(sk - self.c, self.eps)
 
     def evaluate_batch(self, S):
-        S = np.asarray(S, dtype=float)
-        if S.ndim != 2 or S.shape[1] != self.d:
-            raise DimensionMismatchError(f"expected points of shape (n, {self.d})")
-        if not np.all(np.isfinite(S)):
-            raise NonFiniteError("evaluation points contain non-finite entries")
+        S = self._check_points(S)
         sk = S[:, self.k, None]
         if self.eps == 0.0:
             return np.where(sk <= self.c, S @ self.J0.T, S @ self.J1.T + self.c1)
@@ -423,18 +510,24 @@ class TwoPieceMap(MixingMap):
         return shared + lo * smooth_step(self.c - sk, self.eps) + hi * smooth_step(sk - self.c, self.eps)
 
     def jacobian(self, s):
-        s = self._check_point(s)
-        sk = s[self.k]
+        return self._jacobian_of_one(s, OnKnotError(
+            "unsmoothed two-piece map has no Jacobian on the boundary"
+        ))
+
+    def jacobian_batch(self, S):
+        S = self._check_points(S)
+        sk = S[:, self.k]
         if self.eps == 0.0:
-            if abs(sk - self.c) <= _KNOT_TOL and not self.linear:
-                raise OnKnotError("unsmoothed two-piece map has no Jacobian on the boundary")
-            return (self.J0 if sk <= self.c else self.J1).copy()
-        J = self.J0.copy()
-        J[:, self.k] = (
-            self.J0[:, self.k] * _blend_coeff(self.c - sk, self.eps)
-            + self.J1[:, self.k] * _blend_coeff(sk - self.c, self.eps)
+            rejected = (np.abs(sk - self.c) <= _KNOT_TOL) & (not self.linear)
+            J = np.where((sk <= self.c)[:, None, None], self.J0, self.J1)
+            J[rejected] = np.nan
+            return J, rejected
+        J = np.repeat(self.J0[None], len(S), axis=0)
+        J[:, :, self.k] = (
+            self.J0[:, self.k] * _blend_coeff(self.c - sk, self.eps)[:, None]
+            + self.J1[:, self.k] * _blend_coeff(sk - self.c, self.eps)[:, None]
         )
-        return J
+        return J, np.zeros(len(S), dtype=bool)
 
     def descriptor(self) -> dict:
         return {
@@ -500,11 +593,13 @@ class Similarity:
         if self.shift.shape != (self.dim,):
             raise DimensionMismatchError("shift dimension must match Q")
 
-    def evaluate(self, x):
-        return self.scale * (self.Q @ x) + self.shift
+    def evaluate_batch(self, X):
+        # one matrix-vector product per row, bit for bit the scalar Q @ x
+        return self.scale * (self.Q @ X[..., None])[..., 0] + self.shift
 
-    def jacobian(self, x):
-        return self.scale * self.Q
+    def jacobian_batch(self, X):
+        n = len(X)
+        return np.broadcast_to(self.scale * self.Q, (n,) + self.Q.shape), np.zeros(n, dtype=bool)
 
     def to_config(self):
         return {
@@ -524,23 +619,26 @@ class Inversion:
             raise DomainError("exclusion radius must be positive")
         self.exclusion_radius = float(exclusion_radius)
 
-    def evaluate(self, x):
-        r2 = float(x @ x)
-        if math.sqrt(r2) < self.exclusion_radius:
-            raise NearPoleError(
-                f"point at distance {math.sqrt(r2):.3e} from the inversion pole"
-            )
-        return x / r2
+    def _near_pole(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """(squared radii, mask of rows inside the exclusion radius)."""
+        r2 = (X[:, None, :] @ X[:, :, None])[:, 0, 0]  # bit for bit the scalar x @ x
+        return r2, np.sqrt(r2) < self.exclusion_radius
 
-    def jacobian(self, x):
-        r2 = float(x @ x)
-        if math.sqrt(r2) < self.exclusion_radius:
+    def evaluate_batch(self, X):
+        r2, near = self._near_pole(X)
+        if near.any():
             raise NearPoleError(
-                f"point at distance {math.sqrt(r2):.3e} from the inversion pole"
+                f"point at distance {math.sqrt(r2[near][0]):.3e} from the inversion pole"
             )
-        n = x.shape[0]
-        xhat = x / math.sqrt(r2)
-        return (np.eye(n) - 2.0 * np.outer(xhat, xhat)) / r2
+        return X / r2[:, None]
+
+    def jacobian_batch(self, X):
+        r2, near = self._near_pole(X)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xhat = X / np.sqrt(r2)[:, None]
+            J = (np.eye(X.shape[1]) - 2.0 * xhat[:, :, None] * xhat[:, None, :]) / r2[:, None, None]
+        J[near] = np.nan
+        return J, near
 
     def to_config(self):
         return {"primitive": "inversion", "exclusion_radius": self.exclusion_radius}
@@ -567,20 +665,23 @@ class ConformalMap(MixingMap):
                 raise DimensionMismatchError("inner primitives must act on R^d")
         self.inner = tuple(inner)
         self.seed = seed
+        # the primitives, then the embedding as a last linear stage
+        self._chain = self.inner + (LinearMap(embed),)
 
     def evaluate(self, s):
-        x = self._check_point(s)
-        for stage in self.inner:
-            x = stage.evaluate(x)
-        return self.embed @ x
+        return self.evaluate_batch(self._check_point(s)[None])[0]
+
+    def evaluate_batch(self, S):
+        X = self._check_points(S)
+        for stage in self._chain:
+            X = stage.evaluate_batch(X)
+        return X
 
     def jacobian(self, s):
-        x = self._check_point(s)
-        J = np.eye(self.d)
-        for stage in self.inner:
-            J = stage.jacobian(x) @ J
-            x = stage.evaluate(x)
-        return self.embed @ J
+        return self._jacobian_of_one(s, NearPoleError("point too close to an inversion pole"))
+
+    def jacobian_batch(self, S):
+        return chain_jacobian_batch(self._chain, self._check_points(S), self.m, self.d)
 
     def conformal_factor(self, s) -> float:
         J = self.jacobian(s)

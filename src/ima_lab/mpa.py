@@ -23,7 +23,15 @@ from .errors import (
     TrivialRotationError,
     ValidationError,
 )
-from .mixing import FULL_SPACE, LinearMap, MixingMap
+from .mixing import (
+    FULL_SPACE,
+    LinearMap,
+    MixingMap,
+    chain_jacobian_batch,
+    evaluate_rows,
+    jacobian_rows,
+)
+from .schema import require_keys
 from .seeding import generator
 
 _CDF_CLAMP = 1e-15
@@ -140,6 +148,11 @@ class RotatedGaussianMPA:
         d_in = p_in / phi(z)
         d_out = phi(z_rot) / p_out
         return self.rotation * np.outer(d_out, d_in)
+
+    # row loops over the scalar calls: ``forward_batch`` goes through
+    # ``quantile_array``, which is not checked to match ``quantile`` bit for bit
+    evaluate_batch = evaluate_rows
+    jacobian_batch = jacobian_rows
 
 
 # ---------------------------------------------------------------------------
@@ -264,24 +277,18 @@ def density_spec_from_config(config: dict):
         raise ValidationError("density spec needs a 'density' key")
     kind = config["density"]
     if kind == "independent":
-        _require_keys(config, {"density", "laws"})
+        require_keys(config, {"density": True, "laws": True}, "density spec")
         return IndependentProduct(tuple(law_from_config(c) for c in config["laws"]))
     if kind == "correlated_gaussian":
-        _require_keys(config, {"density", "rho", "half_width"})
+        require_keys(config, {"density": True, "rho": True, "half_width": False}, "density spec")
         return CorrelatedGaussian(config["rho"], config.get("half_width", 8.0))
     if kind == "rotated_factorial":
-        _require_keys(config, {"density", "laws", "rotation"})
+        require_keys(config, {"density": True, "laws": True, "rotation": True}, "density spec")
         return RotatedFactorial(
             tuple(law_from_config(c) for c in config["laws"]),
             np.asarray(config["rotation"], dtype=float),
         )
     raise ValidationError(f"unknown density kind {kind!r}")
-
-
-def _require_keys(config: dict, allowed: set) -> None:
-    unknown = set(config) - allowed
-    if unknown:
-        raise ValidationError(f"unknown density spec keys {sorted(unknown)}")
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +471,9 @@ class DarmoisInverse:
         a, c, b = J[0, 0], J[1, 0], J[1, 1]
         return np.array([[1.0 / a, 0.0], [-c / (a * b), 1.0 / b]])
 
+    evaluate_batch = evaluate_rows
+    jacobian_batch = jacobian_rows
+
 
 # ---------------------------------------------------------------------------
 # composition
@@ -472,14 +482,13 @@ class DarmoisInverse:
 def _stage_dims(stage) -> tuple[int, int]:
     if hasattr(stage, "d_in") and hasattr(stage, "d_out"):
         return stage.d_in, stage.d_out
-    if hasattr(stage, "d") and hasattr(stage, "m"):
-        return stage.d, stage.m
     raise ValidationError(f"stage {stage!r} does not expose its dimensions")
 
 
 class ComposedMap(MixingMap):
     """Stage-wise composition; the Jacobian is the ordered chain-rule
-    product of stage Jacobians."""
+    product of stage Jacobians.  Each stage exposes ``d_in``/``d_out`` and
+    the scalar and batch ``evaluate``/``jacobian`` calls."""
 
     def __init__(self, stages, domain: str = FULL_SPACE):
         if not stages:
@@ -493,8 +502,6 @@ class ComposedMap(MixingMap):
         self.stages = tuple(stages)
         self.d = dims[0][0]
         self.m = dims[-1][1]
-        self.d_in = self.d
-        self.d_out = self.m
         self.domain = domain
 
     def evaluate(self, s):
@@ -503,7 +510,16 @@ class ComposedMap(MixingMap):
             x = stage.evaluate(x)
         return x
 
+    def evaluate_batch(self, S):
+        X = np.asarray(S, dtype=float)
+        for stage in self.stages:
+            X = stage.evaluate_batch(X)
+        return X
+
     def jacobian(self, s):
+        """Chain of the stages' scalar Jacobians: the per-point reference
+        for ``jacobian_batch``, and it raises the rejecting stage's own
+        error, which the batch's mask cannot name."""
         x = np.asarray(s, dtype=float)
         J = None
         for stage in self.stages:
@@ -511,6 +527,9 @@ class ComposedMap(MixingMap):
             J = Js if J is None else Js @ J
             x = stage.evaluate(x)
         return J
+
+    def jacobian_batch(self, S):
+        return chain_jacobian_batch(self.stages, np.asarray(S, dtype=float), self.m, self.d)
 
 
 def spurious_mpa(f: MixingMap, a: RotatedGaussianMPA) -> ComposedMap:

@@ -1,8 +1,14 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ima_lab.cli import SEED_ENV_VAR, build_parser, main, run, validate_run_config
 from ima_lab.errors import ValidationError
@@ -211,3 +217,107 @@ class TestRuns:
         }
         assert run(cfg) == 0
         assert (tmp_path / "out" / "genericity.csv").exists()
+
+
+#: a small valid reparam config on every map family and law kind the
+#: fuzzer below mutates
+_UNIFORM = {"kind": "uniform", "params": {"a": 0.01, "b": 0.99}}
+REPARAM_CONFIG = {
+    "command": "reparam",
+    "params": {
+        "n_mc": 30,
+        "configs": [
+            {"map": {"family": "grid", "d": 2, "m": 12, "delta": 0.5, "eps": 0.02, "seed": 3},
+             "source": [_UNIFORM, _UNIFORM],
+             "perm": [1, 0],
+             "transforms": [{"kind": "cube"}, {"kind": "affine", "a": 0.5, "b": 0.25}]},
+            {"map": {"family": "conformal", "d": 2, "m": 5, "scale": 1.5, "with_inversion": True},
+             "source": [{"kind": "gaussian", "params": {"mu": 0.0, "sigma": 1.0}},
+                        {"kind": "laplace", "params": {"mu": 0.0, "b": 1.0}}],
+             "perm": [0, 1],
+             "transforms": [{"kind": "tanh"}, {"kind": "affine", "a": -1.5}]},
+            {"map": {"family": "linear", "d": 2, "m": 4, "radial": "unit"},
+             "source": [{"kind": "beta", "params": {"alpha": 2.0, "beta": 3.0, "points": 129}},
+                        {"kind": "chi", "params": {"k": 3}}],
+             "perm": [1, 0],
+             "transforms": [{"kind": "affine", "b": 1.0}, {"kind": "cube"}]},
+        ],
+    },
+    "master_seed": 11,
+}
+
+
+def _paths(node, prefix=()):
+    """Every key or index path below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),
+    st.sampled_from([0.0, -1.5, 0.3, 2.5, 1e300, float("nan"), float("inf")]),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "a", "x"]), st.integers(0, 2), max_size=2),
+)
+
+
+def run_main(config, command="reparam"):
+    """Exit code and standard error of ``main`` on a config file."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", path, "--output-dir", os.path.join(tmp, "out")])
+    return code, err.getvalue()
+
+
+class TestReparamSchema:
+    def test_the_base_config_runs(self):
+        assert run_main(REPARAM_CONFIG) == (0, "")
+
+    @pytest.mark.parametrize("path, value", [
+        (("n_mc",), "abc"),
+        (("configs", 0, "transforms", 1, "a"), "x"),
+        (("configs", 0, "transforms"), ["cube", "cube"]),
+        (("configs", 0, "map", "d"), "2"),
+    ])
+    def test_malformed_values_exit_2(self, path, value):
+        config = copy.deepcopy(REPARAM_CONFIG)
+        parent = config["params"]
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        code, err = run_main(config)
+        assert code == 2
+        assert json.loads(err)["type"] == "ValidationError"
+
+    @pytest.mark.filterwarnings("ignore")  # small mutated maps warn about injectivity
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mutated_configs_exit_0_2_or_3_without_a_traceback(self, data):
+        config = copy.deepcopy(REPARAM_CONFIG)
+        for _ in range(data.draw(st.integers(1, 3))):
+            paths = list(_paths(config["params"]))
+            if not paths:
+                break
+            path = data.draw(st.sampled_from(paths))
+            parent = config["params"]
+            for key in path[:-1]:
+                parent = parent[key]
+            action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+            if action == "replace" or not isinstance(parent, dict):
+                parent[path[-1]] = data.draw(_JUNK)
+            elif action == "delete":
+                del parent[path[-1]]
+            else:
+                parent["bogus"] = data.draw(_JUNK)
+        code, err = run_main(config)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err

@@ -19,7 +19,9 @@ from ima_lab.distributions import (
     sample_factorial,
     sample_isotropic_matrix,
 )
+from ima_lab.cli import run
 from ima_lab.errors import (
+    REJECTABLE,
     DegenerateMapError,
     DomainError,
     NonMonotoneError,
@@ -30,6 +32,7 @@ from ima_lab.errors import (
 from ima_lab.experiments import (
     AffineTransform,
     CubeTransform,
+    InverseElementwiseStage,
     TanhTransform,
     binomial_stderr,
     boundary_statistics,
@@ -37,6 +40,7 @@ from ima_lab.experiments import (
     estimate_global_contrast,
     expected_boundary_fraction,
     genericity_experiment,
+    permutation_matrix,
     reparam_invariance_check,
     run_indexed,
     spurious_gap_experiment,
@@ -50,7 +54,7 @@ from ima_lab.mixing import (
     random_conformal_map,
     sample_grid_map,
 )
-from ima_lab.mpa import rotation_matrix_2d
+from ima_lab.mpa import ComposedMap, rotation_matrix_2d
 from ima_lab.seeding import substream
 
 
@@ -147,6 +151,67 @@ class TestChunkedEstimate:
         assert chunked_estimate(KinkedMap(), points) == scalar_estimate(
             KinkedMap(), points
         )
+
+
+def per_point_scores(mapping, points):
+    """Reference for the batched scorer: one scalar Jacobian and one scalar
+    contrast per point, NaN where either is rejected."""
+    values = []
+    for s in points:
+        try:
+            values.append(local_contrast_unclamped(mapping.jacobian(s)))
+        except REJECTABLE:
+            values.append(np.nan)
+    return np.asarray(values)
+
+
+_UNIFORM_01_99 = {"kind": "uniform", "params": {"a": 0.01, "b": 0.99}}
+
+#: the README reparam config and the two of acceptance criterion 10
+REPARAM_PARAMS = {
+    "n_mc": 2000,
+    "configs": [
+        {"map": {"family": "grid", "d": 2, "m": 24, "delta": 0.5, "eps": 0.02},
+         "source": [_UNIFORM_01_99] * 2,
+         "perm": [1, 0],
+         "transforms": [{"kind": "cube"}, {"kind": "affine", "a": 0.5, "b": 0.25}]},
+        {"map": {"family": "grid", "d": 3, "m": 40, "delta": 0.5, "eps": 0.02},
+         "source": [_UNIFORM_01_99] * 3,
+         "perm": [2, 0, 1],
+         "transforms": [{"kind": "cube"}, {"kind": "affine", "a": 0.5, "b": 0.25},
+                        {"kind": "cube"}]},
+        {"map": {"family": "conformal", "d": 2, "m": 7},
+         "source": [{"kind": "gaussian", "params": {"mu": 0.0, "sigma": 1.0}}] * 2,
+         "perm": [1, 0],
+         "transforms": [{"kind": "tanh"}, {"kind": "affine", "a": -1.5, "b": 0.2}]},
+    ],
+}
+
+
+class TestBatchedScoring:
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunk_boundaries_match_the_per_point_reference(self, offset):
+        grid = sample_grid_map(d=2, m=24, delta=0.5, eps=0.0, seed=30)  # raw: knots are refused
+        n = experiments._chunk_size(24, 2) + offset
+        points = np.random.default_rng(31).uniform(0.01, 0.99, (n, 2))
+        points[[0, n // 2, n - 1], 0] = 0.5  # on a knot, in the first and the last chunk
+        transforms = [CubeTransform(), AffineTransform(0.5, 0.25)]
+        chain = ComposedMap([LinearMap(permutation_matrix([1, 0]).T),
+                             InverseElementwiseStage(transforms), grid])
+        transformed = np.column_stack([t.forward(points[:, i]) for i, t in enumerate(transforms)])
+        for mapping, pts in ((grid, points), (chain, transformed @ permutation_matrix([1, 0]).T)):
+            got = experiments._score_at_points(mapping, pts)
+            assert np.array_equal(got.view(np.int64), per_point_scores(mapping, pts).view(np.int64))
+            assert np.isnan(got[[0, n // 2, n - 1]]).all()
+
+    @pytest.mark.parametrize("seed", [20250809, 77])
+    def test_reparam_configs_match_the_per_point_reference(self, seed, tmp_path, monkeypatch):
+        config = {"command": "reparam", "params": REPARAM_PARAMS, "master_seed": seed}
+        assert run(dict(config, output_dir=str(tmp_path / "batched"))) == 0
+        monkeypatch.setattr(experiments, "_score_at_points", per_point_scores)
+        assert run(dict(config, output_dir=str(tmp_path / "reference"))) == 0
+        batched = (tmp_path / "batched" / "reparam.csv").read_bytes()
+        assert batched == (tmp_path / "reference" / "reparam.csv").read_bytes()
 
 
 def trial_by_trial_success(d, delta, m, mi, trials, seed):
