@@ -107,6 +107,10 @@ def _source_from_config(cfg) -> FactorialDistribution:
     return FactorialDistribution.from_config(cfg)
 
 
+def _integers(value, where: str) -> list[int]:
+    return [schema.integer(v, where) for v in schema.array(value, where)]
+
+
 # ---------------------------------------------------------------------------
 # per-command runners: config schema -> rows
 # ---------------------------------------------------------------------------
@@ -120,14 +124,14 @@ def _run_contrast(params: dict, seed: int, threads: int):
     if ("matrix" in params) == ("map" in params):
         raise ValidationError("contrast takes exactly one of 'matrix' or 'map'")
     if "matrix" in params:
-        value = local_ima_contrast(np.asarray(params["matrix"], dtype=float))
+        value = local_ima_contrast(schema.real_array(params["matrix"], "contrast 'matrix'"))
         est = ContrastEstimate(mean=value, stderr=0.0, n_samples=1, clamp_count=0, rejection_count=0)
         return [est]
     if "source" not in params:
         raise ValidationError("map-based contrast needs a 'source' law list")
     mapping = _build_map(params["map"], seed)
     source = _source_from_config(params["source"])
-    n = int(params.get("n_samples", 2000))
+    n = schema.integer(params.get("n_samples", 2000), "contrast 'n_samples'")
     return [estimate_global_contrast(mapping, source, n, seed)]
 
 
@@ -139,12 +143,12 @@ def _run_sweep(params: dict, seed: int, threads: int):
         "sweep params",
     )
     return concentration_sweep(
-        d=int(params["d"]),
-        delta=float(params["delta"]),
-        m_list=[int(m) for m in params["m_list"]],
-        trials=int(params["trials"]),
+        d=schema.integer(params["d"], "sweep 'd'"),
+        delta=schema.real(params["delta"], "sweep 'delta'"),
+        m_list=_integers(params["m_list"], "sweep 'm_list'"),
+        trials=schema.integer(params["trials"], "sweep 'trials'"),
         sampler_factory=_sampler_factory(params.get("radial", "chi")),
-        kappa=float(params.get("kappa", 1.0)),
+        kappa=schema.real(params.get("kappa", 1.0), "sweep 'kappa'"),
         seed=seed,
         threads=threads,
     )
@@ -158,13 +162,13 @@ def _run_genericity(params: dict, seed: int, threads: int):
         "genericity params",
     )
     return genericity_experiment(
-        d=int(params["d"]),
-        m_list=[int(m) for m in params["m_list"]],
-        delta_grid=float(params["delta_grid"]),
-        eps=float(params["eps"]),
-        delta_contrast=float(params["delta_contrast"]),
-        trials=int(params["trials"]),
-        n_mc=int(params["n_mc"]),
+        d=schema.integer(params["d"], "genericity 'd'"),
+        m_list=_integers(params["m_list"], "genericity 'm_list'"),
+        delta_grid=schema.real(params["delta_grid"], "genericity 'delta_grid'"),
+        eps=schema.real(params["eps"], "genericity 'eps'"),
+        delta_contrast=schema.real(params["delta_contrast"], "genericity 'delta_contrast'"),
+        trials=schema.integer(params["trials"], "genericity 'trials'"),
+        n_mc=schema.integer(params["n_mc"], "genericity 'n_mc'"),
         seed=seed,
         threads=threads,
     )
@@ -180,14 +184,16 @@ def _run_spurious(params: dict, seed: int, threads: int):
     source = _source_from_config(params["source"]) if "source" in params else None
     rotation = None
     if "rotation_deg" in params:
-        rotation = rotation_matrix_2d(np.radians(float(params["rotation_deg"])))
+        angle = schema.real(params["rotation_deg"], "spurious 'rotation_deg'")
+        rotation = rotation_matrix_2d(np.radians(angle))
     report = spurious_gap_experiment(
-        m=int(params.get("m", 5)),
+        m=schema.integer(params.get("m", 5), "spurious 'm'"),
         source=source,
         rotation=rotation,
-        darmois_resolution=int(params.get("darmois_resolution", 512)),
-        n_mc=int(params.get("n_mc", 2000)),
-        floor=float(params.get("floor", 1e-3)),
+        darmois_resolution=schema.integer(params.get("darmois_resolution", 512),
+                                          "spurious 'darmois_resolution'"),
+        n_mc=schema.integer(params.get("n_mc", 2000), "spurious 'n_mc'"),
+        floor=schema.real(params.get("floor", 1e-3), "spurious 'floor'"),
         seed=seed,
     )
     return gap_report_rows(report)
@@ -206,7 +212,7 @@ def _run_reparam(params: dict, seed: int, threads: int):
 
         mapping = _build_map(cfg["map"], substream(seed, idx, 0))
         source = _source_from_config(cfg["source"])
-        perm = [schema.integer(p, f"{where} 'perm'") for p in schema.array(cfg["perm"], f"{where} 'perm'")]
+        perm = _integers(cfg["perm"], f"{where} 'perm'")
         transforms = [
             transform_from_config(t) for t in schema.array(cfg["transforms"], f"{where} 'transforms'")
         ]

@@ -205,6 +205,8 @@ class Laplace(UnivariateLaw):
             return self.mu + self.b * math.log(2.0 * u)
         return self.mu - self.b * math.log(2.0 * (1.0 - u))
 
+    # np.log here, math.log in quantile: the two differ in the last bit on a
+    # few points, and the spurious CSV pins both (sampling and the MPA output)
     def quantile_array(self, u):
         u = np.asarray(u, dtype=float)
         lower = self.mu + self.b * np.log(2.0 * u)

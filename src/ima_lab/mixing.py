@@ -19,10 +19,10 @@ Jacobian protocol: ``jacobian_batch(S)`` takes (n, d) points and returns
 ``(J, rejected)``, J of shape (n, m, d) and ``rejected`` a bool mask of
 the rows whose scalar ``jacobian`` would raise one of
 :data:`errors.REJECTABLE` (those rows of J are NaN).  Any other error is
-raised, as the scalar call would.  The vectorised families compute the
-batch directly and their scalar ``jacobian`` is a batch of one; a map that
-defines only ``jacobian`` gets the batch by the row loop
-:func:`jacobian_rows`.
+raised, as the scalar call would.  Every family computes the batch
+directly and its scalar ``jacobian`` is a batch of one; the spurious
+stages of :mod:`ima_lab.mpa` broadcast over leading axes instead, like
+``experiments.InverseElementwiseStage``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import numpy as np
 
 from .contrast import RANK_TOL
 from .errors import (
-    REJECTABLE,
     DimensionMismatchError,
     DomainError,
     NearPoleError,
@@ -88,32 +87,8 @@ def _blend_coeff(s, eps: float):
 
 
 # ---------------------------------------------------------------------------
-# batch protocol defaults and map base class
+# batch protocol and map base class
 # ---------------------------------------------------------------------------
-
-def jacobian_rows(stage, S) -> tuple[np.ndarray, np.ndarray]:
-    """``jacobian_batch`` by one scalar ``stage.jacobian`` call per row: the
-    protocol default for maps and stages without a vectorised batch.  Rows
-    whose call raises a REJECTABLE error are rejected and left NaN."""
-    S = np.asarray(S, dtype=float)
-    J = np.full((len(S), stage.d_out, stage.d_in), np.nan)
-    rejected = np.zeros(len(S), dtype=bool)
-    for i, s in enumerate(S):
-        try:
-            J[i] = stage.jacobian(s)
-        except REJECTABLE:
-            rejected[i] = True
-    return J, rejected
-
-
-def evaluate_rows(stage, S) -> np.ndarray:
-    """``evaluate_batch`` by one scalar ``stage.evaluate`` call per row."""
-    S = np.asarray(S, dtype=float)
-    out = np.empty((len(S), stage.d_out))
-    for i, s in enumerate(S):
-        out[i] = stage.evaluate(s)
-    return out
-
 
 def chain_jacobian_batch(stages, X: np.ndarray, m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """``jacobian_batch`` of the composition of ``stages`` (applied first to
@@ -143,9 +118,8 @@ class MixingMap:
     """A map s -> x from R^d onto a d-dimensional manifold in R^m with an
     analytic Jacobian.  Immutable after construction; evaluation is pure.
 
-    A subclass defines ``jacobian`` or ``jacobian_batch`` (see the module
-    docstring for the protocol); the defaults here loop over the scalar
-    calls."""
+    A subclass defines the batch calls ``evaluate_batch``/``jacobian_batch``
+    (see the module docstring for the protocol) and their scalar twins."""
 
     d: int
     m: int
@@ -165,11 +139,14 @@ class MixingMap:
     def jacobian(self, s: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def evaluate_batch(self, S: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def jacobian_batch(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return self.evaluate(s)
-
-    evaluate_batch = evaluate_rows
-    jacobian_batch = jacobian_rows
 
     def _jacobian_of_one(self, s, rejection: Exception | None = None) -> np.ndarray:
         """Jacobian at one point as a batch of one of ``jacobian_batch``;
@@ -381,18 +358,6 @@ class SmoothGridMap(MixingMap):
             "eps": self.eps,
             "seed": self.seed,
         }
-
-    def blocks_to_csv(self, path) -> None:
-        """Export the stacked block matrices for inspection (rows are
-        (block, row) pairs, columns the d latent directions)."""
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["block", "row"] + [f"col{k}" for k in range(self.d)])
-            for t in range(self.p):
-                for r in range(self.m):
-                    writer.writerow([t + 1, r] + [repr(float(v)) for v in self.blocks[t, r]])
 
 
 def sample_grid_map(
@@ -682,10 +647,6 @@ class ConformalMap(MixingMap):
 
     def jacobian_batch(self, S):
         return chain_jacobian_batch(self._chain, self._check_points(S), self.m, self.d)
-
-    def conformal_factor(self, s) -> float:
-        J = self.jacobian(s)
-        return math.sqrt(float(np.trace(J.T @ J)) / self.d)
 
     def descriptor(self) -> dict:
         return {

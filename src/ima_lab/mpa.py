@@ -28,8 +28,6 @@ from .mixing import (
     LinearMap,
     MixingMap,
     chain_jacobian_batch,
-    evaluate_rows,
-    jacobian_rows,
 )
 from .schema import require_keys
 from .seeding import generator
@@ -62,8 +60,10 @@ class RotatedGaussianMPA:
     """Latent-space automorphism F_s^{-1} o Phi o R o Phi^{-1} o F_s that
     leaves the factorial source distribution invariant.
 
-    Immutable and thread-safe; ``forward_with_clamps`` reports how many
-    CDF values had to be clamped into [1e-15, 1 - 1e-15].
+    ``evaluate`` and ``jacobian`` broadcast over leading axes, (..., d) ->
+    (..., d) and (..., d, d), so the batch methods are one call each.  CDF
+    values are clamped into [1e-15, 1 - 1e-15]; ``evaluate`` warns with
+    the number clamped.  Immutable and thread-safe.
     """
 
     def __init__(self, source: FactorialDistribution, rotation: np.ndarray):
@@ -80,79 +80,65 @@ class RotatedGaussianMPA:
         self.d_in = d
         self.d_out = d
 
-    def _check_support(self, s: np.ndarray) -> None:
-        for i, law in enumerate(self.source.components):
+    def _forward(self, S) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """(Z, Z_rot, Y, clamps) at points S of shape (..., d): the
+        gaussianized points, their rotation, the outputs, and the number
+        of CDF values clamped on the way."""
+        S = np.asarray(S, dtype=float)
+        if S.ndim < 1 or S.shape[-1] != self.d:
+            raise DimensionMismatchError(f"expected points of shape (..., {self.d}), got {S.shape}")
+        laws = self.source.components
+        for i, law in enumerate(laws):
             lo, hi = law.support
-            if not lo < s[i] < hi:
-                raise SupportError(f"coordinate {i} = {s[i]} outside open support ({lo}, {hi})")
-
-    def _gaussianize(self, s: np.ndarray) -> tuple[np.ndarray, int]:
-        u = np.array([float(law.cdf(si)) for law, si in zip(self.source.components, s)])
-        clamped = np.clip(u, _CDF_CLAMP, 1.0 - _CDF_CLAMP)
-        n_clamps = int(np.sum(clamped != u))
-        return special.ndtri(clamped), n_clamps
-
-    def forward_with_clamps(self, s) -> tuple[np.ndarray, int]:
-        s = np.asarray(s, dtype=float)
-        if s.shape != (self.d,):
-            raise DimensionMismatchError(f"expected a point of shape ({self.d},)")
-        self._check_support(s)
-        z, n_clamps = self._gaussianize(s)
-        z_rot = self.rotation @ z
-        u_out = special.ndtr(z_rot)
-        clamped = np.clip(u_out, _CDF_CLAMP, 1.0 - _CDF_CLAMP)
-        n_clamps += int(np.sum(clamped != u_out))
-        y = np.array([law.quantile(float(ui)) for law, ui in zip(self.source.components, clamped)])
-        if n_clamps:
-            warnings.warn("CDF values clamped during MPA evaluation", ClampWarning, stacklevel=2)
-        return y, n_clamps
+            outside = ~((lo < S[..., i]) & (S[..., i] < hi))
+            if outside.any():
+                raise SupportError(
+                    f"coordinate {i} = {S[..., i][outside][0]} outside open support ({lo}, {hi})"
+                )
+        U = np.stack([law.cdf(S[..., i]) for i, law in enumerate(laws)], axis=-1)
+        clamped = np.clip(U, _CDF_CLAMP, 1.0 - _CDF_CLAMP)
+        clamps = int(np.count_nonzero(clamped != U))
+        Z = special.ndtri(clamped)
+        # one matrix-vector product per point, bit for bit the scalar R @ z
+        Z_rot = (self.rotation @ Z[..., None])[..., 0]
+        U_out = special.ndtr(Z_rot)
+        clamped = np.clip(U_out, _CDF_CLAMP, 1.0 - _CDF_CLAMP)
+        clamps += int(np.count_nonzero(clamped != U_out))
+        # the scalar quantile: Laplace.quantile_array's np.log differs from
+        # quantile's math.log in the last bit, and the spurious CSV pins this one
+        Y = np.stack([
+            np.reshape([law.quantile(u) for u in clamped[..., i].ravel().tolist()], Z.shape[:-1])
+            for i, law in enumerate(laws)
+        ], axis=-1)
+        return Z, Z_rot, Y, clamps
 
     def evaluate(self, s) -> np.ndarray:
-        return self.forward_with_clamps(s)[0]
+        _, _, Y, clamps = self._forward(s)
+        if clamps:
+            warnings.warn(f"{clamps} CDF values clamped during MPA evaluation", ClampWarning,
+                          stacklevel=2)
+        return Y
 
     __call__ = evaluate
-
-    def forward_batch(self, S: np.ndarray) -> tuple[np.ndarray, int]:
-        """Vectorized forward map for (n, d) draws; returns (outputs,
-        total clamp count).  Identical numbers to the scalar path."""
-        S = np.asarray(S, dtype=float)
-        if S.ndim != 2 or S.shape[1] != self.d:
-            raise DimensionMismatchError(f"expected draws of shape (n, {self.d})")
-        U = np.column_stack([np.asarray(law.cdf(S[:, i])) for i, law in enumerate(self.source.components)])
-        clamped = np.clip(U, _CDF_CLAMP, 1.0 - _CDF_CLAMP)
-        n_clamps = int(np.sum(clamped != U))
-        Z = special.ndtri(clamped)
-        Z_rot = Z @ self.rotation.T
-        U_out = special.ndtr(Z_rot)
-        out_clamped = np.clip(U_out, _CDF_CLAMP, 1.0 - _CDF_CLAMP)
-        n_clamps += int(np.sum(out_clamped != U_out))
-        Y = np.column_stack(
-            [law.quantile_array(out_clamped[:, i]) for i, law in enumerate(self.source.components)]
-        )
-        return Y, n_clamps
+    evaluate_batch = evaluate
 
     def jacobian(self, s) -> np.ndarray:
         """D_out(s) R D_in(s) with D_in = diag(p_i(s_i)/phi(z_i)) and
         D_out = diag(phi(z'_i)/p_i(y_i))."""
-        s = np.asarray(s, dtype=float)
-        self._check_support(s)
-        z, _ = self._gaussianize(s)
-        z_rot = self.rotation @ z
-        u_out = np.clip(special.ndtr(z_rot), _CDF_CLAMP, 1.0 - _CDF_CLAMP)
-        y = np.array([law.quantile(float(ui)) for law, ui in zip(self.source.components, u_out)])
-        phi = lambda t: np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-        p_in = np.array([float(law.pdf(si)) for law, si in zip(self.source.components, s)])
-        p_out = np.array([float(law.pdf(yi)) for law, yi in zip(self.source.components, y)])
+        S = np.asarray(s, dtype=float)
+        Z, Z_rot, Y, _ = self._forward(S)
+        laws = self.source.components
+        p_in = np.stack([law.pdf(S[..., i]) for i, law in enumerate(laws)], axis=-1)
+        p_out = np.stack([law.pdf(Y[..., i]) for i, law in enumerate(laws)], axis=-1)
         if np.any(p_out <= 0.0):
             raise SupportError("output landed outside the support of a component law")
-        d_in = p_in / phi(z)
-        d_out = phi(z_rot) / p_out
-        return self.rotation * np.outer(d_out, d_in)
+        phi = lambda t: np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+        d_in = p_in / phi(Z)
+        d_out = phi(Z_rot) / p_out
+        return self.rotation * (d_out[..., :, None] * d_in[..., None, :])
 
-    # row loops over the scalar calls: ``forward_batch`` goes through
-    # ``quantile_array``, which is not checked to match ``quantile`` bit for bit
-    evaluate_batch = evaluate_rows
-    jacobian_batch = jacobian_rows
+    def jacobian_batch(self, S):
+        return self.jacobian(S), np.zeros(len(S), dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +288,9 @@ class DarmoisMap:
     forward: (x1, x2) -> (F_1(x1), F(x2 | x1)) in (0, 1)^2; the Jacobian
     is lower triangular by construction.  Linear interpolation between
     nodes keeps every tabulated CDF strictly increasing, so the
-    per-coordinate inverse is exact on the interpolant.
+    per-coordinate inverse is exact on the interpolant.  ``evaluate``,
+    ``inverse`` and ``jacobian`` broadcast over leading axes, (..., 2) ->
+    (..., 2) and (..., 2, 2).
     """
 
     d_in = 2
@@ -342,108 +330,107 @@ class DarmoisMap:
         self.h1 = h1
         self.h2 = h2
 
-    def _check_inside(self, x: np.ndarray, margin: float = 0.0) -> None:
-        if not (self.x1[0] + margin < x[0] < self.x1[-1] - margin):
-            raise OutOfTableError(f"x1={x[0]} outside the tabulated range")
-        if not (self.x2[0] + margin < x[1] < self.x2[-1] - margin):
-            raise OutOfTableError(f"x2={x[1]} outside the tabulated range")
+    def _inside(self, X: np.ndarray, margin: float) -> np.ndarray:
+        """True for the points of X (..., 2) more than ``margin`` inside the
+        tabulated rectangle."""
+        return (
+            (self.x1[0] + margin < X[..., 0]) & (X[..., 0] < self.x1[-1] - margin)
+            & (self.x2[0] + margin < X[..., 1]) & (X[..., 1] < self.x2[-1] - margin)
+        )
 
-    def _blend_row(self, x1: float) -> np.ndarray:
-        """Conditional-CDF node values at x1, linearly blended between rows."""
-        pos = (x1 - self.x1[0]) / self.h1
-        i = int(np.clip(np.floor(pos), 0, self.resolution - 2))
-        w = pos - i
-        return (1.0 - w) * self.conditional_cdf_table[i] + w * self.conditional_cdf_table[i + 1]
+    def _points(self, X, margin: float = 0.0) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        if X.ndim < 1 or X.shape[-1] != 2:
+            raise DimensionMismatchError(f"expected points of shape (..., 2), got {X.shape}")
+        if not self._inside(X, margin).all():
+            raise OutOfTableError("some points fall outside the tabulated rectangle")
+        return X
 
-    def marginal_transform(self, x1: float) -> float:
-        return float(np.interp(x1, self.x1, self.marginal_cdf))
+    def _cell(self, x: np.ndarray, start: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+        """Index i of the grid cell (start + i h, start + (i + 1) h) that
+        holds each x, and x's weight w in it, on an axis of the table."""
+        pos = (x - start) / h
+        i = np.clip(np.floor(pos), 0, self.resolution - 2).astype(np.intp)
+        return i, pos - i
 
-    def conditional_transform(self, x1: float, x2: float) -> float:
-        return float(np.interp(x2, self.x2, self._blend_row(x1)))
+    def _row(self, x1: np.ndarray):
+        """Node j of the conditional-CDF row at each x1, linearly blended
+        between the table rows around it; a function of j."""
+        i, w = self._cell(x1, self.x1[0], self.h1)
+        C = self.conditional_cdf_table
+        return lambda j: (1.0 - w) * C[i, j] + w * C[i + 1, j]
+
+    def _interp(self, x: np.ndarray, xp, fp) -> np.ndarray:
+        """``np.interp(x, xp, fp)`` at each element of x, bit for bit, where
+        xp(j) and fp(j) give node j of that element's own table.  The
+        blended rows are never built: only the nodes the bisection visits."""
+        n = self.resolution
+        # numpy's binary search: the last node j with xp(j) <= x, -1 if none
+        lo = np.zeros(x.shape, dtype=np.intp)
+        hi = np.full(x.shape, n)
+        for _ in range(n.bit_length()):
+            mid = np.minimum((lo + hi) >> 1, n - 1)
+            below = xp(mid) <= x
+            searching = lo < hi
+            lo = np.where(searching & below, mid + 1, lo)
+            hi = np.where(searching & ~below, mid, hi)
+        j = np.clip(lo - 1, 0, n - 2)
+        x_j, f_j = xp(j), fp(j)
+        # the slope of a row past either end may divide by zero; those rows
+        # take numpy's node value below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (fp(j + 1) - f_j) / (xp(j + 1) - x_j) * (x - x_j) + f_j
+        # numpy returns the node value left of the table, on a node, and at
+        # or past the last node
+        return np.where(lo == 0, fp(0), np.where(lo == n, fp(n - 1), np.where(x == x_j, f_j, out)))
+
+    def _conditional(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        """F(x2 | x1) by linear interpolation along the blended row."""
+        return self._interp(x2, lambda j: self.x2[j], self._row(x1))
 
     def evaluate(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (2,):
-            raise DimensionMismatchError("expected a 2-vector")
-        self._check_inside(x)
-        return np.array([self.marginal_transform(x[0]), self.conditional_transform(x[0], x[1])])
+        X = self._points(x)
+        u1 = np.interp(X[..., 0], self.x1, self.marginal_cdf)
+        return np.stack([u1, self._conditional(X[..., 0], X[..., 1])], axis=-1)
 
     __call__ = evaluate
 
-    def forward_batch(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized forward transform of (n, 2) points strictly inside
-        the rectangle (bilinear interpolation of the CDF tables)."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != 2:
-            raise DimensionMismatchError("expected points of shape (n, 2)")
-        if np.any(X[:, 0] <= self.x1[0]) or np.any(X[:, 0] >= self.x1[-1]) or \
-           np.any(X[:, 1] <= self.x2[0]) or np.any(X[:, 1] >= self.x2[-1]):
-            raise OutOfTableError("some points fall outside the tabulated rectangle")
-        g1 = np.interp(X[:, 0], self.x1, self.marginal_cdf)
-        pos1 = (X[:, 0] - self.x1[0]) / self.h1
-        i = np.clip(np.floor(pos1).astype(int), 0, self.resolution - 2)
-        w = pos1 - i
-        pos2 = (X[:, 1] - self.x2[0]) / self.h2
-        j = np.clip(np.floor(pos2).astype(int), 0, self.resolution - 2)
-        v = pos2 - j
-        C = self.conditional_cdf_table
-        g2 = (1 - w) * ((1 - v) * C[i, j] + v * C[i, j + 1]) + w * (
-            (1 - v) * C[i + 1, j] + v * C[i + 1, j + 1]
-        )
-        return np.column_stack([g1, g2])
-
     def inverse(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (2,):
-            raise DimensionMismatchError("expected a 2-vector")
-        if not (0.0 < u[0] < 1.0 and 0.0 < u[1] < 1.0):
+        U = np.asarray(u, dtype=float)
+        if U.ndim < 1 or U.shape[-1] != 2:
+            raise DimensionMismatchError(f"expected points of shape (..., 2), got {U.shape}")
+        if not np.all((0.0 < U) & (U < 1.0)):
             raise DomainError("inverse arguments must lie in (0, 1)^2")
-        x1 = float(np.interp(u[0], self.marginal_cdf, self.x1))
-        row = self._blend_row(x1)
-        x2 = float(np.interp(u[1], row, self.x2))
-        return np.array([x1, x2])
+        x1 = np.interp(U[..., 0], self.marginal_cdf, self.x1)
+        x2 = self._interp(U[..., 1], self._row(x1), lambda j: self.x2[j])
+        return np.stack([x1, x2], axis=-1)
 
     def jacobian(self, x) -> np.ndarray:
         """[[p_1(x1), 0], [dF(x2|x1)/dx1, p(x2|x1)]]; the upper-right
         entry is exactly zero, the lower-left uses a one-grid-cell
-        central difference."""
-        x = np.asarray(x, dtype=float)
-        self._check_inside(x, margin=self.h1)
-        p1 = float(np.interp(x[0], self.x1, self.marginal_pdf))
-        joint = self._bilinear_joint(x[0], x[1])
-        cond_dens = joint / p1
-        d21 = (
-            self.conditional_transform(x[0] + self.h1, x[1])
-            - self.conditional_transform(x[0] - self.h1, x[1])
-        ) / (2.0 * self.h1)
-        return np.array([[p1, 0.0], [d21, cond_dens]])
-
-    def _bilinear_joint(self, x1: float, x2: float) -> float:
-        pos1 = (x1 - self.x1[0]) / self.h1
-        pos2 = (x2 - self.x2[0]) / self.h2
-        i = int(np.clip(np.floor(pos1), 0, self.resolution - 2))
-        j = int(np.clip(np.floor(pos2), 0, self.resolution - 2))
-        w1 = pos1 - i
-        w2 = pos2 - j
+        central difference.  Points within one cell of the table edge
+        raise OutOfTableError."""
+        X = self._points(x, margin=self.h1)
+        x1, x2 = X[..., 0], X[..., 1]
+        p1 = np.interp(x1, self.x1, self.marginal_pdf)
+        # bilinear interpolation of the joint density
+        i, w1 = self._cell(x1, self.x1[0], self.h1)
+        j, w2 = self._cell(x2, self.x2[0], self.h2)
         P = self.joint
-        return float(
+        joint = (
             (1 - w1) * (1 - w2) * P[i, j]
             + w1 * (1 - w2) * P[i + 1, j]
             + (1 - w1) * w2 * P[i, j + 1]
             + w1 * w2 * P[i + 1, j + 1]
         )
-
-    def cdf_tables_to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x1", "marginal_cdf"] + [repr(float(v)) for v in self.x2])
-            for i in range(self.resolution):
-                writer.writerow(
-                    [repr(float(self.x1[i])), repr(float(self.marginal_cdf[i]))]
-                    + [repr(float(v)) for v in self.conditional_cdf_table[i]]
-                )
+        d21 = (self._conditional(x1 + self.h1, x2) - self._conditional(x1 - self.h1, x2)) / (
+            2.0 * self.h1
+        )
+        J = np.zeros(X.shape + (2,))
+        J[..., 0, 0] = p1
+        J[..., 1, 0] = d21
+        J[..., 1, 1] = joint / p1
+        return J
 
 
 def darmois_build(spec, resolution: int = 512) -> DarmoisMap:
@@ -452,7 +439,8 @@ def darmois_build(spec, resolution: int = 512) -> DarmoisMap:
 
 class DarmoisInverse:
     """Inverse Darmois stage (0,1)^2 -> rectangle; its Jacobian is the
-    triangular inverse of the forward Jacobian at the preimage."""
+    triangular inverse of the forward Jacobian at the preimage; both
+    broadcast over leading axes."""
 
     d_in = 2
     d_out = 2
@@ -464,15 +452,25 @@ class DarmoisInverse:
         return self.dm.inverse(u)
 
     __call__ = evaluate
+    evaluate_batch = evaluate
 
     def jacobian(self, u) -> np.ndarray:
-        x = self.dm.inverse(u)
-        J = self.dm.jacobian(x)
-        a, c, b = J[0, 0], J[1, 0], J[1, 1]
-        return np.array([[1.0 / a, 0.0], [-c / (a * b), 1.0 / b]])
+        J = self.dm.jacobian(self.dm.inverse(u))
+        a, c, b = J[..., 0, 0], J[..., 1, 0], J[..., 1, 1]
+        inv = np.zeros_like(J)
+        inv[..., 0, 0] = 1.0 / a
+        inv[..., 1, 0] = -c / (a * b)
+        inv[..., 1, 1] = 1.0 / b
+        return inv
 
-    evaluate_batch = evaluate_rows
-    jacobian_batch = jacobian_rows
+    def jacobian_batch(self, U):
+        """Rows whose preimage lies within one table cell of the edge are
+        rejected, as the scalar ``jacobian`` raises OutOfTableError there."""
+        U = np.asarray(U, dtype=float)
+        rejected = ~self.dm._inside(self.dm.inverse(U), self.dm.h1)
+        J = np.full((len(U), 2, 2), np.nan)
+        J[~rejected] = self.jacobian(U[~rejected])
+        return J, rejected
 
 
 # ---------------------------------------------------------------------------

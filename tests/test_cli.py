@@ -247,6 +247,25 @@ REPARAM_CONFIG = {
 }
 
 
+#: one valid config per subcommand, for the malformed-value test
+MALFORMED_BASES = {
+    "reparam": REPARAM_CONFIG,
+    "sweep": SWEEP_CONFIG,
+    "spurious": {"command": "spurious", "params": {"m": 5, "n_mc": 300, "darmois_resolution": 256}},
+    "genericity": {
+        "command": "genericity",
+        "params": {"d": 2, "m_list": [16], "delta_grid": 0.5, "eps": 0.01,
+                   "delta_contrast": 0.1, "trials": 5, "n_mc": 200},
+    },
+    "contrast map": {
+        "command": "contrast",
+        "params": {"map": {"family": "linear", "d": 2, "m": 4}, "n_samples": 50,
+                   "source": [{"kind": "gaussian", "params": {}}] * 2},
+    },
+    "contrast matrix": {"command": "contrast", "params": {"matrix": [[1.0, 0.0], [0.0, 2.0]]}},
+}
+
+
 def _paths(node, prefix=()):
     """Every key or index path below ``node``."""
     items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
@@ -282,20 +301,27 @@ class TestReparamSchema:
     def test_the_base_config_runs(self):
         assert run_main(REPARAM_CONFIG) == (0, "")
 
+    # a path starts with the key of its base config in MALFORMED_BASES
     @pytest.mark.parametrize("path, value", [
-        (("n_mc",), "abc"),
-        (("configs", 0, "transforms", 1, "a"), "x"),
-        (("configs", 0, "transforms"), ["cube", "cube"]),
-        (("configs", 0, "map", "d"), "2"),
+        (("reparam", "n_mc"), "abc"),
+        (("reparam", "configs", 0, "transforms", 1, "a"), "x"),
+        (("reparam", "configs", 0, "transforms"), ["cube", "cube"]),
+        (("reparam", "configs", 0, "map", "d"), "2"),
+        (("sweep", "trials"), "abc"),
+        (("spurious", "m"), "x"),
+        (("genericity", "m_list"), "ab"),
+        (("contrast map", "n_samples"), "many"),
+        (("contrast matrix", "matrix"), "abc"),
     ])
     def test_malformed_values_exit_2(self, path, value):
-        config = copy.deepcopy(REPARAM_CONFIG)
+        config = copy.deepcopy(MALFORMED_BASES[path[0]])
         parent = config["params"]
-        for key in path[:-1]:
+        for key in path[1:-1]:
             parent = parent[key]
         parent[path[-1]] = value
-        code, err = run_main(config)
+        code, err = run_main(config, config["command"])
         assert code == 2
+        assert "Traceback" not in err
         assert json.loads(err)["type"] == "ValidationError"
 
     @pytest.mark.filterwarnings("ignore")  # small mutated maps warn about injectivity

@@ -54,8 +54,9 @@ from ima_lab.mixing import (
     random_conformal_map,
     sample_grid_map,
 )
-from ima_lab.mpa import ComposedMap, rotation_matrix_2d
+from ima_lab.mpa import ComposedMap, DarmoisInverse, RotatedGaussianMPA, rotation_matrix_2d
 from ima_lab.seeding import substream
+from test_jacobian_batch import reference_evaluate, reference_jacobian
 
 
 class TestEstimateGlobalContrast:
@@ -118,6 +119,16 @@ class KinkedMap(MixingMap):
         if s[0] == 0.5:
             raise OnKnotError("on the kink")
         return np.array([[1.0, s[0]], [0.0, s[1]], [s[1], 0.0]])
+
+    def jacobian_batch(self, S):
+        J = np.zeros((len(S), 3, 2))
+        J[:, 0, 0] = 1.0
+        J[:, 0, 1] = S[:, 0]
+        J[:, 1, 1] = S[:, 1]
+        J[:, 2, 0] = S[:, 1]
+        rejected = S[:, 0] == 0.5
+        J[rejected] = np.nan
+        return J, rejected
 
 
 def scalar_estimate(mapping, points):
@@ -212,6 +223,38 @@ class TestBatchedScoring:
         assert run(dict(config, output_dir=str(tmp_path / "reference"))) == 0
         batched = (tmp_path / "batched" / "reparam.csv").read_bytes()
         assert batched == (tmp_path / "reference" / "reparam.csv").read_bytes()
+
+    @pytest.mark.parametrize("seed", [20250809, 77])
+    def test_spurious_config_matches_the_per_point_reference(self, seed, tmp_path, monkeypatch):
+        config = {"command": "spurious", "params": SPURIOUS_PARAMS, "master_seed": seed}
+        assert run(dict(config, output_dir=str(tmp_path / "batched"))) == 0
+        for stage in (RotatedGaussianMPA, DarmoisInverse):
+            monkeypatch.setattr(stage, "jacobian_batch", reference_jacobian_rows)
+            monkeypatch.setattr(stage, "evaluate_batch", reference_evaluate_rows)
+        assert run(dict(config, output_dir=str(tmp_path / "reference"))) == 0
+        batched = (tmp_path / "batched" / "spurious.csv").read_bytes()
+        assert batched == (tmp_path / "reference" / "spurious.csv").read_bytes()
+
+
+#: the README spurious config
+SPURIOUS_PARAMS = {"m": 5, "rotation_deg": 30, "darmois_resolution": 512, "n_mc": 2000}
+
+
+def reference_jacobian_rows(stage, S):
+    """Per-point ``jacobian_batch``: the stage's reference Jacobian at each
+    row, rejected where it raises a REJECTABLE error."""
+    J = np.full((len(S), stage.d_out, stage.d_in), np.nan)
+    rejected = np.zeros(len(S), dtype=bool)
+    for i, s in enumerate(S):
+        try:
+            J[i] = reference_jacobian(stage, s)
+        except REJECTABLE:
+            rejected[i] = True
+    return J, rejected
+
+
+def reference_evaluate_rows(stage, S):
+    return np.array([reference_evaluate(stage, s) for s in S]).reshape(len(S), stage.d_out)
 
 
 def trial_by_trial_success(d, delta, m, mi, trials, seed):

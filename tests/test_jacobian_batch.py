@@ -6,6 +6,7 @@ scalar call does.
 The references below are the per-point formulas each family used before
 it was vectorised; they are kept here as the oracle."""
 
+import functools
 import math
 
 import numpy as np
@@ -13,12 +14,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ima_lab.distributions import FactorialDistribution, Laplace, Uniform
+from scipy import special
+
+from ima_lab.distributions import (
+    Chi,
+    FactorialDistribution,
+    Gaussian,
+    Laplace,
+    TabulatedBeta,
+    Uniform,
+)
 from ima_lab.errors import (
     REJECTABLE,
+    DomainError,
     NearPoleError,
     OnKnotError,
     OutOfDomainError,
+    OutOfTableError,
     SupportError,
 )
 from ima_lab.experiments import (
@@ -33,18 +45,18 @@ from ima_lab.mixing import (
     ConformalMap,
     Inversion,
     LinearMap,
-    MixingMap,
     Similarity,
     SmoothGridMap,
     TwoPieceMap,
     _blend_coeff,
-    evaluate_rows,
     make_two_piece,
     random_conformal_map,
 )
 from ima_lab.mpa import (
     ComposedMap,
     CorrelatedGaussian,
+    DarmoisInverse,
+    RotatedFactorial,
     RotatedGaussianMPA,
     darmois_build,
     rotation_matrix_2d,
@@ -105,6 +117,103 @@ def _inverse_elementwise_reference(stage, x):
     return np.diag(1.0 / derivs)
 
 
+def _mpa_gaussianize(a, s):
+    for i, law in enumerate(a.source.components):
+        lo, hi = law.support
+        if not lo < s[i] < hi:
+            raise SupportError(f"coordinate {i} outside the support")
+    u = np.array([float(law.cdf(si)) for law, si in zip(a.source.components, s)])
+    return special.ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
+
+
+def _mpa_reference(a, s):
+    """(z, z_rot, y) at one point, the output quantile taken element by element."""
+    z = _mpa_gaussianize(a, s)
+    z_rot = a.rotation @ z
+    u_out = np.clip(special.ndtr(z_rot), 1e-15, 1.0 - 1e-15)
+    return z, z_rot, np.array([law.quantile(float(ui)) for law, ui in zip(a.source.components, u_out)])
+
+
+def _mpa_jacobian_reference(a, s):
+    z, z_rot, y = _mpa_reference(a, s)
+    phi = lambda t: np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    p_in = np.array([float(law.pdf(si)) for law, si in zip(a.source.components, s)])
+    p_out = np.array([float(law.pdf(yi)) for law, yi in zip(a.source.components, y)])
+    if np.any(p_out <= 0.0):
+        raise SupportError("output outside the support")
+    return a.rotation * np.outer(phi(z_rot) / p_out, p_in / phi(z))
+
+
+def _darmois_check_inside(dm, x, margin=0.0):
+    if not (dm.x1[0] + margin < x[0] < dm.x1[-1] - margin):
+        raise OutOfTableError("x1 outside the table")
+    if not (dm.x2[0] + margin < x[1] < dm.x2[-1] - margin):
+        raise OutOfTableError("x2 outside the table")
+
+
+def _darmois_blend_row(dm, x1):
+    pos = (x1 - dm.x1[0]) / dm.h1
+    i = int(np.clip(np.floor(pos), 0, dm.resolution - 2))
+    w = pos - i
+    return (1.0 - w) * dm.conditional_cdf_table[i] + w * dm.conditional_cdf_table[i + 1]
+
+
+def _darmois_conditional(dm, x1, x2):
+    return float(np.interp(x2, dm.x2, _darmois_blend_row(dm, x1)))
+
+
+def _darmois_evaluate_reference(dm, x):
+    _darmois_check_inside(dm, x)
+    u1 = float(np.interp(x[0], dm.x1, dm.marginal_cdf))
+    return np.array([u1, _darmois_conditional(dm, x[0], x[1])])
+
+
+def _darmois_inverse_reference(dm, u):
+    if not (0.0 < u[0] < 1.0 and 0.0 < u[1] < 1.0):
+        raise DomainError("outside (0, 1)^2")
+    x1 = float(np.interp(u[0], dm.marginal_cdf, dm.x1))
+    return np.array([x1, float(np.interp(u[1], _darmois_blend_row(dm, x1), dm.x2))])
+
+
+def _darmois_bilinear_joint(dm, x1, x2):
+    pos1 = (x1 - dm.x1[0]) / dm.h1
+    pos2 = (x2 - dm.x2[0]) / dm.h2
+    i = int(np.clip(np.floor(pos1), 0, dm.resolution - 2))
+    j = int(np.clip(np.floor(pos2), 0, dm.resolution - 2))
+    w1 = pos1 - i
+    w2 = pos2 - j
+    P = dm.joint
+    return float(
+        (1 - w1) * (1 - w2) * P[i, j]
+        + w1 * (1 - w2) * P[i + 1, j]
+        + (1 - w1) * w2 * P[i, j + 1]
+        + w1 * w2 * P[i + 1, j + 1]
+    )
+
+
+def _darmois_jacobian_reference(dm, x):
+    _darmois_check_inside(dm, x, margin=dm.h1)
+    p1 = float(np.interp(x[0], dm.x1, dm.marginal_pdf))
+    d21 = (
+        _darmois_conditional(dm, x[0] + dm.h1, x[1]) - _darmois_conditional(dm, x[0] - dm.h1, x[1])
+    ) / (2.0 * dm.h1)
+    return np.array([[p1, 0.0], [d21, _darmois_bilinear_joint(dm, x[0], x[1]) / p1]])
+
+
+def _darmois_inverse_jacobian_reference(dm, u):
+    J = _darmois_jacobian_reference(dm, _darmois_inverse_reference(dm, u))
+    a, c, b = J[0, 0], J[1, 0], J[1, 1]
+    return np.array([[1.0 / a, 0.0], [-c / (a * b), 1.0 / b]])
+
+
+def reference_evaluate(stage, x):
+    if isinstance(stage, RotatedGaussianMPA):
+        return _mpa_reference(stage, x)[2]
+    if isinstance(stage, DarmoisInverse):
+        return _darmois_inverse_reference(stage.dm, x)
+    return stage.evaluate(x)
+
+
 def reference_jacobian(stage, x):
     if isinstance(stage, LinearMap):
         return stage.J.copy()
@@ -116,15 +225,19 @@ def reference_jacobian(stage, x):
         return _conformal_reference(stage, x)
     if isinstance(stage, InverseElementwiseStage):
         return _inverse_elementwise_reference(stage, x)
+    if isinstance(stage, RotatedGaussianMPA):
+        return _mpa_jacobian_reference(stage, x)
+    if isinstance(stage, DarmoisInverse):
+        return _darmois_inverse_jacobian_reference(stage.dm, x)
     if isinstance(stage, ComposedMap):
         J = None
         for i, st_ in enumerate(stage.stages):
             Js = reference_jacobian(st_, x)
             J = Js if J is None else Js @ J
             if i + 1 < len(stage.stages):
-                x = st_.evaluate(x)
+                x = reference_evaluate(st_, x)
         return J
-    return stage.jacobian(x)  # the mpa stages keep their scalar Jacobian
+    raise TypeError(f"no per-point reference for {type(stage).__name__}")
 
 
 def bits(a):
@@ -273,6 +386,191 @@ class TestInverseElementwiseStage:
 
 
 # ---------------------------------------------------------------------------
+# spurious stages
+# ---------------------------------------------------------------------------
+
+_LAWS = [Uniform(0.0, 1.0), Gaussian(0.3, 1.5), Laplace(0.0, 1.0), Chi(3), TabulatedBeta(2.0, 3.0, 129)]
+
+#: CDF levels whose quantiles land where the MPA clamps, or next to it
+_EXTREME_U = [5e-324, 1e-300, 1e-17, 1e-15, 2e-15, 0.5, 1.0 - 2e-15, 1.0 - 1.1e-16]
+
+
+@st.composite
+def mpa_cases(draw):
+    """An MPA on two of the five laws at an angle from a few fixed ones or
+    any, and points of shape ``lead + (2,)``: the quantiles of uniform and
+    extreme CDF levels, plus raw coordinates that may leave the support."""
+    laws = tuple(_LAWS[k] for k in draw(st.lists(st.integers(0, 4), min_size=2, max_size=2)))
+    angle = draw(st.one_of(st.sampled_from([0.0, 0.1, math.pi / 6, math.pi / 2, 2.5, -1.0]),
+                           st.floats(-math.pi, math.pi)))
+    a = RotatedGaussianMPA(FactorialDistribution(laws), rotation_matrix_2d(angle))
+    level = st.one_of(st.floats(1e-12, 1.0 - 1e-12), st.sampled_from(_EXTREME_U))
+    raw = draw(st.booleans())
+    coords = [st.one_of(level.map(law.quantile), st.floats(-3.0, 3.0)) if raw
+              else level.map(law.quantile) for law in laws]
+    lead = draw(st.sampled_from([(0,), (1,), (7,), (40,), (2, 5)]))
+    n = int(np.prod(lead))
+    S = np.array(draw(st.lists(st.tuples(*coords), min_size=n, max_size=n)), dtype=float)
+    return a, S.reshape(lead + (2,))
+
+
+#: Darmois densities, each with the lowest table resolution whose
+#: quadrature mass passes the table's 1e-4 check
+_DENSITIES = [
+    (CorrelatedGaussian(-0.8), 128),
+    (CorrelatedGaussian(0.0), 128),
+    (CorrelatedGaussian(0.6), 128),
+    (CorrelatedGaussian(0.9), 128),
+    (RotatedFactorial((Gaussian(0.0, 1.0),) * 2, rotation_matrix_2d(0.5)), 128),
+    (RotatedFactorial((Laplace(0.0, 1.0), Gaussian(0.0, 1.0)), rotation_matrix_2d(1.2)), 200),
+    (RotatedFactorial((Laplace(0.0, 1.0),) * 2, rotation_matrix_2d(math.pi / 6)), 333),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _darmois(k, resolution):
+    return darmois_build(_DENSITIES[k][0], resolution)
+
+
+@st.composite
+def darmois_tables(draw):
+    k = draw(st.integers(0, len(_DENSITIES) - 1))
+    return _darmois(k, draw(st.sampled_from([r for r in (128, 200, 333, 512) if r >= _DENSITIES[k][1]])))
+
+
+def _table_coordinate(grid, h):
+    """Coordinates on one axis of a Darmois table: anywhere on it and on
+    its edges, exactly on nodes, a node plus or minus one cell, and within
+    one and a half cells of either edge."""
+    lo, hi = float(grid[0]), float(grid[-1])
+    node = st.integers(0, len(grid) - 1).map(lambda k: float(grid[k]))
+    near_edge = st.tuples(st.floats(0.0, 1.5), st.booleans()).map(
+        lambda t: lo + t[0] * h if t[1] else hi - t[0] * h)
+    return st.one_of(
+        st.floats(0.0, 1.0).map(lambda t: lo + t * (hi - lo)),
+        node,
+        st.tuples(node, st.sampled_from([-h, h])).map(sum),
+        near_edge,
+    )
+
+
+def _unit_coordinate(nodes):
+    """Levels in [0, 1]: anywhere, at 0 and 1 and next to them, and exactly
+    on the tabulated CDF values."""
+    return st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 5e-324, 1e-300, 1e-16, 1.0 - 1.1e-16, 1.0 - 2.2e-16, 1.0]),
+        st.integers(0, len(nodes) - 1).map(lambda k: float(nodes[k])),
+    )
+
+
+def assert_stacked_matches_reference(fn, reference, X, error):
+    """fn on the rows the reference accepts equals it bit for bit, on a
+    flat and on a two-axis stack, and fn on all rows raises ``error``
+    where the reference raises it on any row."""
+    expected, ok = [], np.ones(len(X), dtype=bool)
+    for i, x in enumerate(X):
+        try:
+            expected.append(reference(x))
+        except error:
+            ok[i] = False
+    if not ok.all():
+        with pytest.raises(error):
+            fn(X)
+    if not ok.any():
+        return
+    expected = np.stack(expected)
+    assert np.array_equal(bits(fn(X[ok])), bits(expected))
+    assert np.array_equal(bits(fn(X[ok][None])[0]), bits(expected))
+    assert np.array_equal(bits(fn(X[ok][0])), bits(expected[0]))
+
+
+class TestSpuriousStages:
+    @pytest.mark.filterwarnings("ignore::ima_lab.mpa.ClampWarning")
+    @settings(deadline=None, max_examples=300)
+    @given(case=mpa_cases())
+    @example(case=(RotatedGaussianMPA(FactorialDistribution.iid(Uniform(0.0, 1.0), 2),
+                                      rotation_matrix_2d(0.5)),
+                   np.array([[0.5, 0.5], [1.5, 0.5]])))
+    def test_mpa_matches_the_reference(self, case):
+        a, S = case
+        flat = S.reshape(-1, 2)
+        try:
+            Y = np.array([_mpa_reference(a, s)[2] for s in flat]).reshape(S.shape)
+        except SupportError:
+            for fn in (a.evaluate, a.jacobian, a.jacobian_batch):
+                with pytest.raises(SupportError):
+                    fn(flat)
+            return
+        assert np.array_equal(bits(a.evaluate(S)), bits(Y))
+        assert np.array_equal(bits(a.evaluate_batch(flat)), bits(Y.reshape(-1, 2)))
+        if len(flat):
+            assert np.array_equal(bits(a.evaluate(flat[0])), bits(Y.reshape(-1, 2)[0]))
+        try:
+            J = np.array([_mpa_jacobian_reference(a, s) for s in flat]).reshape(S.shape + (2,))
+        except SupportError:
+            with pytest.raises(SupportError):
+                a.jacobian_batch(flat)
+            return
+        assert np.array_equal(bits(a.jacobian(S)), bits(J))
+        if len(flat):
+            assert np.array_equal(bits(a.jacobian(flat[0])), bits(J.reshape(-1, 2, 2)[0]))
+        batch, rejected = a.jacobian_batch(flat)
+        assert np.array_equal(bits(batch), bits(J.reshape(-1, 2, 2))) and not rejected.any()
+
+    @settings(deadline=None, max_examples=150)
+    @given(dm=darmois_tables(), data=st.data())
+    def test_darmois_forward_and_jacobian_match_the_reference(self, dm, data):
+        point = st.tuples(_table_coordinate(dm.x1, dm.h1), _table_coordinate(dm.x2, dm.h2))
+        X = np.array(data.draw(st.lists(point, min_size=1, max_size=40)))
+        assert_stacked_matches_reference(dm.evaluate, lambda x: _darmois_evaluate_reference(dm, x),
+                                         X, OutOfTableError)
+        assert_stacked_matches_reference(dm.jacobian, lambda x: _darmois_jacobian_reference(dm, x),
+                                         X, OutOfTableError)
+
+    @settings(deadline=None, max_examples=100)
+    @given(dm=darmois_tables(), data=st.data())
+    def test_darmois_kernel_is_np_interp_beyond_the_table_too(self, dm, data):
+        """The interpolation kernel equals np.interp along the blended row
+        in both directions, before the first node and past the last one
+        included, where the public calls refuse the point."""
+        x1 = data.draw(_table_coordinate(dm.x1, dm.h1))
+        lo, hi = dm.x2[0], dm.x2[-1]
+        x2_any = st.one_of(_table_coordinate(dm.x2, dm.h2), st.floats(lo - 1.0, hi + 1.0))
+        u_any = st.one_of(_unit_coordinate(dm.conditional_cdf_table[0]), st.floats(-0.5, 1.5))
+        x2 = np.array(data.draw(st.lists(x2_any, min_size=1, max_size=20)))
+        u = np.array(data.draw(st.lists(u_any, min_size=1, max_size=20)))
+        row = _darmois_blend_row(dm, x1)
+        forward = dm._conditional(np.full(x2.shape, x1), x2)
+        assert np.array_equal(bits(forward), bits(np.interp(x2, dm.x2, row)))
+        backward = dm._interp(u, dm._row(np.full(u.shape, x1)), lambda j: dm.x2[j])
+        assert np.array_equal(bits(backward), bits(np.interp(u, row, dm.x2)))
+
+    @settings(deadline=None, max_examples=150)
+    @given(dm=darmois_tables(), data=st.data())
+    def test_darmois_inverse_matches_the_reference(self, dm, data):
+        row = data.draw(st.integers(0, dm.resolution - 1))
+        level = st.tuples(_unit_coordinate(dm.marginal_cdf),
+                          _unit_coordinate(dm.conditional_cdf_table[row]))
+        U = np.array(data.draw(st.lists(level, min_size=1, max_size=40)))
+        assert_stacked_matches_reference(dm.inverse, lambda u: _darmois_inverse_reference(dm, u),
+                                         U, DomainError)
+        stage = DarmoisInverse(dm)
+        U = U[np.all((0.0 < U) & (U < 1.0), axis=1)]
+        assert_stacked_matches_reference(
+            stage.jacobian, lambda u: _darmois_inverse_jacobian_reference(dm, u), U, OutOfTableError)
+        J, rejected = stage.jacobian_batch(U)
+        for i, u in enumerate(U):
+            try:
+                expected = _darmois_inverse_jacobian_reference(dm, u)
+            except OutOfTableError:
+                assert rejected[i] and np.all(np.isnan(J[i]))
+                continue
+            assert not rejected[i]
+            assert np.array_equal(bits(J[i]), bits(expected))
+
+
+# ---------------------------------------------------------------------------
 # compositions
 # ---------------------------------------------------------------------------
 
@@ -346,37 +644,6 @@ class TestComposed:
         assert rejected.tolist() == [False, True, False]
         assert np.array_equal(probe.seen, first.evaluate_batch(S[[0, 2]]))
         assert np.all(np.isnan(J[1])) and not np.isnan(J[[0, 2]]).any()
-
-
-class TestLoopDefaults:
-    class Kinked(MixingMap):
-        d = 2
-        m = 3
-
-        def evaluate(self, s):
-            return np.array([s[0], s[1], s[0] * s[1]])
-
-        def jacobian(self, s):
-            if s[0] == 0.5:
-                raise OnKnotError("on the kink")
-            if s[0] > 10.0:
-                raise OutOfDomainError("far out")
-            return np.array([[1.0, 0.0], [0.0, 1.0], [s[1], s[0]]])
-
-    def test_jacobian_rows_rejects_exactly_the_raising_rows(self):
-        S = np.array([[0.1, 0.2], [0.5, 1.0], [0.3, 0.4]])
-        J, rejected = self.Kinked().jacobian_batch(S)
-        assert rejected.tolist() == [False, True, False]
-        assert np.array_equal(J[[0, 2]], np.stack([self.Kinked().jacobian(S[i]) for i in (0, 2)]))
-
-    def test_jacobian_rows_raises_other_errors(self):
-        with pytest.raises(OutOfDomainError):
-            self.Kinked().jacobian_batch(np.array([[0.1, 0.2], [11.0, 0.0]]))
-
-    def test_empty_batches(self):
-        J, rejected = self.Kinked().jacobian_batch(np.zeros((0, 2)))
-        assert J.shape == (0, 3, 2) and rejected.shape == (0,)
-        assert evaluate_rows(self.Kinked(), np.zeros((0, 2))).shape == (0, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -277,7 +277,8 @@ class TestConformal:
         cmap = random_conformal_map(2, 5, seed=1, scale=1.7)
         s = np.array([0.3, -0.8])
         assert conformality_defect(cmap, s) <= 1e-12
-        assert cmap.conformal_factor(s) == pytest.approx(1.7, abs=1e-12)
+        J = cmap.jacobian(s)
+        assert math.sqrt(np.trace(J.T @ J) / cmap.d) == pytest.approx(1.7, abs=1e-12)
 
     def test_identity_inner_is_embedding(self):
         rng = np.random.default_rng(2)
@@ -290,7 +291,8 @@ class TestConformal:
         E, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((7, 3)))
         cmap = ConformalMap(E, (Inversion(),))
         s = np.array([2.0, 0.0, 0.0])
-        assert cmap.conformal_factor(s) == pytest.approx(0.25, abs=1e-12)
+        J = cmap.jacobian(s)
+        assert math.sqrt(np.trace(J.T @ J) / cmap.d) == pytest.approx(0.25, abs=1e-12)
         assert conformality_defect(cmap, s) <= 1e-8
 
     def test_composition_defect_at_random_points(self):
@@ -367,14 +369,3 @@ class TestProbes:
         s = rng.standard_normal(3)
         assert np.max(np.abs(jacobian_fd(f, s, 1e-3) - f.J)) <= 1e-10
         assert np.allclose(f.evaluate(np.zeros(3)), 0.0)
-
-    def test_block_matrix_csv_export(self, tmp_path):
-        g = sample_grid_map(d=2, m=8, delta=0.5, eps=0.01, seed=15)
-        path = tmp_path / "blocks.csv"
-        g.blocks_to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "block,row,col0,col1"
-        assert len(lines) == 1 + g.p * g.m
-        # round-trip a cell
-        first = lines[1].split(",")
-        assert float(first[2]) == g.blocks[0, 0, 0]

@@ -86,7 +86,7 @@ class TestRotatedGaussianMPA:
         src = FactorialDistribution.iid(law, 2)
         a = RotatedGaussianMPA(src, R30)
         S = sample_factorial(src, 100000, seed=6)
-        Y, _ = a.forward_batch(S)
+        Y = a.evaluate(S)
         crit = 1.628 / np.sqrt(len(Y))
         for i in range(2):
             stat = stats.kstest(Y[:, i], lambda x: np.asarray(law.cdf(x))).statistic
@@ -107,7 +107,7 @@ class TestRotatedGaussianMPA:
         src = FactorialDistribution.iid(Laplace(0, 1), 2)
         a = RotatedGaussianMPA(src, R30)
         S = sample_factorial(src, 200, seed=7)
-        Y, _ = a.forward_batch(S)
+        Y = a.evaluate(S)
         for i, s in enumerate(S):
             assert np.allclose(Y[i], a.evaluate(s), atol=1e-12)
 
@@ -116,9 +116,8 @@ class TestRotatedGaussianMPA:
 
         src = FactorialDistribution.iid(Uniform(0, 1), 2)
         a = RotatedGaussianMPA(src, R30)
-        with pytest.warns(ClampWarning):
-            _, n_clamps = a.forward_with_clamps(np.array([1.0 - 1e-16, 0.5]))
-        assert n_clamps >= 1
+        with pytest.warns(ClampWarning, match="^1 CDF values clamped"):
+            a.evaluate(np.array([1.0 - 1e-16, 0.5]))
 
 
 class TestDarmois:
@@ -143,7 +142,7 @@ class TestDarmois:
         rng = np.random.default_rng(9)
         for _ in range(300):
             x = rng.normal(size=2) * 1.5
-            assert dm.conditional_transform(x[0], x[1]) == pytest.approx(
+            assert dm.evaluate(x)[1] == pytest.approx(
                 spec.conditional_cdf(x[0], x[1]), abs=1e-4
             )
 
@@ -177,7 +176,7 @@ class TestDarmois:
         spec = CorrelatedGaussian(0.6)
         dm = darmois_build(spec, 512)
         X = spec.sample(100000, seed=12)
-        U = dm.forward_batch(X)
+        U = dm.evaluate(X)
         assert np.all(U > 0.0) and np.all(U < 1.0)
         H, _, _ = np.histogram2d(U[:, 0], U[:, 1], bins=10, range=[[0, 1], [0, 1]])
         expected = len(X) / 100
@@ -188,7 +187,7 @@ class TestDarmois:
         spec = RotatedFactorial((Laplace(0, 1), Laplace(0, 1)), R30)
         dm = darmois_build(spec, 512)
         X = spec.sample(100000, seed=13)
-        U = dm.forward_batch(X)
+        U = dm.evaluate(X)
         H, _, _ = np.histogram2d(U[:, 0], U[:, 1], bins=10, range=[[0, 1], [0, 1]])
         expected = len(X) / 100
         chi2 = float(((H - expected) ** 2 / expected).sum())
@@ -215,16 +214,6 @@ class TestDarmois:
         dm = darmois_build(CorrelatedGaussian(0.6), 256)
         with pytest.raises(OutOfTableError):
             dm.evaluate(np.array([100.0, 0.0]))
-
-    def test_cdf_table_csv_export(self, tmp_path):
-        dm = darmois_build(CorrelatedGaussian(0.6), 128)
-        path = tmp_path / "tables.csv"
-        dm.cdf_tables_to_csv(path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 1 + dm.resolution
-        row = lines[1].split(",")
-        assert float(row[0]) == dm.x1[0]
-        assert float(row[1]) == dm.marginal_cdf[0]
 
 
 class TestComposition:
