@@ -197,7 +197,9 @@ class Laplace(UnivariateLaw):
 
     def cdf(self, x):
         z = (np.asarray(x, dtype=float) - self.mu) / self.b
-        return np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
+        # exp(-|z|) is the exp of both branches and never overflows
+        e = np.exp(-np.abs(z))
+        return np.where(z < 0, 0.5 * e, 1.0 - 0.5 * e)
 
     def quantile(self, u: float) -> float:
         u = _check_u(u)

@@ -21,7 +21,6 @@ from . import schema
 from .contrast import (
     CLAMP_SLACK,
     local_contrast_batch,
-    local_contrast_from_gram,
     theoretical_success_bound,
 )
 from .distributions import (
@@ -38,7 +37,7 @@ from .errors import (
     NonMonotoneError,
     ValidationError,
 )
-from .mixing import LinearMap, MixingMap, SmoothGridMap, random_conformal_map, sample_grid_map
+from .mixing import LinearMap, MixingMap, random_conformal_map, sample_grid_map
 from .mpa import (
     ComposedMap,
     RotatedGaussianMPA,
@@ -133,10 +132,7 @@ def estimate_global_contrast(
         raise DomainError("n must be >= 1")
     if p_s.dim != mapping.d:
         raise ValidationError(f"source dimension {p_s.dim} != map input dimension {mapping.d}")
-    draws = sample_factorial(p_s, n, seed)
-    if isinstance(mapping, SmoothGridMap) and mapping.eps > 0.0:
-        return _estimate_from_values(_score_grid(mapping, draws))
-    return _estimate_from_values(_score_at_points(mapping, draws))
+    return _estimate_from_values(_score_draws(mapping, sample_factorial(p_s, n, seed)))
 
 
 def _score_at_points(mapping: MixingMap, points: np.ndarray) -> np.ndarray:
@@ -152,14 +148,16 @@ def _score_at_points(mapping: MixingMap, points: np.ndarray) -> np.ndarray:
     return values
 
 
-def _score_grid(grid: SmoothGridMap, draws: np.ndarray) -> np.ndarray:
+def _score_draws(mapping: MixingMap, draws: np.ndarray) -> np.ndarray:
     """Unclamped local contrast at each draw, NaN where rejected, by the
-    Gram route.  Rows too ill-conditioned for it are re-scored by the SVD
-    of their Jacobian, so value and rejection follow the SVD rule there."""
-    values = local_contrast_from_gram(grid.gram_batch(draws))
+    map's ``fast_contrasts``.  The rows it leaves NaN (all of them for a map
+    without a fast route, the ill-conditioned ones on the Gram route) are
+    scored by the SVD of their Jacobian, so value and rejection follow the
+    SVD rule there."""
+    values = mapping.fast_contrasts(draws)
     redo = np.isnan(values)
     if redo.any():
-        values[redo] = _score_at_points(grid, draws[redo])
+        values[redo] = _score_at_points(mapping, draws[redo])
     return values
 
 
@@ -302,7 +300,7 @@ def genericity_experiment(
             trial_seed = substream(seed, mi, i)
             grid = sample_grid_map(d, m, delta_grid, eps=eps, seed=substream(trial_seed, 0))
             draws = sample_factorial(p_s, n_mc, substream(trial_seed, 1))
-            values = _score_grid(grid, draws)
+            values = _score_draws(grid, draws)
             frac, bmean = boundary_statistics(grid.boundary_mask(draws), values)
             return _estimate_from_values(values).mean <= delta_contrast, frac, bmean
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contrast import RANK_TOL
+from .contrast import RANK_TOL, local_contrast_from_gram
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -147,6 +147,12 @@ class MixingMap:
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return self.evaluate(s)
+
+    def fast_contrasts(self, S: np.ndarray) -> np.ndarray:
+        """Unclamped local contrast at each row of S by a route cheaper than
+        the SVD of its Jacobian, NaN on every row left to the SVD route.
+        A map without such a route leaves them all."""
+        return np.full(len(S), np.nan)
 
     def _jacobian_of_one(self, s, rejection: Exception | None = None) -> np.ndarray:
         """Jacobian at one point as a batch of one of ``jacobian_batch``;
@@ -343,6 +349,43 @@ class SmoothGridMap(MixingMap):
         S = np.asarray(S, dtype=float)
         w = self._jacobian_weights(S)  # (n, d, p)
         return np.einsum("nit,ijtu,nju->nij", w, self._block_gram, w)
+
+    def fast_contrasts(self, S):
+        """Gram-route contrasts for eps > 0, bit for bit
+        ``local_contrast_from_gram(gram_batch(S))``, NaN where that hands a
+        row to the SVD route.
+
+        A row outside every window (-eps, eps] of an edge has one-hot
+        Jacobian weights, so its Gram is the gather
+        G_ij = _block_gram[i, j, t_i, t_j] of its cell t, and its contrast
+        is scored once per occupied cell.  Only the window rows go through
+        ``gram_batch``; one eigen-solve covers both stacks."""
+        if self.eps == 0.0:
+            return super().fast_contrasts(S)
+        S = self._check_points(S)
+        x = S[:, :, None] - self._edges  # (n, d, p+1), falling along the edges
+        above = x > self.eps
+        window = ~np.all(above | (x <= -self.eps), axis=(1, 2))
+        # outside every window each coordinate of a cube point sees a run of
+        # edges with x > eps, edge 0 at least, then edges with x <= -eps, edge
+        # p at least; its weight of 1 sits on block t = (length of the run) - 1
+        t = np.argmin(above, axis=2) - 1
+        rows = np.flatnonzero(~window)
+        if self.p ** self.d <= np.iinfo(np.intp).max:
+            key = t[rows] @ self.p ** np.arange(self.d)
+        else:  # no flat cell index fits: each row is its own cell
+            key = rows
+        keys, cell_of_row = np.unique(key, return_inverse=True)
+        member = np.empty(len(keys), dtype=np.intp)
+        member[cell_of_row] = rows  # one row of each occupied cell
+        occupied = t[member]  # (c, d)
+        k = np.arange(self.d)
+        cell_grams = self._block_gram[k[:, None], k, occupied[:, :, None], occupied[:, None, :]]
+        scored = local_contrast_from_gram(np.concatenate([cell_grams, self.gram_batch(S[window])]))
+        values = np.empty(len(S))
+        values[rows] = scored[cell_of_row]
+        values[window] = scored[len(keys):]
+        return values
 
     def boundary_mask(self, S: np.ndarray) -> np.ndarray:
         """True for points with some coordinate within eps of a knot."""

@@ -454,8 +454,10 @@ class DarmoisInverse:
     __call__ = evaluate
     evaluate_batch = evaluate
 
-    def jacobian(self, u) -> np.ndarray:
-        J = self.dm.jacobian(self.dm.inverse(u))
+    def jacobian(self, u, preimage=None) -> np.ndarray:
+        """``preimage`` is ``inverse(u)`` when the caller already has it."""
+        X = self.dm.inverse(u) if preimage is None else preimage
+        J = self.dm.jacobian(X)
         a, c, b = J[..., 0, 0], J[..., 1, 0], J[..., 1, 1]
         inv = np.zeros_like(J)
         inv[..., 0, 0] = 1.0 / a
@@ -465,11 +467,13 @@ class DarmoisInverse:
 
     def jacobian_batch(self, U):
         """Rows whose preimage lies within one table cell of the edge are
-        rejected, as the scalar ``jacobian`` raises OutOfTableError there."""
+        rejected, as the scalar ``jacobian`` raises OutOfTableError there.
+        The preimages are computed once, for the mask and the Jacobian."""
         U = np.asarray(U, dtype=float)
-        rejected = ~self.dm._inside(self.dm.inverse(U), self.dm.h1)
+        X = self.dm.inverse(U)
+        rejected = ~self.dm._inside(X, self.dm.h1)
         J = np.full((len(U), 2, 2), np.nan)
-        J[~rejected] = self.jacobian(U[~rejected])
+        J[~rejected] = self.jacobian(U[~rejected], X[~rejected])
         return J, rejected
 
 

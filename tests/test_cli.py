@@ -65,6 +65,22 @@ class TestConfigValidation:
         code = main(["sweep", "--config", path, "--output-dir", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.filterwarnings("ignore")  # m <= p*d warns about injectivity
+    @pytest.mark.parametrize("eps", [0.0, 0.01])
+    def test_grid_source_outside_the_cube_is_exit_2(self, eps):
+        # eps > 0 takes the Gram route, which must refuse them as the SVD route does
+        config = {
+            "command": "contrast",
+            "params": {
+                "map": {"family": "grid", "d": 2, "m": 20, "delta": 0.5, "eps": eps},
+                "source": [{"kind": "uniform", "params": {"a": 0.1, "b": 1.2}}] * 2,
+            },
+        }
+        code, err = run_main(config, "contrast")
+        assert code == 2
+        assert "Traceback" not in err
+        assert json.loads(err)["type"] == "OutOfDomainError"
+
     def test_command_mismatch(self, tmp_path):
         path = write_config(tmp_path, "sweep.json", SWEEP_CONFIG)
         assert main(["genericity", "--config", path]) == 2

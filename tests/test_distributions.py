@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -84,6 +86,22 @@ def test_uniform_identity_cdf():
 def test_laplace_closed_form_quantile():
     # -log(2 * 0.1), 40-digit oracle
     assert Laplace(0.0, 1.0).quantile(0.9) == pytest.approx(1.6094379124341003, abs=1e-12)
+
+
+def test_laplace_cdf_keeps_the_two_branch_bits_without_overflow():
+    law = Laplace(-1.0, 2.5)
+    x = np.concatenate([
+        np.random.default_rng(5).laplace(-1.0, 40.0, 100_000),
+        law.mu + law.b * np.array([0.0, -0.0, 1e-320, -1e-320, 709.9, -709.9, 800.0, -800.0]),
+    ])
+    z = (x - law.mu) / law.b
+    with np.errstate(over="ignore"):
+        two_branch = np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cdf = law.cdf(x)
+    assert np.array_equal(cdf.view(np.int64), two_branch.view(np.int64))
+    assert law.cdf(law.mu + law.b * 800.0) == 1.0 and law.cdf(law.mu - law.b * 800.0) == 0.0
 
 
 def test_law_config_rejects_unknown():

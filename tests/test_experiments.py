@@ -26,6 +26,7 @@ from ima_lab.errors import (
     DomainError,
     NonMonotoneError,
     OnKnotError,
+    OutOfDomainError,
     RankDeficientError,
     TrivialRotationError,
 )
@@ -99,6 +100,13 @@ class TestEstimateGlobalContrast:
         g = sample_grid_map(d=2, m=24, delta=0.5, eps=0.0, seed=8)  # raw map
         p_s = FactorialDistribution.iid(Uniform(0.5, 0.5 + 1e-15), 2)  # draws pinned to a knot
         with pytest.raises((DegenerateMapError, DomainError)):
+            estimate_global_contrast(g, p_s, 200, seed=9)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.01])
+    def test_grid_draws_outside_the_cube_are_refused(self, eps):
+        g = sample_grid_map(d=2, m=24, delta=0.5, eps=eps, seed=8)
+        p_s = FactorialDistribution.iid(Uniform(0.1, 1.2), 2)
+        with pytest.raises(OutOfDomainError):
             estimate_global_contrast(g, p_s, 200, seed=9)
 
     def test_dimension_check(self):
@@ -324,7 +332,7 @@ class TestGenericity:
     def test_boundary_statistics_zero_for_interior_sources(self):
         g = sample_grid_map(d=2, m=20, delta=0.5, eps=0.01, seed=16)
         draws = sample_factorial(FactorialDistribution.iid(Uniform(0.1, 0.4), 2), 500, seed=17)
-        frac, mean_c = boundary_statistics(g.boundary_mask(draws), experiments._score_grid(g, draws))
+        frac, mean_c = boundary_statistics(g.boundary_mask(draws), experiments._score_draws(g, draws))
         assert frac == 0.0 and mean_c == 0.0
 
     def test_smaller_eps_leaves_success_within_noise(self):
@@ -426,7 +434,7 @@ class TestGramConditioningGuard:
         grid = constant_grid_map(20, d, log_ratio, seed=int(-10 * log_ratio) + d)
         draws = np.random.default_rng(d).random((300, d))
         draws[:5, 0] = [0.0, 0.01, 0.05, 0.5, 1.0]  # window edges, knots and cube faces
-        values = experiments._score_grid(grid, draws)
+        values = experiments._score_draws(grid, draws)
         svd = local_contrast_batch(np.stack([grid.jacobian(s) for s in draws]))
         assert np.array_equal(np.isnan(values), np.isnan(svd))
         assert np.allclose(values, svd, rtol=1e-7, atol=1e-7, equal_nan=True)
@@ -438,7 +446,7 @@ class TestGramConditioningGuard:
         assert np.all(np.isnan(local_contrast_from_gram(grid.gram_batch(draws))))
         svd = local_contrast_batch(np.stack([grid.jacobian(s) for s in draws]))
         assert not np.any(np.isnan(svd))
-        assert np.array_equal(experiments._score_grid(grid, draws), svd)
+        assert np.array_equal(experiments._score_draws(grid, draws), svd)
 
 
 class TestTrendHelper:

@@ -1,11 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ima_lab.contrast import local_ima_contrast
+from ima_lab import experiments
+from ima_lab.contrast import local_contrast_from_gram, local_ima_contrast
 from ima_lab.distributions import SphericalSampler
 from ima_lab.errors import (
     DomainError,
@@ -201,6 +203,69 @@ class TestGridWindows:
         grid, S = case
         nearest = np.abs(S[:, :, None] - grid.knots).min(axis=2)
         assert np.array_equal(grid.boundary_mask(S), np.any(nearest <= grid.eps, axis=1))
+
+
+@st.composite
+def cell_scoring_cases(draw):
+    """A grid map with random blocks and points on and around every window:
+    0, 1, every edge, every edge +- eps, and each of those +- 1 ulp.  The
+    blocks' columns are scaled apart so that some Grams are too
+    ill-conditioned for the Gram route and go to the SVD route."""
+    d = draw(st.integers(1, 4))
+    delta = draw(st.sampled_from([1.0, 0.5, 0.3, 0.25]))
+    eps = draw(st.sampled_from([1 / 64, 1 / 128, 0.01]))
+    p = math.ceil(1.0 / delta) + 1
+    m = d + draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = np.geomspace(1.0, 10.0 ** draw(st.sampled_from([0.0, -3.0, -4.5, -6.0])), d)
+    grid = SmoothGridMap(rng.standard_normal((p, m, d)) * spread, delta, eps)
+    around = [e + s for e in grid._edges for s in (0.0, -eps, eps)]
+    special = {c2 for c in around for c2 in (c, np.nextafter(c, -1.0), np.nextafter(c, 2.0))}
+    special = sorted({0.0, 1.0} | {float(c) for c in special if 0.0 <= c <= 1.0})
+    coord = st.one_of(st.floats(0.0, 1.0), st.sampled_from(special))
+    n = draw(st.integers(1, 30))
+    S = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n)))
+    return grid, S
+
+
+def _one_cell_grid():
+    grid = SmoothGridMap(np.random.default_rng(0).standard_normal((3, 4, 1)), 0.5, 1 / 64)
+    # x = -eps exactly at edge 0.5 (one-hot weights), and both sides of it by 1 ulp
+    S = np.array([[0.5 - 1 / 64], [np.nextafter(0.5 - 1 / 64, 0.0)], [np.nextafter(0.5 - 1 / 64, 1.0)]])
+    return grid, S
+
+
+class TestCellScoring:
+    @settings(deadline=None, max_examples=300)
+    @given(case=cell_scoring_cases())
+    @example(case=_one_cell_grid())
+    def test_cell_scores_equal_the_gram_of_every_row(self, case):
+        grid, S = case
+        with mock.patch.object(grid, "gram_batch", wraps=grid.gram_batch) as gram_batch:
+            fast = grid.fast_contrasts(S)
+        reference = local_contrast_from_gram(grid.gram_batch(S))
+        assert np.array_equal(fast.view(np.int64), reference.view(np.int64))
+        # one Gram einsum, over the rows inside a window by the weights' own predicate
+        x = S[:, :, None] - grid._edges
+        window = np.any((-grid.eps < x) & (x <= grid.eps), axis=(1, 2))
+        assert gram_batch.call_count == 1
+        assert np.array_equal(gram_batch.call_args.args[0], S[window])
+        # the rows handed back as NaN are scored by the SVD of their Jacobian
+        redo = np.isnan(reference)
+        reference[redo] = experiments._score_at_points(grid, S[redo])
+        scored = experiments._score_draws(grid, S)
+        assert np.array_equal(np.isnan(scored), np.isnan(reference))
+        assert np.array_equal(scored.view(np.int64), reference.view(np.int64))
+
+    def test_cells_past_a_flat_index_are_scored_per_row(self):
+        # 3**40 cells do not fit a flat int64 index
+        rng = np.random.default_rng(1)
+        grid = SmoothGridMap(rng.standard_normal((3, 48, 40)), 0.5, 0.01)
+        S = rng.random((200, 40))
+        S[:5] = 0.25  # repeated rows share a cell
+        fast = grid.fast_contrasts(S)
+        reference = local_contrast_from_gram(grid.gram_batch(S))
+        assert np.array_equal(fast.view(np.int64), reference.view(np.int64))
 
 
 class TestTwoPiece:
