@@ -16,7 +16,7 @@ import numpy as np
 from scipy import special
 
 from . import schema
-from .contrast import RANK_TOL
+from .contrast import GRAM_RATIO_TOL, RANK_TOL, gram_resolved
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -477,6 +477,13 @@ def sample_isotropic_matrix(
     ``max_attempts`` times before raising RankDeficientError.  A 1-d
     sequence of k seeds gives a (k, m, d) stack whose matrix j is bit for
     bit the int-seed call with ``seed[j]``, resamples included.
+
+    The Gram route can only accept a draw.  While ``rank_tol`` is at most
+    a tenth of sqrt(GRAM_RATIO_TOL), an eigenvalue ratio of J^T J above
+    GRAM_RATIO_TOL puts the squared singular-value ratio (the two differ by
+    rounding of about d * 1e-16) a hundredfold above ``rank_tol**2``, so
+    the SVD would accept the draw too.  The SVD decides every other draw,
+    and every draw at a larger ``rank_tol``.
     """
     if m < d:
         raise DimensionMismatchError(f"need m >= d, got m={m}, d={d}")
@@ -491,13 +498,21 @@ def sample_isotropic_matrix(
     scalar = np.ndim(seed) == 0
     seeds = [seed] if scalar else list(seed)
     J = np.empty((len(seeds), m, d))
+    gram_route = rank_tol <= 0.1 * math.sqrt(GRAM_RATIO_TOL)
     failed = np.arange(len(seeds))
     for attempt in range(max_attempts):
-        J[failed] = sampler.sample_columns(
+        Jf = sampler.sample_columns(
             d, [seeds[j] if attempt == 0 else substream(seeds[j], 0xA11E, attempt) for j in failed]
         )
-        sv = np.linalg.svd(J[failed], compute_uv=False)
-        failed = failed[~(sv[:, -1] > rank_tol * sv[:, 0])]
+        J[failed] = Jf
+        if gram_route:
+            ok = gram_resolved(np.linalg.eigvalsh(np.matrix_transpose(Jf) @ Jf))
+        else:
+            ok = np.zeros(len(failed), dtype=bool)
+        if not ok.all():
+            sv = np.linalg.svd(Jf[~ok], compute_uv=False)
+            ok[~ok] = sv[:, -1] > rank_tol * sv[:, 0]
+        failed = failed[~ok]
         if not failed.size:
             return J[0] if scalar else J
     raise RankDeficientError(

@@ -20,7 +20,9 @@ import numpy as np
 from . import schema
 from .contrast import (
     CLAMP_SLACK,
+    GRAM_SLACK,
     local_contrast_batch,
+    local_contrast_from_gram,
     theoretical_success_bound,
 )
 from .distributions import (
@@ -201,6 +203,8 @@ def concentration_sweep(
     isotropic columns and record the fraction whose (constant-in-s)
     contrast is at most delta, next to the closed-form bound at kappa.
     """
+    if d < 1:
+        raise DomainError(f"d must be >= 1, got {d}")
     if trials < 1:
         raise DomainError("trials must be >= 1")
     if not delta > 0:
@@ -216,8 +220,13 @@ def concentration_sweep(
         def one_chunk(c: int, m=m, sampler=sampler, mi=mi, chunk=chunk) -> int:
             seeds = [substream(seed, mi, i) for i in range(c * chunk, min(trials, (c + 1) * chunk))]
             J = sample_isotropic_matrix(m, d, sampler, seeds)
-            # the sampler's rank check uses the kernel's threshold, so no row is NaN
-            return int(np.count_nonzero(local_contrast_batch(J) <= delta))
+            values = local_contrast_from_gram(np.matrix_transpose(J) @ J)
+            # the sampler's rank check follows the SVD kernel's, so no
+            # re-scored row comes back NaN
+            redo = np.isnan(values) | (np.abs(values - delta) <= GRAM_SLACK)
+            if redo.any():
+                values[redo] = local_contrast_batch(J[redo])
+            return int(np.count_nonzero(values <= delta))
 
         successes = run_indexed(-(-trials // chunk), one_chunk, threads)
         rows.append(

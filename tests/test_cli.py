@@ -65,6 +65,14 @@ class TestConfigValidation:
         code = main(["sweep", "--config", path, "--output-dir", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_sweep_without_columns_is_exit_2(self, d):
+        config = {"command": "sweep", "params": {"d": d, "delta": 0.2, "m_list": [8], "trials": 10}}
+        code, err = run_main(config, "sweep")
+        assert code == 2
+        assert "Traceback" not in err
+        assert json.loads(err)["type"] == "DomainError"
+
     @pytest.mark.filterwarnings("ignore")  # m <= p*d warns about injectivity
     @pytest.mark.parametrize("eps", [0.0, 0.01])
     def test_grid_source_outside_the_cube_is_exit_2(self, eps):
@@ -313,6 +321,28 @@ def run_main(config, command="reparam"):
     return code, err.getvalue()
 
 
+def mutate(data, config, junk=_JUNK):
+    """``config`` with one to three of its params replaced by ``junk``,
+    deleted, or joined by a bogus key."""
+    config = copy.deepcopy(config)
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_paths(config["params"]))
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths))
+        parent = config["params"]
+        for key in path[:-1]:
+            parent = parent[key]
+        action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace" or not isinstance(parent, dict):
+            parent[path[-1]] = data.draw(junk)
+        elif action == "delete":
+            del parent[path[-1]]
+        else:
+            parent["bogus"] = data.draw(junk)
+    return config
+
+
 class TestReparamSchema:
     def test_the_base_config_runs(self):
         assert run_main(REPARAM_CONFIG) == (0, "")
@@ -344,22 +374,26 @@ class TestReparamSchema:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_mutated_configs_exit_0_2_or_3_without_a_traceback(self, data):
-        config = copy.deepcopy(REPARAM_CONFIG)
-        for _ in range(data.draw(st.integers(1, 3))):
-            paths = list(_paths(config["params"]))
-            if not paths:
-                break
-            path = data.draw(st.sampled_from(paths))
-            parent = config["params"]
-            for key in path[:-1]:
-                parent = parent[key]
-            action = data.draw(st.sampled_from(["replace", "delete", "add"]))
-            if action == "replace" or not isinstance(parent, dict):
-                parent[path[-1]] = data.draw(_JUNK)
-            elif action == "delete":
-                del parent[path[-1]]
-            else:
-                parent["bogus"] = data.draw(_JUNK)
-        code, err = run_main(config)
+        code, err = run_main(mutate(data, REPARAM_CONFIG))
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+
+
+class TestSweepSchema:
+    BASE = {
+        "command": "sweep",
+        "params": {"d": 2, "delta": 0.3, "m_list": [4, 9], "trials": 12,
+                   "kappa": 1.0, "radial": "unit"},
+    }
+
+    def test_the_base_config_runs(self):
+        assert run_main(self.BASE, "sweep") == (0, "")
+
+    # small integers weigh more here: d, trials and m_list entries at or
+    # below zero are the sweep's edge cases
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_configs_exit_0_2_or_3_without_a_traceback(self, data):
+        code, err = run_main(mutate(data, self.BASE, st.one_of(st.integers(-2, 2), _JUNK)), "sweep")
         assert code in (0, 2, 3)
         assert "Traceback" not in err

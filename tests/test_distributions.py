@@ -1,10 +1,11 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from ima_lab.contrast import offdiag_coherence
+from ima_lab.contrast import GRAM_RATIO_TOL, RANK_TOL, offdiag_coherence
 from ima_lab.distributions import (
     Chi,
     FactorialDistribution,
@@ -24,7 +25,7 @@ from ima_lab.errors import (
     RankDeficientError,
     ValidationError,
 )
-from ima_lab.seeding import substream
+from ima_lab.seeding import generator, substream
 
 ALL_LAWS = [
     Uniform(0.0, 1.0),
@@ -172,6 +173,94 @@ class ZeroFirstRadius(UnivariateLaw):
             self.zero_calls -= 1
             radii[0] = 0.0
         return radii
+
+
+class ConditionedColumns:
+    """Sampler whose matrix for each seed is Q diag(sv) V with orthonormal
+    Q and V, largest singular value 1 and squared smallest-to-largest ratio
+    drawn from ``ratios``.  Logs every seed it is asked for."""
+
+    def __init__(self, m, ratios):
+        self.ambient_dim = m
+        self.ratios = ratios
+        self.seeds = []
+
+    def sample_columns(self, d, seeds):
+        self.seeds.extend(seeds)
+        out = np.empty((len(seeds), self.ambient_dim, d))
+        for j, s in enumerate(seeds):
+            gen = generator(s)
+            Q = np.linalg.qr(gen.standard_normal((self.ambient_dim, d)))[0]
+            V = np.linalg.qr(gen.standard_normal((d, d)))[0]
+            low = np.sqrt(gen.choice(self.ratios))
+            sv = np.concatenate([[1.0], gen.uniform(low, 1.0, d - 2), [low]])
+            out[j] = (Q * sv) @ V
+        return out
+
+
+def svd_only_sample(m, d, sampler, seeds, rank_tol, max_attempts):
+    """The rank check by the SVD of every draw: the reference rule."""
+    J = np.empty((len(seeds), m, d))
+    failed = np.arange(len(seeds))
+    for attempt in range(max_attempts):
+        J[failed] = sampler.sample_columns(
+            d, [seeds[j] if attempt == 0 else substream(seeds[j], 0xA11E, attempt) for j in failed]
+        )
+        sv = np.linalg.svd(J[failed], compute_uv=False)
+        failed = failed[~(sv[:, -1] > rank_tol * sv[:, 0])]
+        if not failed.size:
+            return J
+    raise RankDeficientError(f"seed={seeds[failed[0]]}")
+
+
+def outcome(sample, *args):
+    try:
+        return sample(*args), None
+    except RankDeficientError as exc:
+        return None, re.search(r"seed=(\d+)", str(exc)).group(1)
+
+
+class TestGramRankCheck:
+    """The Gram route may only accept a draw the SVD accepts, so the
+    sampler returns the bits and asks for the seeds of the SVD-only rule."""
+
+    @pytest.mark.parametrize("rank_tol", [RANK_TOL, 1e-6, 1e-5, 1e-4, 1e-3])
+    def test_near_dependent_columns_follow_the_svd_rule(self, rank_tol):
+        m, d, max_attempts = 12, 3, 6
+        offsets = [-1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3]
+        ratios = [t * (1.0 + o) for t in (GRAM_RATIO_TOL, rank_tol**2) for o in offsets] + [1.0]
+        seeds = [substream(77, i) for i in range(60)]
+        fast, ref = ConditionedColumns(m, ratios), ConditionedColumns(m, ratios)
+        J, fast_failure = outcome(sample_isotropic_matrix, m, d, fast, seeds, rank_tol, max_attempts)
+        J_ref, ref_failure = outcome(svd_only_sample, m, d, ref, seeds, rank_tol, max_attempts)
+        assert fast.seeds == ref.seeds
+        assert fast_failure == ref_failure
+        assert len(ref.seeds) > len(seeds)  # some draws were resampled
+        if ref_failure is None:
+            assert np.array_equal(J, J_ref)
+            if rank_tol == RANK_TOL:
+                # rows right at GRAM_RATIO_TOL were kept, on either route
+                eig = np.linalg.eigvalsh(np.matrix_transpose(J) @ J)
+                ratio = eig[:, 0] / eig[:, -1]
+                assert np.any(np.abs(ratio / GRAM_RATIO_TOL - 1.0) < 1e-5)
+
+    @pytest.mark.parametrize("rank_tol, svd_rows", [(RANK_TOL, 0), (1e-5, 0), (1.0001e-5, 200),
+                                                    (1e-4, 200), (2e-4, 200)])
+    def test_svd_decides_every_draw_only_at_a_large_rank_tol(self, monkeypatch, rank_tol, svd_rows):
+        svd = np.linalg.svd
+        rows = []
+
+        def counting_svd(a, *args, **kwargs):
+            rows.append(len(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        seeds = [substream(5, i) for i in range(200)]
+        J = sample_isotropic_matrix(8, 3, SphericalSampler.standard_gaussian(8), seeds, rank_tol)
+        assert sum(rows) == svd_rows
+        monkeypatch.undo()
+        assert np.array_equal(J, svd_only_sample(8, 3, SphericalSampler.standard_gaussian(8),
+                                                 seeds, rank_tol, 3))
 
 
 class TestSphericalSampler:

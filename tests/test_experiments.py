@@ -56,7 +56,7 @@ from ima_lab.mixing import (
     sample_grid_map,
 )
 from ima_lab.mpa import ComposedMap, DarmoisInverse, RotatedGaussianMPA, rotation_matrix_2d
-from ima_lab.seeding import substream
+from ima_lab.seeding import generator, substream
 from test_jacobian_batch import reference_evaluate, reference_jacobian
 
 
@@ -307,6 +307,45 @@ class TestConcentrationSweep:
     def test_thread_count_invariance(self):
         kwargs = dict(d=2, delta=0.2, m_list=[8, 32], trials=100, seed=12)
         assert concentration_sweep(**kwargs, threads=1) == concentration_sweep(**kwargs, threads=4)
+
+    @pytest.mark.parametrize("m", [8, 200])
+    def test_delta_at_a_draws_svd_contrast_counts_as_the_svd_does(self, m):
+        # the Gram route leaves a draw this close to delta to the SVD
+        d, trials, seed = 3, 12, 21
+        sampler = SphericalSampler.standard_gaussian(m)
+        for i in range(trials):
+            value = local_contrast_unclamped(sample_isotropic_matrix(m, d, sampler, substream(seed, 0, i)))
+            for delta in (np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)):
+                row, = concentration_sweep(d, delta, [m], trials, seed=seed)
+                assert row.empirical_success == trial_by_trial_success(d, delta, m, 0, trials, seed)
+
+    def test_draws_the_gram_route_cannot_resolve_count_as_the_svd_does(self):
+        # the last column is the first plus t times noise: at t near 1e-4 the
+        # Gram eigenvalue ratio is near GRAM_RATIO_TOL, so some rows come back NaN
+        class NearDependent:
+            def __init__(self, m):
+                self.ambient_dim = m
+
+            def sample_columns(self, d, seeds):
+                out = np.empty((len(seeds), self.ambient_dim, d))
+                for j, s in enumerate(seeds):
+                    gen = generator(s)
+                    gen.standard_normal(out=out[j])
+                    out[j, :, -1] = out[j, :, 0] + gen.choice([3e-5, 1e-4, 3e-4, 1.0]) * out[j, :, -1]
+                return out
+
+        m, d, trials, seed = 8, 3, 40, 22
+        J = sample_isotropic_matrix(m, d, NearDependent(m), [substream(seed, 0, i) for i in range(trials)])
+        svd_values = local_contrast_batch(J)
+        assert np.isnan(local_contrast_from_gram(np.matrix_transpose(J) @ J)).sum() >= 5
+        for delta in np.unique(svd_values):
+            row, = concentration_sweep(d, delta, [m], trials, sampler_factory=NearDependent, seed=seed)
+            assert row.empirical_success == np.count_nonzero(svd_values <= delta) / trials
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_no_columns_is_a_domain_error(self, d):
+        with pytest.raises(DomainError):
+            concentration_sweep(d=d, delta=0.2, m_list=[8], trials=10)
 
 
 class TestGenericity:
