@@ -18,14 +18,9 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, schema
 from .contrast import local_ima_contrast
-from .distributions import (
-    FactorialDistribution,
-    SphericalSampler,
-    law_from_config,
-)
-from . import schema
+from .distributions import FactorialDistribution, SphericalSampler, sample_isotropic_matrix
 from .errors import DomainError, NumericalError, ValidationError
 from .experiments import (
     ContrastEstimate,
@@ -39,191 +34,159 @@ from .experiments import (
     spurious_gap_experiment,
     transform_from_config,
 )
-from .mixing import random_conformal_map, sample_grid_map
+from .mixing import LinearMap, random_conformal_map, sample_grid_map
 from .mpa import rotation_matrix_2d
+from .schema import OPTIONAL, REQUIRED
+from .seeding import substream
 
 SEED_ENV_VAR = "IMA_LAB_SEED"
-
-_COMMANDS = ("contrast", "sweep", "genericity", "spurious", "reparam")
-
-
-def _dimension(desc: dict, key: str) -> int:
-    if key not in desc:
-        raise ValidationError(f"map family {desc['family']!r} needs {key!r} in its descriptor")
-    value = schema.integer(desc[key], f"map descriptor {key!r}")
-    if value < 1:
-        raise DomainError(f"map descriptor {key!r} must be >= 1, got {value}")
-    return value
-
-
-def _build_map(desc: dict, seed: int):
-    schema.require_keys(
-        desc,
-        {"family": True, "d": False, "m": False, "delta": False, "eps": False,
-         "seed": False, "matrix": False, "scale": False, "with_inversion": False,
-         "radial": False},
-        "map descriptor",
-    )
-    family = desc["family"]
-    map_seed = schema.integer(desc.get("seed", seed), "map descriptor 'seed'")
-    if family == "linear":
-        from .mixing import LinearMap
-
-        if "matrix" in desc:
-            return LinearMap(schema.real_array(desc["matrix"], "map descriptor 'matrix'"))
-        m, d = _dimension(desc, "m"), _dimension(desc, "d")
-        sampler = _sampler_factory(desc.get("radial", "chi"))(m)
-        from .distributions import sample_isotropic_matrix
-
-        return LinearMap(sample_isotropic_matrix(m, d, sampler, map_seed))
-    if family == "grid":
-        m, d = _dimension(desc, "m"), _dimension(desc, "d")
-        if "delta" not in desc:
-            raise ValidationError("map family 'grid' needs 'delta' in its descriptor")
-        sampler = _sampler_factory(desc.get("radial", "chi"))(m)
-        return sample_grid_map(
-            d, m, schema.real(desc["delta"], "map descriptor 'delta'"), sampler,
-            schema.real(desc.get("eps", 0.0), "map descriptor 'eps'"), map_seed,
-        )
-    if family == "conformal":
-        return random_conformal_map(
-            _dimension(desc, "d"), _dimension(desc, "m"), map_seed,
-            scale=schema.real(desc.get("scale", 1.0), "map descriptor 'scale'"),
-            with_inversion=schema.boolean(desc.get("with_inversion", False),
-                                          "map descriptor 'with_inversion'"),
-        )
-    raise ValidationError(f"unknown map family {family!r}")
-
-
-def _sampler_factory(radial: str):
-    if radial == "chi":
-        return SphericalSampler.standard_gaussian
-    if radial == "unit":
-        return SphericalSampler.unit
-    raise ValidationError(f"unknown radial kind {radial!r}; expected 'chi' or 'unit'")
-
-
-def _source_from_config(cfg) -> FactorialDistribution:
-    return FactorialDistribution.from_config(cfg)
 
 
 def _integers(value, where: str) -> list[int]:
     return [schema.integer(v, where) for v in schema.array(value, where)]
 
 
+def _transforms(value, where: str) -> list:
+    return [transform_from_config(t) for t in schema.array(value, where)]
+
+
+#: table entries shared below: a required integer, a required number, and
+#: the optional keys of every map descriptor
+_INTEGER = (schema.integer, REQUIRED)
+_REAL = (schema.real, REQUIRED)
+_SEED = (schema.integer, OPTIONAL)
+_RADIAL = (schema.lookup({"chi": SphericalSampler.standard_gaussian, "unit": SphericalSampler.unit}),
+           OPTIONAL)
+
+#: map family -> table of its descriptor keys besides 'family'
+_MAP_FAMILIES = {
+    "linear": {"matrix": (schema.real_array, OPTIONAL), "d": (schema.integer, OPTIONAL),
+               "m": (schema.integer, OPTIONAL), "seed": _SEED, "radial": _RADIAL},
+    "grid": {"d": _INTEGER, "m": _INTEGER, "delta": _REAL, "eps": (schema.real, OPTIONAL),
+             "seed": _SEED, "radial": _RADIAL},
+    "conformal": {"d": _INTEGER, "m": _INTEGER, "seed": _SEED, "scale": (schema.real, OPTIONAL),
+                  "with_inversion": (schema.boolean, OPTIONAL)},
+}
+
+
+def _map_descriptor(desc, where: str):
+    """A map descriptor, checked now and built later: a function of the
+    seed that an absent 'seed' key takes."""
+    family, args = schema.choice(desc, "family", _MAP_FAMILIES, where)
+    if family == "linear" and "matrix" not in args and not {"m", "d"} <= args.keys():
+        raise ValidationError(f"{where} of family 'linear' needs 'matrix', or 'm' and 'd'")
+    return lambda seed: _build_map(family, {"seed": seed, **args})
+
+
+def _build_map(family: str, args: dict):
+    radial = args.pop("radial", None)
+    if family == "conformal":
+        return random_conformal_map(**args)
+    if family == "grid":
+        return sample_grid_map(sampler=radial(args["m"]) if radial else None, **args)
+    if "matrix" in args:
+        return LinearMap(args["matrix"])
+    m = args["m"]
+    return LinearMap(sample_isotropic_matrix(m, args["d"], radial(m) if radial else None, args["seed"]))
+
+
 # ---------------------------------------------------------------------------
-# per-command runners: config schema -> rows
+# per-command params tables and runners: validated params -> rows
 # ---------------------------------------------------------------------------
 
-def _run_contrast(params: dict, seed: int, threads: int):
-    schema.require_keys(
-        params,
-        {"matrix": False, "map": False, "source": False, "n_samples": False},
-        "contrast params",
-    )
-    if ("matrix" in params) == ("map" in params):
+_CONTRAST = {
+    "matrix": (schema.real_array, OPTIONAL),
+    "map": (_map_descriptor, OPTIONAL),
+    "source": (FactorialDistribution.from_config, OPTIONAL),
+    "n_samples": (schema.integer, 2000),
+}
+
+
+def _run_contrast(args: dict, seed: int, threads: int):
+    if ("matrix" in args) == ("map" in args):
         raise ValidationError("contrast takes exactly one of 'matrix' or 'map'")
-    if "matrix" in params:
-        value = local_ima_contrast(schema.real_array(params["matrix"], "contrast 'matrix'"))
-        est = ContrastEstimate(mean=value, stderr=0.0, n_samples=1, clamp_count=0, rejection_count=0)
-        return [est]
-    if "source" not in params:
+    if "matrix" in args:
+        value = local_ima_contrast(args["matrix"])
+        return [ContrastEstimate(mean=value, stderr=0.0, n_samples=1, clamp_count=0, rejection_count=0)]
+    if "source" not in args:
         raise ValidationError("map-based contrast needs a 'source' law list")
-    mapping = _build_map(params["map"], seed)
-    source = _source_from_config(params["source"])
-    n = schema.integer(params.get("n_samples", 2000), "contrast 'n_samples'")
-    return [estimate_global_contrast(mapping, source, n, seed)]
+    return [estimate_global_contrast(args["map"](seed), args["source"], args["n_samples"], seed)]
 
 
-def _run_sweep(params: dict, seed: int, threads: int):
-    schema.require_keys(
-        params,
-        {"d": True, "delta": True, "m_list": True, "trials": True,
-         "kappa": False, "radial": False},
-        "sweep params",
-    )
-    return concentration_sweep(
-        d=schema.integer(params["d"], "sweep 'd'"),
-        delta=schema.real(params["delta"], "sweep 'delta'"),
-        m_list=_integers(params["m_list"], "sweep 'm_list'"),
-        trials=schema.integer(params["trials"], "sweep 'trials'"),
-        sampler_factory=_sampler_factory(params.get("radial", "chi")),
-        kappa=schema.real(params.get("kappa", 1.0), "sweep 'kappa'"),
-        seed=seed,
-        threads=threads,
-    )
+_SWEEP = {
+    "d": _INTEGER,
+    "delta": _REAL,
+    "m_list": (_integers, REQUIRED),
+    "trials": _INTEGER,
+    "kappa": (schema.real, OPTIONAL),
+    "radial": _RADIAL,
+}
 
 
-def _run_genericity(params: dict, seed: int, threads: int):
-    schema.require_keys(
-        params,
-        {"d": True, "m_list": True, "delta_grid": True, "eps": True,
-         "delta_contrast": True, "trials": True, "n_mc": True},
-        "genericity params",
-    )
-    return genericity_experiment(
-        d=schema.integer(params["d"], "genericity 'd'"),
-        m_list=_integers(params["m_list"], "genericity 'm_list'"),
-        delta_grid=schema.real(params["delta_grid"], "genericity 'delta_grid'"),
-        eps=schema.real(params["eps"], "genericity 'eps'"),
-        delta_contrast=schema.real(params["delta_contrast"], "genericity 'delta_contrast'"),
-        trials=schema.integer(params["trials"], "genericity 'trials'"),
-        n_mc=schema.integer(params["n_mc"], "genericity 'n_mc'"),
-        seed=seed,
-        threads=threads,
-    )
+def _run_sweep(args: dict, seed: int, threads: int):
+    if "radial" in args:
+        args["sampler_factory"] = args.pop("radial")
+    return concentration_sweep(**args, seed=seed, threads=threads)
 
 
-def _run_spurious(params: dict, seed: int, threads: int):
-    schema.require_keys(
-        params,
-        {"m": False, "source": False, "rotation_deg": False,
-         "darmois_resolution": False, "n_mc": False, "floor": False},
-        "spurious params",
-    )
-    source = _source_from_config(params["source"]) if "source" in params else None
-    rotation = None
-    if "rotation_deg" in params:
-        angle = schema.real(params["rotation_deg"], "spurious 'rotation_deg'")
-        rotation = rotation_matrix_2d(np.radians(angle))
-    report = spurious_gap_experiment(
-        m=schema.integer(params.get("m", 5), "spurious 'm'"),
-        source=source,
-        rotation=rotation,
-        darmois_resolution=schema.integer(params.get("darmois_resolution", 512),
-                                          "spurious 'darmois_resolution'"),
-        n_mc=schema.integer(params.get("n_mc", 2000), "spurious 'n_mc'"),
-        floor=schema.real(params.get("floor", 1e-3), "spurious 'floor'"),
-        seed=seed,
-    )
-    return gap_report_rows(report)
+_GENERICITY = {
+    "d": _INTEGER,
+    "m_list": (_integers, REQUIRED),
+    "delta_grid": _REAL,
+    "eps": _REAL,
+    "delta_contrast": _REAL,
+    "trials": _INTEGER,
+    "n_mc": _INTEGER,
+}
 
 
-def _run_reparam(params: dict, seed: int, threads: int):
-    schema.require_keys(params, {"configs": True, "n_mc": False}, "reparam params")
-    n = schema.integer(params.get("n_mc", 2000), "reparam 'n_mc'")
+def _run_genericity(args: dict, seed: int, threads: int):
+    return genericity_experiment(**args, seed=seed, threads=threads)
+
+
+_SPURIOUS = {
+    "m": (schema.integer, OPTIONAL),
+    "source": (FactorialDistribution.from_config, OPTIONAL),
+    "rotation_deg": (schema.real, OPTIONAL),
+    "darmois_resolution": (schema.integer, OPTIONAL),
+    "n_mc": (schema.integer, OPTIONAL),
+    "floor": (schema.real, OPTIONAL),
+}
+
+
+def _run_spurious(args: dict, seed: int, threads: int):
+    if "rotation_deg" in args:
+        args["rotation"] = rotation_matrix_2d(np.radians(args.pop("rotation_deg")))
+    return gap_report_rows(spurious_gap_experiment(**args, seed=seed))
+
+
+_REPARAM = {"configs": (schema.array, REQUIRED), "n_mc": (schema.integer, 2000)}
+
+_REPARAM_CONFIG = {
+    "map": (_map_descriptor, REQUIRED),
+    "source": (FactorialDistribution.from_config, REQUIRED),
+    "perm": (_integers, REQUIRED),
+    "transforms": (_transforms, REQUIRED),
+}
+
+
+def _run_reparam(args: dict, seed: int, threads: int):
+    n = args["n_mc"]
+    configs = [schema.read(c, _REPARAM_CONFIG, f"reparam config {i}")
+               for i, c in enumerate(args["configs"])]
+    if not configs or n < 1:
+        raise DomainError(f"reparam needs a config and n_mc >= 1, got {len(configs)} configs, n_mc {n}")
     rows = []
-    for idx, cfg in enumerate(schema.array(params["configs"], "reparam 'configs'")):
-        where = f"reparam config {idx}"
-        schema.require_keys(
-            cfg, {"map": True, "source": True, "perm": True, "transforms": True}, where,
-        )
-        from .seeding import substream
-
-        mapping = _build_map(cfg["map"], substream(seed, idx, 0))
-        source = _source_from_config(cfg["source"])
-        perm = _integers(cfg["perm"], f"{where} 'perm'")
-        transforms = [
-            transform_from_config(t) for t in schema.array(cfg["transforms"], f"{where} 'transforms'")
-        ]
+    for idx, (cfg, raw) in enumerate(zip(configs, args["configs"])):
         report = reparam_invariance_check(
-            mapping, source, perm, transforms, n, substream(seed, idx, 1)
+            cfg["map"](substream(seed, idx, 0)), cfg["source"], cfg["perm"], cfg["transforms"],
+            n, substream(seed, idx, 1),
         )
         rows.append(
             ReparamRow(
                 config_index=idx,
-                perm="-".join(str(p) for p in perm),
-                transforms="|".join(t["kind"] for t in cfg["transforms"]),
+                perm="-".join(str(p) for p in cfg["perm"]),
+                transforms="|".join(t["kind"] for t in raw["transforms"]),
                 n_samples=n,
                 mean_base=report.mean_base,
                 stderr_base=report.stderr_base,
@@ -237,18 +200,46 @@ def _run_reparam(params: dict, seed: int, threads: int):
     return rows
 
 
+#: command -> (params table, runner)
 _RUNNERS = {
-    "contrast": _run_contrast,
-    "sweep": _run_sweep,
-    "genericity": _run_genericity,
-    "spurious": _run_spurious,
-    "reparam": _run_reparam,
+    "contrast": (_CONTRAST, _run_contrast),
+    "sweep": (_SWEEP, _run_sweep),
+    "genericity": (_GENERICITY, _run_genericity),
+    "spurious": (_SPURIOUS, _run_spurious),
+    "reparam": (_REPARAM, _run_reparam),
 }
 
 
 # ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------
+
+def _master_seed(value, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < 2**64:
+        raise ValidationError(f"{where} must be a 64-bit unsigned integer, got {value!r}")
+    return value
+
+
+def _threads(value, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValidationError(f"{where} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _directory(value, where: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValidationError(f"{where} must be a non-empty path, got {value!r}")
+    return value
+
+
+_RUN_CONFIG = {
+    "command": (schema.lookup({name: name for name in _RUNNERS}), REQUIRED),
+    "params": (schema.mapping, REQUIRED),
+    "master_seed": (_master_seed, 0),
+    "threads": (_threads, 1),
+    "output_dir": (_directory, "."),
+}
+
 
 def load_run_config(path: str) -> dict:
     try:
@@ -260,49 +251,25 @@ def load_run_config(path: str) -> dict:
 
 
 def validate_run_config(config: dict) -> dict:
-    if not isinstance(config, dict):
-        raise ValidationError("run config must be a JSON object")
-    schema.require_keys(
-        config,
-        {"command": True, "params": True, "master_seed": False,
-         "threads": False, "output_dir": False},
-        "run config",
-    )
-    if config["command"] not in _COMMANDS:
-        raise ValidationError(f"unknown command {config['command']!r}; expected one of {_COMMANDS}")
-    if not isinstance(config["params"], dict):
-        raise ValidationError("'params' must be an object")
-    seed = config.get("master_seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise ValidationError("'master_seed' must be a 64-bit unsigned integer")
-    threads = config.get("threads", 1)
-    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
-        raise ValidationError("'threads' must be an integer >= 1")
-    return config
+    """The run config with its defaults filled in; ``params`` is checked
+    by the command's own table when the command runs."""
+    return schema.read(config, _RUN_CONFIG, "run config")
 
 
 def run(config: dict) -> int:
     """Execute a validated run config; returns the process exit code."""
     config = validate_run_config(config)
-    command = config["command"]
-    seed = int(config.get("master_seed", 0))
-    threads = int(config.get("threads", 1))
-    output_dir = config.get("output_dir", ".")
+    command, output_dir = config["command"], config["output_dir"]
     started = time.time()
-    rows = _RUNNERS[command](config["params"], seed, threads)
+    table, runner = _RUNNERS[command]
+    rows = runner(schema.read(config["params"], table, f"{command} params"),
+                  config["master_seed"], config["threads"])
     os.makedirs(output_dir, exist_ok=True)
-    csv_path = os.path.join(output_dir, f"{command}.csv")
-    rows_to_csv(csv_path, rows)
+    rows_to_csv(os.path.join(output_dir, f"{command}.csv"), rows)
     manifest = {
         "command": command,
-        "config": {
-            "command": command,
-            "params": config["params"],
-            "master_seed": seed,
-            "threads": threads,
-            "output_dir": output_dir,
-        },
-        "master_seed": seed,
+        "config": config,
+        "master_seed": config["master_seed"],
         "wall_time_s": time.time() - started,
         "version": __version__,
     }
@@ -333,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         "spurious": "contrast gap between a conformal truth and its spurious companions",
         "reparam": "paired invariance check under permutation and element-wise reparametrization",
     }
-    for name in _COMMANDS:
+    for name in _RUNNERS:
         p = sub.add_parser(name, help=descriptions[name], description=descriptions[name])
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument(

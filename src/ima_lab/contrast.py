@@ -56,7 +56,7 @@ def _as_jacobian(J) -> np.ndarray:
 def local_contrast_batch(J, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Unclamped local IMA contrast of stacked Jacobians.
 
-    ``J`` has shape (..., m, d) with m >= d; the result has shape (...).
+    ``J`` has shape (..., m, d) with m >= d >= 1; the result has shape (...).
     Rows whose smallest singular value is at most ``rank_tol`` times the
     largest come back as NaN so the caller can count rejections, the
     convention of :func:`local_contrast_from_gram`.  Each value and each
@@ -68,8 +68,8 @@ def local_contrast_batch(J, rank_tol: float = RANK_TOL) -> np.ndarray:
     if not np.all(np.isfinite(J)):
         raise NonFiniteError("matrix contains non-finite entries")
     m, d = J.shape[-2:]
-    if m < d:
-        raise DomainError(f"Jacobian must be tall or square (m >= d), got {m}x{d}")
+    if not 1 <= d <= m:
+        raise DomainError(f"Jacobian must be tall or square with a column (m >= d >= 1), got {m}x{d}")
     sv = np.linalg.svd(J, compute_uv=False)
     rank_ok = sv[..., -1] > rank_tol * sv[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,8 +1,8 @@
 """Univariate laws, factorial source distributions, and spherically
 symmetric column samplers.
 
-Laws expose ``pdf``/``cdf``/``quantile``/``sample`` plus a JSON-friendly
-``to_config``/``from_config`` pair used by the CLI schema.  Closed forms
+Laws expose ``pdf``/``cdf``/``quantile``/``sample``; ``law_from_config``
+reads the CLI's JSON law objects and ``to_config`` writes them.  Closed forms
 are used wherever they exist; the beta-shaped law is backed by a
 quantile table built with trapezoid quadrature.
 """
@@ -23,7 +23,7 @@ from .errors import (
     RankDeficientError,
     ValidationError,
 )
-from .seeding import generator
+from .seeding import generator, substream
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -334,28 +334,29 @@ class TabulatedBeta(UnivariateLaw):
         return {"kind": "beta", "params": {"alpha": self.alpha, "beta": self.beta, "points": self.points}}
 
 
+_OPTIONAL_REAL = (schema.real, schema.OPTIONAL)
+
+#: law kind -> (class, table of its params)
 _LAW_KINDS = {
-    "uniform": (Uniform, ("a", "b")),
-    "gaussian": (Gaussian, ("mu", "sigma")),
-    "laplace": (Laplace, ("mu", "b")),
-    "chi": (Chi, ("k",)),
-    "beta": (TabulatedBeta, ("alpha", "beta", "points")),
+    "uniform": (Uniform, {"a": _OPTIONAL_REAL, "b": _OPTIONAL_REAL}),
+    "gaussian": (Gaussian, {"mu": _OPTIONAL_REAL, "sigma": _OPTIONAL_REAL}),
+    "laplace": (Laplace, {"mu": _OPTIONAL_REAL, "b": _OPTIONAL_REAL}),
+    "chi": (Chi, {"k": _OPTIONAL_REAL}),
+    "beta": (TabulatedBeta, {"alpha": _OPTIONAL_REAL, "beta": _OPTIONAL_REAL,
+                             "points": (schema.integer, schema.OPTIONAL)}),
+}
+
+_LAW_CONFIG = {
+    "kind": (schema.lookup(_LAW_KINDS), schema.REQUIRED),
+    "params": (schema.mapping, {}),
 }
 
 
 def law_from_config(config: dict) -> UnivariateLaw:
     """Build a law from a ``{"kind": ..., "params": {...}}`` object."""
-    schema.require_keys(config, {"kind": True, "params": False}, "law config")
-    kind = config["kind"]
-    if not isinstance(kind, str) or kind not in _LAW_KINDS:
-        raise ValidationError(f"unknown law kind {kind!r}; expected one of {sorted(_LAW_KINDS)}")
-    cls, allowed = _LAW_KINDS[kind]
-    where = f"law kind {kind!r} params"
-    params = schema.require_keys(config.get("params", {}), dict.fromkeys(allowed, False), where)
-    return cls(**{
-        name: (schema.integer if name == "points" else schema.real)(value, f"{where} {name!r}")
-        for name, value in params.items()
-    })
+    fields = schema.read(config, _LAW_CONFIG, "law config")
+    cls, table = fields["kind"]
+    return cls(**schema.read(fields["params"], table, f"law kind {config['kind']!r} params"))
 
 
 @dataclass(frozen=True)
@@ -381,28 +382,18 @@ class FactorialDistribution:
         """(n, d) array of i.i.d. draws; component i uses sub-stream i of the seed."""
         if n < 1:
             raise DomainError("sample count must be >= 1")
-        cols = [law.sample(n, substream_seed) for law, substream_seed in
-                zip(self.components, (_component_seed(seed, i) for i in range(self.dim)))]
-        return np.column_stack(cols)
-
-    def to_config(self):
-        return [law.to_config() for law in self.components]
+        return np.column_stack(
+            [law.sample(n, substream(seed, i)) for i, law in enumerate(self.components)]
+        )
 
     @staticmethod
-    def from_config(configs) -> "FactorialDistribution":
-        return FactorialDistribution(
-            tuple(law_from_config(c) for c in schema.array(configs, "source law list"))
-        )
+    def from_config(configs, where: str = "source law list") -> "FactorialDistribution":
+        """The product of a JSON list of law objects; a schema reader."""
+        return FactorialDistribution(tuple(law_from_config(c) for c in schema.array(configs, where)))
 
     @staticmethod
     def iid(law: UnivariateLaw, d: int) -> "FactorialDistribution":
         return FactorialDistribution((law,) * d)
-
-
-def _component_seed(seed: int, i: int) -> int:
-    from .seeding import substream
-
-    return substream(seed, i)
 
 
 def sample_factorial(p_s: FactorialDistribution, n: int, seed: int) -> np.ndarray:
@@ -457,10 +448,6 @@ class SphericalSampler:
             columns *= self.radial_law.quantile_array(np.clip(u, 1e-16, 1.0 - 1e-16))[:, None, :]
         return columns[0] if ndim == 0 else columns
 
-    def to_config(self):
-        radial = None if self.radial_law is None else self.radial_law.to_config()
-        return {"ambient_dim": self.ambient_dim, "radial": radial}
-
 
 def sample_isotropic_matrix(
     m: int,
@@ -474,9 +461,9 @@ def sample_isotropic_matrix(
     have full column rank against the relative singular-value threshold.
 
     A failed rank check resamples with a derived sub-seed up to
-    ``max_attempts`` times before raising RankDeficientError.  A 1-d
-    sequence of k seeds gives a (k, m, d) stack whose matrix j is bit for
-    bit the int-seed call with ``seed[j]``, resamples included.
+    ``max_attempts`` (at least 1) times before raising RankDeficientError.
+    A 1-d sequence of k seeds gives a (k, m, d) stack whose matrix j is bit
+    for bit the int-seed call with ``seed[j]``, resamples included.
 
     The Gram route can only accept a draw.  While ``rank_tol`` is at most
     a tenth of sqrt(GRAM_RATIO_TOL), an eigenvalue ratio of J^T J above
@@ -485,6 +472,10 @@ def sample_isotropic_matrix(
     the SVD would accept the draw too.  The SVD decides every other draw,
     and every draw at a larger ``rank_tol``.
     """
+    if max_attempts < 1:
+        raise DomainError(f"max_attempts must be >= 1, got {max_attempts}")
+    if d < 1:
+        raise DomainError(f"d must be >= 1, got {d}")
     if m < d:
         raise DimensionMismatchError(f"need m >= d, got m={m}, d={d}")
     if sampler is None:
@@ -493,8 +484,6 @@ def sample_isotropic_matrix(
         raise DimensionMismatchError(
             f"sampler ambient dimension {sampler.ambient_dim} does not match m={m}"
         )
-    from .seeding import substream
-
     scalar = np.ndim(seed) == 0
     seeds = [seed] if scalar else list(seed)
     J = np.empty((len(seeds), m, d))

@@ -203,16 +203,19 @@ def concentration_sweep(
     isotropic columns and record the fraction whose (constant-in-s)
     contrast is at most delta, next to the closed-form bound at kappa.
     """
+    m_list = sorted(m_list)
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
     if trials < 1:
         raise DomainError("trials must be >= 1")
     if not delta > 0:
         raise DomainError("delta must be positive")
+    if not m_list:
+        raise DomainError("m_list must name at least one ambient dimension")
     if sampler_factory is None:
         sampler_factory = SphericalSampler.standard_gaussian
     rows = []
-    for mi, m in enumerate(sorted(m_list)):
+    for mi, m in enumerate(m_list):
         sampler = sampler_factory(m)
         # chunk bounds depend on m, d and trials only, never on threads
         chunk = _chunk_size(m, d)
@@ -299,11 +302,16 @@ def genericity_experiment(
     """For each m, sample ``trials`` smoothed grid maps, estimate each
     map's global contrast with n_mc uniform draws, and record the success
     fraction plus the boundary-region draw statistics."""
+    m_list = sorted(m_list)
     if not eps > 0:
         raise DomainError("genericity experiment needs a smoothed map (eps > 0)")
+    if trials < 1 or n_mc < 1:
+        raise DomainError(f"trials and n_mc must be >= 1, got {trials} and {n_mc}")
+    if not m_list:
+        raise DomainError("m_list must name at least one ambient dimension")
     p_s = FactorialDistribution.iid(Uniform(0.0, 1.0), d)
     rows = []
-    for mi, m in enumerate(sorted(m_list)):
+    for mi, m in enumerate(m_list):
 
         def one_trial(i: int, m=m, mi=mi):
             trial_seed = substream(seed, mi, i)
@@ -474,9 +482,6 @@ class ElementwiseTransform:
     def dforward(self, x):
         raise NotImplementedError
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class AffineTransform(ElementwiseTransform):
@@ -496,9 +501,6 @@ class AffineTransform(ElementwiseTransform):
     def dforward(self, x):
         return self.a * np.ones_like(np.asarray(x, dtype=float))
 
-    def to_config(self):
-        return {"kind": "affine", "a": self.a, "b": self.b}
-
 
 class CubeTransform(ElementwiseTransform):
     """x -> x^3; monotone with inverse cbrt (derivative vanishes at 0,
@@ -512,9 +514,6 @@ class CubeTransform(ElementwiseTransform):
 
     def dforward(self, x):
         return 3.0 * np.asarray(x, dtype=float) ** 2
-
-    def to_config(self):
-        return {"kind": "cube"}
 
 
 class TanhTransform(ElementwiseTransform):
@@ -531,21 +530,20 @@ class TanhTransform(ElementwiseTransform):
         # ** 2 is libm pow and can differ from the array result in the last bit
         return 1.0 / np.square(np.cosh(np.asarray(x, dtype=float)))
 
-    def to_config(self):
-        return {"kind": "tanh"}
+
+#: transform kind -> table of its keys besides 'kind'
+_TRANSFORM_KINDS = {
+    "affine": {"a": (schema.real, schema.OPTIONAL), "b": (schema.real, schema.OPTIONAL)},
+    "cube": {},
+    "tanh": {},
+}
 
 
 def transform_from_config(config: dict) -> ElementwiseTransform:
-    kind = schema.require_keys(config, {"kind": True, "a": False, "b": False}, "transform")["kind"]
+    kind, args = schema.choice(config, "kind", _TRANSFORM_KINDS, "transform")
     if kind == "affine":
-        return AffineTransform(
-            schema.real(config.get("a", 1.0), "affine transform 'a'"),
-            schema.real(config.get("b", 0.0), "affine transform 'b'"),
-        )
-    if kind in ("cube", "tanh"):
-        schema.require_keys(config, {"kind": True}, f"{kind} transform")
-        return CubeTransform() if kind == "cube" else TanhTransform()
-    raise ValidationError(f"unknown transform kind {kind!r}")
+        return AffineTransform(**args)
+    return CubeTransform() if kind == "cube" else TanhTransform()
 
 
 def _validate_monotone(transform: ElementwiseTransform, probe: np.ndarray) -> None:

@@ -178,9 +178,6 @@ class MixingMap:
             raise OutOfDomainError("evaluation points outside the unit cube")
         return S
 
-    def descriptor(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class LinearMap(MixingMap):
@@ -238,7 +235,7 @@ class SmoothGridMap(MixingMap):
 
     domain = UNIT_CUBE
 
-    def __init__(self, blocks: np.ndarray, delta: float, eps: float = 0.0, seed: int | None = None):
+    def __init__(self, blocks: np.ndarray, delta: float, eps: float = 0.0):
         blocks = np.asarray(blocks, dtype=float)
         if blocks.ndim != 3:
             raise DomainError("blocks must have shape (p, m, d)")
@@ -261,7 +258,6 @@ class SmoothGridMap(MixingMap):
         self.d = blocks.shape[2]
         self.delta = float(delta)
         self.eps = float(eps)
-        self.seed = seed
         # prefix[t] = delta * sum_{i < t} blocks[i]; the affine intercept of cell t+1
         self.prefix = np.concatenate(
             [np.zeros((1, self.m, self.d)), self.delta * np.cumsum(blocks, axis=0)[:-1]]
@@ -392,16 +388,6 @@ class SmoothGridMap(MixingMap):
         S = np.asarray(S, dtype=float)
         return np.any(np.abs(S[:, :, None] - self.knots) <= self.eps, axis=(1, 2))
 
-    def descriptor(self) -> dict:
-        return {
-            "family": "grid",
-            "d": self.d,
-            "m": self.m,
-            "delta": self.delta,
-            "eps": self.eps,
-            "seed": self.seed,
-        }
-
 
 def sample_grid_map(
     d: int,
@@ -421,6 +407,8 @@ def sample_grid_map(
     """
     if not 0.0 < delta <= 1.0:
         raise DomainError(f"grid width delta must lie in (0, 1], got {delta}")
+    if d < 1:
+        raise DomainError(f"d must be >= 1, got {d}")
     p = math.ceil(1.0 / delta) + 1
     if sampler is None:
         sampler = SphericalSampler.standard_gaussian(m)
@@ -438,7 +426,7 @@ def sample_grid_map(
             "injectivity is not guaranteed",
             stacklevel=2,
         )
-    grid = SmoothGridMap(blocks, delta, eps, seed=seed)
+    grid = SmoothGridMap(blocks, delta, eps)
     _check_knot_continuity(grid)
     return grid
 
@@ -537,17 +525,6 @@ class TwoPieceMap(MixingMap):
         )
         return J, np.zeros(len(S), dtype=bool)
 
-    def descriptor(self) -> dict:
-        return {
-            "family": "two_piece",
-            "d": self.d,
-            "m": self.m,
-            "k": self.k,
-            "c": self.c,
-            "eps": self.eps,
-            "linear": self.linear,
-        }
-
 
 def make_two_piece(
     J0: np.ndarray,
@@ -609,14 +586,6 @@ class Similarity:
         n = len(X)
         return np.broadcast_to(self.scale * self.Q, (n,) + self.Q.shape), np.zeros(n, dtype=bool)
 
-    def to_config(self):
-        return {
-            "primitive": "similarity",
-            "scale": self.scale,
-            "Q": self.Q.tolist(),
-            "shift": self.shift.tolist(),
-        }
-
 
 class Inversion:
     """Sphere inversion x -> x / ||x||^2; conformal factor 1 / ||x||^2,
@@ -648,9 +617,6 @@ class Inversion:
         J[near] = np.nan
         return J, near
 
-    def to_config(self):
-        return {"primitive": "inversion", "exclusion_radius": self.exclusion_radius}
-
 
 class ConformalMap(MixingMap):
     """Orthonormal embedding of a composition of conformal primitives;
@@ -658,7 +624,7 @@ class ConformalMap(MixingMap):
 
     domain = FULL_SPACE
 
-    def __init__(self, embed: np.ndarray, inner: tuple = (), seed: int | None = None):
+    def __init__(self, embed: np.ndarray, inner: tuple = ()):
         embed = np.asarray(embed, dtype=float)
         if embed.ndim != 2 or embed.shape[0] < embed.shape[1]:
             raise DimensionMismatchError("embedding must be a tall m x d matrix")
@@ -672,7 +638,6 @@ class ConformalMap(MixingMap):
             if dim != self.d:
                 raise DimensionMismatchError("inner primitives must act on R^d")
         self.inner = tuple(inner)
-        self.seed = seed
         # the primitives, then the embedding as a last linear stage
         self._chain = self.inner + (LinearMap(embed),)
 
@@ -690,15 +655,6 @@ class ConformalMap(MixingMap):
 
     def jacobian_batch(self, S):
         return chain_jacobian_batch(self._chain, self._check_points(S), self.m, self.d)
-
-    def descriptor(self) -> dict:
-        return {
-            "family": "conformal",
-            "d": self.d,
-            "m": self.m,
-            "inner": [stage.to_config() for stage in self.inner],
-            "seed": self.seed,
-        }
 
 
 def conformality_defect(cmap: ConformalMap, s) -> float:
@@ -724,6 +680,8 @@ def random_conformal_map(
     """A seeded conformal map: random orthonormal embedding composed with
     a random similarity, optionally followed by a sphere inversion whose
     pole is pushed ``shift_distance`` away from the origin."""
+    if not 1 <= d <= m:
+        raise DomainError(f"need 1 <= d <= m, got d={d}, m={m}")
     gen = generator(seed)
     embed, _ = np.linalg.qr(gen.standard_normal((m, d)))
     Q, _ = np.linalg.qr(gen.standard_normal((d, d)))
@@ -732,7 +690,7 @@ def random_conformal_map(
         shift = np.full(d, shift_distance / math.sqrt(d))
         stages.append(Similarity(1.0, np.eye(d), shift))
         stages.append(Inversion(exclusion_radius))
-    return ConformalMap(embed, tuple(stages), seed=seed)
+    return ConformalMap(embed, tuple(stages))
 
 
 # ---------------------------------------------------------------------------

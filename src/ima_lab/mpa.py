@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .distributions import FactorialDistribution, Gaussian, UnivariateLaw
+from .distributions import FactorialDistribution, UnivariateLaw
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -29,7 +29,6 @@ from .mixing import (
     MixingMap,
     chain_jacobian_batch,
 )
-from .schema import require_keys
 from .seeding import generator
 
 _CDF_CLAMP = 1e-15
@@ -169,9 +168,6 @@ class IndependentProduct:
     def sample(self, n: int, seed: int) -> np.ndarray:
         return FactorialDistribution(self.laws).sample(n, seed)
 
-    def to_config(self):
-        return {"density": "independent", "laws": [law.to_config() for law in self.laws]}
-
 
 @dataclass(frozen=True)
 class CorrelatedGaussian:
@@ -206,9 +202,6 @@ class CorrelatedGaussian:
         x1 = g[:, 0]
         x2 = self.rho * g[:, 0] + math.sqrt(1.0 - self.rho**2) * g[:, 1]
         return np.column_stack([x1, x2])
-
-    def to_config(self):
-        return {"density": "correlated_gaussian", "rho": self.rho, "half_width": self.half_width}
 
 
 @dataclass(frozen=True)
@@ -247,34 +240,6 @@ class RotatedFactorial:
     def sample(self, n: int, seed: int) -> np.ndarray:
         s = FactorialDistribution(self.laws).sample(n, seed)
         return s @ self.rotation.T
-
-    def to_config(self):
-        return {
-            "density": "rotated_factorial",
-            "laws": [law.to_config() for law in self.laws],
-            "rotation": np.asarray(self.rotation).tolist(),
-        }
-
-
-def density_spec_from_config(config: dict):
-    from .distributions import law_from_config
-
-    if not isinstance(config, dict) or "density" not in config:
-        raise ValidationError("density spec needs a 'density' key")
-    kind = config["density"]
-    if kind == "independent":
-        require_keys(config, {"density": True, "laws": True}, "density spec")
-        return IndependentProduct(tuple(law_from_config(c) for c in config["laws"]))
-    if kind == "correlated_gaussian":
-        require_keys(config, {"density": True, "rho": True, "half_width": False}, "density spec")
-        return CorrelatedGaussian(config["rho"], config.get("half_width", 8.0))
-    if kind == "rotated_factorial":
-        require_keys(config, {"density": True, "laws": True, "rotation": True}, "density spec")
-        return RotatedFactorial(
-            tuple(law_from_config(c) for c in config["laws"]),
-            np.asarray(config["rotation"], dtype=float),
-        )
-    raise ValidationError(f"unknown density kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

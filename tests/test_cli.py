@@ -4,12 +4,14 @@ import hashlib
 import io
 import json
 import os
+import re
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ima_lab import cli, schema
 from ima_lab.cli import SEED_ENV_VAR, build_parser, main, run, validate_run_config
 from ima_lab.errors import ValidationError
 
@@ -88,6 +90,41 @@ class TestConfigValidation:
         assert code == 2
         assert "Traceback" not in err
         assert json.loads(err)["type"] == "OutOfDomainError"
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("genericity", "trials", 0),
+        ("genericity", "trials", -1),
+        ("genericity", "n_mc", 0),
+        ("genericity", "m_list", []),
+        ("sweep", "m_list", []),
+        ("reparam", "configs", []),
+        ("reparam", "n_mc", 0),
+    ])
+    def test_empty_runs_are_exit_2(self, command, key, value):
+        config = copy.deepcopy(MALFORMED_BASES[command])
+        config["params"][key] = value
+        code, err = run_main(config, command)
+        assert code == 2
+        assert "Traceback" not in err
+        assert json.loads(err)["type"] == "DomainError"
+
+    def test_matrix_without_columns_is_exit_2(self):
+        code, err = run_main({"command": "contrast", "params": {"matrix": [[], []]}}, "contrast")
+        assert code == 2
+        assert "Traceback" not in err
+        assert json.loads(err)["type"] == "DomainError"
+
+    @pytest.mark.parametrize("output_dir", [5, None, "", ["out"]])
+    def test_output_dir_that_is_not_a_path_is_exit_2(self, output_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        config = dict(MALFORMED_BASES["contrast matrix"], output_dir=output_dir)
+        assert main(["contrast", "--config", write_config(tmp_path, "c.json", config)]) == 2
+        assert json.loads(capsys.readouterr().err)["type"] == "ValidationError"
+        assert os.listdir(tmp_path) == ["c.json"]
+
+    def test_absent_run_keys_take_their_defaults(self):
+        config = validate_run_config({"command": "sweep", "params": {}})
+        assert (config["master_seed"], config["threads"], config["output_dir"]) == (0, 1, ".")
 
     def test_command_mismatch(self, tmp_path):
         path = write_config(tmp_path, "sweep.json", SWEEP_CONFIG)
@@ -321,16 +358,16 @@ def run_main(config, command="reparam"):
     return code, err.getvalue()
 
 
-def mutate(data, config, junk=_JUNK):
-    """``config`` with one to three of its params replaced by ``junk``,
-    deleted, or joined by a bogus key."""
+def mutate(data, config, junk=_JUNK, top=()):
+    """``config`` with one to three of its params, or of its ``top`` keys,
+    replaced by ``junk``, deleted, or joined by a bogus key."""
     config = copy.deepcopy(config)
     for _ in range(data.draw(st.integers(1, 3))):
-        paths = list(_paths(config["params"]))
+        paths = [("params",) + p for p in _paths(config["params"])] + [(k,) for k in top if k in config]
         if not paths:
             break
         path = data.draw(st.sampled_from(paths))
-        parent = config["params"]
+        parent = config
         for key in path[:-1]:
             parent = parent[key]
         action = data.draw(st.sampled_from(["replace", "delete", "add"]))
@@ -397,3 +434,118 @@ class TestSweepSchema:
         code, err = run_main(mutate(data, self.BASE, st.one_of(st.integers(-2, 2), _JUNK)), "sweep")
         assert code in (0, 2, 3)
         assert "Traceback" not in err
+
+
+#: small valid configs of the other subcommands; their fuzz also mutates
+#: the top-level keys below
+SUBCOMMAND_BASES = {
+    "genericity": {
+        "command": "genericity",
+        "params": {"d": 2, "m_list": [6, 12], "delta_grid": 0.5, "eps": 0.05,
+                   "delta_contrast": 0.3, "trials": 3, "n_mc": 40},
+    },
+    "spurious": {
+        "command": "spurious",
+        "params": {"m": 3, "rotation_deg": 30, "darmois_resolution": 128, "n_mc": 50, "floor": 1e-3,
+                   "source": [{"kind": "laplace", "params": {"mu": 0.0, "b": 1.0}},
+                              {"kind": "gaussian", "params": {"mu": 0.5}}]},
+    },
+    "contrast map": {
+        "command": "contrast",
+        "params": {"map": {"family": "grid", "d": 2, "m": 8, "delta": 0.5, "eps": 0.05, "seed": 2,
+                           "radial": "unit"},
+                   "source": [_UNIFORM, _UNIFORM], "n_samples": 40},
+    },
+    "contrast matrix": {"command": "contrast", "params": {"matrix": [[1.0, 0.5], [0.0, 2.0]]}},
+}
+TOP_LEVEL_KEYS = ("master_seed", "threads", "output_dir", "command")
+
+
+class TestSubcommandSchemas:
+    @pytest.mark.parametrize("name", SUBCOMMAND_BASES)
+    def test_the_base_config_runs(self, name):
+        config = SUBCOMMAND_BASES[name]
+        assert run_main(config, config["command"]) == (0, "")
+
+    @pytest.mark.filterwarnings("ignore")  # small mutated maps warn about injectivity
+    @pytest.mark.parametrize("name", SUBCOMMAND_BASES)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_configs_exit_0_2_or_3_without_a_traceback(self, name, data):
+        base = dict(SUBCOMMAND_BASES[name], master_seed=5, threads=2, output_dir="out")
+        config = mutate(data, base, st.one_of(st.integers(-2, 2), _JUNK), top=TOP_LEVEL_KEYS)
+        code, err = run_main(config, base["command"])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+
+
+class TestSchemaRead:
+    TABLE = {
+        "n": (schema.integer, schema.REQUIRED),
+        "x": (schema.real, schema.OPTIONAL),
+        "k": (schema.integer, 7),
+    }
+
+    def test_absent_optional_keys_are_left_out_and_defaults_filled(self):
+        assert schema.read({"n": 2.0}, self.TABLE, "t") == {"n": 2, "k": 7}
+        assert schema.read({"n": 1, "x": 3, "k": 4}, self.TABLE, "t") == {"n": 1, "x": 3.0, "k": 4}
+
+    @pytest.mark.parametrize("obj, message", [
+        ([], "t must be an object"),
+        ({}, "missing required keys ['n'] in t"),
+        ({"n": 1, "y": 0}, "unknown keys ['y'] in t"),
+        ({"n": 1, "x": "a"}, "t 'x' must be a number"),
+    ])
+    def test_malformed_objects_raise_validation_errors(self, obj, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            schema.read(obj, self.TABLE, "t")
+
+    def test_choice_reads_the_table_its_key_names(self):
+        tables = {"a": {"x": (schema.real, schema.OPTIONAL)}, "b": {}}
+        assert schema.choice({"kind": "a", "x": 1}, "kind", tables, "t") == ("a", {"x": 1.0})
+        for obj in ({"kind": "c"}, {"x": 1}, {"kind": "b", "x": 1}, {"kind": ["a"]}):
+            with pytest.raises(ValidationError):
+                schema.choice(obj, "kind", tables, "t")
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def readme_cli_section() -> str:
+    with open(README) as fh:
+        text = fh.read()
+    return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("block", re.findall(r"```json\n(.*?)```", readme_cli_section(), re.S),
+                             ids=lambda block: json.loads(block)["command"])
+    def test_every_cli_example_runs(self, block, tmp_path):
+        config = dict(json.loads(block), output_dir=str(tmp_path))
+        validate_run_config(config)
+        assert run(config) == 0
+        assert (tmp_path / f"{config['command']}.csv").exists()
+
+    # README row label -> the table it documents
+    TABLES = {
+        "run config": cli._RUN_CONFIG,
+        "`contrast` params": cli._CONTRAST,
+        "`sweep` params": cli._SWEEP,
+        "`genericity` params": cli._GENERICITY,
+        "`spurious` params": cli._SPURIOUS,
+        "`reparam` params": cli._REPARAM,
+        "reparam config": cli._REPARAM_CONFIG,
+        **{f"`{family}` map": table for family, table in cli._MAP_FAMILIES.items()},
+    }
+
+    def test_the_key_list_matches_the_schema_tables(self):
+        rows = {}
+        for line in readme_cli_section().splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if line.startswith("| ") and cells[0] in self.TABLES:
+                rows[cells[0]] = [re.findall(r"`(\w+)` \(", cell) for cell in cells[1:]]
+        assert rows.keys() == self.TABLES.keys()
+        for label, (required, optional) in rows.items():
+            table = self.TABLES[label]
+            assert required == [k for k, (_, default) in table.items() if default is schema.REQUIRED]
+            assert optional == [k for k, (_, default) in table.items() if default is not schema.REQUIRED]

@@ -166,6 +166,11 @@ class TestContrastBatch:
         with pytest.raises(DomainError):
             local_contrast_batch(np.ones((k, m, d)))
 
+    @pytest.mark.parametrize("shape", [(2, 0), (3, 2, 0), (0, 0)])
+    def test_matrices_without_columns_raise(self, shape):
+        with pytest.raises(DomainError):
+            local_contrast_batch(np.ones(shape))
+
 
 class TestHadamardBound:
     def test_zero_eps_is_zero(self):

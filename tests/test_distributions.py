@@ -303,6 +303,20 @@ class TestSphericalSampler:
         with pytest.raises(RankDeficientError):
             sample_isotropic_matrix(9, 3, sampler, seed=[5, 6], max_attempts=3)
 
+    def test_no_attempt_is_a_domain_error_before_any_draw(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew columns")
+
+        monkeypatch.setattr(SphericalSampler, "sample_columns", no_draws)
+        for max_attempts in (0, -1):
+            with pytest.raises(DomainError, match="max_attempts"):
+                sample_isotropic_matrix(5, 2, seed=1, max_attempts=max_attempts)
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_no_columns_is_a_domain_error(self, d):
+        with pytest.raises(DomainError):
+            sample_isotropic_matrix(4, d, seed=0)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             sample_isotropic_matrix(10, 3, SphericalSampler.unit(8), seed=0)

@@ -347,6 +347,10 @@ class TestConcentrationSweep:
         with pytest.raises(DomainError):
             concentration_sweep(d=d, delta=0.2, m_list=[8], trials=10)
 
+    def test_no_ambient_dimension_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="m_list"):
+            concentration_sweep(d=2, delta=0.2, m_list=[], trials=10)
+
 
 class TestGenericity:
     def test_boundary_fraction_matches_analytic(self):
@@ -367,6 +371,17 @@ class TestGenericity:
         with pytest.raises(DomainError):
             genericity_experiment(d=2, m_list=[16], delta_grid=0.5, eps=0.0,
                                   delta_contrast=0.1, trials=5, n_mc=100, seed=15)
+
+    @pytest.mark.parametrize("bad", [{"trials": 0}, {"trials": -1}, {"n_mc": 0}, {"m_list": []}])
+    def test_empty_experiments_are_a_domain_error_before_any_map(self, bad, monkeypatch):
+        def no_maps(*args, **kwargs):
+            raise AssertionError("built a map")
+
+        monkeypatch.setattr(experiments, "sample_grid_map", no_maps)
+        kwargs = dict(d=2, m_list=[16], delta_grid=0.5, eps=0.01, delta_contrast=0.1,
+                      trials=5, n_mc=100, seed=15)
+        with pytest.raises(DomainError):
+            genericity_experiment(**{**kwargs, **bad})
 
     def test_boundary_statistics_zero_for_interior_sources(self):
         g = sample_grid_map(d=2, m=20, delta=0.5, eps=0.01, seed=16)

@@ -155,6 +155,11 @@ class TestGridMap:
         with pytest.raises(DomainError):
             sample_grid_map(d=2, m=20, delta=0.4, eps=0.1, seed=0)
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_no_columns_is_a_domain_error(self, d):
+        with pytest.raises(DomainError):
+            sample_grid_map(d=d, m=20, delta=0.5, eps=0.01, seed=0)
+
     def test_joint_independence_warning_when_m_small(self):
         with pytest.warns(UserWarning, match="injectivity"):
             sample_grid_map(d=2, m=4, delta=0.5, eps=0.01, seed=0)
@@ -338,6 +343,11 @@ class TestTwoPiece:
 
 
 class TestConformal:
+    @pytest.mark.parametrize("d, m", [(0, 3), (-1, 3), (2, 1), (1, 0), (2, -2)])
+    def test_dimensions_outside_one_to_m_are_a_domain_error(self, d, m):
+        with pytest.raises(DomainError):
+            random_conformal_map(d, m, seed=0)
+
     def test_similarity_map_defect_and_factor(self):
         cmap = random_conformal_map(2, 5, seed=1, scale=1.7)
         s = np.array([0.3, -0.8])
