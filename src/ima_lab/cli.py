@@ -262,9 +262,12 @@ def run(config: dict) -> int:
     command, output_dir = config["command"], config["output_dir"]
     started = time.time()
     table, runner = _RUNNERS[command]
-    rows = runner(schema.read(config["params"], table, f"{command} params"),
-                  config["master_seed"], config["threads"])
-    os.makedirs(output_dir, exist_ok=True)
+    args = schema.read(config["params"], table, f"{command} params")
+    try:
+        os.makedirs(output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output_dir {output_dir!r}: {exc}") from exc
+    rows = runner(args, config["master_seed"], config["threads"])
     rows_to_csv(os.path.join(output_dir, f"{command}.csv"), rows)
     manifest = {
         "command": command,

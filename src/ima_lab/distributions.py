@@ -1,10 +1,12 @@
 """Univariate laws, factorial source distributions, and spherically
 symmetric column samplers.
 
-Laws expose ``pdf``/``cdf``/``quantile``/``sample``; ``law_from_config``
-reads the CLI's JSON law objects and ``to_config`` writes them.  Closed forms
-are used wherever they exist; the beta-shaped law is backed by a
-quantile table built with trapezoid quadrature.
+Laws expose ``pdf``/``cdf``/``quantile_array``/``sample``; the scalar
+``quantile`` is a 0-d call of ``quantile_array`` (``Laplace`` alone keeps a
+scalar formula of its own).  ``law_from_config`` reads the CLI's JSON law
+objects and ``to_config`` writes them.  Every law has a closed-form
+quantile; the beta-shaped law is backed by a quantile table built with
+trapezoid quadrature.
 """
 
 from __future__ import annotations
@@ -25,13 +27,6 @@ from .errors import (
 )
 from .seeding import generator, substream
 
-_SQRT2 = math.sqrt(2.0)
-
-# Generic numeric quantile fallback: bracket mean +/- 40 scale units,
-# bisection to this tolerance with a hard iteration cap.
-_BISECT_TOL = 1e-13
-_BISECT_MAX_ITER = 200
-
 
 def _check_u(u: float) -> float:
     u = float(u)
@@ -41,8 +36,8 @@ def _check_u(u: float) -> float:
 
 
 class UnivariateLaw:
-    """Base class; subclasses fill in pdf/cdf and either a closed-form
-    quantile or rely on the bisection fallback."""
+    """Base class; subclasses fill in pdf/cdf and the closed-form
+    ``quantile_array``."""
 
     #: open support (lo, hi); infinities allowed
     support: tuple[float, float] = (-math.inf, math.inf)
@@ -54,37 +49,11 @@ class UnivariateLaw:
         raise NotImplementedError
 
     def quantile(self, u: float) -> float:
-        u = _check_u(u)
-        return self._bisect_quantile(u)
+        """The quantile at one level: a 0-d call of ``quantile_array``."""
+        return float(self.quantile_array(_check_u(u)))
 
-    def _bracket(self) -> tuple[float, float]:
-        lo, hi = self.support
-        center = getattr(self, "location", 0.0)
-        scale = getattr(self, "scale", 1.0)
-        lo = max(lo, center - 40.0 * scale)
-        hi = min(hi, center + 40.0 * scale)
-        return lo, hi
-
-    def _bisect_quantile(self, u: float) -> float:
-        """Bracketed bisection refined by Newton steps from the density."""
-        lo, hi = self._bracket()
-        x = 0.5 * (lo + hi)
-        for _ in range(_BISECT_MAX_ITER):
-            c = float(self.cdf(x))
-            if abs(c - u) <= _BISECT_TOL:
-                return x
-            if c < u:
-                lo = x
-            else:
-                hi = x
-            density = float(self.pdf(x))
-            step = (u - c) / density if density > 0.0 else 0.0
-            newton = x + step
-            # fall back to the midpoint whenever Newton leaves the bracket
-            x = newton if lo < newton < hi else 0.5 * (lo + hi)
-            if hi - lo <= _BISECT_TOL * max(1.0, abs(x)):
-                break
-        return x
+    def quantile_array(self, u: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n i.i.d. draws via inverse-CDF sampling, deterministic per seed."""
@@ -94,19 +63,8 @@ class UnivariateLaw:
         u = np.clip(u, 1e-16, 1.0 - 1e-16)
         return self.quantile_array(u)
 
-    def quantile_array(self, u: np.ndarray) -> np.ndarray:
-        return np.array([self.quantile(float(ui)) for ui in np.asarray(u).ravel()]).reshape(np.shape(u))
-
     def to_config(self) -> dict:
         raise NotImplementedError
-
-    @property
-    def location(self) -> float:
-        return 0.0
-
-    @property
-    def scale(self) -> float:
-        return 1.0
 
 
 @dataclass(frozen=True)
@@ -127,20 +85,8 @@ class Uniform(UnivariateLaw):
         x = np.asarray(x, dtype=float)
         return np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
 
-    def quantile(self, u: float) -> float:
-        u = _check_u(u)
-        return self.a + (self.b - self.a) * u
-
     def quantile_array(self, u):
         return self.a + (self.b - self.a) * np.asarray(u, dtype=float)
-
-    @property
-    def location(self):
-        return 0.5 * (self.a + self.b)
-
-    @property
-    def scale(self):
-        return self.b - self.a
 
     def to_config(self):
         return {"kind": "uniform", "params": {"a": self.a, "b": self.b}}
@@ -163,20 +109,8 @@ class Gaussian(UnivariateLaw):
         z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
         return special.ndtr(z)
 
-    def quantile(self, u: float) -> float:
-        u = _check_u(u)
-        return self.mu + self.sigma * float(special.ndtri(u))
-
     def quantile_array(self, u):
         return self.mu + self.sigma * special.ndtri(np.asarray(u, dtype=float))
-
-    @property
-    def location(self):
-        return self.mu
-
-    @property
-    def scale(self):
-        return self.sigma
 
     def to_config(self):
         return {"kind": "gaussian", "params": {"mu": self.mu, "sigma": self.sigma}}
@@ -215,14 +149,6 @@ class Laplace(UnivariateLaw):
         upper = self.mu - self.b * np.log(2.0 * (1.0 - u))
         return np.where(u < 0.5, lower, upper)
 
-    @property
-    def location(self):
-        return self.mu
-
-    @property
-    def scale(self):
-        return self.b
-
     def to_config(self):
         return {"kind": "laplace", "params": {"mu": self.mu, "b": self.b}}
 
@@ -251,20 +177,8 @@ class Chi(UnivariateLaw):
         x = np.asarray(x, dtype=float)
         return np.where(x > 0, special.gammainc(self.k / 2.0, x * x / 2.0), 0.0)
 
-    def quantile(self, u: float) -> float:
-        u = _check_u(u)
-        return math.sqrt(2.0 * float(special.gammaincinv(self.k / 2.0, u)))
-
     def quantile_array(self, u):
         return np.sqrt(2.0 * special.gammaincinv(self.k / 2.0, np.asarray(u, dtype=float)))
-
-    @property
-    def location(self):
-        return math.sqrt(self.k)
-
-    @property
-    def scale(self):
-        return 1.0
 
     def to_config(self):
         return {"kind": "chi", "params": {"k": self.k}}
@@ -315,20 +229,8 @@ class TabulatedBeta(UnivariateLaw):
         x = np.asarray(x, dtype=float)
         return np.interp(x, self._grid, self._cdf_table)
 
-    def quantile(self, u: float) -> float:
-        u = _check_u(u)
-        return float(np.interp(u, self._cdf_table, self._grid))
-
     def quantile_array(self, u):
         return np.interp(np.asarray(u, dtype=float), self._cdf_table, self._grid)
-
-    @property
-    def location(self):
-        return self.alpha / (self.alpha + self.beta)
-
-    @property
-    def scale(self):
-        return 1.0
 
     def to_config(self):
         return {"kind": "beta", "params": {"alpha": self.alpha, "beta": self.beta, "points": self.points}}
@@ -352,11 +254,12 @@ _LAW_CONFIG = {
 }
 
 
-def law_from_config(config: dict) -> UnivariateLaw:
-    """Build a law from a ``{"kind": ..., "params": {...}}`` object."""
-    fields = schema.read(config, _LAW_CONFIG, "law config")
+def law_from_config(config: dict, where: str = "law config") -> UnivariateLaw:
+    """Build a law from a ``{"kind": ..., "params": {...}}`` object; a
+    malformed one raises ValidationError naming ``where``."""
+    fields = schema.read(config, _LAW_CONFIG, where)
     cls, table = fields["kind"]
-    return cls(**schema.read(fields["params"], table, f"law kind {config['kind']!r} params"))
+    return cls(**schema.read(fields["params"], table, f"{where} {config['kind']!r} params"))
 
 
 @dataclass(frozen=True)
@@ -388,8 +291,10 @@ class FactorialDistribution:
 
     @staticmethod
     def from_config(configs, where: str = "source law list") -> "FactorialDistribution":
-        """The product of a JSON list of law objects; a schema reader."""
-        return FactorialDistribution(tuple(law_from_config(c) for c in schema.array(configs, where)))
+        """The product of a JSON list of law objects; a schema reader.  A
+        malformed law is named by its index, as in ``source law list[2]``."""
+        laws = schema.array(configs, where)
+        return FactorialDistribution(tuple(law_from_config(c, f"{where}[{i}]") for i, c in enumerate(laws)))
 
     @staticmethod
     def iid(law: UnivariateLaw, d: int) -> "FactorialDistribution":

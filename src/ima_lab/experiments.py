@@ -39,7 +39,7 @@ from .errors import (
     NonMonotoneError,
     ValidationError,
 )
-from .mixing import LinearMap, MixingMap, random_conformal_map, sample_grid_map
+from .mixing import LinearMap, MixingMap, check_grid, random_conformal_map, sample_grid_map
 from .mpa import (
     ComposedMap,
     RotatedGaussianMPA,
@@ -305,6 +305,7 @@ def genericity_experiment(
     m_list = sorted(m_list)
     if not eps > 0:
         raise DomainError("genericity experiment needs a smoothed map (eps > 0)")
+    check_grid(delta_grid, eps)
     if trials < 1 or n_mc < 1:
         raise DomainError(f"trials and n_mc must be >= 1, got {trials} and {n_mc}")
     if not m_list:
@@ -560,8 +561,7 @@ class InverseElementwiseStage:
 
     def __init__(self, transforms):
         self.transforms = tuple(transforms)
-        self.d_in = len(self.transforms)
-        self.d_out = len(self.transforms)
+        self.d = self.m = len(self.transforms)
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -570,8 +570,8 @@ class InverseElementwiseStage:
     def jacobian(self, x):
         pre = self.evaluate(x)
         derivs = np.stack([t.dforward(pre[..., i]) for i, t in enumerate(self.transforms)], axis=-1)
-        J = np.zeros(derivs.shape + (self.d_in,))
-        diag = np.arange(self.d_in)
+        J = np.zeros(derivs.shape + (self.d,))
+        diag = np.arange(self.d)
         J[..., diag, diag] = 1.0 / derivs
         return J
 

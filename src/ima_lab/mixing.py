@@ -11,18 +11,18 @@ Families:
 * conformal embeddings (orthonormal embedding composed with similarity
   and sphere-inversion primitives), which satisfy J^T J = lambda^2 I.
 
-Every family exposes ``evaluate``/``jacobian`` and their batched twins
-``evaluate_batch``/``jacobian_batch``; ``jacobian_fd`` provides the
+Every family defines the batch calls ``evaluate_batch``/``jacobian_batch``
+and nothing else per point: the single-point ``evaluate``/``jacobian`` of
+:class:`MixingMap` are a batch of one.  ``jacobian_fd`` provides the
 central-difference oracle used by the tests.
 
 Jacobian protocol: ``jacobian_batch(S)`` takes (n, d) points and returns
 ``(J, rejected)``, J of shape (n, m, d) and ``rejected`` a bool mask of
-the rows whose scalar ``jacobian`` would raise one of
-:data:`errors.REJECTABLE` (those rows of J are NaN).  Any other error is
-raised, as the scalar call would.  Every family computes the batch
-directly and its scalar ``jacobian`` is a batch of one; the spurious
-stages of :mod:`ima_lab.mpa` broadcast over leading axes instead, like
-``experiments.InverseElementwiseStage``.
+the rows where ``jacobian`` raises the map's ``_rejection``, one of
+:data:`errors.REJECTABLE` (those rows of J are NaN).  Any other error,
+such as a point outside the domain, is raised by both batch calls.  The
+spurious stages of :mod:`ima_lab.mpa` broadcast over leading axes
+instead, like ``experiments.InverseElementwiseStage``.
 """
 
 from __future__ import annotations
@@ -119,25 +119,27 @@ class MixingMap:
     analytic Jacobian.  Immutable after construction; evaluation is pure.
 
     A subclass defines the batch calls ``evaluate_batch``/``jacobian_batch``
-    (see the module docstring for the protocol) and their scalar twins."""
+    (see the module docstring for the protocol); a map whose batch can
+    reject a point declares the ``_rejection`` that ``jacobian`` raises
+    there."""
 
     d: int
     m: int
     domain: str = FULL_SPACE
-
-    @property
-    def d_in(self) -> int:
-        return self.d
-
-    @property
-    def d_out(self) -> int:
-        return self.m
+    #: (error class, message) that ``jacobian`` raises at a rejected point
+    _rejection: tuple[type[Exception], str] | None = None
 
     def evaluate(self, s: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """f(s) at one point: a batch of one of ``evaluate_batch``."""
+        return self.evaluate_batch(np.asarray(s, dtype=float)[None])[0]
 
     def jacobian(self, s: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """J(s) at one point: a batch of one of ``jacobian_batch``."""
+        J, rejected = self.jacobian_batch(np.asarray(s, dtype=float)[None])
+        if rejected[0]:
+            error, message = self._rejection
+            raise error(message)
+        return J[0]
 
     def evaluate_batch(self, S: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -153,20 +155,6 @@ class MixingMap:
         the SVD of its Jacobian, NaN on every row left to the SVD route.
         A map without such a route leaves them all."""
         return np.full(len(S), np.nan)
-
-    def _jacobian_of_one(self, s, rejection: Exception | None = None) -> np.ndarray:
-        """Jacobian at one point as a batch of one of ``jacobian_batch``;
-        raises ``rejection`` where the batch rejects the point."""
-        J, rejected = self.jacobian_batch(self._check_point(s)[None])
-        if rejected[0]:
-            raise rejection
-        return J[0]
-
-    def _check_point(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        if s.shape != (self.d,):
-            raise DimensionMismatchError(f"expected a point of shape ({self.d},), got {s.shape}")
-        return self._check_points(s[None])[0]
 
     def _check_points(self, S) -> np.ndarray:
         S = np.asarray(S, dtype=float)
@@ -201,17 +189,14 @@ class LinearMap(MixingMap):
                 raise DimensionMismatchError("offset shape must match output dimension")
             object.__setattr__(self, "offset", off)
 
-    def evaluate(self, s):
-        s = self._check_point(s)
-        out = self.J @ s
-        return out if self.offset is None else out + self.offset
-
-    def jacobian(self, s):
-        return self._jacobian_of_one(s)
+    # the base batch of one, held in the class's own namespace, where the
+    # benchmark's tracer (bench/tracing.py) patches LinearMap.jacobian by
+    # name; likewise on SmoothGridMap and ConformalMap
+    jacobian = MixingMap.jacobian
 
     def evaluate_batch(self, S):
-        # one matrix-vector product per row, bit for bit the scalar J @ s
-        out = (self.J @ np.asarray(S, dtype=float)[..., None])[..., 0]
+        # one matrix-vector product per row: a row does not depend on the batch
+        out = (self.J @ self._check_points(S)[..., None])[..., 0]
         return out if self.offset is None else out + self.offset
 
     def jacobian_batch(self, S):
@@ -222,6 +207,17 @@ class LinearMap(MixingMap):
 # ---------------------------------------------------------------------------
 # grid-wise piecewise-affine maps
 # ---------------------------------------------------------------------------
+
+def check_grid(delta: float, eps: float = 0.0) -> None:
+    """Refuse a grid width outside (0, 1] and a smoothing half-width that
+    is neither 0 nor inside (0, delta/4) with DomainError."""
+    if not 0.0 < delta <= 1.0:
+        raise DomainError(f"grid width delta must lie in (0, 1], got {delta}")
+    if eps < 0.0:
+        raise DomainError(f"eps must be non-negative, got {eps}")
+    if eps > 0.0 and not eps < delta / 4.0:
+        raise DomainError(f"smoothing requires eps < delta/4, got eps={eps}, delta={delta}")
+
 
 class SmoothGridMap(MixingMap):
     """Coordinate-separable piecewise-affine map on [0, 1]^d.
@@ -234,6 +230,8 @@ class SmoothGridMap(MixingMap):
     """
 
     domain = UNIT_CUBE
+    _rejection = (OnKnotError, "unsmoothed grid map has no Jacobian on a knot; "
+                               "use eps > 0 or move the point")
 
     def __init__(self, blocks: np.ndarray, delta: float, eps: float = 0.0):
         blocks = np.asarray(blocks, dtype=float)
@@ -241,17 +239,12 @@ class SmoothGridMap(MixingMap):
             raise DomainError("blocks must have shape (p, m, d)")
         if not np.all(np.isfinite(blocks)):
             raise NonFiniteError("blocks contain non-finite entries")
-        if not 0.0 < delta <= 1.0:
-            raise DomainError(f"grid width delta must lie in (0, 1], got {delta}")
+        check_grid(delta, eps)
         p_expected = math.ceil(1.0 / delta) + 1
         if blocks.shape[0] != p_expected:
             raise DomainError(
                 f"delta={delta} needs p={p_expected} blocks, got {blocks.shape[0]}"
             )
-        if eps < 0.0:
-            raise DomainError(f"eps must be non-negative, got {eps}")
-        if eps > 0.0 and not eps < delta / 4.0:
-            raise DomainError(f"smoothing requires eps < delta/4, got eps={eps}, delta={delta}")
         self.blocks = blocks
         self.p = blocks.shape[0]
         self.m = blocks.shape[1]
@@ -299,32 +292,17 @@ class SmoothGridMap(MixingMap):
         q[window] = _blend_coeff(x[window], self.eps)
         return q[..., :-1] - q[..., 1:]
 
-    def evaluate(self, s):
-        s = self._check_point(s)
-        return self.evaluate_batch(s[None, :])[0]
+    jacobian = MixingMap.jacobian  # held on the class, as on LinearMap
 
     def evaluate_batch(self, S):
-        S = np.asarray(S, dtype=float)
-        if S.ndim != 2 or S.shape[1] != self.d:
-            raise DimensionMismatchError(f"expected points of shape (n, {self.d})")
-        if self.eps > 0.0:
-            v = self._blend_values(S)  # (n, d, p)
-            # affine piece of cell t at coordinate s_k: blocks[t][:,k] (s_k - (t-1) delta) + prefix[t][:,k]
-            offsets = S[:, :, None] - np.arange(self.p) * self.delta  # (n, d, p)
-            slope_part = np.einsum("tmk,nkt,nkt->nm", self.blocks, offsets, v)
-            const_part = np.einsum("tmk,nkt->nm", self.prefix, v)
-            return slope_part + const_part
-        t = self._cells(S) - 1  # (n, d) block indices
-        idx_k = np.arange(self.d)
-        slopes = self.blocks[t, :, idx_k[None, :]]  # (n, d, m)
-        consts = self.prefix[t, :, idx_k[None, :]]  # (n, d, m)
-        local = S - t * self.delta
-        return np.einsum("ndm,nd->nm", slopes, local) + consts.sum(axis=1)
-
-    def jacobian(self, s):
-        return self._jacobian_of_one(s, OnKnotError(
-            "unsmoothed grid map has no Jacobian on a knot; use eps > 0 or move the point"
-        ))
+        S = self._check_points(S)
+        v = self._blend_values(S)  # (n, d, p)
+        # the affine piece of block t at coordinate s_k is
+        # blocks[t][:, k] (s_k - t delta) + prefix[t][:, k], weighted by v;
+        # one vector-matrix product per row, so a row does not depend on the batch
+        w = np.concatenate([(S[:, :, None] - np.arange(self.p) * self.delta) * v, v], axis=1)
+        pieces = np.concatenate([self.blocks, self.prefix], axis=2).transpose(2, 0, 1)
+        return (w.reshape(len(S), 1, 2 * self.d * self.p) @ pieces.reshape(-1, self.m))[:, 0]
 
     def jacobian_batch(self, S):
         S = self._check_points(S)
@@ -405,8 +383,7 @@ def sample_grid_map(
     independence (RankDeficientError on failure); otherwise a warning is
     emitted since injectivity is no longer guaranteed.
     """
-    if not 0.0 < delta <= 1.0:
-        raise DomainError(f"grid width delta must lie in (0, 1], got {delta}")
+    check_grid(delta, eps)
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
     p = math.ceil(1.0 / delta) + 1
@@ -453,6 +430,7 @@ class TwoPieceMap(MixingMap):
     difference has column rank one."""
 
     domain = FULL_SPACE
+    _rejection = (OnKnotError, "unsmoothed two-piece map has no Jacobian on the boundary")
 
     def __init__(self, J0: np.ndarray, J1: np.ndarray, k: int, c: float, eps: float = 0.0,
                  linear: bool = False):
@@ -482,33 +460,18 @@ class TwoPieceMap(MixingMap):
         s[self.k] = self.c
         return s
 
-    def evaluate(self, s):
-        s = self._check_point(s)
-        if self.eps == 0.0:
-            if s[self.k] <= self.c:
-                return self.J0 @ s
-            return self.J1 @ s + self.c1
-        shared = self.J0 @ s - self.J0[:, self.k] * s[self.k]
-        sk = s[self.k]
-        lo = self.J0[:, self.k] * sk
-        hi = self.J1[:, self.k] * (sk - self.c) + self.J0[:, self.k] * self.c
-        return shared + lo * smooth_step(self.c - sk, self.eps) + hi * smooth_step(sk - self.c, self.eps)
-
     def evaluate_batch(self, S):
         S = self._check_points(S)
         sk = S[:, self.k, None]
+        # one matrix-vector product per row, so a row does not depend on the batch
+        piece0 = (self.J0 @ S[:, :, None])[:, :, 0]
         if self.eps == 0.0:
-            return np.where(sk <= self.c, S @ self.J0.T, S @ self.J1.T + self.c1)
+            return np.where(sk <= self.c, piece0, (self.J1 @ S[:, :, None])[:, :, 0] + self.c1)
         col0 = self.J0[:, self.k]
-        shared = S @ self.J0.T - sk * col0
+        shared = piece0 - sk * col0
         lo = sk * col0
         hi = (sk - self.c) * self.J1[:, self.k] + col0 * self.c
         return shared + lo * smooth_step(self.c - sk, self.eps) + hi * smooth_step(sk - self.c, self.eps)
-
-    def jacobian(self, s):
-        return self._jacobian_of_one(s, OnKnotError(
-            "unsmoothed two-piece map has no Jacobian on the boundary"
-        ))
 
     def jacobian_batch(self, S):
         S = self._check_points(S)
@@ -623,6 +586,7 @@ class ConformalMap(MixingMap):
     the Jacobian satisfies J^T J = lambda(s)^2 I on the admissible domain."""
 
     domain = FULL_SPACE
+    _rejection = (NearPoleError, "point too close to an inversion pole")
 
     def __init__(self, embed: np.ndarray, inner: tuple = ()):
         embed = np.asarray(embed, dtype=float)
@@ -641,17 +605,13 @@ class ConformalMap(MixingMap):
         # the primitives, then the embedding as a last linear stage
         self._chain = self.inner + (LinearMap(embed),)
 
-    def evaluate(self, s):
-        return self.evaluate_batch(self._check_point(s)[None])[0]
+    jacobian = MixingMap.jacobian  # held on the class, as on LinearMap
 
     def evaluate_batch(self, S):
         X = self._check_points(S)
         for stage in self._chain:
             X = stage.evaluate_batch(X)
         return X
-
-    def jacobian(self, s):
-        return self._jacobian_of_one(s, NearPoleError("point too close to an inversion pole"))
 
     def jacobian_batch(self, S):
         return chain_jacobian_batch(self._chain, self._check_points(S), self.m, self.d)

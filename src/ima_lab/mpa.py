@@ -75,9 +75,7 @@ class RotatedGaussianMPA:
             raise ValidationError(f"rotation is not orthonormal (defect {defect:.3e})")
         self.source = source
         self.rotation = rotation
-        self.d = d
-        self.d_in = d
-        self.d_out = d
+        self.d = self.m = d
 
     def _forward(self, S) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """(Z, Z_rot, Y, clamps) at points S of shape (..., d): the
@@ -132,9 +130,9 @@ class RotatedGaussianMPA:
         if np.any(p_out <= 0.0):
             raise SupportError("output landed outside the support of a component law")
         phi = lambda t: np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-        d_in = p_in / phi(Z)
-        d_out = phi(Z_rot) / p_out
-        return self.rotation * (d_out[..., :, None] * d_in[..., None, :])
+        scale_in = p_in / phi(Z)
+        scale_out = phi(Z_rot) / p_out
+        return self.rotation * (scale_out[..., :, None] * scale_in[..., None, :])
 
     def jacobian_batch(self, S):
         return self.jacobian(S), np.zeros(len(S), dtype=bool)
@@ -258,8 +256,7 @@ class DarmoisMap:
     (..., 2) and (..., 2, 2).
     """
 
-    d_in = 2
-    d_out = 2
+    d = m = 2
 
     def __init__(self, spec, resolution: int = 512):
         if resolution < 128:
@@ -407,8 +404,7 @@ class DarmoisInverse:
     triangular inverse of the forward Jacobian at the preimage; both
     broadcast over leading axes."""
 
-    d_in = 2
-    d_out = 2
+    d = m = 2
 
     def __init__(self, dm: DarmoisMap):
         self.dm = dm
@@ -446,36 +442,25 @@ class DarmoisInverse:
 # composition
 # ---------------------------------------------------------------------------
 
-def _stage_dims(stage) -> tuple[int, int]:
-    if hasattr(stage, "d_in") and hasattr(stage, "d_out"):
-        return stage.d_in, stage.d_out
-    raise ValidationError(f"stage {stage!r} does not expose its dimensions")
-
-
 class ComposedMap(MixingMap):
     """Stage-wise composition; the Jacobian is the ordered chain-rule
-    product of stage Jacobians.  Each stage exposes ``d_in``/``d_out`` and
-    the scalar and batch ``evaluate``/``jacobian`` calls."""
+    product of stage Jacobians.  Each stage maps R^d to R^m, exposes ``d``
+    and ``m``, and has the batch calls and a single-point ``evaluate`` and
+    ``jacobian``.  ``evaluate`` is the base batch of one; ``jacobian``
+    chains the stages' own single-point calls instead."""
 
     def __init__(self, stages, domain: str = FULL_SPACE):
-        if not stages:
-            raise ValidationError("composition needs at least one stage")
-        dims = [_stage_dims(st) for st in stages]
-        for (here_in, here_out), (next_in, _) in zip(dims[:-1], dims[1:]):
-            if here_out != next_in:
-                raise DimensionMismatchError(
-                    f"stage output dim {here_out} does not match next input dim {next_in}"
-                )
         self.stages = tuple(stages)
-        self.d = dims[0][0]
-        self.m = dims[-1][1]
+        if not self.stages:
+            raise ValidationError("composition needs at least one stage")
+        for here, after in zip(self.stages, self.stages[1:]):
+            if here.m != after.d:
+                raise DimensionMismatchError(
+                    f"stage output dim {here.m} does not match next input dim {after.d}"
+                )
+        self.d = self.stages[0].d
+        self.m = self.stages[-1].m
         self.domain = domain
-
-    def evaluate(self, s):
-        x = np.asarray(s, dtype=float)
-        for stage in self.stages:
-            x = stage.evaluate(x)
-        return x
 
     def evaluate_batch(self, S):
         X = np.asarray(S, dtype=float)
@@ -484,7 +469,7 @@ class ComposedMap(MixingMap):
         return X
 
     def jacobian(self, s):
-        """Chain of the stages' scalar Jacobians: the per-point reference
+        """Chain of the stages' single-point Jacobians: the per-point reference
         for ``jacobian_batch``, and it raises the rejecting stage's own
         error, which the batch's mask cannot name."""
         x = np.asarray(s, dtype=float)

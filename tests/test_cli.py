@@ -122,6 +122,29 @@ class TestConfigValidation:
         assert json.loads(capsys.readouterr().err)["type"] == "ValidationError"
         assert os.listdir(tmp_path) == ["c.json"]
 
+    def test_uncreatable_output_dir_is_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran the sweep")
+
+        monkeypatch.setattr(cli, "concentration_sweep", no_work)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        in_config = write_config(tmp_path, "c.json", dict(SWEEP_CONFIG, output_dir=str(afile)))
+        below_a_file = write_config(tmp_path, "s.json", SWEEP_CONFIG)
+        for argv in (["sweep", "--config", in_config],
+                     ["sweep", "--config", below_a_file, "--output-dir", str(afile / "sub")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert json.loads(err)["type"] == "ValidationError"
+
+    def test_a_law_error_names_its_source_list_index(self):
+        config = copy.deepcopy(REPARAM_CONFIG)
+        config["params"]["configs"][2]["source"][1] = {"kind": "chi", "params": {"dof": 3}}
+        code, err = run_main(config, "reparam")
+        assert code == 2
+        assert "unknown keys ['dof'] in reparam config 2 'source'[1] 'chi' params" in err
+
     def test_absent_run_keys_take_their_defaults(self):
         config = validate_run_config({"command": "sweep", "params": {}})
         assert (config["master_seed"], config["threads"], config["output_dir"]) == (0, 1, ".")

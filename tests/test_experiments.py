@@ -251,7 +251,7 @@ SPURIOUS_PARAMS = {"m": 5, "rotation_deg": 30, "darmois_resolution": 512, "n_mc"
 def reference_jacobian_rows(stage, S):
     """Per-point ``jacobian_batch``: the stage's reference Jacobian at each
     row, rejected where it raises a REJECTABLE error."""
-    J = np.full((len(S), stage.d_out, stage.d_in), np.nan)
+    J = np.full((len(S), stage.m, stage.d), np.nan)
     rejected = np.zeros(len(S), dtype=bool)
     for i, s in enumerate(S):
         try:
@@ -262,7 +262,7 @@ def reference_jacobian_rows(stage, S):
 
 
 def reference_evaluate_rows(stage, S):
-    return np.array([reference_evaluate(stage, s) for s in S]).reshape(len(S), stage.d_out)
+    return np.array([reference_evaluate(stage, s) for s in S]).reshape(len(S), stage.m)
 
 
 def trial_by_trial_success(d, delta, m, mi, trials, seed):
@@ -372,14 +372,17 @@ class TestGenericity:
             genericity_experiment(d=2, m_list=[16], delta_grid=0.5, eps=0.0,
                                   delta_contrast=0.1, trials=5, n_mc=100, seed=15)
 
-    @pytest.mark.parametrize("bad", [{"trials": 0}, {"trials": -1}, {"n_mc": 0}, {"m_list": []}])
+    # the grid checks: delta_grid outside (0, 1], eps at or past delta_grid/4
+    @pytest.mark.parametrize("bad", [{"trials": 0}, {"trials": -1}, {"n_mc": 0}, {"m_list": []},
+                                     {"delta_grid": 0.0}, {"delta_grid": 1.5},
+                                     {"eps": 0.125}, {"eps": 0.3}])
     def test_empty_experiments_are_a_domain_error_before_any_map(self, bad, monkeypatch):
         def no_maps(*args, **kwargs):
             raise AssertionError("built a map")
 
         monkeypatch.setattr(experiments, "sample_grid_map", no_maps)
         kwargs = dict(d=2, m_list=[16], delta_grid=0.5, eps=0.01, delta_contrast=0.1,
-                      trials=5, n_mc=100, seed=15)
+                      trials=5, n_mc=100, seed=15, threads=2)
         with pytest.raises(DomainError):
             genericity_experiment(**{**kwargs, **bad})
 

@@ -23,11 +23,13 @@ from ima_lab.distributions import (
     Laplace,
     TabulatedBeta,
     Uniform,
+    UnivariateLaw,
 )
 from ima_lab.errors import (
     REJECTABLE,
     DomainError,
     NearPoleError,
+    NonFiniteError,
     OnKnotError,
     OutOfDomainError,
     OutOfTableError,
@@ -45,6 +47,7 @@ from ima_lab.mixing import (
     ConformalMap,
     Inversion,
     LinearMap,
+    MixingMap,
     Similarity,
     SmoothGridMap,
     TwoPieceMap,
@@ -246,7 +249,8 @@ def bits(a):
 
 def assert_batch_matches_reference(mapping, S):
     """Batch rows equal the per-point reference bit for bit, the mask marks
-    exactly the rejected points, and the scalar call agrees with both."""
+    exactly the rejected points, and the single-point ``jacobian`` and
+    ``evaluate`` equal the batch rows."""
     J, rejected = mapping.jacobian_batch(S)
     assert J.shape == (len(S), mapping.m, mapping.d)
     assert rejected.shape == (len(S),) and rejected.dtype == bool
@@ -262,6 +266,33 @@ def assert_batch_matches_reference(mapping, S):
         assert not rejected[i], f"row {i} should not be rejected"
         assert np.array_equal(bits(J[i]), bits(expected))
         assert np.array_equal(bits(mapping.jacobian(s)), bits(expected))
+    kept = np.flatnonzero(~rejected)
+    X = mapping.evaluate_batch(S[kept])
+    for row, i in enumerate(kept):
+        assert np.array_equal(bits(mapping.evaluate(S[i])), bits(X[row]))
+
+
+def _package_subclasses(base):
+    """Every subclass of ``base`` defined in the package, at any depth."""
+    found, todo = [], [base]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("ima_lab."):
+                found.append(cls)
+    return found
+
+
+def test_single_point_calls_are_the_base_batch_of_one():
+    """No map but ComposedMap has a single-point call of its own, and no
+    law but Laplace a scalar quantile of its own.  A class may still hold
+    the base function in its own namespace, where the benchmark traces it
+    by name."""
+    own = {(cls.__name__, name)
+           for base, names in ((MixingMap, ("evaluate", "jacobian")), (UnivariateLaw, ("quantile",)))
+           for cls in _package_subclasses(base) for name in names
+           if vars(cls).get(name, getattr(base, name)) is not getattr(base, name)}
+    assert own == {("ComposedMap", "jacobian"), ("Laplace", "quantile")}
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +333,30 @@ class TestFamilies:
         grid, S = case
         assert_batch_matches_reference(grid, S)
 
-    @pytest.mark.parametrize("eps", [0.0, 0.02])
+    @pytest.mark.parametrize("eps", [0.0, 0.01, 0.02])
     def test_grid_point_outside_the_cube_raises(self, eps):
         grid = SmoothGridMap(np.ones((3, 4, 2)), 0.5, eps)
-        S = np.array([[0.2, 0.3], [0.5, 1.2]])
-        with pytest.raises(OutOfDomainError):
-            grid.jacobian_batch(S)
-        with pytest.raises(OutOfDomainError):
-            grid.jacobian(S[1])
+        for S in ([[0.2, 0.3], [0.5, 1.2]], [[1.5, 0.2]]):
+            S = np.array(S)
+            for call in (grid.jacobian_batch, grid.evaluate_batch):
+                with pytest.raises(OutOfDomainError):
+                    call(S)
+            for call in (grid.jacobian, grid.evaluate):
+                with pytest.raises(OutOfDomainError):
+                    call(S[-1])
+
+    @pytest.mark.parametrize("mapping", [SmoothGridMap(np.ones((3, 4, 2)), 0.5, 0.0),
+                                         SmoothGridMap(np.ones((3, 4, 2)), 0.5, 0.02),
+                                         LinearMap(np.ones((3, 2)))], ids=["grid", "smoothed", "linear"])
+    def test_non_finite_points_raise(self, mapping):
+        S = np.array([[0.2, 0.3], [np.nan, 0.5], [0.1, np.inf]])
+        for call in (mapping.jacobian_batch, mapping.evaluate_batch):
+            with pytest.raises(NonFiniteError):
+                call(S)
+        for call in (mapping.jacobian, mapping.evaluate):
+            for s in S[1:]:
+                with pytest.raises(NonFiniteError):
+                    call(s)
 
     @settings(deadline=None, max_examples=100)
     @given(seed=st.integers(0, 2**32 - 1), eps=st.sampled_from([0.0, 0.05]),
@@ -624,7 +671,7 @@ class TestComposed:
 
     def test_only_surviving_rows_reach_later_stages(self):
         class Probe:
-            d_in = d_out = 2
+            d = m = 2
 
             def __init__(self):
                 self.seen = None
