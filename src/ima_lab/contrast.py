@@ -17,9 +17,11 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, RankDeficientError, ZeroColumnError
+from .errors import DomainError, NonFiniteError, NumericalError, RankDeficientError, ZeroColumnError
 
-#: relative singular-value threshold below which a Jacobian counts as rank deficient
+#: relative singular-value threshold at or below which a Jacobian counts as
+#: rank deficient (:func:`full_rank`); at most a tenth of sqrt(GRAM_RATIO_TOL),
+#: so a matrix the Gram route resolves passes the rank check too
 RANK_TOL = 1e-10
 
 #: eigenvalue ratio of J^T J (the squared singular-value ratio of J) at or
@@ -53,50 +55,49 @@ def _as_jacobian(J) -> np.ndarray:
     return J
 
 
-def local_contrast_batch(J, rank_tol: float = RANK_TOL) -> np.ndarray:
+def local_contrast_batch(J) -> np.ndarray:
     """Unclamped local IMA contrast of stacked Jacobians.
 
     ``J`` has shape (..., m, d) with m >= d >= 1; the result has shape (...).
-    Rows whose smallest singular value is at most ``rank_tol`` times the
-    largest come back as NaN so the caller can count rejections, the
-    convention of :func:`local_contrast_from_gram`.  Each value and each
-    rejection is bit for bit what the SVD of that one matrix gives.
+    Rows that fail the rank check (:func:`full_rank`) come back as NaN so
+    the caller can count rejections, the convention of
+    :func:`local_contrast_from_gram`.  Each value and each rejection is bit
+    for bit what the SVD of that one matrix gives.  A NaN or infinite entry
+    of the (computed) stack is a NumericalError.
     """
     J = np.asarray(J, dtype=float)
     if J.ndim < 2:
         raise DomainError(f"expected a stack of matrices (..., m, d), got shape {J.shape}")
     if not np.all(np.isfinite(J)):
-        raise NonFiniteError("matrix contains non-finite entries")
+        raise NumericalError("computed Jacobian contains non-finite entries")
     m, d = J.shape[-2:]
     if not 1 <= d <= m:
         raise DomainError(f"Jacobian must be tall or square with a column (m >= d >= 1), got {m}x{d}")
     sv = np.linalg.svd(J, compute_uv=False)
-    rank_ok = sv[..., -1] > rank_tol * sv[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         value = np.sum(np.log(np.linalg.norm(J, axis=-2)), axis=-1) - np.sum(np.log(sv), axis=-1)
-    return np.where(rank_ok, value, np.nan)
+    return np.where(full_rank(sv), value, np.nan)
 
 
-def local_contrast_unclamped(J, rank_tol: float = RANK_TOL) -> float:
+def local_contrast_unclamped(J) -> float:
     """Local IMA contrast of one m x d Jacobian before the zero clamp; may
     come back a hair negative from floating point.  A batch of one of
     :func:`local_contrast_batch` that raises RankDeficientError where the
-    batch gives NaN."""
-    value = float(local_contrast_batch(_as_jacobian(J)[None], rank_tol)[0])
+    batch gives NaN, and NonFiniteError on NaN/inf entries."""
+    value = float(local_contrast_batch(_as_jacobian(J)[None])[0])
     if math.isnan(value):
-        raise RankDeficientError(f"singular value ratio below rank_tol={rank_tol:.1e}")
+        raise RankDeficientError(f"singular value ratio at or below RANK_TOL={RANK_TOL:.1e}")
     return value
 
 
-def local_ima_contrast(J, rank_tol: float = RANK_TOL) -> float:
+def local_ima_contrast(J) -> float:
     """Local IMA contrast of a Jacobian matrix, in nats.
 
-    Raises RankDeficientError when the smallest singular value falls
-    below ``rank_tol`` times the largest, and NonFiniteError on NaN/inf
-    entries.  The result is clamped to 0 when floating point pushes it
-    within ``CLAMP_SLACK`` below zero.
+    Raises RankDeficientError where :func:`full_rank` fails, and
+    NonFiniteError on NaN/inf entries.  The result is clamped to 0 when
+    floating point pushes it within ``CLAMP_SLACK`` below zero.
     """
-    return clamp_contrast(local_contrast_unclamped(J, rank_tol))
+    return clamp_contrast(local_contrast_unclamped(J))
 
 
 def clamp_contrast(value: float) -> float:
@@ -132,6 +133,12 @@ def gram_resolved(eigvals: np.ndarray) -> np.ndarray:
     """Rows of stacked ascending Gram eigenvalues (..., d) that the Gram
     route resolves: eigenvalue ratio above :data:`GRAM_RATIO_TOL`."""
     return eigvals[..., 0] > GRAM_RATIO_TOL * eigvals[..., -1]
+
+
+def full_rank(sv: np.ndarray) -> np.ndarray:
+    """Rows of stacked descending singular values (..., d) that pass the
+    rank check: the smallest above :data:`RANK_TOL` times the largest."""
+    return sv[..., -1] > RANK_TOL * sv[..., 0]
 
 
 def hadamard_gap_upper_bound(d: int, eps: float) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special
 
 from . import schema
-from .contrast import GRAM_RATIO_TOL, RANK_TOL, gram_resolved
+from .contrast import full_rank, gram_resolved
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -256,10 +256,16 @@ _LAW_CONFIG = {
 
 def law_from_config(config: dict, where: str = "law config") -> UnivariateLaw:
     """Build a law from a ``{"kind": ..., "params": {...}}`` object; a
-    malformed one raises ValidationError naming ``where``."""
+    malformed one, or one its constructor refuses, raises ValidationError
+    naming ``where``."""
     fields = schema.read(config, _LAW_CONFIG, where)
     cls, table = fields["kind"]
-    return cls(**schema.read(fields["params"], table, f"{where} {config['kind']!r} params"))
+    where = f"{where} {config['kind']!r} params"
+    args = schema.read(fields["params"], table, where)
+    try:
+        return cls(**args)
+    except ValidationError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -359,26 +365,21 @@ def sample_isotropic_matrix(
     d: int,
     sampler: SphericalSampler | None = None,
     seed=0,
-    rank_tol: float = RANK_TOL,
-    max_attempts: int = 3,
 ) -> np.ndarray:
     """m x d matrix with i.i.d. spherically symmetric columns, verified to
-    have full column rank against the relative singular-value threshold.
+    have full column rank (:func:`contrast.full_rank`).
 
-    A failed rank check resamples with a derived sub-seed up to
-    ``max_attempts`` (at least 1) times before raising RankDeficientError.
-    A 1-d sequence of k seeds gives a (k, m, d) stack whose matrix j is bit
-    for bit the int-seed call with ``seed[j]``, resamples included.
+    A draw that fails the rank check is drawn again from a derived sub-seed,
+    up to 3 draws in all, before RankDeficientError is raised.  A 1-d
+    sequence of k seeds gives a (k, m, d) stack whose matrix j is bit for
+    bit the int-seed call with ``seed[j]``, resamples included.
 
-    The Gram route can only accept a draw.  While ``rank_tol`` is at most
-    a tenth of sqrt(GRAM_RATIO_TOL), an eigenvalue ratio of J^T J above
+    The Gram route can only accept a draw.  RANK_TOL is at most a tenth of
+    sqrt(GRAM_RATIO_TOL), so an eigenvalue ratio of J^T J above
     GRAM_RATIO_TOL puts the squared singular-value ratio (the two differ by
-    rounding of about d * 1e-16) a hundredfold above ``rank_tol**2``, so
-    the SVD would accept the draw too.  The SVD decides every other draw,
-    and every draw at a larger ``rank_tol``.
+    rounding of about d * 1e-16) a hundredfold above RANK_TOL**2, and the
+    SVD would accept the draw too.  The SVD decides every other draw.
     """
-    if max_attempts < 1:
-        raise DomainError(f"max_attempts must be >= 1, got {max_attempts}")
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
     if m < d:
@@ -392,24 +393,18 @@ def sample_isotropic_matrix(
     scalar = np.ndim(seed) == 0
     seeds = [seed] if scalar else list(seed)
     J = np.empty((len(seeds), m, d))
-    gram_route = rank_tol <= 0.1 * math.sqrt(GRAM_RATIO_TOL)
     failed = np.arange(len(seeds))
-    for attempt in range(max_attempts):
+    for attempt in range(3):
         Jf = sampler.sample_columns(
             d, [seeds[j] if attempt == 0 else substream(seeds[j], 0xA11E, attempt) for j in failed]
         )
         J[failed] = Jf
-        if gram_route:
-            ok = gram_resolved(np.linalg.eigvalsh(np.matrix_transpose(Jf) @ Jf))
-        else:
-            ok = np.zeros(len(failed), dtype=bool)
+        ok = gram_resolved(np.linalg.eigvalsh(np.matrix_transpose(Jf) @ Jf))
         if not ok.all():
-            sv = np.linalg.svd(Jf[~ok], compute_uv=False)
-            ok[~ok] = sv[:, -1] > rank_tol * sv[:, 0]
+            ok[~ok] = full_rank(np.linalg.svd(Jf[~ok], compute_uv=False))
         failed = failed[~ok]
         if not failed.size:
             return J[0] if scalar else J
     raise RankDeficientError(
-        f"sampled matrix failed the rank check {max_attempts} times "
-        f"(m={m}, d={d}, seed={seeds[failed[0]]})"
+        f"sampled matrix failed the rank check 3 times (m={m}, d={d}, seed={seeds[failed[0]]})"
     )

@@ -139,14 +139,15 @@ def estimate_global_contrast(
 
 def _score_at_points(mapping: MixingMap, points: np.ndarray) -> np.ndarray:
     """Unclamped local contrast at each point, NaN where rejected: one
-    ``jacobian_batch`` call and one SVD kernel call per chunk.  A point the
-    map rejects, or whose Jacobian fails the kernel's rank check, is
-    rejected."""
+    ``jacobian_batch`` call and one SVD kernel call per chunk, on the rows
+    of code 0.  A point the map rejects, or whose Jacobian fails the
+    kernel's rank check, is rejected."""
     chunk = _chunk_size(mapping.m, mapping.d)
     values = np.full(len(points), np.nan)
     for start in range(0, len(points), chunk):
-        J, rejected = mapping.jacobian_batch(points[start:start + chunk])
-        values[start:start + chunk][~rejected] = local_contrast_batch(J[~rejected])
+        J, code = mapping.jacobian_batch(points[start:start + chunk])
+        kept = code == 0
+        values[start:start + chunk][kept] = local_contrast_batch(J[kept])
     return values
 
 
@@ -578,7 +579,7 @@ class InverseElementwiseStage:
     evaluate_batch = evaluate
 
     def jacobian_batch(self, X):
-        return self.jacobian(X), np.zeros(len(X), dtype=bool)
+        return self.jacobian(X), np.zeros(len(X), dtype=np.int8)
 
 
 def permutation_matrix(perm) -> np.ndarray:

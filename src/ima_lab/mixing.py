@@ -17,12 +17,13 @@ and nothing else per point: the single-point ``evaluate``/``jacobian`` of
 central-difference oracle used by the tests.
 
 Jacobian protocol: ``jacobian_batch(S)`` takes (n, d) points and returns
-``(J, rejected)``, J of shape (n, m, d) and ``rejected`` a bool mask of
-the rows where ``jacobian`` raises the map's ``_rejection``, one of
-:data:`errors.REJECTABLE` (those rows of J are NaN).  Any other error,
-such as a point outside the domain, is raised by both batch calls.  The
-spurious stages of :mod:`ima_lab.mpa` broadcast over leading axes
-instead, like ``experiments.InverseElementwiseStage``.
+``(J, code)``, J of shape (n, m, d) and ``code`` an int8 array that is 0
+on a kept row and k on a row refused with ``errors.REJECTABLE[k - 1]``
+(those rows of J are NaN); ``jacobian`` raises that error at such a
+point.  Any other error, such as a point outside the domain, is raised by
+both batch calls.  The spurious stages of :mod:`ima_lab.mpa` broadcast
+their single-point calls over leading axes instead, like
+``experiments.InverseElementwiseStage``.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contrast import RANK_TOL, local_contrast_from_gram
+from .contrast import full_rank, local_contrast_from_gram
 from .errors import (
+    REJECTABLE,
     DimensionMismatchError,
     DomainError,
     NearPoleError,
@@ -43,6 +45,7 @@ from .errors import (
     OutOfDomainError,
     RankDeficientError,
     ValidationError,
+    reject_codes,
 )
 from .distributions import SphericalSampler
 from .seeding import generator, substream
@@ -94,14 +97,17 @@ def chain_jacobian_batch(stages, X: np.ndarray, m: int, d: int) -> tuple[np.ndar
     """``jacobian_batch`` of the composition of ``stages`` (applied first to
     last) at the rows of X, by the chain rule on stacked stage Jacobians.
     A row rejected by one stage is dropped from the later ones, and the
-    last stage is never evaluated."""
+    last stage is never evaluated.  A rejected row takes the code of the
+    stage that rejects it."""
     n = len(X)
     alive = np.arange(n)
+    code = np.zeros(n, dtype=np.int8)
     J = None
     for i, stage in enumerate(stages):
-        Js, rejected = stage.jacobian_batch(X)
-        if rejected.any():
-            keep = ~rejected
+        Js, stage_code = stage.jacobian_batch(X)
+        if stage_code.any():
+            keep = stage_code == 0
+            code[alive[~keep]] = stage_code[~keep]
             alive, X, Js = alive[keep], X[keep], Js[keep]
             J = None if J is None else J[keep]
         J = Js if J is None else Js @ J
@@ -109,9 +115,7 @@ def chain_jacobian_batch(stages, X: np.ndarray, m: int, d: int) -> tuple[np.ndar
             X = stage.evaluate_batch(X)
     out = np.full((n, m, d), np.nan)
     out[alive] = J
-    rejected = np.ones(n, dtype=bool)
-    rejected[alive] = False
-    return out, rejected
+    return out, code
 
 
 class MixingMap:
@@ -119,15 +123,13 @@ class MixingMap:
     analytic Jacobian.  Immutable after construction; evaluation is pure.
 
     A subclass defines the batch calls ``evaluate_batch``/``jacobian_batch``
-    (see the module docstring for the protocol); a map whose batch can
-    reject a point declares the ``_rejection`` that ``jacobian`` raises
-    there."""
+    (see the module docstring for the protocol); the single-point calls
+    are a batch of one, and ``jacobian`` raises the REJECTABLE error that
+    the batch's code names."""
 
     d: int
     m: int
     domain: str = FULL_SPACE
-    #: (error class, message) that ``jacobian`` raises at a rejected point
-    _rejection: tuple[type[Exception], str] | None = None
 
     def evaluate(self, s: np.ndarray) -> np.ndarray:
         """f(s) at one point: a batch of one of ``evaluate_batch``."""
@@ -135,10 +137,10 @@ class MixingMap:
 
     def jacobian(self, s: np.ndarray) -> np.ndarray:
         """J(s) at one point: a batch of one of ``jacobian_batch``."""
-        J, rejected = self.jacobian_batch(np.asarray(s, dtype=float)[None])
-        if rejected[0]:
-            error, message = self._rejection
-            raise error(message)
+        s = np.asarray(s, dtype=float)
+        J, code = self.jacobian_batch(s[None])
+        if code[0]:
+            raise REJECTABLE[code[0] - 1](f"{type(self).__name__} has no Jacobian at {s.tolist()}")
         return J[0]
 
     def evaluate_batch(self, S: np.ndarray) -> np.ndarray:
@@ -201,7 +203,7 @@ class LinearMap(MixingMap):
 
     def jacobian_batch(self, S):
         S = self._check_points(S)
-        return np.repeat(self.J[None], len(S), axis=0), np.zeros(len(S), dtype=bool)
+        return np.repeat(self.J[None], len(S), axis=0), np.zeros(len(S), dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +232,6 @@ class SmoothGridMap(MixingMap):
     """
 
     domain = UNIT_CUBE
-    _rejection = (OnKnotError, "unsmoothed grid map has no Jacobian on a knot; "
-                               "use eps > 0 or move the point")
 
     def __init__(self, blocks: np.ndarray, delta: float, eps: float = 0.0):
         blocks = np.asarray(blocks, dtype=float)
@@ -308,13 +308,13 @@ class SmoothGridMap(MixingMap):
         S = self._check_points(S)
         if self.eps > 0.0:
             w = self._jacobian_weights(S)  # (n, d, p)
-            return np.einsum("tmk,nkt->nmk", self.blocks, w), np.zeros(len(S), dtype=bool)
+            return np.einsum("tmk,nkt->nmk", self.blocks, w), np.zeros(len(S), dtype=np.int8)
         # eps = 0: column k is block t's column k for the cell t holding s_k
         rejected = np.any(np.abs(S[:, :, None] - self.knots) <= _KNOT_TOL, axis=(1, 2))
         t = self._cells(S) - 1  # (n, d)
         J = self.blocks[t, :, np.arange(self.d)].transpose(0, 2, 1)
         J[rejected] = np.nan
-        return J, rejected
+        return J, reject_codes(rejected, OnKnotError)
 
     def gram_batch(self, S: np.ndarray) -> np.ndarray:
         """Stacked Jacobian Grams J(s)^T J(s), shape (n, d, d), assembled
@@ -374,7 +374,6 @@ def sample_grid_map(
     sampler: SphericalSampler | None = None,
     eps: float = 0.0,
     seed: int = 0,
-    rank_tol: float = RANK_TOL,
 ) -> SmoothGridMap:
     """Draw a grid map: p = ceil(1/delta) + 1 blocks with i.i.d.
     spherically symmetric columns, deterministic per seed.
@@ -394,8 +393,7 @@ def sample_grid_map(
     blocks = sampler.sample_columns(d, [substream(seed, t) for t in range(p)])
     if m > p * d:
         stacked = blocks.transpose(1, 0, 2).reshape(m, p * d)
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        if sv[-1] <= rank_tol * sv[0]:
+        if not full_rank(np.linalg.svd(stacked, compute_uv=False)):
             raise RankDeficientError("stacked block columns are not jointly independent")
     else:
         warnings.warn(
@@ -430,7 +428,6 @@ class TwoPieceMap(MixingMap):
     difference has column rank one."""
 
     domain = FULL_SPACE
-    _rejection = (OnKnotError, "unsmoothed two-piece map has no Jacobian on the boundary")
 
     def __init__(self, J0: np.ndarray, J1: np.ndarray, k: int, c: float, eps: float = 0.0,
                  linear: bool = False):
@@ -480,13 +477,13 @@ class TwoPieceMap(MixingMap):
             rejected = (np.abs(sk - self.c) <= _KNOT_TOL) & (not self.linear)
             J = np.where((sk <= self.c)[:, None, None], self.J0, self.J1)
             J[rejected] = np.nan
-            return J, rejected
+            return J, reject_codes(rejected, OnKnotError)
         J = np.repeat(self.J0[None], len(S), axis=0)
         J[:, :, self.k] = (
             self.J0[:, self.k] * _blend_coeff(self.c - sk, self.eps)[:, None]
             + self.J1[:, self.k] * _blend_coeff(sk - self.c, self.eps)[:, None]
         )
-        return J, np.zeros(len(S), dtype=bool)
+        return J, np.zeros(len(S), dtype=np.int8)
 
 
 def make_two_piece(
@@ -495,7 +492,6 @@ def make_two_piece(
     new_col: np.ndarray,
     c: float,
     eps: float = 0.0,
-    rank_tol: float = RANK_TOL,
 ) -> TwoPieceMap:
     """Replace column k of J0 past the boundary {s_k = c}.
 
@@ -509,9 +505,7 @@ def make_two_piece(
         raise DimensionMismatchError("new_col must be an m-vector matching J0's rows")
     linear = bool(np.array_equal(new_col, J0[:, k]))
     if not linear:
-        stacked = np.column_stack([J0, new_col])
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        if sv[-1] <= rank_tol * sv[0]:
+        if not full_rank(np.linalg.svd(np.column_stack([J0, new_col]), compute_uv=False)):
             raise RankDeficientError("new column is linearly dependent on J0's columns")
     J1 = J0.copy()
     J1[:, k] = new_col
@@ -547,7 +541,7 @@ class Similarity:
 
     def jacobian_batch(self, X):
         n = len(X)
-        return np.broadcast_to(self.scale * self.Q, (n,) + self.Q.shape), np.zeros(n, dtype=bool)
+        return np.broadcast_to(self.scale * self.Q, (n,) + self.Q.shape), np.zeros(n, dtype=np.int8)
 
 
 class Inversion:
@@ -578,7 +572,7 @@ class Inversion:
             xhat = X / np.sqrt(r2)[:, None]
             J = (np.eye(X.shape[1]) - 2.0 * xhat[:, :, None] * xhat[:, None, :]) / r2[:, None, None]
         J[near] = np.nan
-        return J, near
+        return J, reject_codes(near, NearPoleError)
 
 
 class ConformalMap(MixingMap):
@@ -586,7 +580,6 @@ class ConformalMap(MixingMap):
     the Jacobian satisfies J^T J = lambda(s)^2 I on the admissible domain."""
 
     domain = FULL_SPACE
-    _rejection = (NearPoleError, "point too close to an inversion pole")
 
     def __init__(self, embed: np.ndarray, inner: tuple = ()):
         embed = np.asarray(embed, dtype=float)

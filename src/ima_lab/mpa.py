@@ -22,6 +22,7 @@ from .errors import (
     SupportError,
     TrivialRotationError,
     ValidationError,
+    reject_codes,
 )
 from .mixing import (
     FULL_SPACE,
@@ -135,7 +136,7 @@ class RotatedGaussianMPA:
         return self.rotation * (scale_out[..., :, None] * scale_in[..., None, :])
 
     def jacobian_batch(self, S):
-        return self.jacobian(S), np.zeros(len(S), dtype=bool)
+        return self.jacobian(S), np.zeros(len(S), dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -427,15 +428,16 @@ class DarmoisInverse:
         return inv
 
     def jacobian_batch(self, U):
-        """Rows whose preimage lies within one table cell of the edge are
-        rejected, as the scalar ``jacobian`` raises OutOfTableError there.
-        The preimages are computed once, for the mask and the Jacobian."""
+        """``(J, code)`` at the rows of U: a row whose preimage lies within
+        one table cell of the edge, where ``jacobian`` raises
+        OutOfTableError, is refused with that error's code.  The preimages
+        are computed once, for the codes and the Jacobian."""
         U = np.asarray(U, dtype=float)
         X = self.dm.inverse(U)
         rejected = ~self.dm._inside(X, self.dm.h1)
         J = np.full((len(U), 2, 2), np.nan)
         J[~rejected] = self.jacobian(U[~rejected], X[~rejected])
-        return J, rejected
+        return J, reject_codes(rejected, OutOfTableError)
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +447,10 @@ class DarmoisInverse:
 class ComposedMap(MixingMap):
     """Stage-wise composition; the Jacobian is the ordered chain-rule
     product of stage Jacobians.  Each stage maps R^d to R^m, exposes ``d``
-    and ``m``, and has the batch calls and a single-point ``evaluate`` and
-    ``jacobian``.  ``evaluate`` is the base batch of one; ``jacobian``
-    chains the stages' own single-point calls instead."""
+    and ``m``, and has the batch calls.  A row one stage rejects carries
+    that stage's code, so the single-point ``evaluate`` and ``jacobian``
+    are the base batch of one and ``jacobian`` raises the rejecting
+    stage's own error."""
 
     def __init__(self, stages, domain: str = FULL_SPACE):
         self.stages = tuple(stages)
@@ -468,17 +471,9 @@ class ComposedMap(MixingMap):
             X = stage.evaluate_batch(X)
         return X
 
-    def jacobian(self, s):
-        """Chain of the stages' single-point Jacobians: the per-point reference
-        for ``jacobian_batch``, and it raises the rejecting stage's own
-        error, which the batch's mask cannot name."""
-        x = np.asarray(s, dtype=float)
-        J = None
-        for stage in self.stages:
-            Js = stage.jacobian(x)
-            J = Js if J is None else Js @ J
-            x = stage.evaluate(x)
-        return J
+    # the base batch of one, held on the class for the benchmark's tracer,
+    # as on LinearMap
+    jacobian = MixingMap.jacobian
 
     def jacobian_batch(self, S):
         return chain_jacobian_batch(self.stages, np.asarray(S, dtype=float), self.m, self.d)

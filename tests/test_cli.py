@@ -5,6 +5,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -144,6 +146,12 @@ class TestConfigValidation:
         code, err = run_main(config, "reparam")
         assert code == 2
         assert "unknown keys ['dof'] in reparam config 2 'source'[1] 'chi' params" in err
+        config["params"]["configs"][2]["source"][1] = {"kind": "gaussian", "params": {"sigma": -1}}
+        code, err = run_main(config, "reparam")
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "validation", "type": "DomainError",
+            "message": "reparam config 2 'source'[1] 'gaussian' params: gaussian law requires sigma > 0"}
 
     def test_absent_run_keys_take_their_defaults(self):
         config = validate_run_config({"command": "sweep", "params": {}})
@@ -152,6 +160,25 @@ class TestConfigValidation:
     def test_command_mismatch(self, tmp_path):
         path = write_config(tmp_path, "sweep.json", SWEEP_CONFIG)
         assert main(["genericity", "--config", path]) == 2
+
+    def test_a_computed_non_finite_jacobian_is_exit_3(self, tmp_path):
+        """A transform of slope 1e-320 makes the reparametrized Jacobian
+        infinite: a numerical failure of a valid config.  It runs in a
+        child process, since numpy warns on the way."""
+        config = copy.deepcopy(REPARAM_CONFIG)
+        config["params"]["configs"] = config["params"]["configs"][1:2]
+        config["params"]["configs"][0]["transforms"][1] = {"kind": "affine", "a": 1e-320}
+        path = write_config(tmp_path, "reparam.json", config)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        child = subprocess.run(
+            [sys.executable, "-m", "ima_lab.cli", "reparam", "--config", path,
+             "--output-dir", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 3
+        assert json.loads(child.stderr.splitlines()[-1]) == {
+            "error": "numerical", "type": "NumericalError",
+            "message": "computed Jacobian contains non-finite entries"}
 
     def test_numerical_failure_is_exit_3(self, tmp_path, capsys):
         cfg = {

@@ -13,7 +13,13 @@ from ima_lab.contrast import (
     offdiag_coherence,
     theoretical_success_bound,
 )
-from ima_lab.errors import DomainError, NonFiniteError, RankDeficientError, ZeroColumnError
+from ima_lab.errors import (
+    DomainError,
+    NonFiniteError,
+    NumericalError,
+    RankDeficientError,
+    ZeroColumnError,
+)
 
 # oracle values computed in 40-digit precision (mpmath) from the closed forms
 SHEAR_CONTRAST = 0.34657359027997264  # log(sqrt(2)) for [[1,1],[0,1]]
@@ -156,8 +162,11 @@ class TestContrastBatch:
         d, m = shape
         J = conditioned_stack(k, m, d, -2.0, seed=where)
         J.reshape(-1)[where % J.size] = bad
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(NumericalError):
             local_contrast_batch(J)
+        # one user matrix is an input: a validation error
+        with pytest.raises(NonFiniteError):
+            local_contrast_unclamped(J[where % J.size // (m * d)])
 
     @settings(deadline=None)
     @given(d=st.integers(2, 4), data=st.data(), k=st.integers(1, 4))

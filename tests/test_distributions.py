@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -195,16 +196,17 @@ class ConditionedColumns:
         return out
 
 
-def svd_only_sample(m, d, sampler, seeds, rank_tol, max_attempts):
-    """The rank check by the SVD of every draw: the reference rule."""
+def svd_only_sample(m, d, sampler, seeds):
+    """The rank check by the SVD of every draw, 3 draws per seed at most:
+    the reference rule."""
     J = np.empty((len(seeds), m, d))
     failed = np.arange(len(seeds))
-    for attempt in range(max_attempts):
+    for attempt in range(3):
         J[failed] = sampler.sample_columns(
             d, [seeds[j] if attempt == 0 else substream(seeds[j], 0xA11E, attempt) for j in failed]
         )
         sv = np.linalg.svd(J[failed], compute_uv=False)
-        failed = failed[~(sv[:, -1] > rank_tol * sv[:, 0])]
+        failed = failed[~(sv[:, -1] > RANK_TOL * sv[:, 0])]
         if not failed.size:
             return J
     raise RankDeficientError(f"seed={seeds[failed[0]]}")
@@ -221,29 +223,38 @@ class TestGramRankCheck:
     """The Gram route may only accept a draw the SVD accepts, so the
     sampler returns the bits and asks for the seeds of the SVD-only rule."""
 
-    @pytest.mark.parametrize("rank_tol", [RANK_TOL, 1e-6, 1e-5, 1e-4, 1e-3])
+    def test_rank_tol_lets_the_gram_route_accept(self):
+        """An eigenvalue ratio above GRAM_RATIO_TOL must put the squared
+        singular-value ratio well above RANK_TOL**2."""
+        assert RANK_TOL <= 0.1 * math.sqrt(GRAM_RATIO_TOL)
+
+    @pytest.mark.parametrize("rank_tol", [RANK_TOL])
     def test_near_dependent_columns_follow_the_svd_rule(self, rank_tol):
-        m, d, max_attempts = 12, 3, 6
+        m, d = 12, 3
         offsets = [-1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3]
         ratios = [t * (1.0 + o) for t in (GRAM_RATIO_TOL, rank_tol**2) for o in offsets] + [1.0]
         seeds = [substream(77, i) for i in range(60)]
         fast, ref = ConditionedColumns(m, ratios), ConditionedColumns(m, ratios)
-        J, fast_failure = outcome(sample_isotropic_matrix, m, d, fast, seeds, rank_tol, max_attempts)
-        J_ref, ref_failure = outcome(svd_only_sample, m, d, ref, seeds, rank_tol, max_attempts)
+        kept = []
+        # a seed whose 3 draws all fail fails only its block of 10
+        for start in range(0, len(seeds), 10):
+            J, fast_failure = outcome(sample_isotropic_matrix, m, d, fast, seeds[start:start + 10])
+            J_ref, ref_failure = outcome(svd_only_sample, m, d, ref, seeds[start:start + 10])
+            assert fast_failure == ref_failure
+            if ref_failure is None:
+                assert np.array_equal(J, J_ref)
+                kept.append(J)
         assert fast.seeds == ref.seeds
-        assert fast_failure == ref_failure
         assert len(ref.seeds) > len(seeds)  # some draws were resampled
-        if ref_failure is None:
-            assert np.array_equal(J, J_ref)
-            if rank_tol == RANK_TOL:
-                # rows right at GRAM_RATIO_TOL were kept, on either route
-                eig = np.linalg.eigvalsh(np.matrix_transpose(J) @ J)
-                ratio = eig[:, 0] / eig[:, -1]
-                assert np.any(np.abs(ratio / GRAM_RATIO_TOL - 1.0) < 1e-5)
+        # rows right at GRAM_RATIO_TOL were kept, on either route
+        J = np.concatenate(kept)
+        eig = np.linalg.eigvalsh(np.matrix_transpose(J) @ J)
+        ratio = eig[:, 0] / eig[:, -1]
+        assert np.any(np.abs(ratio / GRAM_RATIO_TOL - 1.0) < 1e-5)
 
-    @pytest.mark.parametrize("rank_tol, svd_rows", [(RANK_TOL, 0), (1e-5, 0), (1.0001e-5, 200),
-                                                    (1e-4, 200), (2e-4, 200)])
+    @pytest.mark.parametrize("rank_tol, svd_rows", [(RANK_TOL, 0)])
     def test_svd_decides_every_draw_only_at_a_large_rank_tol(self, monkeypatch, rank_tol, svd_rows):
+        """Well-conditioned draws never reach the SVD at RANK_TOL."""
         svd = np.linalg.svd
         rows = []
 
@@ -253,11 +264,10 @@ class TestGramRankCheck:
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         seeds = [substream(5, i) for i in range(200)]
-        J = sample_isotropic_matrix(8, 3, SphericalSampler.standard_gaussian(8), seeds, rank_tol)
+        J = sample_isotropic_matrix(8, 3, SphericalSampler.standard_gaussian(8), seeds)
         assert sum(rows) == svd_rows
         monkeypatch.undo()
-        assert np.array_equal(J, svd_only_sample(8, 3, SphericalSampler.standard_gaussian(8),
-                                                 seeds, rank_tol, 3))
+        assert np.array_equal(J, svd_only_sample(8, 3, SphericalSampler.standard_gaussian(8), seeds))
 
 
 class TestSphericalSampler:
@@ -298,16 +308,7 @@ class TestSphericalSampler:
     def test_rank_failure_on_every_attempt_raises(self):
         sampler = SphericalSampler(9, ZeroFirstRadius(9, 3))
         with pytest.raises(RankDeficientError):
-            sample_isotropic_matrix(9, 3, sampler, seed=[5, 6], max_attempts=3)
-
-    def test_no_attempt_is_a_domain_error_before_any_draw(self, monkeypatch):
-        def no_draws(*args, **kwargs):
-            raise AssertionError("drew columns")
-
-        monkeypatch.setattr(SphericalSampler, "sample_columns", no_draws)
-        for max_attempts in (0, -1):
-            with pytest.raises(DomainError, match="max_attempts"):
-                sample_isotropic_matrix(5, 2, seed=1, max_attempts=max_attempts)
+            sample_isotropic_matrix(9, 3, sampler, seed=[5, 6])
 
     @pytest.mark.parametrize("d", [0, -1])
     def test_no_columns_is_a_domain_error(self, d):

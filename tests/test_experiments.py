@@ -29,6 +29,7 @@ from ima_lab.errors import (
     OutOfDomainError,
     RankDeficientError,
     TrivialRotationError,
+    reject_codes,
 )
 from ima_lab.experiments import (
     AffineTransform,
@@ -136,7 +137,7 @@ class KinkedMap(MixingMap):
         J[:, 2, 0] = S[:, 1]
         rejected = S[:, 0] == 0.5
         J[rejected] = np.nan
-        return J, rejected
+        return J, reject_codes(rejected, OnKnotError)
 
 
 def scalar_estimate(mapping, points):
@@ -250,15 +251,15 @@ SPURIOUS_PARAMS = {"m": 5, "rotation_deg": 30, "darmois_resolution": 512, "n_mc"
 
 def reference_jacobian_rows(stage, S):
     """Per-point ``jacobian_batch``: the stage's reference Jacobian at each
-    row, rejected where it raises a REJECTABLE error."""
+    row, and the code of the REJECTABLE error where it raises one."""
     J = np.full((len(S), stage.m, stage.d), np.nan)
-    rejected = np.zeros(len(S), dtype=bool)
+    code = np.zeros(len(S), dtype=np.int8)
     for i, s in enumerate(S):
         try:
             J[i] = reference_jacobian(stage, s)
-        except REJECTABLE:
-            rejected[i] = True
-    return J, rejected
+        except REJECTABLE as exc:
+            code[i] = REJECTABLE.index(type(exc)) + 1
+    return J, code
 
 
 def reference_evaluate_rows(stage, S):
