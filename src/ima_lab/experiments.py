@@ -5,7 +5,13 @@ reparametrization-invariance checks.
 
 Trials are independent tasks keyed by their index; each derives its own
 counter-mixed sub-seed, and results are reduced in index order, so the
-numerical output is identical for any worker-pool size.
+numerical output is identical for any worker-pool size.  The sweep and
+the genericity experiment score a chunk of trials per task, with chunk
+bounds set by :data:`CHUNK_BYTES` and the problem sizes alone: a sweep
+chunk is one stack of Jacobians, a genericity chunk one stacked grid
+draw (``mixing.sample_grid_maps``) and one routing pass and eigen-solve
+over the stacked draws (``mixing.grid_chunk_scores``), each trial's
+values then reduced on their own.
 """
 
 from __future__ import annotations
@@ -39,7 +45,14 @@ from .errors import (
     NonMonotoneError,
     ValidationError,
 )
-from .mixing import LinearMap, MixingMap, check_grid, random_conformal_map, sample_grid_map
+from .mixing import (
+    LinearMap,
+    MixingMap,
+    check_grid,
+    grid_chunk_scores,
+    random_conformal_map,
+    sample_grid_maps,
+)
 from .mpa import (
     ComposedMap,
     RotatedGaussianMPA,
@@ -55,16 +68,19 @@ from .seeding import substream
 #: largest tolerated fraction of rejected Monte Carlo draws
 MAX_REJECTION_FRACTION = 1e-3
 
-#: bytes of stacked m x d Jacobians scored per contrast-kernel call.  The
-#: stack and its temporaries stay resident while a chunk is scored, so
-#: peak memory grows with this budget (2 MiB raised the sweep's peak RSS
-#: by about 6 MiB, 256 KiB by under 1 MiB), while the per-call overhead
-#: it amortizes is already small at 256 KiB.
+#: bytes of stacked m x d Jacobians scored per contrast-kernel call, and
+#: of draws plus grid blocks per genericity chunk ((n_mc + p m) x d floats a
+#: trial).  The stack and its temporaries stay resident while a chunk is
+#: scored, so peak memory grows with this budget (2 MiB raised the sweep's
+#: peak RSS by about 6 MiB, 256 KiB by under 1 MiB; genericity chunks
+#: sized on the draws alone raised its peak RSS by 4 MiB), while the
+#: per-call overhead it amortizes is already small at 256 KiB.
 CHUNK_BYTES = 256 * 1024
 
 
 def _chunk_size(m: int, d: int) -> int:
-    """Number of m x d float64 matrices scored per kernel call."""
+    """Number of m x d float64 matrices (or trials of m x d floats) scored
+    per kernel call."""
     return max(1, CHUNK_BYTES // (8 * m * d))
 
 
@@ -153,11 +169,15 @@ def _score_at_points(mapping: MixingMap, points: np.ndarray) -> np.ndarray:
 
 def _score_draws(mapping: MixingMap, draws: np.ndarray) -> np.ndarray:
     """Unclamped local contrast at each draw, NaN where rejected, by the
-    map's ``fast_contrasts``.  The rows it leaves NaN (all of them for a map
-    without a fast route, the ill-conditioned ones on the Gram route) are
-    scored by the SVD of their Jacobian, so value and rejection follow the
-    SVD rule there."""
-    values = mapping.fast_contrasts(draws)
+    map's ``fast_contrasts`` and :func:`_svd_where_nan`."""
+    return _svd_where_nan(mapping, draws, mapping.fast_contrasts(draws))
+
+
+def _svd_where_nan(mapping: MixingMap, draws: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values``, fast-route contrasts at the draws, with the rows left NaN
+    (all of them for a map without a fast route, the ill-conditioned ones on
+    the Gram route) scored by the SVD of their Jacobian, so value and
+    rejection follow the SVD rule there."""
     redo = np.isnan(values)
     if redo.any():
         values[redo] = _score_at_points(mapping, draws[redo])
@@ -311,23 +331,35 @@ def genericity_experiment(
         raise DomainError(f"trials and n_mc must be >= 1, got {trials} and {n_mc}")
     if not m_list:
         raise DomainError("m_list must name at least one ambient dimension")
+    if m_list[0] < 1:  # before it sizes a chunk
+        raise DomainError(f"ambient dimension m must be >= 1, got {m_list[0]}")
     p_s = FactorialDistribution.iid(Uniform(0.0, 1.0), d)
+    p = math.ceil(1.0 / delta_grid) + 1
     rows = []
     for mi, m in enumerate(m_list):
+        # a trial holds (n_mc, d) draws and (p, m, d) blocks; chunk bounds
+        # depend on the sizes and trials only, never on threads
+        chunk = _chunk_size(n_mc + p * m, d)
 
-        def one_trial(i: int, m=m, mi=mi):
-            trial_seed = substream(seed, mi, i)
-            grid = sample_grid_map(d, m, delta_grid, eps=eps, seed=substream(trial_seed, 0))
-            draws = sample_factorial(p_s, n_mc, substream(trial_seed, 1))
-            values = _score_draws(grid, draws)
-            frac, bmean = boundary_statistics(grid.boundary_mask(draws), values)
-            return _estimate_from_values(values).mean <= delta_contrast, frac, bmean
+        def one_chunk(c: int, m=m, mi=mi, chunk=chunk) -> list:
+            trial_seeds = [substream(seed, mi, i) for i in range(c * chunk, min(trials, (c + 1) * chunk))]
+            grids = sample_grid_maps(d, m, delta_grid, [substream(s, 0) for s in trial_seeds], eps=eps)
+            draws = np.empty((len(trial_seeds), n_mc, d))
+            for j, s in enumerate(trial_seeds):
+                draws[j] = sample_factorial(p_s, n_mc, substream(s, 1))
+            values, boundary = grid_chunk_scores(grids, draws)
+            results = []
+            for grid, S, v, mask in zip(grids, draws, values, boundary):
+                v = _svd_where_nan(grid, S, v)
+                frac, bmean = boundary_statistics(mask, v)
+                results.append((_estimate_from_values(v).mean <= delta_contrast, frac, bmean))
+            return results
 
         # the warnings state is process-global, so it is swapped once here,
         # on the calling thread, and never from the pool's threads
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            results = run_indexed(trials, one_trial, threads)
+            results = [r for rs in run_indexed(-(-trials // chunk), one_chunk, threads) for r in rs]
         warned = False
         for w in caught:
             if "injectivity" in str(w.message):
@@ -573,7 +605,10 @@ class InverseElementwiseStage:
         derivs = np.stack([t.dforward(pre[..., i]) for i, t in enumerate(self.transforms)], axis=-1)
         J = np.zeros(derivs.shape + (self.d,))
         diag = np.arange(self.d)
-        J[..., diag, diag] = 1.0 / derivs
+        # a vanishing derivative gives an infinite entry, which the contrast
+        # kernel refuses as a NumericalError; numpy need not warn first
+        with np.errstate(divide="ignore", over="ignore"):
+            J[..., diag, diag] = 1.0 / derivs
         return J
 
     evaluate_batch = evaluate

@@ -110,7 +110,10 @@ def chain_jacobian_batch(stages, X: np.ndarray, m: int, d: int) -> tuple[np.ndar
             code[alive[~keep]] = stage_code[~keep]
             alive, X, Js = alive[keep], X[keep], Js[keep]
             J = None if J is None else J[keep]
-        J = Js if J is None else Js @ J
+        # a non-finite stage Jacobian makes NaN products, which the contrast
+        # kernel refuses as a NumericalError; numpy need not warn first
+        with np.errstate(invalid="ignore", over="ignore"):
+            J = Js if J is None else Js @ J
         if i + 1 < len(stages):
             X = stage.evaluate_batch(X)
     out = np.full((n, m, d), np.nan)
@@ -228,12 +231,14 @@ class SmoothGridMap(MixingMap):
     convention: cell t covers ((t-1) delta, t delta]); inside a cell the
     Jacobian column k is block t's column k.  ``eps > 0`` blends adjacent
     cells with the smooth step so the map is C^1; ``eps = 0`` keeps the
-    raw map, whose Jacobian is refused on knots.
+    raw map, whose Jacobian is refused on knots.  ``block_gram`` takes the
+    blocks' cross Grams as :func:`_block_grams` stacks them (the sampler
+    computes a chunk of maps at once); they are computed when None.
     """
 
     domain = UNIT_CUBE
 
-    def __init__(self, blocks: np.ndarray, delta: float, eps: float = 0.0):
+    def __init__(self, blocks: np.ndarray, delta: float, eps: float = 0.0, block_gram=None):
         blocks = np.asarray(blocks, dtype=float)
         if blocks.ndim != 3:
             raise DomainError("blocks must have shape (p, m, d)")
@@ -257,7 +262,7 @@ class SmoothGridMap(MixingMap):
         )
         # block-column cross Grams, (d, d, p, p); lets the Gram of the
         # Jacobian at any point be assembled from the blend weights alone
-        self._block_gram = np.einsum("tmi,umj->ijtu", blocks, blocks)
+        self._block_gram = _block_grams(blocks[None])[0] if block_gram is None else block_gram
         # cell edges 0, delta, ..., p delta, where the blend windows sit
         self._edges = np.arange(self.p + 1) * self.delta
 
@@ -327,44 +332,133 @@ class SmoothGridMap(MixingMap):
     def fast_contrasts(self, S):
         """Gram-route contrasts for eps > 0, bit for bit
         ``local_contrast_from_gram(gram_batch(S))``, NaN where that hands a
-        row to the SVD route.
+        row to the SVD route: the chunk of one of :func:`grid_chunk_scores`.
 
-        A row outside every window (-eps, eps] of an edge has one-hot
-        Jacobian weights, so its Gram is the gather
-        G_ij = _block_gram[i, j, t_i, t_j] of its cell t, and its contrast
-        is scored once per occupied cell.  Only the window rows go through
-        ``gram_batch``; one eigen-solve covers both stacks."""
+        Rows are routed by the nearest edge of each coordinate alone: eps <
+        delta/4 (:func:`check_grid`) puts every other edge more than delta/4
+        away, with x > eps below it and x <= -eps above, so none holds a
+        window (-eps, eps] and the nearest edge fixes the cell."""
         if self.eps == 0.0:
             return super().fast_contrasts(S)
-        S = self._check_points(S)
-        x = S[:, :, None] - self._edges  # (n, d, p+1), falling along the edges
-        above = x > self.eps
-        window = ~np.all(above | (x <= -self.eps), axis=(1, 2))
-        # outside every window each coordinate of a cube point sees a run of
-        # edges with x > eps, edge 0 at least, then edges with x <= -eps, edge
-        # p at least; its weight of 1 sits on block t = (length of the run) - 1
-        t = np.argmin(above, axis=2) - 1
-        rows = np.flatnonzero(~window)
-        if self.p ** self.d <= np.iinfo(np.intp).max:
-            key = t[rows] @ self.p ** np.arange(self.d)
-        else:  # no flat cell index fits: each row is its own cell
-            key = rows
-        keys, cell_of_row = np.unique(key, return_inverse=True)
-        member = np.empty(len(keys), dtype=np.intp)
-        member[cell_of_row] = rows  # one row of each occupied cell
-        occupied = t[member]  # (c, d)
-        k = np.arange(self.d)
-        cell_grams = self._block_gram[k[:, None], k, occupied[:, :, None], occupied[:, None, :]]
-        scored = local_contrast_from_gram(np.concatenate([cell_grams, self.gram_batch(S[window])]))
-        values = np.empty(len(S))
-        values[rows] = scored[cell_of_row]
-        values[window] = scored[len(keys):]
-        return values
+        return grid_chunk_scores([self], self._check_points(S)[None])[0][0]
 
     def boundary_mask(self, S: np.ndarray) -> np.ndarray:
-        """True for points with some coordinate within eps of a knot."""
-        S = np.asarray(S, dtype=float)
-        return np.any(np.abs(S[:, :, None] - self.knots) <= self.eps, axis=(1, 2))
+        """True for points with some coordinate within eps of a knot, by the
+        nearest-edge rule of :func:`grid_chunk_scores` (the chunk of one).
+
+        eps < delta/4 (:func:`check_grid`) puts every edge but the nearest
+        one more than delta/4 from the coordinate, so no other knot can be
+        within eps of it."""
+        return self._route(self._check_points(S))[2]
+
+    def _route(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nearest-edge routing of points (..., d) in the cube: (window, t,
+        boundary).  With k0 the edge nearest each coordinate and x0 = s -
+        edges[k0], the same subtraction as :meth:`_jacobian_weights` makes
+        there, a point is in a window where some -eps < x0 <= eps, coordinate
+        k is in cell t[k] = k0 - (x0 <= -eps) outside it, and the point is on
+        the boundary where some |x0| <= eps at a knot; the two tests differ
+        at x0 == -eps."""
+        k0 = np.rint(S / self.delta).astype(np.intp)
+        x0 = S - self._edges[k0]
+        boundary = np.any((np.abs(x0) <= self.eps) & (k0 < len(self.knots)), axis=-1)
+        window = np.any((-self.eps < x0) & (x0 <= self.eps), axis=-1)
+        k0 -= x0 <= -self.eps
+        return window, k0, boundary
+
+
+def _block_grams(blocks: np.ndarray) -> np.ndarray:
+    """Block-column cross Grams of stacked grid blocks, (T, p, m, d) ->
+    (T, d, d, p, p); each map's slice is bit for bit its own einsum."""
+    return np.einsum("stmi,sumj->sijtu", blocks, blocks)
+
+
+def grid_chunk_scores(grids, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram-route contrasts and boundary masks of smoothed grid maps on one
+    grid (delta, eps > 0, d), map j at the points S[j]: S is (T, n, d) and
+    both results are (T, n).  Row i of map j is bit for bit
+    ``local_contrast_from_gram(grids[j].gram_batch(S[j]))[i]`` and
+    ``grids[j].boundary_mask(S[j])[i]``.
+
+    One routing pass (``_route``) takes the edge nearest each coordinate
+    (see ``fast_contrasts``).  A row outside every window has one-hot
+    Jacobian weights on its cell t, so its Gram is the gather G_ij =
+    _block_gram[i, j, t_i, t_j] of its map, scored once per occupied (map,
+    cell).  Only the window rows go through ``gram_batch``, one call per
+    map; one eigen-solve covers the chunk.
+    """
+    grid = grids[0]
+    T, n, d = S.shape
+    if not grid.eps > 0.0 or T != len(grids) or any(
+            (g.delta, g.eps, g.d) != (grid.delta, grid.eps, d) for g in grids):
+        raise DomainError("a chunk needs one point set per smoothed grid map on one grid")
+    window, t, boundary = grid._route(grid._check_points(S.reshape(T * n, d)))
+    rows = np.flatnonzero(~window)
+    cells = grid.p ** d
+    if T * cells <= np.iinfo(np.intp).max:
+        key = rows // n * cells + t[rows] @ grid.p ** np.arange(d)
+    else:  # no flat (map, cell) index fits: each row is its own cell
+        key = rows
+    keys, cell_of_row = np.unique(key, return_inverse=True)
+    member = np.empty(len(keys), dtype=np.intp)
+    member[cell_of_row] = rows  # one row of each occupied cell
+    occupied = t[member]  # (c, d)
+    k = np.arange(d)
+    block_gram = np.stack([g._block_gram for g in grids])  # (T, d, d, p, p)
+    cell_grams = block_gram[
+        (member // n)[:, None, None], k[:, None], k, occupied[:, :, None], occupied[:, None, :]
+    ]
+    window = window.reshape(T, n)
+    window_grams = [g.gram_batch(s[w]) for g, s, w in zip(grids, S, window)]
+    scored = local_contrast_from_gram(np.concatenate([cell_grams, *window_grams]))
+    values = np.empty(T * n)
+    values[rows] = scored[cell_of_row]
+    values[window.ravel()] = scored[len(keys):]
+    return values.reshape(T, n), boundary.reshape(T, n)
+
+
+def sample_grid_maps(
+    d: int,
+    m: int,
+    delta: float,
+    seeds,
+    sampler: SphericalSampler | None = None,
+    eps: float = 0.0,
+) -> list[SmoothGridMap]:
+    """One grid map per seed, deterministic per seed, from one
+    ``sample_columns`` call, one stacked rank check and one block-Gram
+    einsum.  Each map has p = ceil(1/delta) + 1 blocks with i.i.d.
+    spherically symmetric columns.
+
+    When m > p*d the stacked block columns of each map are checked for
+    joint linear independence (RankDeficientError on failure); otherwise
+    one warning is emitted since injectivity is no longer guaranteed.
+    """
+    check_grid(delta, eps)
+    if d < 1:
+        raise DomainError(f"d must be >= 1, got {d}")
+    p = math.ceil(1.0 / delta) + 1
+    if sampler is None:
+        sampler = SphericalSampler.standard_gaussian(m)
+    if sampler.ambient_dim != m:
+        raise DimensionMismatchError(f"sampler ambient dimension {sampler.ambient_dim} != m={m}")
+    T = len(seeds)
+    blocks = sampler.sample_columns(d, [substream(s, t) for s in seeds for t in range(p)])
+    blocks = blocks.reshape(T, p, m, d)
+    if m > p * d:
+        stacked = blocks.transpose(0, 2, 1, 3).reshape(T, m, p * d)
+        if not np.all(full_rank(np.linalg.svd(stacked, compute_uv=False))):
+            raise RankDeficientError("stacked block columns are not jointly independent")
+    else:
+        warnings.warn(
+            f"m={m} <= p*d={p * d}: block columns cannot be jointly independent; "
+            "injectivity is not guaranteed",
+            stacklevel=2,
+        )
+    grams = _block_grams(blocks)
+    grids = [SmoothGridMap(b, delta, eps, block_gram=g) for b, g in zip(blocks, grams)]
+    _check_knot_continuity(blocks, np.stack([g.prefix for g in grids]), delta)
+    return grids
 
 
 def sample_grid_map(
@@ -375,47 +469,23 @@ def sample_grid_map(
     eps: float = 0.0,
     seed: int = 0,
 ) -> SmoothGridMap:
-    """Draw a grid map: p = ceil(1/delta) + 1 blocks with i.i.d.
-    spherically symmetric columns, deterministic per seed.
-
-    When m > p*d the stacked block columns are checked for joint linear
-    independence (RankDeficientError on failure); otherwise a warning is
-    emitted since injectivity is no longer guaranteed.
-    """
-    check_grid(delta, eps)
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    p = math.ceil(1.0 / delta) + 1
-    if sampler is None:
-        sampler = SphericalSampler.standard_gaussian(m)
-    if sampler.ambient_dim != m:
-        raise DimensionMismatchError(f"sampler ambient dimension {sampler.ambient_dim} != m={m}")
-    blocks = sampler.sample_columns(d, [substream(seed, t) for t in range(p)])
-    if m > p * d:
-        stacked = blocks.transpose(1, 0, 2).reshape(m, p * d)
-        if not full_rank(np.linalg.svd(stacked, compute_uv=False)):
-            raise RankDeficientError("stacked block columns are not jointly independent")
-    else:
-        warnings.warn(
-            f"m={m} <= p*d={p * d}: block columns cannot be jointly independent; "
-            "injectivity is not guaranteed",
-            stacklevel=2,
-        )
-    grid = SmoothGridMap(blocks, delta, eps)
-    _check_knot_continuity(grid)
-    return grid
+    """Draw a grid map, deterministic per seed: the batch of one of
+    :func:`sample_grid_maps`."""
+    return sample_grid_maps(d, m, delta, [seed], sampler, eps)[0]
 
 
-def _check_knot_continuity(grid: SmoothGridMap) -> None:
-    """Left/right evaluator limits of the unsmoothed map must agree at
-    interior knots (they do by construction of the prefix sums)."""
-    for t in range(1, grid.p):
-        knot = t * grid.delta
-        left = grid.blocks[t - 1] * grid.delta + grid.prefix[t - 1]
-        right = grid.blocks[t] * (knot - t * grid.delta) + grid.prefix[t]
-        gap = np.max(np.abs(left - right))
-        if gap > _KNOT_TOL:
-            raise ValidationError(f"evaluator discontinuous at knot {knot}: gap {gap:.3e}")
+def _check_knot_continuity(blocks: np.ndarray, prefix: np.ndarray, delta: float) -> None:
+    """Left/right evaluator limits of unsmoothed grid maps, stacked blocks
+    and prefix sums (T, p, m, d), must agree at interior knots (they do by
+    construction of the prefix sums)."""
+    t = np.arange(1, blocks.shape[1])
+    knot = t * delta
+    left = blocks[:, :-1] * delta + prefix[:, :-1]
+    right = blocks[:, 1:] * (knot - t * delta)[:, None, None] + prefix[:, 1:]
+    gap = np.max(np.abs(left - right), axis=(0, 2, 3), initial=0.0)
+    bad = np.flatnonzero(gap > _KNOT_TOL)
+    if bad.size:
+        raise ValidationError(f"evaluator discontinuous at knot {knot[bad[0]]}: gap {gap[bad[0]]:.3e}")
 
 
 # ---------------------------------------------------------------------------

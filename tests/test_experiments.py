@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ima_lab import experiments
+from ima_lab import experiments, mixing
 from ima_lab.contrast import (
     GRAM_RATIO_TOL,
     local_contrast_batch,
@@ -373,15 +373,20 @@ class TestGenericity:
             genericity_experiment(d=2, m_list=[16], delta_grid=0.5, eps=0.0,
                                   delta_contrast=0.1, trials=5, n_mc=100, seed=15)
 
-    # the grid checks: delta_grid outside (0, 1], eps at or past delta_grid/4
+    # the grid checks: delta_grid outside (0, 1], eps at or past delta_grid/4;
+    # an m below 1, refused before a chunk is sized from it
     @pytest.mark.parametrize("bad", [{"trials": 0}, {"trials": -1}, {"n_mc": 0}, {"m_list": []},
                                      {"delta_grid": 0.0}, {"delta_grid": 1.5},
-                                     {"eps": 0.125}, {"eps": 0.3}])
+                                     {"eps": 0.125}, {"eps": 0.3},
+                                     {"m_list": [0]}, {"m_list": [-100], "n_mc": 300}])
     def test_empty_experiments_are_a_domain_error_before_any_map(self, bad, monkeypatch):
         def no_maps(*args, **kwargs):
             raise AssertionError("built a map")
 
-        monkeypatch.setattr(experiments, "sample_grid_map", no_maps)
+        # the stacked sampler, by the name genericity calls and by the one
+        # sample_grid_map calls
+        monkeypatch.setattr(experiments, "sample_grid_maps", no_maps)
+        monkeypatch.setattr(mixing, "sample_grid_maps", no_maps)
         kwargs = dict(d=2, m_list=[16], delta_grid=0.5, eps=0.01, delta_contrast=0.1,
                       trials=5, n_mc=100, seed=15, threads=2)
         with pytest.raises(DomainError):
@@ -432,6 +437,16 @@ class TestGenericity:
     )
     def test_one_pass_equals_the_two_pass_reference(self, config, threads):
         kwargs = dict(config, delta_contrast=0.1, trials=12, n_mc=400, seed=42)
+        assert genericity_experiment(**kwargs, threads=threads) == two_pass_genericity(**kwargs)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_uneven_chunks_equal_the_two_pass_reference(self, threads, monkeypatch):
+        # a trial of m = 4, 16 and 64 holds 2 * (200 + 3 m) floats: the budget
+        # of 5 trials at m = 16 splits the 13 trials 5+5+3, 5+5+3 and 3+3+3+3+1
+        monkeypatch.setattr(experiments, "CHUNK_BYTES", 5 * 8 * 2 * (200 + 3 * 16))
+        assert [experiments._chunk_size(200 + 3 * m, 2) for m in (4, 16, 64)] == [5, 5, 3]
+        kwargs = dict(d=2, m_list=[4, 16, 64], delta_grid=0.5, eps=0.01, delta_contrast=0.1,
+                      trials=13, n_mc=200, seed=43)
         assert genericity_experiment(**kwargs, threads=threads) == two_pass_genericity(**kwargs)
 
 

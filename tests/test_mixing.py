@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -25,14 +26,17 @@ from ima_lab.mixing import (
     SmoothGridMap,
     _blend_coeff,
     conformality_defect,
+    grid_chunk_scores,
     injectivity_probe,
     jacobian_fd,
     make_two_piece,
     random_conformal_map,
     sample_grid_map,
+    sample_grid_maps,
     smooth_step,
     smooth_step_deriv,
 )
+from ima_lab.seeding import substream
 
 
 class TestSmoothStep:
@@ -174,6 +178,34 @@ class TestGridMap:
         b = sample_grid_map(d=2, m=16, delta=0.5, eps=0.01, seed=77)
         assert np.array_equal(a.blocks, b.blocks)
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        T=st.integers(1, 5),
+        d=st.integers(1, 3),
+        delta=st.sampled_from([1.0, 0.5, 0.3]),
+        extra=st.integers(-2, 6),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_stacked_sampler_equals_each_seed_bit_for_bit(self, T, d, delta, extra, seed):
+        p = math.ceil(1.0 / delta) + 1
+        m = max(d, p * d + extra)  # m <= p*d draws the injectivity warning
+        seeds = [substream(seed, i) for i in range(T)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            grids = sample_grid_maps(d, m, delta, seeds, eps=0.01 * delta)
+        assert ["injectivity" in str(w.message) for w in caught] == [True] * (m <= p * d)
+        for grid, s in zip(grids, seeds):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                one = sample_grid_map(d, m, delta, eps=0.01 * delta, seed=s)
+            # the per-map draw and einsum that the stacked ones replace
+            blocks = SphericalSampler.standard_gaussian(m).sample_columns(
+                d, [substream(s, t) for t in range(p)])
+            block_gram = np.einsum("tmi,umj->ijtu", blocks, blocks)
+            for got in (grid, one):
+                assert np.array_equal(got.blocks.view(np.int64), blocks.view(np.int64))
+                assert np.array_equal(got._block_gram.view(np.int64), block_gram.view(np.int64))
+
 
 @st.composite
 def grid_points(draw):
@@ -233,6 +265,28 @@ def cell_scoring_cases(draw):
     return grid, S
 
 
+@st.composite
+def grid_chunks(draw):
+    """1 to 4 maps of one grid with random blocks, each with its own points
+    on and around every window as in :func:`cell_scoring_cases`."""
+    d = draw(st.integers(1, 3))
+    delta = draw(st.sampled_from([1.0, 0.5, 0.3, 0.25]))
+    eps = draw(st.sampled_from([1 / 64, 1 / 128, 0.01]))
+    p = math.ceil(1.0 / delta) + 1
+    m = d + draw(st.integers(0, 5))
+    T = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = np.geomspace(1.0, 10.0 ** draw(st.sampled_from([0.0, -4.5, -6.0])), d)
+    grids = [SmoothGridMap(rng.standard_normal((p, m, d)) * spread, delta, eps) for _ in range(T)]
+    around = [e + s for e in grids[0]._edges for s in (0.0, -eps, eps)]
+    special = {c2 for c in around for c2 in (c, np.nextafter(c, -1.0), np.nextafter(c, 2.0))}
+    special = sorted({0.0, 1.0} | {float(c) for c in special if 0.0 <= c <= 1.0})
+    coord = st.one_of(st.floats(0.0, 1.0), st.sampled_from(special))
+    n = draw(st.integers(1, 20))
+    points = st.lists(st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n)
+    return grids, np.array([draw(points) for _ in range(T)])
+
+
 def _one_cell_grid():
     grid = SmoothGridMap(np.random.default_rng(0).standard_normal((3, 4, 1)), 0.5, 1 / 64)
     # x = -eps exactly at edge 0.5 (one-hot weights), and both sides of it by 1 ulp
@@ -261,6 +315,31 @@ class TestCellScoring:
         scored = experiments._score_draws(grid, S)
         assert np.array_equal(np.isnan(scored), np.isnan(reference))
         assert np.array_equal(scored.view(np.int64), reference.view(np.int64))
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=grid_chunks())
+    def test_chunk_scores_equal_each_map_bit_for_bit(self, case):
+        grids, S = case
+        values, boundary = grid_chunk_scores(grids, S)
+        for grid, points, v, mask in zip(grids, S, values, boundary):
+            reference = local_contrast_from_gram(grid.gram_batch(points))
+            assert np.array_equal(v.view(np.int64), reference.view(np.int64))
+            # the nearest-knot rule, |x| <= eps, holds at x == -eps too
+            nearest = np.abs(points[:, :, None] - grid.knots).min(axis=2)
+            assert np.array_equal(mask, np.any(nearest <= grid.eps, axis=1))
+            assert np.array_equal(grid.boundary_mask(points), mask)
+
+    def test_cells_past_a_flat_index_with_a_trial_axis_are_scored_per_row(self):
+        # 2**62 cells fit a flat int64 index, five maps of them do not: a
+        # key of map 4 would wrap onto the same cell's key of map 0
+        rng = np.random.default_rng(2)
+        grids = [SmoothGridMap(rng.standard_normal((2, 64, 62)), 1.0, 0.01) for _ in range(5)]
+        S = rng.random((5, 60, 62))
+        S[:, :5] = 0.25  # one cell in every map, and repeated within each
+        values, _ = grid_chunk_scores(grids, S)
+        for grid, points, v in zip(grids, S, values):
+            reference = local_contrast_from_gram(grid.gram_batch(points))
+            assert np.array_equal(v.view(np.int64), reference.view(np.int64))
 
     def test_cells_past_a_flat_index_are_scored_per_row(self):
         # 3**40 cells do not fit a flat int64 index
