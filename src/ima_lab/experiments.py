@@ -17,7 +17,6 @@ values then reduced on their own.
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -46,6 +45,7 @@ from .errors import (
     ValidationError,
 )
 from .mixing import (
+    UNIT_CUBE,
     LinearMap,
     MixingMap,
     check_grid,
@@ -233,6 +233,11 @@ def concentration_sweep(
         raise DomainError("delta must be positive")
     if not m_list:
         raise DomainError("m_list must name at least one ambient dimension")
+    # the bound column needs m >= 2 and kappa > 0, the contrast m >= d
+    if m_list[0] < max(2, d):
+        raise DomainError(f"ambient dimension m must be >= max(2, d={d}), got {m_list[0]}")
+    if not kappa > 0:
+        raise DomainError(f"kappa must be positive, got {kappa}")
     if sampler_factory is None:
         sampler_factory = SphericalSampler.standard_gaussian
     rows = []
@@ -331,8 +336,8 @@ def genericity_experiment(
         raise DomainError(f"trials and n_mc must be >= 1, got {trials} and {n_mc}")
     if not m_list:
         raise DomainError("m_list must name at least one ambient dimension")
-    if m_list[0] < 1:  # before it sizes a chunk
-        raise DomainError(f"ambient dimension m must be >= 1, got {m_list[0]}")
+    if m_list[0] < d:  # before it sizes a chunk or draws a map
+        raise DomainError(f"ambient dimension m must be >= d={d}, got {m_list[0]}")
     p_s = FactorialDistribution.iid(Uniform(0.0, 1.0), d)
     p = math.ceil(1.0 / delta_grid) + 1
     rows = []
@@ -355,17 +360,7 @@ def genericity_experiment(
                 results.append((_estimate_from_values(v).mean <= delta_contrast, frac, bmean))
             return results
 
-        # the warnings state is process-global, so it is swapped once here,
-        # on the calling thread, and never from the pool's threads
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            results = [r for rs in run_indexed(-(-trials // chunk), one_chunk, threads) for r in rs]
-        warned = False
-        for w in caught:
-            if "injectivity" in str(w.message):
-                warned = True
-            else:
-                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        results = [r for rs in run_indexed(-(-trials // chunk), one_chunk, threads) for r in rs]
         rows.append(
             GenericityRow(
                 m=m,
@@ -378,7 +373,7 @@ def genericity_experiment(
                 empirical_success=sum(r[0] for r in results) / trials,
                 boundary_fraction_mean=sum(r[1] for r in results) / trials,
                 boundary_contrast_mean=sum(r[2] for r in results) / trials,
-                construction_warning=warned,
+                construction_warning=m <= p * d,
             )
         )
     return rows
@@ -684,7 +679,7 @@ def reparam_invariance_check(
             f"source dimension {p_s.dim} and permutation length {len(perm)} must both be "
             f"the map input dimension {mapping.d}"
         )
-    probe = np.linspace(-0.9, 0.9, 33) if mapping.domain != "unit-cube" else np.linspace(0.01, 0.99, 33)
+    probe = np.linspace(-0.9, 0.9, 33) if mapping.domain != UNIT_CUBE else np.linspace(0.01, 0.99, 33)
     for t in transforms:
         _validate_monotone(t, probe)
     P = permutation_matrix(perm)

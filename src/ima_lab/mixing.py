@@ -271,37 +271,48 @@ class SmoothGridMap(MixingMap):
         """Multiples of delta inside [0, 1] (cell boundaries)."""
         return np.arange(0, math.floor(1.0 / self.delta + _KNOT_TOL) + 1) * self.delta
 
-    def _cells(self, coords: np.ndarray) -> np.ndarray:
-        t = np.ceil(coords / self.delta).astype(int)
-        return np.clip(t, 1, self.p)
+    def _route(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The edge nearest each coordinate of points (..., d) in the cube,
+        k0 = rint(s / delta), and the offset x0 = s - edges[k0]: the only
+        place a coordinate is located on the grid.  Past x0 > eps the
+        coordinate is in block k0, at or below -eps in block k0 - 1, and in
+        the window (-eps, eps] between it blends the two.
 
-    def _blend_values(self, coords: np.ndarray) -> np.ndarray:
-        """Evaluator blend weights, shape coords.shape + (p,)."""
-        x = coords[..., None] - self._edges  # ... x (p+1)
-        if self.eps > 0.0:
-            steps = smooth_step(x, self.eps)
-        else:
-            steps = (x > 0).astype(float)
-        return steps[..., :-1] - steps[..., 1:]
+        This is exact because eps < delta/4 (:func:`check_grid`): every other
+        edge is more than delta/4 away, with s - edge > eps below the
+        coordinate and <= -eps above it, so no other edge holds a window or
+        a knot within eps of the coordinate."""
+        k0 = np.rint(S / self.delta).astype(np.intp)
+        return k0, S - self._edges[k0]
 
-    def _jacobian_weights(self, coords: np.ndarray) -> np.ndarray:
-        """Jacobian blend weights (the q-coefficients), shape coords.shape + (p,).
+    def _in_window(self, x0: np.ndarray) -> np.ndarray:
+        return (-self.eps < x0) & (x0 <= self.eps)
 
-        Outside the window (-eps, eps] of an edge, q is step + x * 0.0,
-        which is exactly (x > eps); only the window entries pay for the
-        sine and cosine of :func:`_blend_coeff`."""
-        x = coords[..., None] - self._edges
-        above = x > self.eps
-        q = above.astype(float)
-        window = ~(above | (x <= -self.eps))
-        q[window] = _blend_coeff(x[window], self.eps)
-        return q[..., :-1] - q[..., 1:]
+    def _on_knot(self, k0: np.ndarray, x0: np.ndarray, tol: float) -> np.ndarray:
+        """Points, routed by :meth:`_route`, with a coordinate within tol of
+        a knot."""
+        return np.any((np.abs(x0) <= tol) & (k0 < len(self.knots)), axis=-1)
+
+    def _weights(self, k0: np.ndarray, x0: np.ndarray, ramp) -> np.ndarray:
+        """Blend weights of routed coordinates, shape x0.shape + (p,): q on
+        block k0 and 1 - q on block k0 - 1, where q is 1 past the window, 0
+        at or below it and ``ramp(x0, eps)`` inside it; one-hot at eps = 0.
+        ``ramp`` is :func:`smooth_step` for the evaluator and
+        :func:`_blend_coeff` for the Jacobian."""
+        q = (x0 > self.eps).astype(float)
+        window = self._in_window(x0)
+        if window.any():  # never at eps = 0, where the ramps are undefined
+            q[window] = ramp(x0[window], self.eps)
+        q = q[..., None]
+        # built whole: a strided slice of a wider array doubles the einsum's time
+        j = np.arange(self.p) - k0[..., None]
+        return np.where(j == 0, q, np.where(j == -1, 1.0 - q, 0.0))
 
     jacobian = MixingMap.jacobian  # held on the class, as on LinearMap
 
     def evaluate_batch(self, S):
         S = self._check_points(S)
-        v = self._blend_values(S)  # (n, d, p)
+        v = self._weights(*self._route(S), smooth_step)  # (n, d, p)
         # the affine piece of block t at coordinate s_k is
         # blocks[t][:, k] (s_k - t delta) + prefix[t][:, k], weighted by v;
         # one vector-matrix product per row, so a row does not depend on the batch
@@ -310,14 +321,12 @@ class SmoothGridMap(MixingMap):
         return (w.reshape(len(S), 1, 2 * self.d * self.p) @ pieces.reshape(-1, self.m))[:, 0]
 
     def jacobian_batch(self, S):
-        S = self._check_points(S)
+        k0, x0 = self._route(self._check_points(S))
+        J = np.einsum("tmk,nkt->nmk", self.blocks, self._weights(k0, x0, _blend_coeff))
         if self.eps > 0.0:
-            w = self._jacobian_weights(S)  # (n, d, p)
-            return np.einsum("tmk,nkt->nmk", self.blocks, w), np.zeros(len(S), dtype=np.int8)
-        # eps = 0: column k is block t's column k for the cell t holding s_k
-        rejected = np.any(np.abs(S[:, :, None] - self.knots) <= _KNOT_TOL, axis=(1, 2))
-        t = self._cells(S) - 1  # (n, d)
-        J = self.blocks[t, :, np.arange(self.d)].transpose(0, 2, 1)
+            return J, np.zeros(len(J), dtype=np.int8)
+        # the raw map's weights are one-hot on the cell; it has no Jacobian on a knot
+        rejected = self._on_knot(k0, x0, _KNOT_TOL)
         J[rejected] = np.nan
         return J, reject_codes(rejected, OnKnotError)
 
@@ -325,46 +334,20 @@ class SmoothGridMap(MixingMap):
         """Stacked Jacobian Grams J(s)^T J(s), shape (n, d, d), assembled
         from blend weights and the precomputed block-column Grams (cost
         independent of m per point)."""
-        S = np.asarray(S, dtype=float)
-        w = self._jacobian_weights(S)  # (n, d, p)
+        w = self._weights(*self._route(self._check_points(S)), _blend_coeff)  # (n, d, p)
         return np.einsum("nit,ijtu,nju->nij", w, self._block_gram, w)
 
     def fast_contrasts(self, S):
         """Gram-route contrasts for eps > 0, bit for bit
         ``local_contrast_from_gram(gram_batch(S))``, NaN where that hands a
-        row to the SVD route: the chunk of one of :func:`grid_chunk_scores`.
-
-        Rows are routed by the nearest edge of each coordinate alone: eps <
-        delta/4 (:func:`check_grid`) puts every other edge more than delta/4
-        away, with x > eps below it and x <= -eps above, so none holds a
-        window (-eps, eps] and the nearest edge fixes the cell."""
+        row to the SVD route: the chunk of one of :func:`grid_chunk_scores`."""
         if self.eps == 0.0:
             return super().fast_contrasts(S)
         return grid_chunk_scores([self], self._check_points(S)[None])[0][0]
 
     def boundary_mask(self, S: np.ndarray) -> np.ndarray:
-        """True for points with some coordinate within eps of a knot, by the
-        nearest-edge rule of :func:`grid_chunk_scores` (the chunk of one).
-
-        eps < delta/4 (:func:`check_grid`) puts every edge but the nearest
-        one more than delta/4 from the coordinate, so no other knot can be
-        within eps of it."""
-        return self._route(self._check_points(S))[2]
-
-    def _route(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nearest-edge routing of points (..., d) in the cube: (window, t,
-        boundary).  With k0 the edge nearest each coordinate and x0 = s -
-        edges[k0], the same subtraction as :meth:`_jacobian_weights` makes
-        there, a point is in a window where some -eps < x0 <= eps, coordinate
-        k is in cell t[k] = k0 - (x0 <= -eps) outside it, and the point is on
-        the boundary where some |x0| <= eps at a knot; the two tests differ
-        at x0 == -eps."""
-        k0 = np.rint(S / self.delta).astype(np.intp)
-        x0 = S - self._edges[k0]
-        boundary = np.any((np.abs(x0) <= self.eps) & (k0 < len(self.knots)), axis=-1)
-        window = np.any((-self.eps < x0) & (x0 <= self.eps), axis=-1)
-        k0 -= x0 <= -self.eps
-        return window, k0, boundary
+        """True for points with some coordinate within eps of a knot."""
+        return self._on_knot(*self._route(self._check_points(S)), self.eps)
 
 
 def _block_grams(blocks: np.ndarray) -> np.ndarray:
@@ -380,19 +363,23 @@ def grid_chunk_scores(grids, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``local_contrast_from_gram(grids[j].gram_batch(S[j]))[i]`` and
     ``grids[j].boundary_mask(S[j])[i]``.
 
-    One routing pass (``_route``) takes the edge nearest each coordinate
-    (see ``fast_contrasts``).  A row outside every window has one-hot
-    Jacobian weights on its cell t, so its Gram is the gather G_ij =
-    _block_gram[i, j, t_i, t_j] of its map, scored once per occupied (map,
-    cell).  Only the window rows go through ``gram_batch``, one call per
-    map; one eigen-solve covers the chunk.
+    One routing pass (``SmoothGridMap._route``) locates every coordinate.
+    A row outside every window has one-hot Jacobian weights on its cell t,
+    so its Gram is the gather G_ij = _block_gram[i, j, t_i, t_j] of its
+    map, scored once per occupied (map, cell).  Only the window rows go
+    through ``gram_batch``, one call per map; one eigen-solve covers the
+    chunk.
     """
     grid = grids[0]
     T, n, d = S.shape
     if not grid.eps > 0.0 or T != len(grids) or any(
             (g.delta, g.eps, g.d) != (grid.delta, grid.eps, d) for g in grids):
         raise DomainError("a chunk needs one point set per smoothed grid map on one grid")
-    window, t, boundary = grid._route(grid._check_points(S.reshape(T * n, d)))
+    k0, x0 = grid._route(grid._check_points(S.reshape(T * n, d)))
+    window = np.any(grid._in_window(x0), axis=-1)
+    boundary = grid._on_knot(k0, x0, grid.eps)
+    t = k0 - (x0 <= -grid.eps)
+    del k0, x0  # not held through the gather and the eigen-solve (peak memory)
     rows = np.flatnonzero(~window)
     cells = grid.p ** d
     if T * cells <= np.iinfo(np.intp).max:
@@ -432,7 +419,7 @@ def sample_grid_maps(
 
     When m > p*d the stacked block columns of each map are checked for
     joint linear independence (RankDeficientError on failure); otherwise
-    one warning is emitted since injectivity is no longer guaranteed.
+    injectivity is not guaranteed, which :func:`sample_grid_map` warns of.
     """
     check_grid(delta, eps)
     if d < 1:
@@ -449,12 +436,6 @@ def sample_grid_maps(
         stacked = blocks.transpose(0, 2, 1, 3).reshape(T, m, p * d)
         if not np.all(full_rank(np.linalg.svd(stacked, compute_uv=False))):
             raise RankDeficientError("stacked block columns are not jointly independent")
-    else:
-        warnings.warn(
-            f"m={m} <= p*d={p * d}: block columns cannot be jointly independent; "
-            "injectivity is not guaranteed",
-            stacklevel=2,
-        )
     grams = _block_grams(blocks)
     grids = [SmoothGridMap(b, delta, eps, block_gram=g) for b, g in zip(blocks, grams)]
     _check_knot_continuity(blocks, np.stack([g.prefix for g in grids]), delta)
@@ -470,8 +451,15 @@ def sample_grid_map(
     seed: int = 0,
 ) -> SmoothGridMap:
     """Draw a grid map, deterministic per seed: the batch of one of
-    :func:`sample_grid_maps`."""
-    return sample_grid_maps(d, m, delta, [seed], sampler, eps)[0]
+    :func:`sample_grid_maps`, with a warning when m <= p*d."""
+    grid = sample_grid_maps(d, m, delta, [seed], sampler, eps)[0]
+    if m <= grid.p * d:
+        warnings.warn(
+            f"m={m} <= p*d={grid.p * d}: block columns cannot be jointly independent; "
+            "injectivity is not guaranteed",
+            stacklevel=2,
+        )
+    return grid
 
 
 def _check_knot_continuity(blocks: np.ndarray, prefix: np.ndarray, delta: float) -> None:
@@ -756,21 +744,25 @@ class ProbeReport:
         return self.min_ratio < 1e-2 * self.median_ratio
 
 
+#: latent distance of the probe's near pairs, and the least of its far pairs
+_PROBE_SEPARATION = 1e-6
+#: image distance below which a probed pair counts as an injectivity violation
+_PROBE_VIOLATION_DISTANCE = 1e-9
+
+
 def injectivity_probe(
     mapping: MixingMap,
     n_pairs: int,
     seed: int,
     bounding_box: tuple[float, float] | None = None,
-    min_separation: float = 1e-6,
-    violation_distance: float = 1e-9,
 ) -> ProbeReport:
     """Draw random point pairs and report the minimum image-to-latent
     distance ratio; a pair whose images land closer than
-    ``violation_distance`` counts as an injectivity violation.
+    :data:`_PROBE_VIOLATION_DISTANCE` counts as an injectivity violation.
 
     Half the pairs span the domain; the other half sit at the minimum
-    separation along random directions, which is what exposes collapsed
-    directions of a non-injective map.
+    separation :data:`_PROBE_SEPARATION` along random directions, which is
+    what exposes collapsed directions of a non-injective map.
     """
     if n_pairs < 1:
         raise DomainError("n_pairs must be >= 1")
@@ -788,15 +780,15 @@ def injectivity_probe(
     a_g = lo + (hi - lo) * gen.random((n_global, mapping.d))
     b_g = lo + (hi - lo) * gen.random((n_global, mapping.d))
     sep_g = np.linalg.norm(a_g - b_g, axis=1)
-    while np.any(sep_g < min_separation):
-        redo = sep_g < min_separation
+    while np.any(sep_g < _PROBE_SEPARATION):
+        redo = sep_g < _PROBE_SEPARATION
         b_g[redo] = lo + (hi - lo) * gen.random((int(redo.sum()), mapping.d))
         sep_g = np.linalg.norm(a_g - b_g, axis=1)
-    margin = 2.0 * min_separation
+    margin = 2.0 * _PROBE_SEPARATION
     a_l = (lo + margin) + (hi - lo - 2.0 * margin) * gen.random((n_local, mapping.d))
     dirs = gen.standard_normal((n_local, mapping.d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    b_l = a_l + min_separation * dirs
+    b_l = a_l + _PROBE_SEPARATION * dirs
     a = np.vstack([a_g, a_l])
     b = np.vstack([b_g, b_l])
     sep = np.linalg.norm(a - b, axis=1)
@@ -806,5 +798,5 @@ def injectivity_probe(
         n_pairs=n_pairs,
         min_ratio=float(ratios.min()),
         median_ratio=float(np.median(ratios)),
-        violation_count=int(np.sum(image_dist < violation_distance)),
+        violation_count=int(np.sum(image_dist < _PROBE_VIOLATION_DISTANCE)),
     )

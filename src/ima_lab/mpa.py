@@ -24,15 +24,14 @@ from .errors import (
     ValidationError,
     reject_codes,
 )
-from .mixing import (
-    FULL_SPACE,
-    LinearMap,
-    MixingMap,
-    chain_jacobian_batch,
-)
+from .mixing import LinearMap, MixingMap, chain_jacobian_batch
 from .seeding import generator
 
 _CDF_CLAMP = 1e-15
+#: tail mass at which the Darmois table cuts an unbounded support
+_LAW_TAIL = 1e-9
+#: tolerance of :func:`is_signed_permutation` on each entry
+_SIGNED_PERMUTATION_TOL = 1e-12
 
 
 class ClampWarning(UserWarning):
@@ -44,11 +43,12 @@ def rotation_matrix_2d(angle_rad: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def is_signed_permutation(R: np.ndarray, tol: float = 1e-12) -> bool:
-    """True when every row and column holds exactly one entry of magnitude 1."""
+def is_signed_permutation(R: np.ndarray) -> bool:
+    """True when every row and column holds exactly one entry of magnitude 1
+    and the others vanish, each to within :data:`_SIGNED_PERMUTATION_TOL`."""
     R = np.asarray(R, dtype=float)
-    mask = np.abs(np.abs(R) - 1.0) <= tol
-    small = np.abs(R) <= tol
+    mask = np.abs(np.abs(R) - 1.0) <= _SIGNED_PERMUTATION_TOL
+    small = np.abs(R) <= _SIGNED_PERMUTATION_TOL
     return bool(np.all(mask | small) and np.all(mask.sum(axis=0) == 1) and np.all(mask.sum(axis=1) == 1))
 
 
@@ -143,12 +143,14 @@ class RotatedGaussianMPA:
 # joint density specs for the Darmois construction (d = 2)
 # ---------------------------------------------------------------------------
 
-def _law_bounds(law: UnivariateLaw, tail: float = 1e-9) -> tuple[float, float]:
+def _law_bounds(law: UnivariateLaw) -> tuple[float, float]:
+    """The law's support, with an infinite end cut at tail mass
+    :data:`_LAW_TAIL`."""
     lo, hi = law.support
     if math.isinf(lo):
-        lo = law.quantile(tail)
+        lo = law.quantile(_LAW_TAIL)
     if math.isinf(hi):
-        hi = law.quantile(1.0 - tail)
+        hi = law.quantile(1.0 - _LAW_TAIL)
     return lo, hi
 
 
@@ -452,7 +454,7 @@ class ComposedMap(MixingMap):
     are the base batch of one and ``jacobian`` raises the rejecting
     stage's own error."""
 
-    def __init__(self, stages, domain: str = FULL_SPACE):
+    def __init__(self, stages):
         self.stages = tuple(stages)
         if not self.stages:
             raise ValidationError("composition needs at least one stage")
@@ -463,7 +465,6 @@ class ComposedMap(MixingMap):
                 )
         self.d = self.stages[0].d
         self.m = self.stages[-1].m
-        self.domain = domain
 
     def evaluate_batch(self, S):
         X = np.asarray(S, dtype=float)

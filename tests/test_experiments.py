@@ -352,6 +352,20 @@ class TestConcentrationSweep:
         with pytest.raises(DomainError, match="m_list"):
             concentration_sweep(d=2, delta=0.2, m_list=[], trials=10)
 
+    # an m below 2 (the bound's) or below d (the contrast's), and a kappa
+    # at or below 0, as well as the checks above
+    @pytest.mark.parametrize("bad", [{"trials": 0}, {"delta": 0.0}, {"m_list": []}, {"d": 0},
+                                     {"m_list": [1]}, {"m_list": [16, 1]}, {"d": 1, "m_list": [1]},
+                                     {"d": 3, "m_list": [2, 16]}, {"kappa": 0.0}, {"kappa": -1.0}])
+    def test_empty_sweeps_are_a_domain_error_before_any_draw(self, bad, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a matrix")
+
+        monkeypatch.setattr(experiments, "sample_isotropic_matrix", no_draws)
+        kwargs = dict(d=2, delta=0.2, m_list=[8], trials=10, seed=15, threads=2)
+        with pytest.raises(DomainError):
+            concentration_sweep(**{**kwargs, **bad})
+
 
 class TestGenericity:
     def test_boundary_fraction_matches_analytic(self):
@@ -374,11 +388,12 @@ class TestGenericity:
                                   delta_contrast=0.1, trials=5, n_mc=100, seed=15)
 
     # the grid checks: delta_grid outside (0, 1], eps at or past delta_grid/4;
-    # an m below 1, refused before a chunk is sized from it
+    # an m below 1, refused before a chunk is sized from it, and below d
     @pytest.mark.parametrize("bad", [{"trials": 0}, {"trials": -1}, {"n_mc": 0}, {"m_list": []},
                                      {"delta_grid": 0.0}, {"delta_grid": 1.5},
                                      {"eps": 0.125}, {"eps": 0.3},
-                                     {"m_list": [0]}, {"m_list": [-100], "n_mc": 300}])
+                                     {"m_list": [0]}, {"m_list": [-100], "n_mc": 300},
+                                     {"m_list": [1]}])
     def test_empty_experiments_are_a_domain_error_before_any_map(self, bad, monkeypatch):
         def no_maps(*args, **kwargs):
             raise AssertionError("built a map")

@@ -72,13 +72,22 @@ from ima_lab.mpa import (
 # ---------------------------------------------------------------------------
 
 
+def every_edge_weights(g, S, step):
+    """Blend weights of grid points (..., d) against every edge of ``g``:
+    ``step(s - edge)`` differenced across each cell, shape (..., d, p)."""
+    steps = step(S[..., None] - np.arange(g.p + 1) * g.delta)
+    return steps[..., :-1] - steps[..., 1:]
+
+
 def _grid_reference(g, s):
     if g.eps == 0.0:
         if np.any(np.abs(s[:, None] - g.knots[None, :]) <= _KNOT_TOL):
             raise OnKnotError("on a knot")
-        t = g._cells(s) - 1
+        # cell t covers ((t-1) delta, t delta]; 0 belongs to the first
+        t = np.clip(np.ceil(s / g.delta).astype(int), 1, g.p) - 1
         return g.blocks[t, :, np.arange(g.d)].T
-    return np.einsum("tmk,kt->mk", g.blocks, g._jacobian_weights(s[None, :])[0])
+    q = every_edge_weights(g, s[None, :], lambda x: _blend_coeff(x, g.eps))[0]
+    return np.einsum("tmk,kt->mk", g.blocks, q)
 
 
 def _two_piece_reference(tp, s):

@@ -37,6 +37,7 @@ from ima_lab.mixing import (
     smooth_step_deriv,
 )
 from ima_lab.seeding import substream
+from test_jacobian_batch import assert_batch_matches_reference, bits, every_edge_weights
 
 
 class TestSmoothStep:
@@ -168,10 +169,19 @@ class TestGridMap:
         with pytest.warns(UserWarning, match="injectivity"):
             sample_grid_map(d=2, m=4, delta=0.5, eps=0.01, seed=0)
 
+    def test_injectivity_warning_names_the_calling_line(self):
+        with pytest.warns(UserWarning, match="injectivity") as caught:
+            sample_grid_map(d=2, m=4, delta=0.5, eps=0.01, seed=0)
+        assert [w.filename for w in caught] == [__file__]
+
     def test_out_of_domain(self):
         g = sample_grid_map(d=2, m=20, delta=0.5, eps=0.01, seed=5)
         with pytest.raises(OutOfDomainError):
             g.evaluate(np.array([1.2, 0.3]))
+        # past the last edge, a coordinate has no nearest edge to route by
+        for call in (g.jacobian_batch, g.gram_batch, g.boundary_mask):
+            with pytest.raises(OutOfDomainError):
+                call(np.array([[0.3, 0.3], [5.0, 0.3]]))
 
     def test_determinism(self):
         a = sample_grid_map(d=2, m=16, delta=0.5, eps=0.01, seed=77)
@@ -188,16 +198,17 @@ class TestGridMap:
     )
     def test_stacked_sampler_equals_each_seed_bit_for_bit(self, T, d, delta, extra, seed):
         p = math.ceil(1.0 / delta) + 1
-        m = max(d, p * d + extra)  # m <= p*d draws the injectivity warning
+        m = max(d, p * d + extra)  # m <= p*d: no injectivity guarantee
         seeds = [substream(seed, i) for i in range(T)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             grids = sample_grid_maps(d, m, delta, seeds, eps=0.01 * delta)
-        assert ["injectivity" in str(w.message) for w in caught] == [True] * (m <= p * d)
+        assert caught == []  # the stacked sampler stays silent
         for grid, s in zip(grids, seeds):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 one = sample_grid_map(d, m, delta, eps=0.01 * delta, seed=s)
+            assert ["injectivity" in str(w.message) for w in caught] == [True] * (m <= p * d)
             # the per-map draw and einsum that the stacked ones replace
             blocks = SphericalSampler.standard_gaussian(m).sample_columns(
                 d, [substream(s, t) for t in range(p)])
@@ -228,11 +239,28 @@ class TestGridWindows:
     @given(case=grid_points())
     def test_windowed_weights_equal_the_full_blend_bit_for_bit(self, case):
         grid, S = case
-        x = S[..., None] - np.arange(grid.p + 1) * grid.delta
-        q = _blend_coeff(x, grid.eps)
-        full = q[..., :-1] - q[..., 1:]
-        windowed = grid._jacobian_weights(S)
+        full = every_edge_weights(grid, S, lambda x: _blend_coeff(x, grid.eps))
+        windowed = grid._weights(*grid._route(S), _blend_coeff)
         assert np.array_equal(windowed.view(np.int64), full.view(np.int64))
+
+    @settings(deadline=None, max_examples=200)
+    @given(case=grid_points())
+    def test_evaluator_and_raw_jacobian_equal_the_every_edge_rule_bit_for_bit(self, case):
+        shape, S = case
+        rng = np.random.default_rng(len(S))
+        for eps in (shape.eps, 0.0):
+            grid = SmoothGridMap(rng.standard_normal((shape.p, 3, shape.d)), shape.delta, eps)
+            if eps > 0.0:
+                v = every_edge_weights(grid, S, lambda x: smooth_step(x, eps))
+            else:
+                v = every_edge_weights(grid, S, lambda x: (x > 0.0).astype(float))
+            # the evaluator's affine pieces, weighted by the every-edge blend
+            w = np.concatenate([(S[:, :, None] - np.arange(grid.p) * grid.delta) * v, v], axis=1)
+            pieces = np.concatenate([grid.blocks, grid.prefix], axis=2).transpose(2, 0, 1)
+            expected = (w.reshape(len(S), 1, -1) @ pieces.reshape(-1, grid.m))[:, 0]
+            assert np.array_equal(bits(grid.evaluate_batch(S)), bits(expected))
+        # the raw map's Jacobian and codes against the ceil-cell and every-knot reference
+        assert_batch_matches_reference(grid, S)
 
     @settings(deadline=None, max_examples=200)
     @given(case=grid_points())
