@@ -15,13 +15,14 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__, schema
 from .contrast import local_ima_contrast
 from .distributions import FactorialDistribution, SphericalSampler, sample_isotropic_matrix
-from .errors import DomainError, NumericalError, ValidationError
+from .errors import DomainError, NumericalError, OutOfDomainError, ValidationError
 from .experiments import (
     ContrastEstimate,
     ReparamRow,
@@ -69,25 +70,41 @@ _MAP_FAMILIES = {
 }
 
 
-def _map_descriptor(desc, where: str):
-    """A map descriptor, checked now and built later: a function of the
-    seed that an absent 'seed' key takes."""
+@dataclass(frozen=True)
+class _MapSpec:
+    """A map descriptor, checked now and built later by calling it with
+    the seed that an absent 'seed' key takes."""
+
+    family: str
+    args: dict
+
+    def __call__(self, seed: int):
+        args = {"seed": seed, **self.args}
+        radial = args.pop("radial", None)
+        if self.family == "conformal":
+            return random_conformal_map(**args)
+        if self.family == "grid":
+            return sample_grid_map(sampler=radial(args["m"]) if radial else None, **args)
+        if "matrix" in args:
+            return LinearMap(args["matrix"])
+        m = args["m"]
+        return LinearMap(sample_isotropic_matrix(m, args["d"], radial(m) if radial else None, args["seed"]))
+
+    def check_source(self, source: FactorialDistribution, where: str) -> None:
+        """Refuse, before any map is built or draw made, a source whose
+        support leaves a grid map's domain, the unit cube (the other
+        families take all of R^d)."""
+        for i, (lo, hi) in enumerate(law.support for law in source.components):
+            if self.family == "grid" and (lo < 0.0 or hi > 1.0):
+                raise OutOfDomainError(f"{where}: source law {i} has support ({lo:g}, {hi:g}), "
+                                       "which leaves the unit cube of a 'grid' map")
+
+
+def _map_descriptor(desc, where: str) -> _MapSpec:
     family, args = schema.choice(desc, "family", _MAP_FAMILIES, where)
     if family == "linear" and "matrix" not in args and not {"m", "d"} <= args.keys():
         raise ValidationError(f"{where} of family 'linear' needs 'matrix', or 'm' and 'd'")
-    return lambda seed: _build_map(family, {"seed": seed, **args})
-
-
-def _build_map(family: str, args: dict):
-    radial = args.pop("radial", None)
-    if family == "conformal":
-        return random_conformal_map(**args)
-    if family == "grid":
-        return sample_grid_map(sampler=radial(args["m"]) if radial else None, **args)
-    if "matrix" in args:
-        return LinearMap(args["matrix"])
-    m = args["m"]
-    return LinearMap(sample_isotropic_matrix(m, args["d"], radial(m) if radial else None, args["seed"]))
+    return _MapSpec(family, args)
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +127,7 @@ def _run_contrast(args: dict, seed: int, threads: int):
         return [ContrastEstimate(mean=value, stderr=0.0, n_samples=1, clamp_count=0, rejection_count=0)]
     if "source" not in args:
         raise ValidationError("map-based contrast needs a 'source' law list")
+    args["map"].check_source(args["source"], "contrast params")
     return [estimate_global_contrast(args["map"](seed), args["source"], args["n_samples"], seed)]
 
 
@@ -176,6 +194,8 @@ def _run_reparam(args: dict, seed: int, threads: int):
                for i, c in enumerate(args["configs"])]
     if not configs or n < 1:
         raise DomainError(f"reparam needs a config and n_mc >= 1, got {len(configs)} configs, n_mc {n}")
+    for i, cfg in enumerate(configs):
+        cfg["map"].check_source(cfg["source"], f"reparam config {i}")
     rows = []
     for idx, (cfg, raw) in enumerate(zip(configs, args["configs"])):
         report = reparam_invariance_check(

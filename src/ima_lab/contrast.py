@@ -111,10 +111,12 @@ def clamp_contrast(value: float) -> float:
     return value
 
 
-def local_contrast_from_gram(G: np.ndarray) -> np.ndarray:
+def local_contrast_from_gram(G: np.ndarray, eigvals: np.ndarray | None = None) -> np.ndarray:
     """Batched unclamped local contrast from stacked Gram matrices G = J^T J.
 
-    ``G`` has shape (..., d, d).  Rows whose eigenvalue ratio is at most
+    ``G`` has shape (..., d, d); ``eigvals``, its ascending eigenvalues
+    (..., d) when the caller has them already, are otherwise computed
+    here by ``eigvalsh``.  Rows whose eigenvalue ratio is at most
     :data:`GRAM_RATIO_TOL` come back as NaN: there the Gram route can
     neither match the SVD route's value nor decide its rank check, so the
     caller scores them by the SVD of J (:func:`local_contrast_batch`),
@@ -122,7 +124,8 @@ def local_contrast_from_gram(G: np.ndarray) -> np.ndarray:
     whose cost per row does not depend on m.
     """
     G = np.asarray(G, dtype=float)
-    eigvals = np.linalg.eigvalsh(G)
+    if eigvals is None:
+        eigvals = np.linalg.eigvalsh(G)
     diag = np.diagonal(G, axis1=-2, axis2=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         value = 0.5 * (np.sum(np.log(diag), axis=-1) - np.sum(np.log(eigvals), axis=-1))

@@ -25,7 +25,7 @@ from .errors import (
     RankDeficientError,
     ValidationError,
 )
-from .seeding import generator, substream
+from .seeding import generator, generators, substream
 
 
 def _check_u(u: float) -> float:
@@ -340,8 +340,10 @@ class SphericalSampler:
     def sample_columns(self, d: int, seed) -> np.ndarray:
         """(m, d) matrix with i.i.d. spherically symmetric columns.
 
-        A 1-d sequence of k seeds gives a (k, m, d) stack whose matrix j
-        is bit for bit the int-seed call with ``seed[j]``.
+        A 1-d sequence of k seeds, or a :class:`seeding.SeedBlock`, gives
+        a (k, m, d) stack whose matrix j is bit for bit the int-seed call
+        with ``seed[j]``; its streams come from one seed hash
+        (:func:`seeding.generators`).
         """
         ndim = np.ndim(seed)
         if ndim > 1:
@@ -349,15 +351,25 @@ class SphericalSampler:
         seeds = [seed] if ndim == 0 else seed
         g = np.empty((len(seeds), self.ambient_dim, d))
         u = np.empty((len(seeds), d))
-        for j, s in enumerate(seeds):
-            gen = generator(s)
+        for j, gen in enumerate(generators(seeds)):
             gen.standard_normal(out=g[j])
             if self.radial_law is not None:
                 gen.random(out=u[j])
-        columns = g / np.linalg.norm(g, axis=-2, keepdims=True)
+        columns = g / _column_norms(g)
         if self.radial_law is not None:
             columns *= self.radial_law.quantile_array(np.clip(u, 1e-16, 1.0 - 1e-16))[:, None, :]
         return columns[0] if ndim == 0 else columns
+
+
+def _column_norms(g: np.ndarray) -> np.ndarray:
+    """(k, 1, d) column norms of a (k, m, d) stack, bit for bit
+    ``np.linalg.norm(g, axis=-2, keepdims=True)``.  For d > 1 both sum the
+    squares down each column in order; at d = 1 the column is contiguous,
+    ``norm`` sums it pairwise and einsum does not, so d = 1 keeps ``norm``.
+    """
+    if g.shape[-1] == 1:
+        return np.linalg.norm(g, axis=-2, keepdims=True)
+    return np.sqrt(np.einsum("kmd,kmd->kd", g, g))[:, None, :]
 
 
 def sample_isotropic_matrix(
@@ -365,14 +377,19 @@ def sample_isotropic_matrix(
     d: int,
     sampler: SphericalSampler | None = None,
     seed=0,
-) -> np.ndarray:
+    *,
+    with_gram: bool = False,
+):
     """m x d matrix with i.i.d. spherically symmetric columns, verified to
     have full column rank (:func:`contrast.full_rank`).
 
     A draw that fails the rank check is drawn again from a derived sub-seed,
     up to 3 draws in all, before RankDeficientError is raised.  A 1-d
-    sequence of k seeds gives a (k, m, d) stack whose matrix j is bit for
-    bit the int-seed call with ``seed[j]``, resamples included.
+    sequence of k seeds (or a :class:`seeding.SeedBlock`) gives a (k, m, d)
+    stack whose matrix j is bit for bit the int-seed call with ``seed[j]``,
+    resamples included.  ``with_gram=True`` returns ``(J, G, eigvals)``:
+    the Gram matrices J^T J and their ascending eigenvalues that the rank
+    check computed, each row that of the draw returned.
 
     The Gram route can only accept a draw.  RANK_TOL is at most a tenth of
     sqrt(GRAM_RATIO_TOL), so an eigenvalue ratio of J^T J above
@@ -391,20 +408,26 @@ def sample_isotropic_matrix(
             f"sampler ambient dimension {sampler.ambient_dim} does not match m={m}"
         )
     scalar = np.ndim(seed) == 0
-    seeds = [seed] if scalar else list(seed)
-    J = np.empty((len(seeds), m, d))
+    seeds = [seed] if scalar else seed
     failed = np.arange(len(seeds))
     for attempt in range(3):
         Jf = sampler.sample_columns(
-            d, [seeds[j] if attempt == 0 else substream(seeds[j], 0xA11E, attempt) for j in failed]
+            d, seeds if attempt == 0 else [substream(seeds[j], 0xA11E, attempt) for j in failed]
         )
-        J[failed] = Jf
-        ok = gram_resolved(np.linalg.eigvalsh(np.matrix_transpose(Jf) @ Jf))
+        Gf = np.matrix_transpose(Jf) @ Jf
+        eigf = np.linalg.eigvalsh(Gf)
+        if attempt == 0:
+            J, G, eigvals = Jf, Gf, eigf
+        else:
+            J[failed], G[failed], eigvals[failed] = Jf, Gf, eigf
+        ok = gram_resolved(eigf)
         if not ok.all():
             ok[~ok] = full_rank(np.linalg.svd(Jf[~ok], compute_uv=False))
         failed = failed[~ok]
         if not failed.size:
-            return J[0] if scalar else J
+            if scalar:
+                J, G, eigvals = J[0], G[0], eigvals[0]
+            return (J, G, eigvals) if with_gram else J
     raise RankDeficientError(
         f"sampled matrix failed the rank check 3 times (m={m}, d={d}, seed={seeds[failed[0]]})"
     )

@@ -63,7 +63,7 @@ from .mpa import (
     spurious_darmois,
     spurious_mpa,
 )
-from .seeding import substream
+from .seeding import SeedBlock, substream, substreams
 
 #: largest tolerated fraction of rejected Monte Carlo draws
 MAX_REJECTION_FRACTION = 1e-3
@@ -246,10 +246,15 @@ def concentration_sweep(
         # chunk bounds depend on m, d and trials only, never on threads
         chunk = _chunk_size(m, d)
 
-        def one_chunk(c: int, m=m, sampler=sampler, mi=mi, chunk=chunk) -> int:
-            seeds = [substream(seed, mi, i) for i in range(c * chunk, min(trials, (c + 1) * chunk))]
-            J = sample_isotropic_matrix(m, d, sampler, seeds)
-            values = local_contrast_from_gram(np.matrix_transpose(J) @ J)
+        # every chunk's streams come from one seed hash per m, shared
+        # read-only by the pool's threads
+        seeds = SeedBlock(substreams(substream(seed, mi), np.arange(trials)))
+
+        def one_chunk(c: int, m=m, sampler=sampler, seeds=seeds, chunk=chunk) -> int:
+            J, G, eigvals = sample_isotropic_matrix(
+                m, d, sampler, seeds[c * chunk:(c + 1) * chunk], with_gram=True
+            )
+            values = local_contrast_from_gram(G, eigvals)
             # the sampler's rank check follows the SVD kernel's, so no
             # re-scored row comes back NaN
             redo = np.isnan(values) | (np.abs(values - delta) <= GRAM_SLACK)

@@ -77,21 +77,35 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert json.loads(err)["type"] == "DomainError"
 
-    @pytest.mark.filterwarnings("ignore")  # m <= p*d warns about injectivity
+    @pytest.mark.parametrize("command", ["contrast", "reparam"])
     @pytest.mark.parametrize("eps", [0.0, 0.01])
-    def test_grid_source_outside_the_cube_is_exit_2(self, eps):
-        # eps > 0 takes the Gram route, which must refuse them as the SVD route does
-        config = {
-            "command": "contrast",
-            "params": {
-                "map": {"family": "grid", "d": 2, "m": 20, "delta": 0.5, "eps": eps},
-                "source": [{"kind": "uniform", "params": {"a": 0.1, "b": 1.2}}] * 2,
-            },
-        }
-        code, err = run_main(config, "contrast")
+    @pytest.mark.parametrize("law", [{"kind": "uniform", "params": {"a": 0.1, "b": 1.2}},
+                                     {"kind": "gaussian", "params": {}},
+                                     {"kind": "chi", "params": {"k": 2}}])
+    def test_grid_source_outside_the_cube_is_exit_2_before_any_map(self, command, eps, law, monkeypatch):
+        # the library refuses such draws too (test_experiments), but only
+        # once a map is built and a chunk scored
+        def no_work(*args, **kwargs):
+            raise AssertionError("built a map or drew a source")
+
+        for name in ("sample_grid_map", "random_conformal_map", "sample_isotropic_matrix",
+                     "estimate_global_contrast", "reparam_invariance_check"):
+            monkeypatch.setattr(cli, name, no_work)
+        grid = {"family": "grid", "d": 2, "m": 20, "delta": 0.5, "eps": eps}
+        if command == "contrast":
+            config = {"command": "contrast", "params": {"map": grid, "source": [_UNIFORM, law]}}
+        else:
+            # the last config leaves the cube; the ones before it are never run
+            config = copy.deepcopy(REPARAM_CONFIG)
+            config["params"]["configs"].append(
+                {"map": grid, "source": [_UNIFORM, law], "perm": [0, 1],
+                 "transforms": [{"kind": "cube"}, {"kind": "cube"}]})
+        code, err = run_main(config, command)
         assert code == 2
         assert "Traceback" not in err
-        assert json.loads(err)["type"] == "OutOfDomainError"
+        err = json.loads(err)
+        assert err["type"] == "OutOfDomainError"
+        assert "source law 1" in err["message"] and "unit cube" in err["message"]
 
     @pytest.mark.parametrize("command, key, value", [
         ("genericity", "trials", 0),

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from ima_lab.contrast import GRAM_RATIO_TOL, RANK_TOL, offdiag_coherence
@@ -26,7 +28,7 @@ from ima_lab.errors import (
     RankDeficientError,
     ValidationError,
 )
-from ima_lab.seeding import generator, substream
+from ima_lab.seeding import SeedBlock, generator, substream
 
 ALL_LAWS = [
     Uniform(0.0, 1.0),
@@ -305,6 +307,21 @@ class TestSphericalSampler:
         single = sample_isotropic_matrix(m, d, SphericalSampler(m, ZeroFirstRadius(m, 1)), seeds[0])
         assert np.array_equal(single, batch[0])
 
+    def test_with_gram_returns_the_gram_and_eigenvalues_of_the_returned_draws(self):
+        m, d = 9, 3
+        seeds = [substream(4, i) for i in range(5)]
+        plain = sample_isotropic_matrix(m, d, SphericalSampler.standard_gaussian(m), seeds)
+        # the first draw of the first call fails and is drawn again
+        sampler = SphericalSampler(m, ZeroFirstRadius(m, 1))
+        J, G, eigvals = sample_isotropic_matrix(m, d, sampler, SeedBlock(seeds), with_gram=True)
+        assert np.array_equal(J[1:], plain[1:]) and not np.array_equal(J[0], plain[0])
+        for Jj, Gj, ej in zip(J, G, eigvals):
+            assert np.array_equal(Gj, Jj.T @ Jj)
+            assert np.array_equal(ej, np.linalg.eigvalsh(Gj))
+        one = sample_isotropic_matrix(m, d, SphericalSampler(m, ZeroFirstRadius(m, 1)), seeds[0],
+                                      with_gram=True)
+        assert all(np.array_equal(a, b[0]) for a, b in zip(one, (J, G, eigvals)))
+
     def test_rank_failure_on_every_attempt_raises(self):
         sampler = SphericalSampler(9, ZeroFirstRadius(9, 3))
         with pytest.raises(RankDeficientError):
@@ -320,6 +337,22 @@ class TestSphericalSampler:
             sample_isotropic_matrix(10, 3, SphericalSampler.unit(8), seed=0)
         with pytest.raises(DimensionMismatchError):
             sample_isotropic_matrix(3, 10, seed=0)
+
+    @given(st.integers(1, 8), st.integers(1, 2048), st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3))
+    @settings(deadline=None, max_examples=60)
+    def test_columns_follow_the_norm_rule_bit_for_bit(self, d, m, seeds):
+        """The column norms come from einsum for d > 1; each column must
+        still be g / np.linalg.norm(g, axis=-2) of its own stream."""
+        m = max(m, d)
+        unit, chi = SphericalSampler.unit(m), SphericalSampler.standard_gaussian(m)
+        got_unit, got_chi = unit.sample_columns(d, seeds), chi.sample_columns(d, SeedBlock(seeds))
+        for j, s in enumerate(seeds):
+            gen = generator(s)
+            g = gen.standard_normal((m, d))
+            u = gen.random(d)
+            ref = g / np.linalg.norm(g, axis=-2, keepdims=True)
+            assert np.array_equal(got_unit[j], ref)
+            assert np.array_equal(got_chi[j], ref * Chi(m).quantile_array(np.clip(u, 1e-16, 1.0 - 1e-16)))
 
     def test_gaussian_radial_matches_standard_normal(self):
         # chi(m) radius times a uniform direction is a standard Gaussian vector

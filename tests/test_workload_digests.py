@@ -1,9 +1,11 @@
 """The benchmark's pinned CSV digests, checked by the unit tests too.
 
 ``bench/workloads.py`` records the SHA-256 of each workload's CSV at its
-default seed; a change that moves the last bit of a genericity, reparam
-or sweep value must fail here, not only under ``bench/run.py``.  The module is
-loaded from its path and used as it is.
+default seed; a change that moves the last bit of any workload's value
+must fail here, not only under ``bench/run.py``.  The sweep at two threads
+also pins the seed block that each of its ambient dimensions hashes once
+and its pool threads share.  The module is loaded from its path and used
+as it is.
 """
 
 import importlib.util
@@ -27,7 +29,8 @@ workloads = _load_workloads()
 
 
 @pytest.mark.parametrize("name, threads",
-                         [("genericity", 1), ("genericity", 2), ("reparam", 1), ("sweep", 1)])
+                         [("genericity", 1), ("genericity", 2), ("reparam", 1), ("spurious", 1),
+                          ("sweep", 1), ("sweep", 2)])
 def test_default_seed_csv_matches_the_recorded_digest(name, threads, tmp_path):
     config = workloads.run_config(name, workloads.DEFAULT_SEED, str(tmp_path), threads)
     assert cli.run(config) == 0
