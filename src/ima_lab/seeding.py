@@ -118,7 +118,8 @@ def seed_words(seeds) -> np.ndarray:
 
 
 class _HashedSeed(ISeedSequence):
-    """A seed whose SeedSequence words are already computed."""
+    """A seed whose SeedSequence words are already computed: the 4 uint64
+    words that PCG64 asks for, whatever the request."""
 
     def __init__(self, words: np.ndarray):
         self.words = words
