@@ -34,6 +34,7 @@ from .experiments import (
     spurious_gap_experiment,
 )
 from .mixing import (
+    ComposedMap,
     ConformalMap,
     LinearMap,
     SmoothGridMap,
@@ -48,7 +49,6 @@ from .mixing import (
     smooth_step_deriv,
 )
 from .mpa import (
-    ComposedMap,
     DarmoisMap,
     RotatedGaussianMPA,
     darmois_build,
@@ -78,6 +78,7 @@ __all__ = [
     "genericity_experiment",
     "reparam_invariance_check",
     "spurious_gap_experiment",
+    "ComposedMap",
     "ConformalMap",
     "LinearMap",
     "SmoothGridMap",
@@ -90,7 +91,6 @@ __all__ = [
     "sample_grid_map",
     "smooth_step",
     "smooth_step_deriv",
-    "ComposedMap",
     "DarmoisMap",
     "RotatedGaussianMPA",
     "darmois_build",

@@ -20,12 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, schema
-from .contrast import local_ima_contrast
+from .contrast import local_contrast_unclamped
 from .distributions import FactorialDistribution, SphericalSampler, sample_isotropic_matrix
 from .errors import DomainError, NumericalError, OutOfDomainError, ValidationError
 from .experiments import (
-    ContrastEstimate,
     ReparamRow,
+    _estimate_from_values,
+    check_reparam,
     concentration_sweep,
     estimate_global_contrast,
     gap_report_rows,
@@ -35,7 +36,7 @@ from .experiments import (
     spurious_gap_experiment,
     transform_from_config,
 )
-from .mixing import LinearMap, random_conformal_map, sample_grid_map
+from .mixing import FULL_SPACE, UNIT_CUBE, LinearMap, check_grid, random_conformal_map, sample_grid_map
 from .mpa import rotation_matrix_2d
 from .schema import OPTIONAL, REQUIRED
 from .seeding import substream
@@ -73,10 +74,16 @@ _MAP_FAMILIES = {
 @dataclass(frozen=True)
 class _MapSpec:
     """A map descriptor, checked now and built later by calling it with
-    the seed that an absent 'seed' key takes."""
+    the seed that an absent 'seed' key takes.  Like a built map it names
+    its input dimension ``d`` and its ``domain``."""
 
     family: str
     args: dict
+    d: int
+
+    @property
+    def domain(self) -> str:
+        return UNIT_CUBE if self.family == "grid" else FULL_SPACE
 
     def __call__(self, seed: int):
         args = {"seed": seed, **self.args}
@@ -91,20 +98,36 @@ class _MapSpec:
         return LinearMap(sample_isotropic_matrix(m, args["d"], radial(m) if radial else None, args["seed"]))
 
     def check_source(self, source: FactorialDistribution, where: str) -> None:
-        """Refuse, before any map is built or draw made, a source whose
-        support leaves a grid map's domain, the unit cube (the other
-        families take all of R^d)."""
+        """Refuse, before any map is built or draw made, a source of
+        another dimension than the map's, and one whose support leaves a
+        grid map's domain, the unit cube (the other families take all of
+        R^d)."""
+        if source.dim != self.d:
+            raise ValidationError(f"{where}: source dimension {source.dim} != map input dimension {self.d}")
         for i, (lo, hi) in enumerate(law.support for law in source.components):
-            if self.family == "grid" and (lo < 0.0 or hi > 1.0):
+            if self.domain == UNIT_CUBE and (lo < 0.0 or hi > 1.0):
                 raise OutOfDomainError(f"{where}: source law {i} has support ({lo:g}, {hi:g}), "
                                        "which leaves the unit cube of a 'grid' map")
 
 
 def _map_descriptor(desc, where: str) -> _MapSpec:
+    """The descriptor's spec, refused unless its map has 1 <= d <= m and
+    its family's own parameters are in their domains (an explicit matrix
+    is read for its shape, and its entries checked, now)."""
     family, args = schema.choice(desc, "family", _MAP_FAMILIES, where)
-    if family == "linear" and "matrix" not in args and not {"m", "d"} <= args.keys():
+    if family == "grid":
+        check_grid(args["delta"], args.get("eps", 0.0))
+    if not args.get("scale", 1.0) > 0.0:
+        raise DomainError(f"{where}: conformal scale must be positive, got {args['scale']}")
+    if "matrix" in args:
+        m, d = LinearMap(args["matrix"]).J.shape
+    elif {"m", "d"} <= args.keys():
+        m, d = args["m"], args["d"]
+    else:
         raise ValidationError(f"{where} of family 'linear' needs 'matrix', or 'm' and 'd'")
-    return _MapSpec(family, args)
+    if not 1 <= d <= m:
+        raise DomainError(f"{where} needs 1 <= d <= m, got d={d}, m={m}")
+    return _MapSpec(family, args, d)
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +146,12 @@ def _run_contrast(args: dict, seed: int, threads: int):
     if ("matrix" in args) == ("map" in args):
         raise ValidationError("contrast takes exactly one of 'matrix' or 'map'")
     if "matrix" in args:
-        value = local_ima_contrast(args["matrix"])
-        return [ContrastEstimate(mean=value, stderr=0.0, n_samples=1, clamp_count=0, rejection_count=0)]
+        return [_estimate_from_values(np.array([local_contrast_unclamped(args["matrix"])]))]
     if "source" not in args:
         raise ValidationError("map-based contrast needs a 'source' law list")
     args["map"].check_source(args["source"], "contrast params")
+    if args["n_samples"] < 1:
+        raise DomainError(f"contrast params: n_samples must be >= 1, got {args['n_samples']}")
     return [estimate_global_contrast(args["map"](seed), args["source"], args["n_samples"], seed)]
 
 
@@ -196,6 +220,7 @@ def _run_reparam(args: dict, seed: int, threads: int):
         raise DomainError(f"reparam needs a config and n_mc >= 1, got {len(configs)} configs, n_mc {n}")
     for i, cfg in enumerate(configs):
         cfg["map"].check_source(cfg["source"], f"reparam config {i}")
+        check_reparam(cfg["map"], cfg["source"], cfg["perm"], cfg["transforms"])
     rows = []
     for idx, (cfg, raw) in enumerate(zip(configs, args["configs"])):
         report = reparam_invariance_check(

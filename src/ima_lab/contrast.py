@@ -100,15 +100,17 @@ def local_ima_contrast(J) -> float:
     return clamp_contrast(local_contrast_unclamped(J))
 
 
-def clamp_contrast(value: float) -> float:
-    """Clamp tiny negative contrast values (floating-point noise) to zero."""
-    if value < 0.0:
-        if value < -CLAMP_SLACK:
-            raise FloatingPointError(
-                f"contrast {value:.3e} below -{CLAMP_SLACK:.0e}; Gram factorization lost precision"
-            )
-        return 0.0
-    return value
+def clamp_contrast(value):
+    """Clamp tiny negative contrast values (floating-point noise) to zero,
+    a float to a float and an array to an array: the only code that
+    compares with :data:`CLAMP_SLACK`.  A value below -CLAMP_SLACK is more
+    than rounding error and raises FloatingPointError."""
+    values = np.asarray(value, dtype=float)
+    lowest = np.min(values, initial=0.0)
+    if lowest < -CLAMP_SLACK:
+        raise FloatingPointError(f"contrast {lowest:.3e} below -{CLAMP_SLACK:.0e}; lost precision")
+    clamped = np.maximum(values, 0.0)
+    return clamped if clamped.ndim else float(clamped)
 
 
 def local_contrast_from_gram(G: np.ndarray, eigvals: np.ndarray | None = None) -> np.ndarray:

@@ -22,6 +22,7 @@ from .contrast import full_rank, gram_resolved
 from .errors import (
     DimensionMismatchError,
     DomainError,
+    NumericalError,
     RankDeficientError,
     ValidationError,
 )
@@ -291,9 +292,14 @@ class FactorialDistribution:
         """(n, d) array of i.i.d. draws; component i uses sub-stream i of the seed."""
         if n < 1:
             raise DomainError("sample count must be >= 1")
-        return np.column_stack(
+        draws = np.column_stack(
             [law.sample(n, substream(seed, i)) for i, law in enumerate(self.components)]
         )
+        # computed from valid params (uniform(-1e308, 1e308) overflows), so a
+        # numerical failure, which a map's point check would call a malformed input
+        if not np.all(np.isfinite(draws)):
+            raise NumericalError("a source law drew non-finite values")
+        return draws
 
     @staticmethod
     def from_config(configs, where: str = "source law list") -> "FactorialDistribution":

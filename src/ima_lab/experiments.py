@@ -24,8 +24,8 @@ import numpy as np
 
 from . import schema
 from .contrast import (
-    CLAMP_SLACK,
     GRAM_SLACK,
+    clamp_contrast,
     local_contrast_batch,
     local_contrast_from_gram,
     theoretical_success_bound,
@@ -42,10 +42,12 @@ from .errors import (
     DegenerateMapError,
     DomainError,
     NonMonotoneError,
+    NumericalError,
     ValidationError,
 )
 from .mixing import (
     UNIT_CUBE,
+    ComposedMap,
     LinearMap,
     MixingMap,
     check_grid,
@@ -54,7 +56,6 @@ from .mixing import (
     sample_grid_maps,
 )
 from .mpa import (
-    ComposedMap,
     RotatedGaussianMPA,
     RotatedFactorial,
     darmois_build,
@@ -118,12 +119,8 @@ def _estimate_from_values(values: np.ndarray) -> ContrastEstimate:
     rejected = np.isnan(values)
     rejections = int(np.sum(rejected))
     values = values[~rejected]
-    if values.size and np.min(values) < -CLAMP_SLACK:
-        raise FloatingPointError(
-            f"contrast {np.min(values):.3e} below -{CLAMP_SLACK:.0e}; lost precision"
-        )
+    clamped = clamp_contrast(values)
     clamps = int(np.sum(values < 0.0))
-    clamped = np.maximum(values, 0.0)
     if rejections > MAX_REJECTION_FRACTION * rejected.size:
         raise DegenerateMapError(
             f"{rejections}/{rejected.size} draws rejected (> {MAX_REJECTION_FRACTION:.1%})"
@@ -150,37 +147,28 @@ def estimate_global_contrast(
         raise DomainError("n must be >= 1")
     if p_s.dim != mapping.d:
         raise ValidationError(f"source dimension {p_s.dim} != map input dimension {mapping.d}")
-    return _estimate_from_values(_score_draws(mapping, sample_factorial(p_s, n, seed)))
+    draws = sample_factorial(p_s, n, seed)
+    return _estimate_from_values(_score_at_points(mapping, draws, mapping.fast_contrasts(draws)))
 
 
-def _score_at_points(mapping: MixingMap, points: np.ndarray) -> np.ndarray:
-    """Unclamped local contrast at each point, NaN where rejected: one
-    ``jacobian_batch`` call and one SVD kernel call per chunk, on the rows
-    of code 0.  A point the map rejects, or whose Jacobian fails the
+def _score_at_points(mapping: MixingMap, points: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
+    """Unclamped local contrast at each point, NaN where rejected: the one
+    SVD fallback.  ``values`` holds contrasts a cheaper route already gave
+    at the points (a map's ``fast_contrasts``), NaN on the rows it leaves
+    to the SVD; those rows, or every row when ``values`` is None, are
+    scored in place by one ``jacobian_batch`` call and one SVD kernel call
+    per chunk, on the rows of code 0, so value and rejection follow the
+    SVD rule there.  A point the map rejects, or whose Jacobian fails the
     kernel's rank check, is rejected."""
+    if values is None:
+        values = np.full(len(points), np.nan)
+    redo = np.flatnonzero(np.isnan(values))
     chunk = _chunk_size(mapping.m, mapping.d)
-    values = np.full(len(points), np.nan)
-    for start in range(0, len(points), chunk):
-        J, code = mapping.jacobian_batch(points[start:start + chunk])
+    for start in range(0, len(redo), chunk):
+        rows = redo[start:start + chunk]
+        J, code = mapping.jacobian_batch(points[rows])
         kept = code == 0
-        values[start:start + chunk][kept] = local_contrast_batch(J[kept])
-    return values
-
-
-def _score_draws(mapping: MixingMap, draws: np.ndarray) -> np.ndarray:
-    """Unclamped local contrast at each draw, NaN where rejected, by the
-    map's ``fast_contrasts`` and :func:`_svd_where_nan`."""
-    return _svd_where_nan(mapping, draws, mapping.fast_contrasts(draws))
-
-
-def _svd_where_nan(mapping: MixingMap, draws: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``values``, fast-route contrasts at the draws, with the rows left NaN
-    (all of them for a map without a fast route, the ill-conditioned ones on
-    the Gram route) scored by the SVD of their Jacobian, so value and
-    rejection follow the SVD rule there."""
-    redo = np.isnan(values)
-    if redo.any():
-        values[redo] = _score_at_points(mapping, draws[redo])
+        values[rows[kept]] = local_contrast_batch(J[kept])
     return values
 
 
@@ -191,7 +179,7 @@ def boundary_statistics(mask: np.ndarray, values: np.ndarray) -> tuple[float, fl
     if not mask.any():
         return 0.0, 0.0
     values = values[mask]
-    values = np.maximum(values[~np.isnan(values)], 0.0)
+    values = clamp_contrast(values[~np.isnan(values)])
     return float(mask.mean()), float(values.mean()) if values.size else 0.0
 
 
@@ -360,7 +348,7 @@ def genericity_experiment(
             values, boundary = grid_chunk_scores(grids, draws)
             results = []
             for grid, S, v, mask in zip(grids, draws, values, boundary):
-                v = _svd_where_nan(grid, S, v)
+                v = _score_at_points(grid, S, v)
                 frac, bmean = boundary_statistics(mask, v)
                 results.append((_estimate_from_values(v).mean <= delta_contrast, frac, bmean))
             return results
@@ -447,6 +435,11 @@ def spurious_gap_experiment(
         raise ValidationError("the gap experiment runs the d=2 construction")
     R = rotation_matrix_2d(math.radians(30.0)) if rotation is None else np.asarray(rotation, float)
     require_nontrivial_rotation(R)
+    if m < 2 or n_mc < 1:
+        raise DomainError(f"need m >= 2 and n_mc >= 1, got m={m}, n_mc={n_mc}")
+    # the Darmois table draws nothing and refuses a resolution or a source
+    # law it cannot tabulate, so it is built before the first draw
+    dm = darmois_build(RotatedFactorial(source.components, R), darmois_resolution)
 
     f = random_conformal_map(2, m, seed=substream(seed, 0))
     truth_mpa = estimate_global_contrast(f, source, n_mc, substream(seed, 1))
@@ -454,8 +447,6 @@ def spurious_gap_experiment(
     a = RotatedGaussianMPA(source, R)
     spur_mpa = estimate_global_contrast(spurious_mpa(f, a), source, n_mc, substream(seed, 2))
 
-    spec = RotatedFactorial(source.components, R)
-    dm = darmois_build(spec, darmois_resolution)
     truth_darmois = estimate_global_contrast(f, source, n_mc, substream(seed, 3))
     p_u = FactorialDistribution.iid(Uniform(0.0, 1.0), 2)
     spur_darmois = estimate_global_contrast(
@@ -598,7 +589,11 @@ class InverseElementwiseStage:
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
-        return np.stack([t.inverse(x[..., i]) for i, t in enumerate(self.transforms)], axis=-1)
+        # a point at or past the end of a transform's range (tanh saturates
+        # at 1.0) has a non-finite inverse, which a composition refuses as a
+        # NumericalError; numpy need not warn first
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.stack([t.inverse(x[..., i]) for i, t in enumerate(self.transforms)], axis=-1)
 
     def jacobian(self, x):
         pre = self.evaluate(x)
@@ -626,6 +621,24 @@ def permutation_matrix(perm) -> np.ndarray:
     for i, j in enumerate(perm):
         P[j, i] = 1.0
     return P
+
+
+def check_reparam(mapping, p_s: FactorialDistribution, perm, transforms) -> np.ndarray:
+    """The permutation matrix of ``perm``, once the source, permutation and
+    transforms are checked against a map of input dimension ``mapping.d``
+    on ``mapping.domain``: a built map, or a descriptor that names both, so
+    a run can check every config before the first one runs."""
+    if len(transforms) != mapping.d:
+        raise ValidationError("need one element-wise transform per latent dimension")
+    if p_s.dim != mapping.d or len(perm) != mapping.d:
+        raise ValidationError(
+            f"source dimension {p_s.dim} and permutation length {len(perm)} must both be "
+            f"the map input dimension {mapping.d}"
+        )
+    probe = np.linspace(-0.9, 0.9, 33) if mapping.domain != UNIT_CUBE else np.linspace(0.01, 0.99, 33)
+    for t in transforms:
+        _validate_monotone(t, probe)
+    return permutation_matrix(perm)
 
 
 @dataclass(frozen=True)
@@ -676,23 +689,17 @@ def reparam_invariance_check(
     where s~ = P h(s), using common random numbers; the global-contrast
     proposition predicts exact equality."""
     transforms = tuple(transforms)
-    perm = list(perm)
-    if len(transforms) != mapping.d:
-        raise ValidationError("need one element-wise transform per latent dimension")
-    if p_s.dim != mapping.d or len(perm) != mapping.d:
-        raise ValidationError(
-            f"source dimension {p_s.dim} and permutation length {len(perm)} must both be "
-            f"the map input dimension {mapping.d}"
-        )
-    probe = np.linspace(-0.9, 0.9, 33) if mapping.domain != UNIT_CUBE else np.linspace(0.01, 0.99, 33)
-    for t in transforms:
-        _validate_monotone(t, probe)
-    P = permutation_matrix(perm)
+    P = check_reparam(mapping, p_s, perm, transforms)
 
     draws = sample_factorial(p_s, n, seed)
-    transformed = np.column_stack(
-        [np.asarray(t.forward(draws[:, i])) for i, t in enumerate(transforms)]
-    ) @ P.T
+    # a transform may overflow on a valid draw (a cube of 1e150); numpy need
+    # not warn before the NumericalError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        transformed = np.column_stack(
+            [np.asarray(t.forward(draws[:, i])) for i, t in enumerate(transforms)]
+        ) @ P.T
+    if not np.all(np.isfinite(transformed)):
+        raise NumericalError("a transform took a draw to a non-finite value")
 
     reparam_map = ComposedMap([LinearMap(P.T), InverseElementwiseStage(transforms), mapping])
 

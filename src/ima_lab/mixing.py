@@ -9,7 +9,9 @@ Families:
   switches at knots with spacing ``delta``, plus their C^1 smooth
   approximation of half-width ``eps``,
 * conformal embeddings (orthonormal embedding composed with similarity
-  and sphere-inversion primitives), which satisfy J^T J = lambda^2 I.
+  and sphere-inversion primitives), which satisfy J^T J = lambda^2 I: a
+  :class:`ComposedMap`, the chain-rule composition of stages, as are the
+  spurious solutions of :mod:`ima_lab.mpa` and the reparametrized maps.
 
 Every family defines the batch calls ``evaluate_batch``/``jacobian_batch``
 and nothing else per point: the single-point ``evaluate``/``jacobian`` of
@@ -21,8 +23,9 @@ Jacobian protocol: ``jacobian_batch(S)`` takes (n, d) points and returns
 on a kept row and k on a row refused with ``errors.REJECTABLE[k - 1]``
 (those rows of J are NaN); ``jacobian`` raises that error at such a
 point.  Any other error, such as a point outside the domain, is raised by
-both batch calls.  The spurious stages of :mod:`ima_lab.mpa` broadcast
-their single-point calls over leading axes instead, like
+both batch calls, and every map checks its points by
+``MixingMap._check_points``.  The spurious stages of :mod:`ima_lab.mpa`
+broadcast their single-point calls over leading axes instead, like
 ``experiments.InverseElementwiseStage``.
 """
 
@@ -41,6 +44,7 @@ from .errors import (
     DomainError,
     NearPoleError,
     NonFiniteError,
+    NumericalError,
     OnKnotError,
     OutOfDomainError,
     RankDeficientError,
@@ -92,34 +96,6 @@ def _blend_coeff(s, eps: float):
 # ---------------------------------------------------------------------------
 # batch protocol and map base class
 # ---------------------------------------------------------------------------
-
-def chain_jacobian_batch(stages, X: np.ndarray, m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """``jacobian_batch`` of the composition of ``stages`` (applied first to
-    last) at the rows of X, by the chain rule on stacked stage Jacobians.
-    A row rejected by one stage is dropped from the later ones, and the
-    last stage is never evaluated.  A rejected row takes the code of the
-    stage that rejects it."""
-    n = len(X)
-    alive = np.arange(n)
-    code = np.zeros(n, dtype=np.int8)
-    J = None
-    for i, stage in enumerate(stages):
-        Js, stage_code = stage.jacobian_batch(X)
-        if stage_code.any():
-            keep = stage_code == 0
-            code[alive[~keep]] = stage_code[~keep]
-            alive, X, Js = alive[keep], X[keep], Js[keep]
-            J = None if J is None else J[keep]
-        # a non-finite stage Jacobian makes NaN products, which the contrast
-        # kernel refuses as a NumericalError; numpy need not warn first
-        with np.errstate(invalid="ignore", over="ignore"):
-            J = Js if J is None else Js @ J
-        if i + 1 < len(stages):
-            X = stage.evaluate_batch(X)
-    out = np.full((n, m, d), np.nan)
-    out[alive] = J
-    return out, code
-
 
 class MixingMap:
     """A map s -> x from R^d onto a d-dimensional manifold in R^m with an
@@ -174,10 +150,9 @@ class MixingMap:
 
 @dataclass(frozen=True)
 class LinearMap(MixingMap):
-    """f(s) = J s (+ offset); the Jacobian is constant."""
+    """f(s) = J s; the Jacobian is constant."""
 
     J: np.ndarray
-    offset: np.ndarray | None = None
 
     def __post_init__(self):
         J = np.asarray(self.J, dtype=float)
@@ -188,25 +163,81 @@ class LinearMap(MixingMap):
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "m", J.shape[0])
         object.__setattr__(self, "d", J.shape[1])
-        if self.offset is not None:
-            off = np.asarray(self.offset, dtype=float)
-            if off.shape != (J.shape[0],):
-                raise DimensionMismatchError("offset shape must match output dimension")
-            object.__setattr__(self, "offset", off)
 
     # the base batch of one, held in the class's own namespace, where the
     # benchmark's tracer (bench/tracing.py) patches LinearMap.jacobian by
-    # name; likewise on SmoothGridMap and ConformalMap
+    # name; likewise on SmoothGridMap, ComposedMap and ConformalMap
     jacobian = MixingMap.jacobian
 
     def evaluate_batch(self, S):
         # one matrix-vector product per row: a row does not depend on the batch
-        out = (self.J @ self._check_points(S)[..., None])[..., 0]
-        return out if self.offset is None else out + self.offset
+        return (self.J @ self._check_points(S)[..., None])[..., 0]
 
     def jacobian_batch(self, S):
         S = self._check_points(S)
         return np.repeat(self.J[None], len(S), axis=0), np.zeros(len(S), dtype=np.int8)
+
+
+class ComposedMap(MixingMap):
+    """Stage-wise composition, stages applied first to last: the one home
+    of the chain rule.  Each stage maps R^d to R^m, exposes ``d`` and
+    ``m``, and has the batch calls.  The Jacobian is the ordered product
+    of stacked stage Jacobians; a row one stage refuses is dropped from
+    the later ones and keeps that stage's code, so ``jacobian`` raises the
+    refusing stage's own error.  The last stage is never evaluated."""
+
+    def __init__(self, stages):
+        self.stages = tuple(stages)
+        if not self.stages:
+            raise ValidationError("composition needs at least one stage")
+        for here, after in zip(self.stages, self.stages[1:]):
+            if here.m != after.d:
+                raise DimensionMismatchError(
+                    f"stage output dim {here.m} does not match next input dim {after.d}"
+                )
+        self.d = self.stages[0].d
+        self.m = self.stages[-1].m
+
+    jacobian = MixingMap.jacobian  # held on the class, as on LinearMap
+
+    def evaluate_batch(self, S):
+        X = self._check_points(S)
+        for stage in self.stages:
+            X = self._stage_output(stage, X)
+        return X
+
+    @staticmethod
+    def _stage_output(stage, X):
+        """The points a stage hands on.  They are computed, not given, so a
+        non-finite one is a NumericalError (exit 3), which the next stage's
+        point check would call a malformed input."""
+        X = stage.evaluate_batch(X)
+        if not np.all(np.isfinite(X)):
+            raise NumericalError(f"{type(stage).__name__} computed non-finite points")
+        return X
+
+    def jacobian_batch(self, S):
+        X = self._check_points(S)
+        n = len(X)
+        alive = np.arange(n)
+        code = np.zeros(n, dtype=np.int8)
+        J = None
+        for i, stage in enumerate(self.stages):
+            Js, stage_code = stage.jacobian_batch(X)
+            if stage_code.any():
+                keep = stage_code == 0
+                code[alive[~keep]] = stage_code[~keep]
+                alive, X, Js = alive[keep], X[keep], Js[keep]
+                J = None if J is None else J[keep]
+            # a non-finite stage Jacobian makes NaN products, which the contrast
+            # kernel refuses as a NumericalError; numpy need not warn first
+            with np.errstate(invalid="ignore", over="ignore"):
+                J = Js if J is None else Js @ J
+            if i + 1 < len(self.stages):
+                X = self._stage_output(stage, X)
+        out = np.full((n, self.m, self.d), np.nan)
+        out[alive] = J
+        return out, code
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +518,7 @@ class TwoPieceMap(MixingMap):
 
     domain = FULL_SPACE
 
-    def __init__(self, J0: np.ndarray, J1: np.ndarray, k: int, c: float, eps: float = 0.0,
-                 linear: bool = False):
+    def __init__(self, J0: np.ndarray, J1: np.ndarray, k: int, c: float, eps: float = 0.0):
         J0 = np.asarray(J0, dtype=float)
         J1 = np.asarray(J1, dtype=float)
         if J0.shape != J1.shape or J0.ndim != 2:
@@ -503,7 +533,8 @@ class TwoPieceMap(MixingMap):
         self.k = int(k)
         self.c = float(c)
         self.eps = float(eps)
-        self.linear = bool(linear)
+        # equal pieces are one affine map, which has a Jacobian on the boundary too
+        self.linear = bool(np.array_equal(J0, J1))
         # offset that makes the two pieces agree on the boundary
         self.c1 = self.c * (J0[:, k] - J1[:, k])
         boundary_gap = np.max(np.abs((self.J0 - self.J1) @ self._boundary_point() - self.c1))
@@ -554,20 +585,19 @@ def make_two_piece(
     """Replace column k of J0 past the boundary {s_k = c}.
 
     ``new_col`` equal to the existing column degenerates to a single
-    affine map (allowed, flagged ``linear``); otherwise new_col must be
-    linearly independent of J0's columns.
+    affine map (allowed; the map is then ``linear``); otherwise new_col
+    must be linearly independent of J0's columns.
     """
     J0 = np.asarray(J0, dtype=float)
     new_col = np.asarray(new_col, dtype=float)
     if J0.ndim != 2 or new_col.shape != (J0.shape[0],):
         raise DimensionMismatchError("new_col must be an m-vector matching J0's rows")
-    linear = bool(np.array_equal(new_col, J0[:, k]))
-    if not linear:
+    if not np.array_equal(new_col, J0[:, k]):
         if not full_rank(np.linalg.svd(np.column_stack([J0, new_col]), compute_uv=False)):
             raise RankDeficientError("new column is linearly dependent on J0's columns")
     J1 = J0.copy()
     J1[:, k] = new_col
-    return TwoPieceMap(J0, J1, k, c, eps, linear=linear)
+    return TwoPieceMap(J0, J1, k, c, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -633,11 +663,10 @@ class Inversion:
         return J, reject_codes(near, NearPoleError)
 
 
-class ConformalMap(MixingMap):
-    """Orthonormal embedding of a composition of conformal primitives;
-    the Jacobian satisfies J^T J = lambda(s)^2 I on the admissible domain."""
-
-    domain = FULL_SPACE
+class ConformalMap(ComposedMap):
+    """Orthonormal embedding of a composition of conformal primitives: the
+    composition of the primitives, then ``LinearMap(embed)``.  The
+    Jacobian satisfies J^T J = lambda(s)^2 I on the admissible domain."""
 
     def __init__(self, embed: np.ndarray, inner: tuple = ()):
         embed = np.asarray(embed, dtype=float)
@@ -653,19 +682,11 @@ class ConformalMap(MixingMap):
             if dim != self.d:
                 raise DimensionMismatchError("inner primitives must act on R^d")
         self.inner = tuple(inner)
-        # the primitives, then the embedding as a last linear stage
-        self._chain = self.inner + (LinearMap(embed),)
+        # the check above chains the primitives, which need not name d and m
+        # (an inversion acts on any R^d), so ComposedMap's own check is skipped
+        self.stages = self.inner + (LinearMap(embed),)
 
     jacobian = MixingMap.jacobian  # held on the class, as on LinearMap
-
-    def evaluate_batch(self, S):
-        X = self._check_points(S)
-        for stage in self._chain:
-            X = stage.evaluate_batch(X)
-        return X
-
-    def jacobian_batch(self, S):
-        return chain_jacobian_batch(self._chain, self._check_points(S), self.m, self.d)
 
 
 def conformality_defect(cmap: ConformalMap, s) -> float:

@@ -1,6 +1,8 @@
 """Spurious-solution constructors: the rotated-Gaussian measure-preserving
-automorphism, the two-dimensional Darmois construction, and the chain-rule
-composition machinery that assembles the counterexample maps.
+automorphism, the two-dimensional Darmois construction, and the
+counterexample maps f o a and f o O^T o dm^{-1} assembled from them as
+:class:`ima_lab.mixing.ComposedMap` chains (the name is importable from
+here too).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (
     ValidationError,
     reject_codes,
 )
-from .mixing import LinearMap, MixingMap, chain_jacobian_batch
+from .mixing import ComposedMap, LinearMap, MixingMap
 from .seeding import generator
 
 _CDF_CLAMP = 1e-15
@@ -443,42 +445,8 @@ class DarmoisInverse:
 
 
 # ---------------------------------------------------------------------------
-# composition
+# spurious solutions
 # ---------------------------------------------------------------------------
-
-class ComposedMap(MixingMap):
-    """Stage-wise composition; the Jacobian is the ordered chain-rule
-    product of stage Jacobians.  Each stage maps R^d to R^m, exposes ``d``
-    and ``m``, and has the batch calls.  A row one stage rejects carries
-    that stage's code, so the single-point ``evaluate`` and ``jacobian``
-    are the base batch of one and ``jacobian`` raises the rejecting
-    stage's own error."""
-
-    def __init__(self, stages):
-        self.stages = tuple(stages)
-        if not self.stages:
-            raise ValidationError("composition needs at least one stage")
-        for here, after in zip(self.stages, self.stages[1:]):
-            if here.m != after.d:
-                raise DimensionMismatchError(
-                    f"stage output dim {here.m} does not match next input dim {after.d}"
-                )
-        self.d = self.stages[0].d
-        self.m = self.stages[-1].m
-
-    def evaluate_batch(self, S):
-        X = np.asarray(S, dtype=float)
-        for stage in self.stages:
-            X = stage.evaluate_batch(X)
-        return X
-
-    # the base batch of one, held on the class for the benchmark's tracer,
-    # as on LinearMap
-    jacobian = MixingMap.jacobian
-
-    def jacobian_batch(self, S):
-        return chain_jacobian_batch(self.stages, np.asarray(S, dtype=float), self.m, self.d)
-
 
 def spurious_mpa(f: MixingMap, a: RotatedGaussianMPA) -> ComposedMap:
     """f o a: push latents through the automorphism, then mix."""

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import functools
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ima_lab import cli, schema
+from ima_lab import cli, distributions, mpa, schema
 from ima_lab.cli import SEED_ENV_VAR, build_parser, main, run, validate_run_config
 from ima_lab.errors import ValidationError
 
@@ -28,6 +29,9 @@ def sha256(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
+
+_UNIFORM = {"kind": "uniform", "params": {"a": 0.01, "b": 0.99}}
+_LAPLACE = {"kind": "laplace", "params": {"mu": 0.0, "b": 1.0}}
 
 SWEEP_CONFIG = {
     "command": "sweep",
@@ -107,6 +111,48 @@ class TestConfigValidation:
         assert err["type"] == "OutOfDomainError"
         assert "source law 1" in err["message"] and "unit cube" in err["message"]
 
+    @pytest.mark.parametrize("base, path, value, error", [
+        ("spurious", ("darmois_resolution",), 64, "DomainError"),
+        ("spurious", ("source",), [_LAPLACE, {"kind": "uniform", "params": {}}],
+         "NonPositiveDensityError"),
+        ("spurious", ("source",), [{"kind": "beta", "params": {"alpha": 2.0, "beta": 3.0}}, _LAPLACE],
+         "NonPositiveDensityError"),
+        ("spurious", ("source",), [_LAPLACE, {"kind": "chi", "params": {"k": 3}}],
+         "NonPositiveDensityError"),
+        ("spurious", ("m",), 1, "DomainError"),
+        ("spurious", ("n_mc",), 0, "DomainError"),
+        ("contrast map", ("map",), {"family": "grid", "d": 3, "m": 2, "delta": 0.5, "eps": 0.05},
+         "DomainError"),
+        ("contrast map", ("map",), {"family": "linear", "matrix": [[1.0], [0.0]]}, "ValidationError"),
+        ("contrast map", ("source",), [_UNIFORM] * 3, "ValidationError"),
+        ("contrast map", ("n_samples",), 0, "DomainError"),
+        ("reparam", ("configs", 2, "map"), {"family": "linear", "d": 0, "m": 4}, "DomainError"),
+        ("reparam", ("configs", 2, "map"), {"family": "grid", "d": 3, "m": 2, "delta": 0.5},
+         "DomainError"),
+        ("reparam", ("configs", 2, "source"), [_UNIFORM] * 3, "ValidationError"),
+        ("reparam", ("configs", 2, "perm"), [0, 1, 2], "ValidationError"),
+        ("reparam", ("configs", 2, "perm"), [0, 0], "ValidationError"),
+        ("reparam", ("configs", 2, "transforms"), [{"kind": "cube"}], "ValidationError"),
+        ("reparam", ("configs", 1, "map", "scale"), 0.0, "DomainError"),
+        ("reparam", ("configs", 2, "map"), {"family": "grid", "d": 2, "m": 12, "delta": 2.0},
+         "DomainError"),
+        ("reparam", ("configs", 2, "map"), {"family": "grid", "d": 2, "m": 12, "delta": 0.5, "eps": 0.2},
+         "DomainError"),
+    ])
+    def test_malformed_configs_exit_2_before_any_work(self, base, path, value, error):
+        """Most of these cases once drew or built a map before the refusal
+        (spurious after two MPA estimates, reparam after the earlier
+        configs ran); ``run_main`` fails a run that exits 2 after that."""
+        config = copy.deepcopy(MALFORMED_BASES[base])
+        parent = config["params"]
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        code, err = run_main(config, config["command"])
+        assert code == 2
+        assert "Traceback" not in err
+        assert json.loads(err)["type"] == error
+
     @pytest.mark.parametrize("command, key, value", [
         ("genericity", "trials", 0),
         ("genericity", "trials", -1),
@@ -174,6 +220,29 @@ class TestConfigValidation:
     def test_command_mismatch(self, tmp_path):
         path = write_config(tmp_path, "sweep.json", SWEEP_CONFIG)
         assert main(["genericity", "--config", path]) == 2
+
+    @pytest.mark.parametrize("base, path, value, message", [
+        # draws near 20 saturate tanh at 1.0, whose inverse is infinite
+        ("reparam", ("configs", 1, "source", 0, "params", "mu"), 20,
+         "InverseElementwiseStage computed non-finite points"),
+        # chi(1e300) draws near 1e150, whose cube overflows
+        ("reparam", ("configs", 2, "source", 1, "params", "k"), 1e300,
+         "a transform took a draw to a non-finite value"),
+        ("contrast map", ("source", 0), {"kind": "uniform", "params": {"a": -1e308, "b": 1e308}},
+         "a source law drew non-finite values"),
+    ])
+    def test_a_computed_non_finite_point_is_exit_3(self, base, path, value, message):
+        """A non-finite point computed from a valid config is a numerical
+        failure, not a malformed config, and it is raised without a numpy
+        warning (which the test run makes an error)."""
+        config = copy.deepcopy(MALFORMED_BASES[base])
+        parent = config["params"]
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        code, err = run_main(config, config["command"])
+        assert code == 3
+        assert json.loads(err) == {"error": "numerical", "type": "NumericalError", "message": message}
 
     def test_a_computed_non_finite_jacobian_is_exit_3(self, tmp_path):
         """A transform of slope 1e-320 makes the reparametrized Jacobian
@@ -245,6 +314,20 @@ class TestRuns:
         lines = (tmp_path / "out" / "contrast.csv").read_text().splitlines()
         assert lines[0].split(",")[0] == "mean"
         assert float(lines[1].split(",")[0]) == pytest.approx(0.34657359027997264)
+
+    @pytest.mark.parametrize("matrix, row", [
+        # the README matrix config
+        ([[1, 1], [0, 1]], "0.34657359027997275,0.0,1,0,0"),
+        # orthonormal columns whose unclamped contrast is -1.1e-16: clamped once
+        ([[-0.33753118573948804, 0.4650940464957199],
+          [-0.32273703687105976, -0.8738920757018322],
+          [-0.8842587311895672, 0.14142194999285024]], "0.0,0.0,1,1,0"),
+    ])
+    def test_a_matrix_row_counts_its_clamp(self, matrix, row, tmp_path):
+        cfg = {"command": "contrast", "params": {"matrix": matrix}, "output_dir": str(tmp_path)}
+        assert run(cfg) == 0
+        assert (tmp_path / "contrast.csv").read_text().splitlines() == [
+            "mean,stderr,n_samples,clamp_count,rejection_count", row]
 
     def test_contrast_map_mode(self, tmp_path):
         cfg = {
@@ -348,7 +431,6 @@ class TestRuns:
 
 #: a small valid reparam config on every map family and law kind the
 #: fuzzer below mutates
-_UNIFORM = {"kind": "uniform", "params": {"a": 0.01, "b": 0.99}}
 REPARAM_CONFIG = {
     "command": "reparam",
     "params": {
@@ -412,15 +494,56 @@ _JUNK = st.one_of(
 )
 
 
+#: (owner, name) of the draws and map builds that start a run's work
+_WORK = (
+    (distributions.FactorialDistribution, "sample"),
+    (distributions.SphericalSampler, "sample_columns"),
+    (mpa.DarmoisMap, "__init__"),
+)
+
+
+@contextlib.contextmanager
+def marking_work(started: list):
+    """Append to ``started`` whenever a draw or a map build returns: each
+    of :data:`_WORK`, and ``random_conformal_map`` under every name an
+    ima_lab module holds it by.  A call that raises has done no work."""
+    targets = list(_WORK) + [
+        (module, "random_conformal_map") for name, module in list(sys.modules.items())
+        if name.startswith("ima_lab") and "random_conformal_map" in vars(module)
+    ]
+    saved = [(owner, name, vars(owner)[name]) for owner, name in targets]
+
+    def marked(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            started.append(fn.__qualname__)
+            return result
+        return wrapper
+
+    try:
+        for owner, name, fn in saved:
+            setattr(owner, name, marked(fn))
+        yield
+    finally:
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)
+
+
 def run_main(config, command="reparam"):
-    """Exit code and standard error of ``main`` on a config file."""
+    """Exit code and standard error of ``main`` on a config file.  A run
+    that exits 2 (a malformed config) must refuse it before any work: the
+    first draw or map build fails the calling test."""
     err = io.StringIO()
+    started = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as fh:
             json.dump(config, fh)
-        with contextlib.redirect_stderr(err):
+        with contextlib.redirect_stderr(err), marking_work(started):
             code = main([command, "--config", path, "--output-dir", os.path.join(tmp, "out")])
+    assert not (code == 2 and started), (
+        f"exit 2 after {started[0]} started work: {err.getvalue()} on {json.dumps(config)}")
     return code, err.getvalue()
 
 

@@ -166,6 +166,20 @@ class TestChunkedEstimate:
         assert chunked == scalar_estimate(KinkedMap(), points)
         assert chunked.rejection_count == 2
 
+    def test_only_the_nan_rows_are_scored_by_svd(self, monkeypatch):
+        points = np.random.default_rng(5).standard_normal((200, 2))
+        points[[9, 150]] = [[0.5, 1.0], [2.0, 0.0]]  # one refused, one rank deficient
+        monkeypatch.setattr(experiments, "CHUNK_BYTES", 8 * 3 * 2 * 7)  # 7 rows per chunk
+        given = np.random.default_rng(6).uniform(0.0, 1.0, 200)
+        redo = np.zeros(200, dtype=bool)
+        redo[[0, 3, 4, 9, 17, 18, 19, 20, 21, 22, 23, 24, 60, 150, 199]] = True
+        given[redo] = np.nan
+        got = experiments._score_at_points(KinkedMap(), points, given.copy())
+        assert np.array_equal(got[~redo].view(np.int64), given[~redo].view(np.int64))
+        reference = per_point_scores(KinkedMap(), points[redo])
+        assert np.array_equal(got[redo].view(np.int64), reference.view(np.int64))
+        assert np.isnan(got[[9, 150]]).all() and np.count_nonzero(np.isnan(got)) == 2
+
     def test_one_chunk_matches_the_scalar_loop(self):
         points = np.random.default_rng(4).standard_normal((300, 2))
         assert chunked_estimate(KinkedMap(), points) == scalar_estimate(
@@ -410,7 +424,8 @@ class TestGenericity:
     def test_boundary_statistics_zero_for_interior_sources(self):
         g = sample_grid_map(d=2, m=20, delta=0.5, eps=0.01, seed=16)
         draws = sample_factorial(FactorialDistribution.iid(Uniform(0.1, 0.4), 2), 500, seed=17)
-        frac, mean_c = boundary_statistics(g.boundary_mask(draws), experiments._score_draws(g, draws))
+        values = experiments._score_at_points(g, draws, g.fast_contrasts(draws))
+        frac, mean_c = boundary_statistics(g.boundary_mask(draws), values)
         assert frac == 0.0 and mean_c == 0.0
 
     def test_smaller_eps_leaves_success_within_noise(self):
@@ -522,7 +537,7 @@ class TestGramConditioningGuard:
         grid = constant_grid_map(20, d, log_ratio, seed=int(-10 * log_ratio) + d)
         draws = np.random.default_rng(d).random((300, d))
         draws[:5, 0] = [0.0, 0.01, 0.05, 0.5, 1.0]  # window edges, knots and cube faces
-        values = experiments._score_draws(grid, draws)
+        values = experiments._score_at_points(grid, draws, grid.fast_contrasts(draws))
         svd = local_contrast_batch(np.stack([grid.jacobian(s) for s in draws]))
         assert np.array_equal(np.isnan(values), np.isnan(svd))
         assert np.allclose(values, svd, rtol=1e-7, atol=1e-7, equal_nan=True)
@@ -534,7 +549,7 @@ class TestGramConditioningGuard:
         assert np.all(np.isnan(local_contrast_from_gram(grid.gram_batch(draws))))
         svd = local_contrast_batch(np.stack([grid.jacobian(s) for s in draws]))
         assert not np.any(np.isnan(svd))
-        assert np.array_equal(experiments._score_draws(grid, draws), svd)
+        assert np.array_equal(experiments._score_at_points(grid, draws, grid.fast_contrasts(draws)), svd)
 
 
 class TestTrendHelper:

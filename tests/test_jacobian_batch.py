@@ -27,6 +27,7 @@ from ima_lab.distributions import (
 )
 from ima_lab.errors import (
     REJECTABLE,
+    DimensionMismatchError,
     DomainError,
     NearPoleError,
     NonFiniteError,
@@ -355,9 +356,16 @@ class TestFamilies:
                 with pytest.raises(OutOfDomainError):
                     call(S[-1])
 
-    @pytest.mark.parametrize("mapping", [SmoothGridMap(np.ones((3, 4, 2)), 0.5, 0.0),
-                                         SmoothGridMap(np.ones((3, 4, 2)), 0.5, 0.02),
-                                         LinearMap(np.ones((3, 2)))], ids=["grid", "smoothed", "linear"])
+    # the composed map's stages do not check their points, so only the
+    # composition can refuse them
+    _CHECKED_MAPS = pytest.mark.parametrize(
+        "mapping",
+        [SmoothGridMap(np.ones((3, 4, 2)), 0.5, 0.0), SmoothGridMap(np.ones((3, 4, 2)), 0.5, 0.02),
+         LinearMap(np.ones((3, 2))),
+         ComposedMap([InverseElementwiseStage([AffineTransform(2.0, 1.0), AffineTransform(-0.5)])] * 2)],
+        ids=["grid", "smoothed", "linear", "composed"])
+
+    @_CHECKED_MAPS
     def test_non_finite_points_raise(self, mapping):
         S = np.array([[0.2, 0.3], [np.nan, 0.5], [0.1, np.inf]])
         for call in (mapping.jacobian_batch, mapping.evaluate_batch):
@@ -367,6 +375,16 @@ class TestFamilies:
             for s in S[1:]:
                 with pytest.raises(NonFiniteError):
                     call(s)
+
+    @_CHECKED_MAPS
+    def test_points_of_the_wrong_width_raise(self, mapping):
+        for S in (np.full((2, 3), 0.5), np.full((2, 1), 0.5)):
+            for call in (mapping.jacobian_batch, mapping.evaluate_batch):
+                with pytest.raises(DimensionMismatchError):
+                    call(S)
+            for call in (mapping.jacobian, mapping.evaluate):
+                with pytest.raises(DimensionMismatchError):
+                    call(S[0])
 
     @settings(deadline=None, max_examples=100)
     @given(seed=st.integers(0, 2**32 - 1), eps=st.sampled_from([0.0, 0.05]),

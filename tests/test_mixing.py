@@ -24,6 +24,7 @@ from ima_lab.mixing import (
     LinearMap,
     Similarity,
     SmoothGridMap,
+    TwoPieceMap,
     _blend_coeff,
     conformality_defect,
     grid_chunk_scores,
@@ -340,7 +341,7 @@ class TestCellScoring:
         # the rows handed back as NaN are scored by the SVD of their Jacobian
         redo = np.isnan(reference)
         reference[redo] = experiments._score_at_points(grid, S[redo])
-        scored = experiments._score_draws(grid, S)
+        scored = experiments._score_at_points(grid, S, grid.fast_contrasts(S))
         assert np.array_equal(np.isnan(scored), np.isnan(reference))
         assert np.array_equal(scored.view(np.int64), reference.view(np.int64))
 
@@ -416,6 +417,12 @@ class TestTwoPiece:
         assert tp.linear
         s = np.array([0.5, -0.3])
         assert np.allclose(tp.evaluate(s), J0 @ s)
+
+    def test_equal_pieces_have_a_jacobian_on_the_boundary(self):
+        J = np.random.default_rng(7).standard_normal((5, 3))
+        tp = TwoPieceMap(J, J, 1, 0.25)
+        assert tp.linear
+        assert np.array_equal(tp.jacobian(np.array([0.3, 0.25, -1.0])), J)
 
     def test_dependent_column_rejected(self):
         rng = np.random.default_rng(6)
