@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .experiments import (
     check_reparam,
     concentration_sweep,
     estimate_global_contrast,
-    gap_report_rows,
     genericity_experiment,
     reparam_invariance_check,
     rows_to_csv,
@@ -113,13 +112,16 @@ class _MapSpec:
 def _map_descriptor(desc, where: str) -> _MapSpec:
     """The descriptor's spec, refused unless its map has 1 <= d <= m and
     its family's own parameters are in their domains (an explicit matrix
-    is read for its shape, and its entries checked, now)."""
+    is read for its shape, and its entries checked, now; the keys that
+    would draw one are refused next to it)."""
     family, args = schema.choice(desc, "family", _MAP_FAMILIES, where)
     if family == "grid":
         check_grid(args["delta"], args.get("eps", 0.0))
     if not args.get("scale", 1.0) > 0.0:
         raise DomainError(f"{where}: conformal scale must be positive, got {args['scale']}")
     if "matrix" in args:
+        if len(args) > 1:
+            raise ValidationError(f"{where}: a 'matrix' takes none of {sorted(args.keys() - {'matrix'})}")
         m, d = LinearMap(args["matrix"]).J.shape
     elif {"m", "d"} <= args.keys():
         m, d = args["m"], args["d"]
@@ -138,7 +140,7 @@ _CONTRAST = {
     "matrix": (schema.real_array, OPTIONAL),
     "map": (_map_descriptor, OPTIONAL),
     "source": (FactorialDistribution.from_config, OPTIONAL),
-    "n_samples": (schema.integer, 2000),
+    "n_samples": (schema.integer, OPTIONAL),
 }
 
 
@@ -146,13 +148,16 @@ def _run_contrast(args: dict, seed: int, threads: int):
     if ("matrix" in args) == ("map" in args):
         raise ValidationError("contrast takes exactly one of 'matrix' or 'map'")
     if "matrix" in args:
+        if args.keys() & {"source", "n_samples"}:
+            raise ValidationError("contrast of a 'matrix' takes no 'source' or 'n_samples'")
         return [_estimate_from_values(np.array([local_contrast_unclamped(args["matrix"])]))]
     if "source" not in args:
         raise ValidationError("map-based contrast needs a 'source' law list")
     args["map"].check_source(args["source"], "contrast params")
-    if args["n_samples"] < 1:
-        raise DomainError(f"contrast params: n_samples must be >= 1, got {args['n_samples']}")
-    return [estimate_global_contrast(args["map"](seed), args["source"], args["n_samples"], seed)]
+    n = args.get("n_samples", 2000)
+    if n < 1:
+        raise DomainError(f"contrast params: n_samples must be >= 1, got {n}")
+    return [estimate_global_contrast(args["map"](seed), args["source"], n, seed)]
 
 
 _SWEEP = {
@@ -199,7 +204,7 @@ _SPURIOUS = {
 def _run_spurious(args: dict, seed: int, threads: int):
     if "rotation_deg" in args:
         args["rotation"] = rotation_matrix_2d(np.radians(args.pop("rotation_deg")))
-    return gap_report_rows(spurious_gap_experiment(**args, seed=seed))
+    return spurious_gap_experiment(**args, seed=seed).branches()
 
 
 _REPARAM = {"configs": (schema.array, REQUIRED), "n_mc": (schema.integer, 2000)}
@@ -227,21 +232,9 @@ def _run_reparam(args: dict, seed: int, threads: int):
             cfg["map"](substream(seed, idx, 0)), cfg["source"], cfg["perm"], cfg["transforms"],
             n, substream(seed, idx, 1),
         )
-        rows.append(
-            ReparamRow(
-                config_index=idx,
-                perm="-".join(str(p) for p in cfg["perm"]),
-                transforms="|".join(t["kind"] for t in raw["transforms"]),
-                n_samples=n,
-                mean_base=report.mean_base,
-                stderr_base=report.stderr_base,
-                mean_reparam=report.mean_reparam,
-                stderr_reparam=report.stderr_reparam,
-                abs_difference=report.abs_difference,
-                combined_stderr=report.combined_stderr,
-                within_3sigma=report.within_tolerance,
-            )
-        )
+        rows.append(ReparamRow(config_index=idx, perm="-".join(str(p) for p in cfg["perm"]),
+                               transforms="|".join(t["kind"] for t in raw["transforms"]),
+                               **asdict(report)))
     return rows
 
 
@@ -305,7 +298,7 @@ def run(config: dict) -> int:
     """Execute a validated run config; returns the process exit code."""
     config = validate_run_config(config)
     command, output_dir = config["command"], config["output_dir"]
-    started = time.time()
+    started = time.perf_counter()
     table, runner = _RUNNERS[command]
     args = schema.read(config["params"], table, f"{command} params")
     try:
@@ -318,7 +311,7 @@ def run(config: dict) -> int:
         "command": command,
         "config": config,
         "master_seed": config["master_seed"],
-        "wall_time_s": time.time() - started,
+        "wall_time_s": time.perf_counter() - started,
         "version": __version__,
     }
     with open(os.path.join(output_dir, "manifest.json"), "w") as fh:

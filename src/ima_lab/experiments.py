@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -377,26 +377,33 @@ def genericity_experiment(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GapBranch:
-    name: str
-    estimate: ContrastEstimate
+class GapRow:
+    branch: str
+    mean: float
+    stderr: float
+    n_samples: int
+    clamp_count: int
+    rejection_count: int
     floor: float
+    exceeds_gap: bool
+    is_zero: bool
 
-    @property
-    def exceeds_gap(self) -> bool:
-        return self.estimate.mean > max(self.floor, 10.0 * self.estimate.stderr)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.estimate.mean <= 1e-6
+def _gap_row(branch: str, estimate: ContrastEstimate, floor: float) -> GapRow:
+    """The branch's CSV row, with the gap flag rules: a spurious gap is a
+    mean above max(floor, 10 stderr), a vanishing contrast a mean at most
+    1e-6."""
+    return GapRow(branch, **asdict(estimate), floor=floor,
+                  exceeds_gap=estimate.mean > max(floor, 10.0 * estimate.stderr),
+                  is_zero=estimate.mean <= 1e-6)
 
 
 @dataclass(frozen=True)
 class GapReport:
-    truth_mpa: GapBranch
-    spurious_mpa: GapBranch
-    truth_darmois: GapBranch
-    spurious_darmois: GapBranch
+    truth_mpa: GapRow
+    spurious_mpa: GapRow
+    truth_darmois: GapRow
+    spurious_darmois: GapRow
 
     @property
     def passed(self) -> bool:
@@ -407,7 +414,7 @@ class GapReport:
             and self.spurious_darmois.exceeds_gap
         )
 
-    def branches(self):
+    def branches(self) -> list[GapRow]:
         return [self.truth_mpa, self.spurious_mpa, self.truth_darmois, self.spurious_darmois]
 
 
@@ -453,42 +460,8 @@ def spurious_gap_experiment(
         spurious_darmois(f, R, dm), p_u, n_mc, substream(seed, 4)
     )
 
-    return GapReport(
-        truth_mpa=GapBranch("truth_mpa", truth_mpa, floor),
-        spurious_mpa=GapBranch("spurious_mpa", spur_mpa, floor),
-        truth_darmois=GapBranch("truth_darmois", truth_darmois, floor),
-        spurious_darmois=GapBranch("spurious_darmois", spur_darmois, floor),
-    )
-
-
-@dataclass(frozen=True)
-class GapRow:
-    branch: str
-    mean: float
-    stderr: float
-    n_samples: int
-    clamp_count: int
-    rejection_count: int
-    floor: float
-    exceeds_gap: bool
-    is_zero: bool
-
-
-def gap_report_rows(report: GapReport) -> list[GapRow]:
-    return [
-        GapRow(
-            branch=b.name,
-            mean=b.estimate.mean,
-            stderr=b.estimate.stderr,
-            n_samples=b.estimate.n_samples,
-            clamp_count=b.estimate.clamp_count,
-            rejection_count=b.estimate.rejection_count,
-            floor=b.floor,
-            exceeds_gap=b.exceeds_gap,
-            is_zero=b.is_zero,
-        )
-        for b in report.branches()
-    ]
+    estimates = (truth_mpa, spur_mpa, truth_darmois, spur_darmois)
+    return GapReport(*(_gap_row(b.name, e, floor) for b, e in zip(fields(GapReport), estimates)))
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +545,11 @@ def transform_from_config(config: dict) -> ElementwiseTransform:
 
 
 def _validate_monotone(transform: ElementwiseTransform, probe: np.ndarray) -> None:
-    values = np.asarray([transform.forward(x) for x in probe])
-    if not (np.all(np.diff(values) > 0) or np.all(np.diff(values) < 0)):
+    # a transform may overflow on the probe (a = 1.7e308); numpy need not
+    # warn before its steps are read
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(transform.forward(probe))
+    if not (np.all(steps > 0) or np.all(steps < 0)):
         raise NonMonotoneError(f"{transform!r} is not strictly monotone on the probe grid")
 
 
@@ -658,23 +634,18 @@ class ReparamRow:
 
 @dataclass(frozen=True)
 class ReparamReport:
+    """The numeric columns of a reparam CSV row.  The reparametrized mean
+    is within 3 sigma when its distance from the base mean is at most
+    three combined standard errors, floored at 1e-12."""
+
+    n_samples: int
     mean_base: float
     stderr_base: float
     mean_reparam: float
     stderr_reparam: float
-    n_samples: int
-
-    @property
-    def abs_difference(self) -> float:
-        return abs(self.mean_base - self.mean_reparam)
-
-    @property
-    def combined_stderr(self) -> float:
-        return math.hypot(self.stderr_base, self.stderr_reparam)
-
-    @property
-    def within_tolerance(self) -> bool:
-        return self.abs_difference <= 3.0 * max(self.combined_stderr, 1e-12)
+    abs_difference: float
+    combined_stderr: float
+    within_3sigma: bool
 
 
 def reparam_invariance_check(
@@ -705,13 +676,13 @@ def reparam_invariance_check(
 
     base = _estimate_from_values(_score_at_points(mapping, draws))
     re = _estimate_from_values(_score_at_points(reparam_map, transformed))
-    return ReparamReport(
-        mean_base=base.mean,
-        stderr_base=base.stderr,
-        mean_reparam=re.mean,
-        stderr_reparam=re.stderr,
-        n_samples=n,
-    )
+    return _reparam_report(n, base, re)
+
+
+def _reparam_report(n: int, base: ContrastEstimate, re: ContrastEstimate) -> ReparamReport:
+    diff, combined = abs(base.mean - re.mean), math.hypot(base.stderr, re.stderr)
+    return ReparamReport(n, base.mean, base.stderr, re.mean, re.stderr, diff, combined,
+                         diff <= 3.0 * max(combined, 1e-12))
 
 
 # ---------------------------------------------------------------------------

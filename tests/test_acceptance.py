@@ -248,17 +248,17 @@ def test_criterion_08_darmois_correctness():
 def test_criterion_09_spurious_gaps():
     with _Clock() as clock:
         report = spurious_gap_experiment(m=5, n_mc=2000, darmois_resolution=512, seed=20250809)
-        assert report.truth_mpa.estimate.mean <= 1e-6
-        assert report.truth_darmois.estimate.mean <= 1e-6
+        assert report.truth_mpa.mean <= 1e-6
+        assert report.truth_darmois.mean <= 1e-6
         for branch in (report.spurious_mpa, report.spurious_darmois):
-            assert branch.estimate.mean > max(1e-3, 10.0 * branch.estimate.stderr)
+            assert branch.mean > max(1e-3, 10.0 * branch.stderr)
         assert report.passed
         control = spurious_gap_experiment(
             m=5, source=FactorialDistribution.iid(Gaussian(0, 1), 2),
             n_mc=2000, darmois_resolution=512, seed=20250809,
         )
-        assert control.spurious_mpa.estimate.mean <= 1e-6
-        assert control.spurious_darmois.estimate.mean <= 1e-6
+        assert control.spurious_mpa.mean <= 1e-6
+        assert control.spurious_darmois.mean <= 1e-6
         assert not control.passed
         with pytest.raises(TrivialRotationError):
             spurious_gap_experiment(rotation=np.eye(2), n_mc=100, seed=1)
@@ -269,8 +269,8 @@ def test_criterion_09_spurious_gaps():
     assert clock.elapsed < 120.0
     _report(
         9,
-        f"gaps: mpa {report.spurious_mpa.estimate.mean:.3f}, "
-        f"darmois {report.spurious_darmois.estimate.mean:.3f}; Gaussian control flat",
+        f"gaps: mpa {report.spurious_mpa.mean:.3f}, "
+        f"darmois {report.spurious_darmois.mean:.3f}; Gaussian control flat",
         clock,
         budget=120,
     )

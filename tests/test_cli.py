@@ -3,6 +3,7 @@ import copy
 import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -138,6 +139,19 @@ class TestConfigValidation:
          "DomainError"),
         ("reparam", ("configs", 2, "map"), {"family": "grid", "d": 2, "m": 12, "delta": 0.5, "eps": 0.2},
          "DomainError"),
+        # keys a run would ignore: a matrix contrast draws nothing, and a
+        # linear map's matrix is not drawn
+        ("contrast matrix", ("source",), [_UNIFORM] * 5, "ValidationError"),
+        ("contrast matrix", ("n_samples",), 50, "ValidationError"),
+        ("contrast map", ("map",), {"family": "linear", "matrix": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                                    "m": 50, "d": 1, "seed": 3, "radial": "unit"}, "ValidationError"),
+        ("reparam", ("configs", 2, "map"), {"family": "linear", "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                                            "seed": 3}, "ValidationError"),
+        # a slope so small that the transform is flat on the probe grid
+        ("reparam", ("configs", 1, "transforms", 1), {"kind": "affine", "a": 5e-324}, "NonMonotoneError"),
+        # one that overflows there, refused without a numpy warning
+        ("reparam", ("configs", 1, "transforms", 1), {"kind": "affine", "a": 1.7e308, "b": 1.7e308},
+         "NonMonotoneError"),
     ])
     def test_malformed_configs_exit_2_before_any_work(self, base, path, value, error):
         """Most of these cases once drew or built a map before the refusal
@@ -370,6 +384,14 @@ class TestRuns:
         rebuilt = dict(rebuilt, output_dir=out2)
         run(rebuilt)
         assert sha256(os.path.join(out, "sweep.csv")) == sha256(os.path.join(out2, "sweep.csv"))
+
+    def test_manifest_wall_time_ignores_a_clock_step(self, tmp_path, monkeypatch):
+        # the wall clock steps back by a day between any two reads
+        clock = itertools.count(1e9, -86400.0)
+        monkeypatch.setattr(cli.time, "time", lambda: next(clock))
+        run(dict(SWEEP_CONFIG, output_dir=str(tmp_path)))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert 0.0 <= manifest["wall_time_s"] < 60.0
 
     def test_seed_env_var_overrides_config(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, "sweep.json", SWEEP_CONFIG)

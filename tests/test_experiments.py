@@ -33,7 +33,9 @@ from ima_lab.errors import (
 )
 from ima_lab.experiments import (
     AffineTransform,
+    ContrastEstimate,
     CubeTransform,
+    ElementwiseTransform,
     InverseElementwiseStage,
     TanhTransform,
     binomial_stderr,
@@ -576,8 +578,8 @@ class TestSpuriousGap:
 
     def test_laplace_sources_show_gap(self):
         report = spurious_gap_experiment(m=5, n_mc=800, darmois_resolution=256, seed=19)
-        assert report.truth_mpa.estimate.mean <= 1e-6
-        assert report.truth_darmois.estimate.mean <= 1e-6
+        assert report.truth_mpa.mean <= 1e-6
+        assert report.truth_darmois.mean <= 1e-6
         assert report.spurious_mpa.exceeds_gap
         assert report.spurious_darmois.exceeds_gap
         assert report.passed
@@ -586,9 +588,40 @@ class TestSpuriousGap:
         src = FactorialDistribution.iid(Gaussian(0, 1), 2)
         report = spurious_gap_experiment(m=5, source=src, n_mc=800,
                                          darmois_resolution=256, seed=20)
-        assert report.spurious_mpa.estimate.mean <= 1e-6
-        assert report.spurious_darmois.estimate.mean <= 1e-6
+        assert report.spurious_mpa.mean <= 1e-6
+        assert report.spurious_darmois.mean <= 1e-6
         assert not report.passed
+
+
+def _estimate(mean, stderr=0.0):
+    return ContrastEstimate(mean, stderr, 100, 0, 0)
+
+
+class TestFlagRules:
+    """Each CSV flag holds at its threshold and flips one ulp past it."""
+
+    @pytest.mark.parametrize("stderr", [0.0, 0.25])
+    def test_exceeds_gap_is_false_at_max_of_floor_and_ten_stderr(self, stderr):
+        edge = max(1e-3, 10.0 * stderr)
+        assert not experiments._gap_row("b", _estimate(edge, stderr), 1e-3).exceeds_gap
+        assert experiments._gap_row("b", _estimate(np.nextafter(edge, np.inf), stderr), 1e-3).exceeds_gap
+
+    def test_is_zero_is_true_at_one_millionth(self):
+        assert experiments._gap_row("b", _estimate(1e-6), 1e-3).is_zero
+        assert not experiments._gap_row("b", _estimate(np.nextafter(1e-6, np.inf)), 1e-3).is_zero
+
+    @pytest.mark.parametrize("base, edge, stderr", [
+        (0.25, 1.0, 0.25),    # diff 0.75 == 3 * combined stderr 0.25
+        (0.0, 3.0 * 1e-12, 0.0),  # diff at the 1e-12 floor of a zero stderr
+    ])
+    def test_within_3sigma_is_true_at_three_combined_stderr(self, base, edge, stderr):
+        assert experiments._reparam_report(100, _estimate(edge, stderr), _estimate(base)).within_3sigma
+        past = np.nextafter(edge, np.inf)
+        assert not experiments._reparam_report(100, _estimate(past, stderr), _estimate(base)).within_3sigma
+
+    def test_within_3sigma_is_true_at_zero_difference_and_stderr(self):
+        report = experiments._reparam_report(100, _estimate(0.5), _estimate(0.5))
+        assert (report.abs_difference, report.combined_stderr, report.within_3sigma) == (0.0, 0.0, True)
 
 
 class TestReparam:
@@ -606,25 +639,35 @@ class TestReparam:
         p_s = FactorialDistribution.iid(Gaussian(0, 1), 2)
         transforms = [AffineTransform(2.0, 0.5), AffineTransform(-1.5, 0.0)]
         report = reparam_invariance_check(f, p_s, [1, 0], transforms, 500, seed=24)
-        assert report.within_tolerance
+        assert report.within_3sigma
 
     def test_cube_transform_on_grid_map(self):
         g = sample_grid_map(d=3, m=40, delta=0.5, eps=0.02, seed=25)
         p_s = FactorialDistribution.iid(Uniform(0.01, 0.99), 3)
         transforms = [CubeTransform(), AffineTransform(0.5, 0.25), CubeTransform()]
         report = reparam_invariance_check(g, p_s, [2, 0, 1], transforms, 500, seed=26)
-        assert report.within_tolerance
+        assert report.within_3sigma
 
     def test_tanh_on_conformal_map(self):
         f = random_conformal_map(2, 7, seed=27)
         p_s = FactorialDistribution.iid(Gaussian(0, 1), 2)
         transforms = [TanhTransform(), TanhTransform()]
         report = reparam_invariance_check(f, p_s, [0, 1], transforms, 500, seed=28)
-        assert report.within_tolerance
+        assert report.within_3sigma
 
     def test_nonmonotone_rejected(self):
         with pytest.raises(NonMonotoneError):
             AffineTransform(0.0, 1.0)
+
+    def test_the_probe_refuses_a_non_monotone_transform(self):
+        class Square(ElementwiseTransform):
+            def forward(self, x):
+                return np.square(x)
+
+        f = LinearMap(np.eye(3)[:, :2])
+        p_s = FactorialDistribution.iid(Gaussian(0, 1), 2)
+        with pytest.raises(NonMonotoneError, match="probe grid"):
+            reparam_invariance_check(f, p_s, [0, 1], [AffineTransform(), Square()], 50, seed=1)
 
     def test_transform_config_roundtrip(self):
         for cfg in ({"kind": "affine", "a": 2.0, "b": 1.0}, {"kind": "cube"}, {"kind": "tanh"}):
