@@ -70,8 +70,7 @@ def smooth_step(s, eps: float):
     if not eps > 0:
         raise DomainError(f"smoothing half-width eps must be positive, got {eps}")
     s = np.asarray(s, dtype=float)
-    inside = 0.5 * np.sin(0.5 * np.pi * s / eps) + 0.5
-    out = np.where(s <= -eps, 0.0, np.where(s > eps, 1.0, inside))
+    out = np.where(s <= -eps, 0.0, np.where(s > eps, 1.0, _step_inside(s, eps)))
     return out if out.ndim else float(out)
 
 
@@ -81,8 +80,7 @@ def smooth_step_deriv(s, eps: float):
     if not eps > 0:
         raise DomainError(f"smoothing half-width eps must be positive, got {eps}")
     s = np.asarray(s, dtype=float)
-    inside = (np.pi / (4.0 * eps)) * np.cos(0.5 * np.pi * s / eps)
-    out = np.where((s <= -eps) | (s > eps), 0.0, inside)
+    out = np.where((s <= -eps) | (s > eps), 0.0, _deriv_inside(s, eps))
     return out if out.ndim else float(out)
 
 
@@ -91,6 +89,21 @@ def _blend_coeff(s, eps: float):
     affine pair is J0 q(knot - s) + J1 q(s - knot)."""
     s = np.asarray(s, dtype=float)
     return smooth_step(s, eps) + s * smooth_step_deriv(s, eps)
+
+
+# The ramps on their window (-eps, eps], where the functions above take
+# these values: the grid maps evaluate them only there, in fewer numpy calls.
+
+def _step_inside(s, eps: float):
+    return 0.5 * np.sin(0.5 * np.pi * s / eps) + 0.5
+
+
+def _deriv_inside(s, eps: float):
+    return (np.pi / (4.0 * eps)) * np.cos(0.5 * np.pi * s / eps)
+
+
+def _blend_inside(s, eps: float):
+    return _step_inside(s, eps) + s * _deriv_inside(s, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +278,12 @@ class SmoothGridMap(MixingMap):
     raw map, whose Jacobian is refused on knots.  ``block_gram`` takes the
     blocks' cross Grams as :func:`_block_grams` stacks them (the sampler
     computes a chunk of maps at once); they are computed when None.
+
+    A coordinate blends at most two adjacent blocks (:meth:`_blend_pair`),
+    so the Jacobian and its Gram read two blocks per coordinate, not p.
+    They sum the non-zero products of the dense blend over all p blocks
+    in that blend's own order, so they give its bits (the Gram at d >= 2,
+    see :meth:`gram_batch`).
     """
 
     domain = UNIT_CUBE
@@ -324,26 +343,35 @@ class SmoothGridMap(MixingMap):
         a knot."""
         return np.any((np.abs(x0) <= tol) & (k0 < len(self.knots)), axis=-1)
 
-    def _weights(self, k0: np.ndarray, x0: np.ndarray, ramp) -> np.ndarray:
-        """Blend weights of routed coordinates, shape x0.shape + (p,): q on
-        block k0 and 1 - q on block k0 - 1, where q is 1 past the window, 0
-        at or below it and ``ramp(x0, eps)`` inside it; one-hot at eps = 0.
-        ``ramp`` is :func:`smooth_step` for the evaluator and
-        :func:`_blend_coeff` for the Jacobian."""
+    def _blend_pair(self, k0: np.ndarray, x0: np.ndarray, ramp):
+        """The two blocks that routed coordinates blend, and their weights:
+        blocks (max(k0 - 1, 0), k0) with weights (1 - q, q), where q is 1
+        past the window, 0 at or below it and ``ramp(x0, eps)`` inside it.
+        The first weight is 0 at k0 = 0, which has no block below.  The only
+        home of the window and ramp rule.  ``ramp`` takes the coordinates
+        inside the window: :func:`_step_inside` for the evaluator and
+        :func:`_blend_inside` for the Jacobian."""
         q = (x0 > self.eps).astype(float)
         window = self._in_window(x0)
         if window.any():  # never at eps = 0, where the ramps are undefined
             q[window] = ramp(x0[window], self.eps)
-        q = q[..., None]
-        # built whole: a strided slice of a wider array doubles the einsum's time
-        j = np.arange(self.p) - k0[..., None]
-        return np.where(j == 0, q, np.where(j == -1, 1.0 - q, 0.0))
+        return np.maximum(k0 - 1, 0), k0, np.where(k0 == 0, 0.0, 1.0 - q), q
+
+    def _weights(self, k0: np.ndarray, x0: np.ndarray, ramp) -> np.ndarray:
+        """The dense blend weights of routed coordinates, shape
+        x0.shape + (p,): :meth:`_blend_pair` scattered into a row of zeros,
+        one-hot at eps = 0.  Only the evaluator's product reads them."""
+        lo, hi, w_lo, w_hi = self._blend_pair(k0, x0, ramp)
+        v = np.zeros(x0.shape + (self.p,))
+        np.put_along_axis(v, lo[..., None], w_lo[..., None], axis=-1)
+        np.put_along_axis(v, hi[..., None], w_hi[..., None], axis=-1)  # over w_lo where k0 = 0
+        return v
 
     jacobian = MixingMap.jacobian  # held on the class, as on LinearMap
 
     def evaluate_batch(self, S):
         S = self._check_points(S)
-        v = self._weights(*self._route(S), smooth_step)  # (n, d, p)
+        v = self._weights(*self._route(S), _step_inside)  # (n, d, p)
         # the affine piece of block t at coordinate s_k is
         # blocks[t][:, k] (s_k - t delta) + prefix[t][:, k], weighted by v;
         # one vector-matrix product per row, so a row does not depend on the batch
@@ -353,7 +381,19 @@ class SmoothGridMap(MixingMap):
 
     def jacobian_batch(self, S):
         k0, x0 = self._route(self._check_points(S))
-        J = np.einsum("tmk,nkt->nmk", self.blocks, self._weights(k0, x0, _blend_coeff))
+        lo, hi, w_lo, w_hi = self._blend_pair(k0, x0, _blend_inside)
+        # column k is blocks[lo, :, k] w_lo + blocks[hi, :, k] w_hi: the only
+        # non-zero products of the dense blend, whose other terms add exact zeros
+        columns, k = self.blocks.transpose(0, 2, 1), np.arange(self.d)
+        a = columns[lo, k]
+        a *= w_lo[..., None]
+        b = columns[hi, k]
+        b *= w_hi[..., None]
+        # C-contiguous (n, m, d), not a transposed view: the column norms of
+        # local_contrast_batch sum pairwise along memory, so a view's layout
+        # would change their bits
+        J = np.empty((len(k0), self.m, self.d))
+        np.add(a, b, out=J.transpose(0, 2, 1))
         if self.eps > 0.0:
             return J, np.zeros(len(J), dtype=np.int8)
         # the raw map's weights are one-hot on the cell; it has no Jacobian on a knot
@@ -363,10 +403,29 @@ class SmoothGridMap(MixingMap):
 
     def gram_batch(self, S: np.ndarray) -> np.ndarray:
         """Stacked Jacobian Grams J(s)^T J(s), shape (n, d, d), assembled
-        from blend weights and the precomputed block-column Grams (cost
-        independent of m per point)."""
-        w = self._weights(*self._route(self._check_points(S)), _blend_coeff)  # (n, d, p)
-        return np.einsum("nit,ijtu,nju->nij", w, self._block_gram, w)
+        from the blend pairs and the precomputed block-column Grams B (cost
+        independent of m per point):
+
+            G_ij = sum_t sum_u (w_it B_ij,tu) w_ju
+
+        over the two blocks t of coordinate i and u of coordinate j, u
+        inner and t outer, products left to right: the order in which the
+        dense three-operand einsum over all p blocks sums them at d >= 2,
+        so these are its bits.  At d = 1 that einsum's order depends on n
+        and p, and the last bit may differ; a 1 x 1 Gram's contrast is 0."""
+        lo, hi, w_lo, w_hi = self._blend_pair(*self._route(self._check_points(S)), _blend_inside)
+        d, k = self.d, np.arange(self.d)
+        t, w = np.stack([lo, hi], axis=-1), np.stack([w_lo, w_hi], axis=-1)  # (n, d, 2)
+        # one flat take of B in (t, u, i, j) order, the layout of _block_grams
+        # (so the reshape does not copy), where B[i, j, t, u] is entry
+        # ((t p + u) d + i) d + j; few whole-array steps, because many small
+        # numpy calls contend for the interpreter lock in the genericity pool
+        flat = self._block_gram.transpose(2, 3, 0, 1).reshape(-1)
+        rows = (t * (self.p * d * d) + (k * d)[:, None])[:, :, None, :, None]
+        cols = (t * (d * d) + k[:, None])[:, None, :, None, :]
+        products = (w[:, :, None, :, None] * flat[rows + cols]) * w[:, None, :, None, :]  # (n, i, j, t, u)
+        u_sums = products[..., 0] + products[..., 1]
+        return u_sums[..., 0] + u_sums[..., 1]
 
     def fast_contrasts(self, S):
         """Gram-route contrasts for eps > 0, bit for bit

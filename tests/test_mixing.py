@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from ima_lab import experiments
 from ima_lab.contrast import local_contrast_from_gram, local_ima_contrast
-from ima_lab.distributions import SphericalSampler
+from ima_lab.distributions import FactorialDistribution, SphericalSampler, Uniform, sample_factorial
 from ima_lab.errors import (
+    REJECTABLE,
     DomainError,
     NearPoleError,
     OnKnotError,
@@ -19,6 +20,8 @@ from ima_lab.errors import (
     ValidationError,
 )
 from ima_lab.mixing import (
+    _KNOT_TOL,
+    ComposedMap,
     ConformalMap,
     Inversion,
     LinearMap,
@@ -379,6 +382,81 @@ class TestCellScoring:
         fast = grid.fast_contrasts(S)
         reference = local_contrast_from_gram(grid.gram_batch(S))
         assert np.array_equal(fast.view(np.int64), reference.view(np.int64))
+
+
+class _DenseBlendGridMap(SmoothGridMap):
+    """A grid map whose Jacobian is the dense blend over all p blocks, the
+    reference that the two-block gather of ``SmoothGridMap`` replaced: the
+    every-edge weights and, at eps = 0, the every-knot rule."""
+
+    def jacobian_batch(self, S):
+        S = self._check_points(S)
+        eps = self.eps
+        step = (lambda x: _blend_coeff(x, eps)) if eps > 0.0 else (lambda x: (x > 0.0).astype(float))
+        J = np.einsum("tmk,nkt->nmk", self.blocks, every_edge_weights(self, S, step))
+        on_knot = np.any(np.abs(S[:, :, None] - self.knots) <= _KNOT_TOL, axis=(1, 2))
+        rejected = on_knot & (eps == 0.0)
+        J[rejected] = np.nan
+        return J, np.where(rejected, REJECTABLE.index(OnKnotError) + 1, 0).astype(np.int8)
+
+
+class TestTwoBlockGathers:
+    """The Jacobian and the Gram of a grid map read the two blocks each
+    coordinate blends; they equal the dense blend over all p blocks."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=cell_scoring_cases())
+    @example(case=_one_cell_grid())
+    def test_gram_equals_the_dense_einsum(self, case):
+        grid, S = case
+        w = every_edge_weights(grid, S, lambda x: _blend_coeff(x, grid.eps))
+        dense = np.einsum("nit,ijtu,nju->nij", w, grid._block_gram, w)
+        G = grid.gram_batch(S)
+        if grid.d > 1:
+            assert np.array_equal(bits(G), bits(dense))
+            return
+        # at d = 1 the einsum's order over its four non-zero products depends
+        # on n and p; two orders of four terms differ by about 3 eps times the
+        # sum of their magnitudes, and a 1 x 1 Gram's contrast is 0 either way
+        magnitudes = np.einsum("nit,ijtu,nju->nij", abs(w), abs(grid._block_gram), abs(w))
+        assert np.all(abs(G - dense) <= 4 * np.finfo(float).eps * magnitudes)
+        assert np.array_equal(bits(local_contrast_from_gram(G)), bits(local_contrast_from_gram(dense)))
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=cell_scoring_cases())
+    def test_jacobian_equals_the_dense_blend(self, case):
+        shape, S = case
+        for eps in (shape.eps, 0.0):
+            grid = SmoothGridMap(shape.blocks, shape.delta, eps)
+            J, code = grid.jacobian_batch(S)
+            # C-contiguous, not a transposed view: local_contrast_batch's
+            # np.linalg.norm(J, axis=-2) sums pairwise along memory, so the
+            # layout alone would change the bits of the contrast
+            assert J.flags.c_contiguous
+            reference, expected_code = _DenseBlendGridMap(shape.blocks, shape.delta, eps).jacobian_batch(S)
+            assert np.array_equal(code, expected_code)
+            assert np.all(np.isnan(J[code != 0]))
+            assert np.array_equal(bits(J[code == 0]), bits(reference[code == 0]))
+
+    @pytest.mark.parametrize("d, m", [(2, 24), (3, 40)])
+    def test_a_reparam_chunk_scores_as_on_the_dense_blend(self, d, m):
+        # the grid maps of the reparam workload, their 2000 draws and the
+        # composition that the reparam check scores
+        grid = sample_grid_map(d=d, m=m, delta=0.5, eps=0.02, seed=d)
+        dense = _DenseBlendGridMap(grid.blocks, grid.delta, grid.eps)
+        draws = sample_factorial(FactorialDistribution.iid(Uniform(0.01, 0.99), d), 2000, 11)
+        cube, affine = experiments.CubeTransform(), experiments.AffineTransform(0.5, 0.25)
+        transforms = [cube, affine, cube][:d]
+        P = experiments.permutation_matrix(np.roll(np.arange(d), 1))  # [1, 0] and [2, 0, 1]
+        moved = np.column_stack([t.forward(draws[:, i]) for i, t in enumerate(transforms)]) @ P.T
+        assert np.any(np.abs(draws[:, :, None] - grid._edges) < grid.eps)  # some draws blend
+
+        def scores(f):
+            chain = ComposedMap([LinearMap(P.T), experiments.InverseElementwiseStage(transforms), f])
+            return experiments._score_at_points(f, draws), experiments._score_at_points(chain, moved)
+
+        for new, old in zip(scores(grid), scores(dense)):
+            assert np.array_equal(bits(new), bits(old))
 
 
 class TestTwoPiece:
