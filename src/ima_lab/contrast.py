@@ -68,6 +68,9 @@ def local_contrast_batch(J) -> np.ndarray:
     J = np.asarray(J, dtype=float)
     if J.ndim < 2:
         raise DomainError(f"expected a stack of matrices (..., m, d), got shape {J.shape}")
+    # the column norms sum pairwise along memory and in sequence across it,
+    # so a transposed view would give other bits; free on a C-contiguous stack
+    J = np.ascontiguousarray(J)
     if not np.all(np.isfinite(J)):
         raise NumericalError("computed Jacobian contains non-finite entries")
     m, d = J.shape[-2:]

@@ -1,9 +1,10 @@
 """Univariate laws, factorial source distributions, and spherically
 symmetric column samplers.
 
-Laws expose ``pdf``/``cdf``/``quantile_array``/``sample``; the scalar
-``quantile`` is a 0-d call of ``quantile_array`` (``Laplace`` alone keeps a
-scalar formula of its own).  ``law_from_config`` reads the CLI's JSON law
+Laws expose ``pdf``/``cdf``/``quantile_array``; the scalar ``quantile``
+is a 0-d call of ``quantile_array`` (``Laplace`` alone keeps a scalar
+formula of its own), and ``FactorialDistribution.sample`` draws from them
+by inverse CDF.  ``law_from_config`` reads the CLI's JSON law
 objects and ``to_config`` writes them.  Every law has a closed-form
 quantile; the beta-shaped law is backed by a quantile table built with
 trapezoid quadrature.
@@ -26,7 +27,7 @@ from .errors import (
     RankDeficientError,
     ValidationError,
 )
-from .seeding import generator, generators, substream
+from .seeding import generators, substream
 
 
 def _check_u(u: float) -> float:
@@ -55,14 +56,6 @@ class UnivariateLaw:
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        """n i.i.d. draws via inverse-CDF sampling, deterministic per seed."""
-        gen = generator(seed)
-        u = gen.random(n)
-        # keep u strictly inside (0, 1)
-        u = np.clip(u, 1e-16, 1.0 - 1e-16)
-        return self.quantile_array(u)
 
     def to_config(self) -> dict:
         raise NotImplementedError
@@ -288,18 +281,36 @@ class FactorialDistribution:
         s = np.asarray(s, dtype=float)
         return float(np.prod([law.pdf(si) for law, si in zip(self.components, s)]))
 
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        """(n, d) array of i.i.d. draws; component i uses sub-stream i of the seed."""
+    def sample(self, n: int, seed) -> np.ndarray:
+        """(n, d) array of i.i.d. draws by inverse-CDF sampling; component i
+        quantiles n uniforms of the stream ``substream(seed, i)``.
+
+        A 1-d sequence of k seeds, or a :class:`seeding.SeedBlock`, gives a
+        (k, n, d) stack whose slice j is bit for bit the int-seed call with
+        ``seed[j]``; its k d streams come from one seed hash
+        (:func:`seeding.generators`), and each law quantiles all k of its
+        streams in one call.
+        """
         if n < 1:
             raise DomainError("sample count must be >= 1")
-        draws = np.column_stack(
-            [law.sample(n, substream(seed, i)) for i, law in enumerate(self.components)]
-        )
+        ndim = np.ndim(seed)
+        if ndim > 1:
+            raise DomainError(f"seed must be an integer or a 1-d sequence, got ndim {ndim}")
+        seeds = [seed] if ndim == 0 else seed
+        d = self.dim
+        u = np.empty((d, len(seeds), n))  # one contiguous (k, n) level block per law
+        streams = generators([substream(s, i) for s in seeds for i in range(d)])
+        for (j, i), gen in zip(np.ndindex(len(seeds), d), streams):
+            gen.random(out=u[i, j])
+        np.clip(u, 1e-16, 1.0 - 1e-16, out=u)  # strictly inside (0, 1)
+        draws = np.empty((len(seeds), n, d))
+        for i, law in enumerate(self.components):
+            draws[:, :, i] = law.quantile_array(u[i])
         # computed from valid params (uniform(-1e308, 1e308) overflows), so a
         # numerical failure, which a map's point check would call a malformed input
         if not np.all(np.isfinite(draws)):
             raise NumericalError("a source law drew non-finite values")
-        return draws
+        return draws[0] if ndim == 0 else draws
 
     @staticmethod
     def from_config(configs, where: str = "source law list") -> "FactorialDistribution":

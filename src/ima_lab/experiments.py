@@ -9,9 +9,11 @@ numerical output is identical for any worker-pool size.  The sweep and
 the genericity experiment score a chunk of trials per task, with chunk
 bounds set by :data:`CHUNK_BYTES` and the problem sizes alone: a sweep
 chunk is one stack of Jacobians, a genericity chunk one stacked grid
-draw (``mixing.sample_grid_maps``) and one routing pass and eigen-solve
-over the stacked draws (``mixing.grid_chunk_scores``), each trial's
-values then reduced on their own.
+draw (``mixing.sample_grid_maps``), one batched draw of every trial's
+points (``FactorialDistribution.sample`` on the trials' seeds), and one
+routing pass, one window-Gram gather and one eigen-solve over the
+stacked draws (``mixing.grid_chunk_scores``), each trial's values then
+reduced on their own.
 """
 
 from __future__ import annotations
@@ -342,9 +344,7 @@ def genericity_experiment(
         def one_chunk(c: int, m=m, mi=mi, chunk=chunk) -> list:
             trial_seeds = [substream(seed, mi, i) for i in range(c * chunk, min(trials, (c + 1) * chunk))]
             grids = sample_grid_maps(d, m, delta_grid, [substream(s, 0) for s in trial_seeds], eps=eps)
-            draws = np.empty((len(trial_seeds), n_mc, d))
-            for j, s in enumerate(trial_seeds):
-                draws[j] = sample_factorial(p_s, n_mc, substream(s, 1))
+            draws = p_s.sample(n_mc, [substream(s, 1) for s in trial_seeds])
             values, boundary = grid_chunk_scores(grids, draws)
             results = []
             for grid, S, v, mask in zip(grids, draws, values, boundary):

@@ -341,7 +341,7 @@ class SmoothGridMap(MixingMap):
     def _on_knot(self, k0: np.ndarray, x0: np.ndarray, tol: float) -> np.ndarray:
         """Points, routed by :meth:`_route`, with a coordinate within tol of
         a knot."""
-        return np.any((np.abs(x0) <= tol) & (k0 < len(self.knots)), axis=-1)
+        return _any_coordinate((np.abs(x0) <= tol) & (k0 < len(self.knots)))
 
     def _blend_pair(self, k0: np.ndarray, x0: np.ndarray, ramp):
         """The two blocks that routed coordinates blend, and their weights:
@@ -401,7 +401,7 @@ class SmoothGridMap(MixingMap):
         J[rejected] = np.nan
         return J, reject_codes(rejected, OnKnotError)
 
-    def gram_batch(self, S: np.ndarray) -> np.ndarray:
+    def gram_batch(self, S: np.ndarray, block_grams=None, owner=None) -> np.ndarray:
         """Stacked Jacobian Grams J(s)^T J(s), shape (n, d, d), assembled
         from the blend pairs and the precomputed block-column Grams B (cost
         independent of m per point):
@@ -412,16 +412,26 @@ class SmoothGridMap(MixingMap):
         inner and t outer, products left to right: the order in which the
         dense three-operand einsum over all p blocks sums them at d >= 2,
         so these are its bits.  At d = 1 that einsum's order depends on n
-        and p, and the last bit may differ; a 1 x 1 Gram's contrast is 0."""
+        and p, and the last bit may differ; a 1 x 1 Gram's contrast is 0.
+
+        ``block_grams`` (T, d, d, p, p) and ``owner`` (n,) score the points
+        on T maps of this map's grid (delta, eps, d) instead, row i on map
+        ``owner[i]``, so one gather serves a whole chunk
+        (:func:`grid_chunk_scores`); each row keeps its own map's bits.
+        Stacked as :func:`_block_grams` lays them out, in (T, t, u, i, j)
+        order, they are read without a copy."""
         lo, hi, w_lo, w_hi = self._blend_pair(*self._route(self._check_points(S)), _blend_inside)
-        d, k = self.d, np.arange(self.d)
+        p, d, k = self.p, self.d, np.arange(self.d)
         t, w = np.stack([lo, hi], axis=-1), np.stack([w_lo, w_hi], axis=-1)  # (n, d, 2)
-        # one flat take of B in (t, u, i, j) order, the layout of _block_grams
-        # (so the reshape does not copy), where B[i, j, t, u] is entry
-        # ((t p + u) d + i) d + j; few whole-array steps, because many small
-        # numpy calls contend for the interpreter lock in the genericity pool
-        flat = self._block_gram.transpose(2, 3, 0, 1).reshape(-1)
-        rows = (t * (self.p * d * d) + (k * d)[:, None])[:, :, None, :, None]
+        if block_grams is None:
+            block_grams, owner = self._block_gram[None], np.zeros(len(t), dtype=np.intp)
+        # one flat take of B in (T, t, u, i, j) order, where B[T, i, j, t, u]
+        # is entry (((T p + t) p + u) d + i) d + j; few whole-array steps,
+        # because many small numpy calls contend for the interpreter lock in
+        # the genericity pool
+        flat = block_grams.transpose(0, 3, 4, 1, 2).reshape(-1)
+        rows = ((owner * p)[:, None, None] + t) * (p * d * d) + (k * d)[:, None]
+        rows = rows[:, :, None, :, None]
         cols = (t * (d * d) + k[:, None])[:, None, :, None, :]
         products = (w[:, :, None, :, None] * flat[rows + cols]) * w[:, None, :, None, :]  # (n, i, j, t, u)
         u_sums = products[..., 0] + products[..., 1]
@@ -438,6 +448,16 @@ class SmoothGridMap(MixingMap):
     def boundary_mask(self, S: np.ndarray) -> np.ndarray:
         """True for points with some coordinate within eps of a knot."""
         return self._on_knot(*self._route(self._check_points(S)), self.eps)
+
+
+def _any_coordinate(mask: np.ndarray) -> np.ndarray:
+    """``np.any(mask, axis=-1)`` over the d coordinates of points, in d
+    whole-array passes: numpy reduces a short last axis one row at a time,
+    about 15 times slower at d = 2."""
+    out = mask[..., 0].copy()
+    for k in range(1, mask.shape[-1]):
+        out |= mask[..., k]
+    return out
 
 
 def _block_grams(blocks: np.ndarray) -> np.ndarray:
@@ -457,40 +477,51 @@ def grid_chunk_scores(grids, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A row outside every window has one-hot Jacobian weights on its cell t,
     so its Gram is the gather G_ij = _block_gram[i, j, t_i, t_j] of its
     map, scored once per occupied (map, cell).  Only the window rows go
-    through ``gram_batch``, one call per map; one eigen-solve covers the
-    chunk.
+    through ``gram_batch``, one gather for all maps of the chunk; one
+    eigen-solve covers the chunk.
     """
     grid = grids[0]
     T, n, d = S.shape
     if not grid.eps > 0.0 or T != len(grids) or any(
             (g.delta, g.eps, g.d) != (grid.delta, grid.eps, d) for g in grids):
         raise DomainError("a chunk needs one point set per smoothed grid map on one grid")
-    k0, x0 = grid._route(grid._check_points(S.reshape(T * n, d)))
-    window = np.any(grid._in_window(x0), axis=-1)
+    points = grid._check_points(S.reshape(T * n, d))
+    k0, x0 = grid._route(points)
+    window = _any_coordinate(grid._in_window(x0))
     boundary = grid._on_knot(k0, x0, grid.eps)
     t = k0 - (x0 <= -grid.eps)
     del k0, x0  # not held through the gather and the eigen-solve (peak memory)
     rows = np.flatnonzero(~window)
     cells = grid.p ** d
     if T * cells <= np.iinfo(np.intp).max:
-        key = rows // n * cells + t[rows] @ grid.p ** np.arange(d)
+        cell = t[:, d - 1]
+        # sum_i t_i p^i by Horner's rule, column by column: an integer
+        # matmul over the short coordinate axis runs row by row
+        for i in range(d - 2, -1, -1):
+            cell = cell * grid.p + t[:, i]
+        key = rows // n * cells + cell[rows]
+        if T * cells <= len(key):  # a table of every (map, cell), no longer than the rows: no sort
+            seen = np.bincount(key, minlength=T * cells) > 0
+            keys, cell_of_row = np.flatnonzero(seen), (np.cumsum(seen) - 1)[key]
+        else:
+            keys, cell_of_row = np.unique(key, return_inverse=True)
     else:  # no flat (map, cell) index fits: each row is its own cell
-        key = rows
-    keys, cell_of_row = np.unique(key, return_inverse=True)
+        keys, cell_of_row = rows, np.arange(len(rows))
     member = np.empty(len(keys), dtype=np.intp)
     member[cell_of_row] = rows  # one row of each occupied cell
     occupied = t[member]  # (c, d)
     k = np.arange(d)
-    block_gram = np.stack([g._block_gram for g in grids])  # (T, d, d, p, p)
-    cell_grams = block_gram[
+    # (T, d, d, p, p) in the (T, t, u, i, j) layout that gram_batch reads flat
+    block_grams = np.stack([g._block_gram.transpose(2, 3, 0, 1) for g in grids]).transpose(0, 3, 4, 1, 2)
+    cell_grams = block_grams[
         (member // n)[:, None, None], k[:, None], k, occupied[:, :, None], occupied[:, None, :]
     ]
-    window = window.reshape(T, n)
-    window_grams = [g.gram_batch(s[w]) for g, s, w in zip(grids, S, window)]
-    scored = local_contrast_from_gram(np.concatenate([cell_grams, *window_grams]))
+    window = np.flatnonzero(window)
+    window_grams = grid.gram_batch(points[window], block_grams, window // n)
+    scored = local_contrast_from_gram(np.concatenate([cell_grams, window_grams]))
     values = np.empty(T * n)
     values[rows] = scored[cell_of_row]
-    values[window.ravel()] = scored[len(keys):]
+    values[window] = scored[len(keys):]
     return values.reshape(T, n), boundary.reshape(T, n)
 
 

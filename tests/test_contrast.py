@@ -140,6 +140,17 @@ class TestContrastBatch:
                 assert value == expected
                 assert local_contrast_unclamped(row) == expected
 
+    @settings(deadline=None, max_examples=100)
+    @given(shape=shapes, k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_a_transposed_view_gives_the_bits_of_its_contiguous_copy(self, shape, k, seed):
+        # column norms sum pairwise along a contiguous axis and in sequence
+        # along a strided one; the kernel must not let the layout show
+        d, m = shape
+        J = conditioned_stack(k, m, d, -3.0, seed)
+        view = np.ascontiguousarray(J.transpose(0, 2, 1)).transpose(0, 2, 1)
+        assert not view.flags.c_contiguous or d == 1
+        assert np.array_equal(local_contrast_batch(view).view(np.int64), local_contrast_batch(J).view(np.int64))
+
     def test_leading_axes_are_kept(self):
         J = conditioned_stack(6, 9, 3, -3.0, seed=1)
         grid = local_contrast_batch(J.reshape(2, 3, 9, 3))

@@ -141,6 +141,32 @@ class TestFactorial:
         c = sample_factorial(p, 50, seed=124)
         assert not np.array_equal(a, c)
 
+    @given(
+        laws=st.lists(st.sampled_from(ALL_LAWS), min_size=1, max_size=4),
+        n=st.integers(1, 300),
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
+        block=st.booleans(),
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_a_seed_sequence_stacks_the_int_seed_calls_bit_for_bit(self, laws, n, seeds, block):
+        p = FactorialDistribution(tuple(laws))
+        stack = p.sample(n, SeedBlock(seeds) if block else seeds)
+        assert stack.shape == (len(seeds), n, len(laws))
+        for s, draws in zip(seeds, stack):
+            # the int-seed call: law i quantiles the clipped uniforms of stream i
+            reference = np.column_stack([
+                law.quantile_array(np.clip(generator(substream(s, i)).random(n), 1e-16, 1.0 - 1e-16))
+                for i, law in enumerate(laws)
+            ])
+            single = p.sample(n, s)
+            assert single.flags.c_contiguous
+            assert np.array_equal(single.view(np.int64), reference.view(np.int64))
+            assert np.array_equal(draws.view(np.int64), reference.view(np.int64))
+
+    def test_a_seed_array_of_two_axes_is_refused(self):
+        with pytest.raises(DomainError):
+            FactorialDistribution.iid(Uniform(0, 1), 2).sample(5, [[1, 2]])
+
     def test_single_component_single_draw(self):
         p = FactorialDistribution((Gaussian(0, 1),))
         x = sample_factorial(p, 1, seed=0)

@@ -1,7 +1,10 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ima_lab import experiments, mixing
 from ima_lab.contrast import (
@@ -480,6 +483,25 @@ class TestGenericity:
         kwargs = dict(d=2, m_list=[4, 16, 64], delta_grid=0.5, eps=0.01, delta_contrast=0.1,
                       trials=13, n_mc=200, seed=43)
         assert genericity_experiment(**kwargs, threads=threads) == two_pass_genericity(**kwargs)
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        d=st.integers(1, 3),
+        m_list=st.lists(st.integers(3, 40), min_size=1, max_size=3, unique=True),
+        delta_grid=st.sampled_from([1.0, 0.5, 0.3]),
+        trials=st.integers(1, 12),
+        n_mc=st.integers(1, 150),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_a_chunk_of_one_trial_gives_the_same_rows(self, d, m_list, delta_grid, trials, n_mc, seed):
+        # the stacked draws, the one gather and the one eigen-solve of a
+        # chunk give each trial its own bits, whatever else shares the chunk
+        kwargs = dict(d=d, m_list=[max(m, d) for m in m_list], delta_grid=delta_grid, eps=0.01,
+                      delta_contrast=0.1, trials=trials, n_mc=n_mc, seed=seed)
+        rows = genericity_experiment(**kwargs)
+        with mock.patch.object(experiments, "CHUNK_BYTES", 1):
+            assert experiments._chunk_size(1, 1) == 1  # every chunk is one trial
+            assert genericity_experiment(**kwargs) == rows
 
 
 def two_pass_genericity(d, m_list, delta_grid, eps, delta_contrast, trials, n_mc, seed):

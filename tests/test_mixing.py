@@ -336,11 +336,15 @@ class TestCellScoring:
             fast = grid.fast_contrasts(S)
         reference = local_contrast_from_gram(grid.gram_batch(S))
         assert np.array_equal(fast.view(np.int64), reference.view(np.int64))
-        # one Gram einsum, over the rows inside a window by the weights' own predicate
+        # one gather, over the rows inside a window by the weights' own
+        # predicate, every row on this map's own block Grams
         x = S[:, :, None] - grid._edges
         window = np.any((-grid.eps < x) & (x <= grid.eps), axis=(1, 2))
         assert gram_batch.call_count == 1
-        assert np.array_equal(gram_batch.call_args.args[0], S[window])
+        points, block_grams, owner = gram_batch.call_args.args
+        assert np.array_equal(points, S[window])
+        assert np.array_equal(block_grams, grid._block_gram[None])
+        assert np.array_equal(owner, np.zeros(np.count_nonzero(window)))
         # the rows handed back as NaN are scored by the SVD of their Jacobian
         redo = np.isnan(reference)
         reference[redo] = experiments._score_at_points(grid, S[redo])
@@ -360,6 +364,18 @@ class TestCellScoring:
             nearest = np.abs(points[:, :, None] - grid.knots).min(axis=2)
             assert np.array_equal(mask, np.any(nearest <= grid.eps, axis=1))
             assert np.array_equal(grid.boundary_mask(points), mask)
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=grid_chunks())
+    def test_one_gather_for_a_chunk_equals_each_map_bit_for_bit(self, case):
+        grids, S = case
+        T, n, d = S.shape
+        block_grams = np.stack([g._block_gram for g in grids])
+        owner = np.repeat(np.arange(T), n)
+        rows = np.random.default_rng(T * n).permutation(T * n)  # maps interleaved
+        G = grids[-1].gram_batch(S.reshape(T * n, d)[rows], block_grams, owner[rows])
+        for j, grid in enumerate(grids):
+            assert np.array_equal(bits(G[owner[rows] == j]), bits(grid.gram_batch(S[j][rows[rows // n == j] % n])))
 
     def test_cells_past_a_flat_index_with_a_trial_axis_are_scored_per_row(self):
         # 2**62 cells fit a flat int64 index, five maps of them do not: a

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ima_lab import seeding
 from ima_lab.seeding import SeedBlock, generator, generators, seed_words, substream, substreams
 
 #: the seeds where the entropy changes length or a word is all ones
@@ -41,6 +42,14 @@ def test_seed_words_are_numpys_seed_sequence_state(seeds):
     assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
     for s, w in zip(seeds, words):
         assert np.array_equal(w, np.random.SeedSequence(s).generate_state(4, np.uint64))
+
+
+@pytest.mark.parametrize("k", [seeding._HASH_MIN - 1, seeding._HASH_MIN])
+def test_both_sides_of_the_hash_threshold_equal_generator(k):
+    # fewer seeds go through numpy's SeedSequence, more through seed_words
+    seeds = (EDGE_SEEDS * 2)[:k]
+    for s, gen in zip(seeds, generators(np.array(seeds, dtype=np.uint64))):
+        assert same_stream(gen, generator(s))
 
 
 def test_edge_seeds_as_a_uint64_vector():
