@@ -23,11 +23,12 @@ from .contrast import full_rank, gram_resolved
 from .errors import (
     DimensionMismatchError,
     DomainError,
+    NormalizationError,
     NumericalError,
     RankDeficientError,
     ValidationError,
 )
-from .seeding import generators, substream
+from .seeding import generators, stream_seeds, substream
 
 
 def _check_u(u: float) -> float:
@@ -184,7 +185,9 @@ class TabulatedBeta(UnivariateLaw):
 
     The CDF is tabulated by trapezoid quadrature of the density
     x^(alpha-1) (1-x)^(beta-1) / B(alpha, beta) on a uniform grid.
-    alpha, beta >= 1 keeps the density finite everywhere.
+    alpha, beta >= 1 keeps the density finite everywhere; a density that
+    has no finite non-zero mass on the grid (alpha or beta near 1e300)
+    raises NormalizationError.
     """
 
     alpha: float = 2.0
@@ -202,6 +205,13 @@ class TabulatedBeta(UnivariateLaw):
         grid = np.linspace(0.0, 1.0, self.points)
         dens = self._raw_pdf(grid)
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
+        # a density too peaked for the grid underflows at every point (or
+        # overflows at some), so it has no table
+        if not 0.0 < cdf[-1] < math.inf:
+            raise NormalizationError(
+                f"beta({self.alpha}, {self.beta}) density has no finite non-zero mass "
+                f"on its {self.points}-point grid"
+            )
         cdf /= cdf[-1]
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "_cdf_table", cdf)
@@ -209,12 +219,17 @@ class TabulatedBeta(UnivariateLaw):
     def _raw_pdf(self, x):
         x = np.asarray(x, dtype=float)
         log_norm = -special.betaln(self.alpha, self.beta)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             logp = log_norm + (self.alpha - 1.0) * np.log(x) + (self.beta - 1.0) * np.log1p(-x)
-        out = np.exp(logp)
+            out = np.exp(logp)
         out = np.where((x < 0) | (x > 1), 0.0, out)
-        # alpha == 1 (or beta == 1) gives 0*log(0) at the edge; define by limit
-        return np.where(np.isnan(out), 1.0 / math.exp(special.betaln(self.alpha, self.beta)), out)
+        # alpha == 1 (or beta == 1) gives 0*log(0) at the edge; define by
+        # limit, there only: B(alpha, beta) underflows to 0 at large alpha
+        # and beta, whose density has no such edge
+        edge = np.isnan(out)
+        if edge.any():
+            out[edge] = 1.0 / math.exp(special.betaln(self.alpha, self.beta))
+        return out
 
     def pdf(self, x):
         return self._raw_pdf(x)
@@ -287,7 +302,8 @@ class FactorialDistribution:
 
         A 1-d sequence of k seeds, or a :class:`seeding.SeedBlock`, gives a
         (k, n, d) stack whose slice j is bit for bit the int-seed call with
-        ``seed[j]``; its k d streams come from one seed hash
+        ``seed[j]``; its k d streams come from one sub-seed pass
+        (:func:`seeding.stream_seeds`) and one seed hash
         (:func:`seeding.generators`), and each law quantiles all k of its
         streams in one call.
         """
@@ -299,7 +315,7 @@ class FactorialDistribution:
         seeds = [seed] if ndim == 0 else seed
         d = self.dim
         u = np.empty((d, len(seeds), n))  # one contiguous (k, n) level block per law
-        streams = generators([substream(s, i) for s in seeds for i in range(d)])
+        streams = generators(stream_seeds(seeds, d))
         for (j, i), gen in zip(np.ndindex(len(seeds), d), streams):
             gen.random(out=u[i, j])
         np.clip(u, 1e-16, 1.0 - 1e-16, out=u)  # strictly inside (0, 1)

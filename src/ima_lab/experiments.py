@@ -12,8 +12,11 @@ chunk is one stack of Jacobians, a genericity chunk one stacked grid
 draw (``mixing.sample_grid_maps``), one batched draw of every trial's
 points (``FactorialDistribution.sample`` on the trials' seeds), and one
 routing pass, one window-Gram gather and one eigen-solve over the
-stacked draws (``mixing.grid_chunk_scores``), each trial's values then
-reduced on their own.
+stacked draws (``mixing.grid_chunk_scores``).  Its trials' values are
+then reduced together (:func:`_trial_statistics`): whole-chunk passes
+give every trial's contrast mean and boundary statistics, and only the
+trials holding rows left to the SVD are scored one by one.  Every
+trial's seeds come from vectorized ``seeding.substreams`` passes.
 """
 
 from __future__ import annotations
@@ -115,22 +118,35 @@ class ContrastEstimate:
     rejection_count: int
 
 
+def _clamped_draws(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(clamped, rejected) for per-draw unclamped contrasts (..., n), NaN
+    where the draw was rejected: ``clamp_contrast`` of the kept draws, 0 at
+    the rejected ones, and the rejected mask.  The one home of the
+    rejection limit: a row with more than :data:`MAX_REJECTION_FRACTION` of
+    its draws rejected raises DegenerateMapError, after the clamp's own
+    FloatingPointError."""
+    rejected = np.isnan(values)
+    clamped = clamp_contrast(np.where(rejected, 0.0, values))
+    n = rejected.shape[-1]
+    rejections = rejected.sum(axis=-1)
+    over = rejections > MAX_REJECTION_FRACTION * n
+    if over.any():
+        raise DegenerateMapError(
+            f"{np.ravel(rejections)[over.argmax()]}/{n} draws rejected (> {MAX_REJECTION_FRACTION:.1%})"
+        )
+    return clamped, rejected
+
+
 def _estimate_from_values(values: np.ndarray) -> ContrastEstimate:
     """Contrast estimate from per-draw unclamped contrasts, NaN where the
     draw was rejected."""
-    rejected = np.isnan(values)
-    rejections = int(np.sum(rejected))
-    values = values[~rejected]
-    clamped = clamp_contrast(values)
-    clamps = int(np.sum(values < 0.0))
-    if rejections > MAX_REJECTION_FRACTION * rejected.size:
-        raise DegenerateMapError(
-            f"{rejections}/{rejected.size} draws rejected (> {MAX_REJECTION_FRACTION:.1%})"
-        )
+    clamped, rejected = _clamped_draws(values)
+    clamped = clamped[~rejected]
     n = clamped.size
     mean = float(clamped.mean()) if n else 0.0
     stderr = float(clamped.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return ContrastEstimate(mean, stderr, n, clamps, rejections)
+    # a rejected draw's NaN is not below 0
+    return ContrastEstimate(mean, stderr, n, int(np.count_nonzero(values < 0.0)), values.size - n)
 
 
 def estimate_global_contrast(
@@ -174,15 +190,28 @@ def _score_at_points(mapping: MixingMap, points: np.ndarray, values: np.ndarray 
     return values
 
 
-def boundary_statistics(mask: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+def boundary_statistics(mask: np.ndarray, values: np.ndarray):
     """(fraction of draws with a coordinate within eps of a knot, mean
     contrast over those draws) for a smoothed grid map, from its
-    ``boundary_mask`` and per-draw contrasts (NaN where rejected)."""
-    if not mask.any():
-        return 0.0, 0.0
-    values = values[mask]
-    values = clamp_contrast(values[~np.isnan(values)])
-    return float(mask.mean()), float(values.mean()) if values.size else 0.0
+    ``boundary_mask`` and per-draw contrasts (NaN where rejected), each
+    (n,): two floats, 0.0 and 0.0 with no boundary draw.
+
+    Stacked (T, n) masks and contrasts of T maps give two (T,) arrays, row
+    j bit for bit the call on row j, the 1-d call being the batch of one:
+    a fraction is an exact count over n, and a mean one 1-d reduction over
+    that row's slice of the clamped, kept boundary draws of all rows."""
+    rows_mask, rows_values = np.atleast_2d(mask), np.atleast_2d(values)
+    kept = rows_mask & ~np.isnan(rows_values)
+    clamped = clamp_contrast(rows_values[kept])  # row by row, each row's draws in order
+    ends = np.cumsum(np.count_nonzero(kept, axis=1)).tolist()
+    means = [
+        np.add.reduce(clamped[start:end]) / (end - start) if end > start else 0.0
+        for start, end in zip([0] + ends, ends)
+    ]
+    fractions = np.count_nonzero(rows_mask, axis=1) / rows_mask.shape[1]
+    if np.ndim(mask) == 1:
+        return float(fractions[0]), float(means[0])
+    return fractions, np.array(means, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +329,34 @@ class GenericityRow:
     construction_warning: bool
 
 
+def _trial_statistics(maps, draws: np.ndarray, values: np.ndarray, boundary: np.ndarray):
+    """(mean contrast, boundary fraction, boundary mean) of each trial of a
+    genericity chunk, three (T,) arrays, from the maps, their (T, n, d)
+    draws, and the draws' contrasts (NaN on rows the fast route left to the
+    SVD) and boundary masks, C-contiguous (T, n) each.  Only the trials
+    that hold such rows are scored by :func:`_score_at_points` (in place);
+    the rest is whole-chunk passes.  Trial j is bit for bit the mean of
+    ``_estimate_from_values`` and ``boundary_statistics`` of its own row."""
+    for j in np.flatnonzero(np.isnan(values).any(axis=1)):
+        _score_at_points(maps[j], draws[j], values[j])
+    try:
+        clamped, rejected = _clamped_draws(values)
+        # a row-wise mean of a C-contiguous stack sums each row as its own
+        # 1-d mean does; a row with rejections is one 1-d mean of its kept draws
+        means = clamped.mean(axis=1)
+        for j in np.flatnonzero(rejected.any(axis=1)):
+            means[j] = clamped[j][~rejected[j]].mean()
+        return (means, *boundary_statistics(boundary, values))
+    except (FloatingPointError, DegenerateMapError):
+        # the chunk's passes name a failure of any trial; raise that of the
+        # first failing trial, as one trial at a time would have, its
+        # boundary statistics before its estimate
+        for mask, v in zip(boundary, values):
+            boundary_statistics(mask, v)
+            _estimate_from_values(v)
+        raise
+
+
 def expected_boundary_fraction(d: int, delta: float, eps: float) -> float:
     """Probability that a uniform draw on the cube has a coordinate within
     eps of a knot: 1 - (1 - 2 eps (p - 1))^d, exact when 1/delta is an
@@ -341,19 +398,20 @@ def genericity_experiment(
         # depend on the sizes and trials only, never on threads
         chunk = _chunk_size(n_mc + p * m, d)
 
-        def one_chunk(c: int, m=m, mi=mi, chunk=chunk) -> list:
-            trial_seeds = [substream(seed, mi, i) for i in range(c * chunk, min(trials, (c + 1) * chunk))]
-            grids = sample_grid_maps(d, m, delta_grid, [substream(s, 0) for s in trial_seeds], eps=eps)
-            draws = p_s.sample(n_mc, [substream(s, 1) for s in trial_seeds])
-            values, boundary = grid_chunk_scores(grids, draws)
-            results = []
-            for grid, S, v, mask in zip(grids, draws, values, boundary):
-                v = _score_at_points(grid, S, v)
-                frac, bmean = boundary_statistics(mask, v)
-                results.append((_estimate_from_values(v).mean <= delta_contrast, frac, bmean))
-            return results
+        # trial i's map and point seeds, substream(seed, mi, i, 0) and
+        # substream(seed, mi, i, 1), for every trial in two vectorized passes
+        seeds = substreams(substreams(substream(seed, mi), np.arange(trials))[:, None], np.arange(2))
 
-        results = [r for rs in run_indexed(-(-trials // chunk), one_chunk, threads) for r in rs]
+        def one_chunk(c: int, m=m, chunk=chunk, seeds=seeds) -> tuple:
+            chunk_seeds = seeds[c * chunk:(c + 1) * chunk]
+            grids = sample_grid_maps(d, m, delta_grid, chunk_seeds[:, 0], eps=eps)
+            draws = p_s.sample(n_mc, chunk_seeds[:, 1])
+            means, fractions, boundary_means = _trial_statistics(grids, draws, *grid_chunk_scores(grids, draws))
+            return means <= delta_contrast, fractions, boundary_means
+
+        success, fractions, boundary_means = (
+            np.concatenate(r) for r in zip(*run_indexed(-(-trials // chunk), one_chunk, threads))
+        )
         rows.append(
             GenericityRow(
                 m=m,
@@ -363,9 +421,10 @@ def genericity_experiment(
                 trials=trials,
                 n_mc=n_mc,
                 delta_contrast=delta_contrast,
-                empirical_success=sum(r[0] for r in results) / trials,
-                boundary_fraction_mean=sum(r[1] for r in results) / trials,
-                boundary_contrast_mean=sum(r[2] for r in results) / trials,
+                empirical_success=int(np.count_nonzero(success)) / trials,
+                # Python sums of floats, in trial order
+                boundary_fraction_mean=sum(fractions.tolist()) / trials,
+                boundary_contrast_mean=sum(boundary_means.tolist()) / trials,
                 construction_warning=m <= p * d,
             )
         )

@@ -52,7 +52,7 @@ from .errors import (
     reject_codes,
 )
 from .distributions import SphericalSampler
-from .seeding import generator, substream
+from .seeding import generator, stream_seeds
 
 UNIT_CUBE = "unit-cube"
 FULL_SPACE = "all-of-Rd"
@@ -275,9 +275,10 @@ class SmoothGridMap(MixingMap):
     convention: cell t covers ((t-1) delta, t delta]); inside a cell the
     Jacobian column k is block t's column k.  ``eps > 0`` blends adjacent
     cells with the smooth step so the map is C^1; ``eps = 0`` keeps the
-    raw map, whose Jacobian is refused on knots.  ``block_gram`` takes the
-    blocks' cross Grams as :func:`_block_grams` stacks them (the sampler
-    computes a chunk of maps at once); they are computed when None.
+    raw map, whose Jacobian is refused on knots.  :func:`sample_grid_maps`
+    builds a chunk of maps at once, checking their stacked blocks and
+    computing their prefix sums and block Grams in one pass each; a map
+    built on its own is the stack of one.
 
     A coordinate blends at most two adjacent blocks (:meth:`_blend_pair`),
     so the Jacobian and its Gram read two blocks per coordinate, not p.
@@ -288,31 +289,32 @@ class SmoothGridMap(MixingMap):
 
     domain = UNIT_CUBE
 
-    def __init__(self, blocks: np.ndarray, delta: float, eps: float = 0.0, block_gram=None):
+    def __init__(self, blocks: np.ndarray, delta: float, eps: float = 0.0):
         blocks = np.asarray(blocks, dtype=float)
         if blocks.ndim != 3:
             raise DomainError("blocks must have shape (p, m, d)")
-        if not np.all(np.isfinite(blocks)):
-            raise NonFiniteError("blocks contain non-finite entries")
-        check_grid(delta, eps)
-        p_expected = math.ceil(1.0 / delta) + 1
-        if blocks.shape[0] != p_expected:
-            raise DomainError(
-                f"delta={delta} needs p={p_expected} blocks, got {blocks.shape[0]}"
-            )
+        stack = blocks[None]
+        _check_blocks(stack, delta, eps)
+        self._set(blocks, delta, eps, _prefix_sums(stack, delta)[0], _block_grams(stack)[0])
+
+    @classmethod
+    def _of_stack(cls, blocks, delta: float, eps: float, prefix, block_gram) -> "SmoothGridMap":
+        """A map on one slice of stacked blocks that :func:`_check_blocks`
+        has passed, with its slices of their prefix sums and block Grams."""
+        grid = cls.__new__(cls)
+        grid._set(blocks, delta, eps, prefix, block_gram)
+        return grid
+
+    def _set(self, blocks, delta, eps, prefix, block_gram) -> None:
         self.blocks = blocks
-        self.p = blocks.shape[0]
-        self.m = blocks.shape[1]
-        self.d = blocks.shape[2]
+        self.p, self.m, self.d = blocks.shape
         self.delta = float(delta)
         self.eps = float(eps)
         # prefix[t] = delta * sum_{i < t} blocks[i]; the affine intercept of cell t+1
-        self.prefix = np.concatenate(
-            [np.zeros((1, self.m, self.d)), self.delta * np.cumsum(blocks, axis=0)[:-1]]
-        )
+        self.prefix = prefix
         # block-column cross Grams, (d, d, p, p); lets the Gram of the
         # Jacobian at any point be assembled from the blend weights alone
-        self._block_gram = _block_grams(blocks[None])[0] if block_gram is None else block_gram
+        self._block_gram = block_gram
         # cell edges 0, delta, ..., p delta, where the blend windows sit
         self._edges = np.arange(self.p + 1) * self.delta
 
@@ -460,6 +462,33 @@ def _any_coordinate(mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_blocks(blocks: np.ndarray, delta: float, eps: float) -> None:
+    """Refuse stacked grid blocks (T, p, m, d) with a non-finite entry
+    (NonFiniteError) or other than p = ceil(1/delta) + 1 blocks a map, and
+    a grid that :func:`check_grid` refuses (DomainError)."""
+    if not np.all(np.isfinite(blocks)):
+        raise NonFiniteError("blocks contain non-finite entries")
+    check_grid(delta, eps)
+    p_expected = math.ceil(1.0 / delta) + 1
+    if blocks.shape[1] != p_expected:
+        raise DomainError(f"delta={delta} needs p={p_expected} blocks, got {blocks.shape[1]}")
+
+
+def _prefix_sums(blocks: np.ndarray, delta: float) -> np.ndarray:
+    """Prefix sums delta * sum_{i < t} blocks[:, i] of stacked grid blocks,
+    (T, p, m, d) -> (T, p, m, d): the running sum of a cumsum along the
+    block axis, in its order, so each map's slice is bit for bit its own.
+    One whole-stack add per block: a cumsum over the short block axis
+    runs one (map, row, column) at a time."""
+    prefix = np.zeros(blocks.shape)
+    running = blocks[:, 0].copy()
+    for t in range(1, blocks.shape[1]):
+        if t > 1:
+            running += blocks[:, t - 1]
+        np.multiply(float(delta), running, out=prefix[:, t])
+    return prefix
+
+
 def _block_grams(blocks: np.ndarray) -> np.ndarray:
     """Block-column cross Grams of stacked grid blocks, (T, p, m, d) ->
     (T, d, d, p, p); each map's slice is bit for bit its own einsum."""
@@ -534,9 +563,10 @@ def sample_grid_maps(
     eps: float = 0.0,
 ) -> list[SmoothGridMap]:
     """One grid map per seed, deterministic per seed, from one
-    ``sample_columns`` call, one stacked rank check and one block-Gram
-    einsum.  Each map has p = ceil(1/delta) + 1 blocks with i.i.d.
-    spherically symmetric columns.
+    ``sample_columns`` call and one pass each over the stacked blocks: the
+    finite and shape checks, the rank check, the prefix sums, the knot
+    continuity check and the block-Gram einsum.  Each map has
+    p = ceil(1/delta) + 1 blocks with i.i.d. spherically symmetric columns.
 
     When m > p*d the stacked block columns of each map are checked for
     joint linear independence (RankDeficientError on failure); otherwise
@@ -551,16 +581,16 @@ def sample_grid_maps(
     if sampler.ambient_dim != m:
         raise DimensionMismatchError(f"sampler ambient dimension {sampler.ambient_dim} != m={m}")
     T = len(seeds)
-    blocks = sampler.sample_columns(d, [substream(s, t) for s in seeds for t in range(p)])
-    blocks = blocks.reshape(T, p, m, d)
+    blocks = sampler.sample_columns(d, stream_seeds(seeds, p)).reshape(T, p, m, d)
+    _check_blocks(blocks, delta, eps)
     if m > p * d:
         stacked = blocks.transpose(0, 2, 1, 3).reshape(T, m, p * d)
         if not np.all(full_rank(np.linalg.svd(stacked, compute_uv=False))):
             raise RankDeficientError("stacked block columns are not jointly independent")
+    prefix = _prefix_sums(blocks, delta)
+    _check_knot_continuity(blocks, prefix, delta)
     grams = _block_grams(blocks)
-    grids = [SmoothGridMap(b, delta, eps, block_gram=g) for b, g in zip(blocks, grams)]
-    _check_knot_continuity(blocks, np.stack([g.prefix for g in grids]), delta)
-    return grids
+    return [SmoothGridMap._of_stack(b, delta, eps, pre, g) for b, pre, g in zip(blocks, prefix, grams)]
 
 
 def sample_grid_map(

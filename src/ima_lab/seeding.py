@@ -7,8 +7,9 @@ numbers.
 
 Every stream is ``np.random.Generator(np.random.PCG64(seed))``.  The
 batched path builds many of them at once, bit for bit the same:
-:func:`substreams` derives a vector of sub-seeds in one numpy pass,
-:func:`seed_words` runs numpy's ``SeedSequence`` hash over a vector of
+:func:`substreams` derives the sub-seeds of one master, or of an array of
+masters, in one numpy pass (:func:`stream_seeds` those of n streams per
+seed), :func:`seed_words` runs numpy's ``SeedSequence`` hash over a vector of
 seeds in one ``uint32`` pass, and :func:`generators` seeds each PCG64
 from those words.  A :class:`SeedBlock` carries seeds together with their
 words, so a caller that draws from slices of one seed vector hashes it
@@ -42,14 +43,40 @@ def substream(master: int, *counters: int) -> int:
     return seed
 
 
-def substreams(master: int, counters) -> np.ndarray:
-    """``substream(master, c)`` for every c of ``counters``, as a uint64
-    vector: :func:`mix64` in wrapping uint64 arithmetic."""
+def substreams(master, counters) -> np.ndarray:
+    """``substream(m, c)`` for every master m of ``master`` and counter c of
+    ``counters``, broadcast against each other, as uint64: :func:`mix64` in
+    wrapping uint64 arithmetic.  ``master`` is one seed (an int, reduced
+    mod 2**64 as :func:`substream` reduces it) or an integer array of
+    seeds, such as a uint64 column ``seeds[:, None]`` against a row of
+    counters."""
+    if isinstance(master, np.ndarray):
+        masters = master.astype(np.uint64)
+    else:
+        masters = np.uint64(substream(master))
     c = np.asarray(counters, dtype=np.int64).astype(np.uint64)
-    z = np.uint64(substream(master)) + (c + np.uint64(1)) * np.uint64(_GOLDEN)
+    shape = np.broadcast_shapes(masters.shape, c.shape)
+    # arrays, never numpy scalars, through the wrapping products: a scalar
+    # uint64 product warns on overflow
+    z = masters + (np.atleast_1d(c) + np.uint64(1)) * np.uint64(_GOLDEN)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    return (z ^ (z >> np.uint64(31))).reshape(shape)
+
+
+#: below this many sub-seeds, the Python mix (about 0.7 us each) is faster
+#: than one vectorized pass (about 10 us fixed, with the seeds' conversion)
+_MIX_MIN = 15
+
+
+def stream_seeds(seeds, n: int):
+    """``substream(s, i)`` for every seed s of ``seeds`` (a 1-d sequence or
+    a :class:`SeedBlock`) and i < n, seed by seed: the sub-seeds of n
+    streams per seed, from one :func:`substreams` pass (from the Python mix
+    for fewer than ``_MIX_MIN``, as an int seed's few streams are)."""
+    if len(seeds) * n < _MIX_MIN:
+        return [substream(s, i) for s in seeds for i in range(n)]
+    return substreams(_uint64(seeds)[:, None], np.arange(n)).reshape(-1)
 
 
 def generator(master: int, *counters: int) -> np.random.Generator:

@@ -25,6 +25,7 @@ from ima_lab.distributions import (
 from ima_lab.errors import (
     DimensionMismatchError,
     DomainError,
+    NormalizationError,
     RankDeficientError,
     ValidationError,
 )
@@ -110,6 +111,14 @@ def test_laplace_cdf_keeps_the_two_branch_bits_without_overflow():
         cdf = law.cdf(x)
     assert np.array_equal(cdf.view(np.int64), two_branch.view(np.int64))
     assert law.cdf(law.mu + law.b * 800.0) == 1.0 and law.cdf(law.mu - law.b * 800.0) == 0.0
+
+
+@pytest.mark.parametrize("alpha, beta", [(1e300, 3.0), (3.0, 1e300), (1e300, 1e300)])
+def test_a_beta_density_with_no_mass_on_its_grid_is_a_numerical_error(alpha, beta):
+    # its density underflows (or overflows) on the whole grid; the edge
+    # limit 1 / B(alpha, beta), whose B underflows to 0, is not taken there
+    with pytest.raises(NormalizationError, match="no finite non-zero mass"):
+        TabulatedBeta(alpha, beta, 129)
 
 
 def test_law_config_rejects_unknown():

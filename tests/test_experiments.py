@@ -1,3 +1,4 @@
+import json
 import warnings
 from unittest import mock
 
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from ima_lab import experiments, mixing
 from ima_lab.contrast import (
+    CLAMP_SLACK,
     GRAM_RATIO_TOL,
+    clamp_contrast,
     local_contrast_batch,
     local_contrast_from_gram,
     local_contrast_unclamped,
@@ -22,7 +25,7 @@ from ima_lab.distributions import (
     sample_factorial,
     sample_isotropic_matrix,
 )
-from ima_lab.cli import run
+from ima_lab.cli import main, run
 from ima_lab.errors import (
     REJECTABLE,
     DegenerateMapError,
@@ -541,6 +544,171 @@ def two_pass_genericity(d, m_list, delta_grid, eps, delta_contrast, trials, n_mc
             )
         )
     return rows
+
+
+class RejectingMap(MixingMap):
+    """A map on the unit square that refuses its Jacobian everywhere, so
+    the rows of a chunk left to the SVD stay rejected."""
+
+    d = 2
+    m = 3
+    domain = mixing.UNIT_CUBE
+
+    def jacobian_batch(self, S):
+        rejected = np.ones(len(S), dtype=bool)
+        return np.full((len(S), 3, 2), np.nan), reject_codes(rejected, OnKnotError)
+
+
+def reference_boundary_statistics(mask, values):
+    """The per-trial boundary statistics that the batched reducer replaced."""
+    if not mask.any():
+        return 0.0, 0.0
+    values = values[mask]
+    values = clamp_contrast(values[~np.isnan(values)])
+    return float(mask.mean()), float(values.mean()) if values.size else 0.0
+
+
+def reference_mean(values):
+    """The per-trial estimate's mean and refusals that the chunk's passes
+    replaced."""
+    rejected = np.isnan(values)
+    rejections = int(np.sum(rejected))
+    clamped = clamp_contrast(values[~rejected])
+    if rejections > experiments.MAX_REJECTION_FRACTION * rejected.size:
+        raise DegenerateMapError(
+            f"{rejections}/{rejected.size} draws rejected (> {experiments.MAX_REJECTION_FRACTION:.1%})"
+        )
+    return float(clamped.mean()) if clamped.size else 0.0
+
+
+def per_trial_statistics(maps, draws, values, boundary):
+    """Reference for ``_trial_statistics``: the genericity chunk's old loop,
+    each trial re-scored, reduced and refused on its own, in order."""
+    out = []
+    for grid, S, v, mask in zip(maps, draws, values, boundary):
+        v = experiments._score_at_points(grid, S, v)
+        frac, bmean = reference_boundary_statistics(mask, v)
+        out.append((reference_mean(v), frac, bmean))
+    return [list(column) for column in zip(*out)]
+
+
+#: the trial kinds a hypothesis chunk mixes: rows left to the SVD and scored
+#: there; no boundary draw; values within CLAMP_SLACK below 0, some on the
+#: boundary; boundary draws that are all rejected; plain values
+TRIAL_KINDS = ["svd", "no_boundary", "near_zero", "boundary_rejected"]
+
+
+def chunk_of(kinds, n, seed, bad=None):
+    """Maps, draws, Gram-route values and boundary masks of a chunk with one
+    trial of each kind.  ``bad`` = (trial, kind) makes that trial fail: one
+    value below -CLAMP_SLACK on a boundary draw (``"boundary"``) or off
+    them (``"interior"``), or one rejection past the limit (``"rejections"``)."""
+    rng = np.random.default_rng(seed)
+    T = len(kinds)
+    draws = rng.uniform(0.0, 1.0, (T, n, 2))
+    values = rng.uniform(0.0, 2.0, (T, n))
+    boundary = rng.uniform(size=(T, n)) < 0.05
+    grid = SmoothGridMap(rng.standard_normal((3, 5, 2)), 0.5, 0.01)
+    maps = [grid] * T
+    limit = int(experiments.MAX_REJECTION_FRACTION * n)
+    for j, kind in enumerate(kinds):
+        rows = rng.choice(n, size=max(limit, 1) + 4, replace=False)
+        if kind == "svd":
+            values[j, rows] = np.nan
+        elif kind == "no_boundary":
+            boundary[j] = False
+        elif kind == "near_zero":
+            values[j, rows] = -rng.uniform(0.0, CLAMP_SLACK, len(rows))
+            boundary[j, rows[:3]] = True
+        elif kind == "boundary_rejected":
+            boundary[j] = False
+            boundary[j, rows[:limit]] = True
+            values[j, rows[:limit]] = np.nan
+            maps[j] = RejectingMap()
+    if bad is not None:
+        j, how = bad
+        free = np.flatnonzero(~np.isnan(values[j]) & ~boundary[j])
+        if how == "rejections":
+            values[j, free[:limit + 1]] = np.nan
+            maps[j] = RejectingMap()
+        else:
+            row = np.flatnonzero(boundary[j])[0] if how == "boundary" else free[0]
+            boundary[j, row] = how == "boundary"
+            values[j, row] = -1e-6
+            values[j, free[-1]] = -1e-3  # lower, but off the boundary
+    return maps, draws, values, boundary
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestChunkStatistics:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        kinds=st.lists(st.sampled_from(TRIAL_KINDS + ["plain"]), max_size=4).flatmap(
+            lambda extra: st.permutations(TRIAL_KINDS + extra)),
+        n=st.integers(1000, 2600),
+        seed=st.integers(0, 2**32 - 1),
+        delta_contrast=st.floats(0.0, 2.0),
+    )
+    def test_the_chunk_passes_equal_the_per_trial_loop_bit_for_bit(self, kinds, n, seed, delta_contrast):
+        maps, draws, values, boundary = chunk_of(kinds, n, seed)
+        means, fractions, boundary_means = experiments._trial_statistics(maps, draws, values.copy(), boundary)
+        ref_means, ref_fractions, ref_boundary_means = per_trial_statistics(maps, draws, values.copy(), boundary)
+        assert np.array_equal(bits(means), bits(ref_means))
+        assert np.array_equal(bits(fractions), bits(ref_fractions))
+        assert np.array_equal(bits(boundary_means), bits(ref_boundary_means))
+        assert np.array_equal(means <= delta_contrast, np.array(ref_means) <= delta_contrast)
+        # the kinds above are all there: a rejected trial, one without boundary draws
+        assert 0.0 in ref_fractions and np.isnan(values).any()
+        # the 1-d call is the batch of one
+        scored = values.copy()
+        experiments._trial_statistics(maps, draws, scored, boundary)
+        for mask, v in zip(boundary, scored):
+            assert np.array_equal(bits(boundary_statistics(mask, v)), bits(reference_boundary_statistics(mask, v)))
+
+    @pytest.mark.parametrize("failures", [
+        [(0, "rejections")], [(2, "rejections")], [(1, "boundary")], [(3, "interior")],
+        [(1, "rejections"), (2, "boundary")], [(1, "interior"), (2, "rejections")],
+        [(2, "boundary"), (3, "interior")],
+    ])
+    def test_a_failing_trial_raises_what_the_per_trial_loop_raised(self, failures):
+        kinds = ["plain", "svd", "near_zero", "no_boundary"]
+        maps, draws, values, boundary = chunk_of(kinds, 1500, 7)
+        for j, how in failures:
+            maps_j, _, values_j, boundary_j = chunk_of(kinds, 1500, 7, bad=(j, how))
+            maps[j], values[j], boundary[j] = maps_j[j], values_j[j], boundary_j[j]
+        with pytest.raises((DegenerateMapError, FloatingPointError)) as expected:
+            per_trial_statistics(maps, draws, values.copy(), boundary)
+        first = failures[0][1]
+        assert expected.type is (DegenerateMapError if first == "rejections" else FloatingPointError)
+        with pytest.raises(expected.type) as got:
+            experiments._trial_statistics(maps, draws, values.copy(), boundary)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("spoil, error", [("below_slack", "FloatingPointError"),
+                                              ("rejected", "DegenerateMapError")])
+    def test_a_cli_run_that_hits_either_exits_3(self, spoil, error, tmp_path, monkeypatch, capsys):
+        def spoiled_scores(grids, S):
+            values, boundary = mixing.grid_chunk_scores(grids, S)
+            if spoil == "below_slack":
+                values[-1, 5] = -1e-6
+            else:  # rows left to the SVD, which then rejects them
+                values[-1, :5] = np.nan
+            return values, boundary
+
+        monkeypatch.setattr(experiments, "grid_chunk_scores", spoiled_scores)
+        if spoil == "rejected":
+            monkeypatch.setattr(experiments, "local_contrast_batch", lambda J: np.full(len(J), np.nan))
+        config = {"command": "genericity",
+                  "params": {"d": 2, "m_list": [16], "delta_grid": 0.5, "eps": 0.01,
+                             "delta_contrast": 0.1, "trials": 5, "n_mc": 1000}}
+        path = tmp_path / "genericity.json"
+        path.write_text(json.dumps(config))
+        code = main(["genericity", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["type"] == error
 
 
 def constant_grid_map(m, d, log_ratio, seed):

@@ -217,9 +217,15 @@ class TestGridMap:
             blocks = SphericalSampler.standard_gaussian(m).sample_columns(
                 d, [substream(s, t) for t in range(p)])
             block_gram = np.einsum("tmi,umj->ijtu", blocks, blocks)
+            # the prefix sums of the map built on its own, and the per-map cumsum
+            # that the stacked one replaces
+            prefix = SmoothGridMap(blocks, delta, 0.01 * delta).prefix
+            per_map = np.concatenate([np.zeros((1, m, d)), delta * np.cumsum(blocks, axis=0)[:-1]])
+            assert np.array_equal(prefix.view(np.int64), per_map.view(np.int64))
             for got in (grid, one):
                 assert np.array_equal(got.blocks.view(np.int64), blocks.view(np.int64))
                 assert np.array_equal(got._block_gram.view(np.int64), block_gram.view(np.int64))
+                assert np.array_equal(got.prefix.view(np.int64), prefix.view(np.int64))
 
 
 @st.composite

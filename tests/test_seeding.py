@@ -5,6 +5,8 @@ tests compare it with numpy's own: a numpy release that changes the
 hash must fail here, not move the sampled columns silently.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -77,6 +79,32 @@ def test_substreams_equal_substream(master, counters):
     got = substreams(master, counters)
     assert got.dtype == np.uint64
     assert got.tolist() == [substream(master, c) for c in counters]
+
+
+@given(
+    st.lists(st.one_of(st.sampled_from(EDGE_SEEDS[-2:]), st.integers(2**63, 2**64 - 1), uint64s),
+             min_size=1, max_size=8),
+    st.lists(st.integers(0, 2**62), min_size=1, max_size=6),
+    st.integers(0, 2**62),
+)
+def test_substreams_over_an_array_of_masters_equal_substream(masters, counters, counter):
+    # the uint64 products wrap; a warning of overflow fails the test run
+    column = np.array(masters, dtype=np.uint64)[:, None]
+    got = substreams(column, counters)
+    assert got.dtype == np.uint64 and got.shape == (len(masters), len(counters))
+    assert got.tolist() == [[substream(m, c) for c in counters] for m in masters]
+    for c in (0, counter):
+        assert substreams(column[:, 0], c).tolist() == [substream(m, c) for m in masters]
+        assert substreams(column[:1, 0].reshape(()), c).tolist() == substream(masters[0], c)
+        assert substreams(masters[0], c).tolist() == substream(masters[0], c)
+
+
+@given(st.lists(uint64s, max_size=9), st.integers(0, 4),
+       st.sampled_from([list, functools.partial(np.array, dtype=np.uint64), SeedBlock]))
+def test_stream_seeds_equal_substream_on_both_sides_of_the_mix_threshold(seeds, n, kind):
+    # up to 36 sub-seeds: the Python mix below seeding._MIX_MIN, one pass above
+    got = seeding.stream_seeds(kind(seeds), n)
+    assert [int(s) for s in got] == [substream(s, i) for s in seeds for i in range(n)]
 
 
 @given(st.lists(uint64s, min_size=1, max_size=12), st.data())
