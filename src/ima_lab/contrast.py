@@ -21,7 +21,7 @@ from .errors import DomainError, NonFiniteError, NumericalError, RankDeficientEr
 
 #: relative singular-value threshold at or below which a Jacobian counts as
 #: rank deficient (:func:`full_rank`); at most a tenth of sqrt(GRAM_RATIO_TOL),
-#: so a matrix the Gram route resolves passes the rank check too
+#: which :func:`full_rank_by_gram` relies on
 RANK_TOL = 1e-10
 
 #: eigenvalue ratio of J^T J (the squared singular-value ratio of J) at or
@@ -147,6 +147,26 @@ def full_rank(sv: np.ndarray) -> np.ndarray:
     """Rows of stacked descending singular values (..., d) that pass the
     rank check: the smallest above :data:`RANK_TOL` times the largest."""
     return sv[..., -1] > RANK_TOL * sv[..., 0]
+
+
+def full_rank_by_gram(J: np.ndarray, eigvals: np.ndarray) -> np.ndarray:
+    """:func:`full_rank` of stacked matrices J (..., m, k), m >= k, from
+    the ascending eigenvalues (..., k) of their Grams J^T J: rows that
+    :func:`gram_resolved` resolves pass, and the SVD, taken of the other
+    rows only, decides the rest.  The k columns may span several trailing
+    axes, (..., m, p, d) with k = p d, so a transposed view is copied only
+    on those rows.
+
+    The Gram route can only accept a row: RANK_TOL is at most a tenth of
+    sqrt(GRAM_RATIO_TOL), so an eigenvalue ratio above GRAM_RATIO_TOL puts
+    the squared singular-value ratio (the two differ by rounding of about
+    k * 1e-16) a hundredfold above RANK_TOL**2.  So every decision is the
+    SVD's."""
+    ok = gram_resolved(eigvals)
+    if not ok.all():
+        rows = J[~ok]
+        ok[~ok] = full_rank(np.linalg.svd(rows.reshape(rows.shape[:2] + (-1,)), compute_uv=False))
+    return ok
 
 
 def hadamard_gap_upper_bound(d: int, eps: float) -> float:

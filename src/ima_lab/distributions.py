@@ -19,7 +19,7 @@ import numpy as np
 from scipy import special
 
 from . import schema
-from .contrast import full_rank, gram_resolved
+from .contrast import full_rank_by_gram
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -414,7 +414,8 @@ def sample_isotropic_matrix(
     with_gram: bool = False,
 ):
     """m x d matrix with i.i.d. spherically symmetric columns, verified to
-    have full column rank (:func:`contrast.full_rank`).
+    have full column rank (:func:`contrast.full_rank_by_gram`, whose every
+    decision is the SVD's).
 
     A draw that fails the rank check is drawn again from a derived sub-seed,
     up to 3 draws in all, before RankDeficientError is raised.  A 1-d
@@ -423,12 +424,6 @@ def sample_isotropic_matrix(
     resamples included.  ``with_gram=True`` returns ``(J, G, eigvals)``:
     the Gram matrices J^T J and their ascending eigenvalues that the rank
     check computed, each row that of the draw returned.
-
-    The Gram route can only accept a draw.  RANK_TOL is at most a tenth of
-    sqrt(GRAM_RATIO_TOL), so an eigenvalue ratio of J^T J above
-    GRAM_RATIO_TOL puts the squared singular-value ratio (the two differ by
-    rounding of about d * 1e-16) a hundredfold above RANK_TOL**2, and the
-    SVD would accept the draw too.  The SVD decides every other draw.
     """
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
@@ -453,10 +448,7 @@ def sample_isotropic_matrix(
             J, G, eigvals = Jf, Gf, eigf
         else:
             J[failed], G[failed], eigvals[failed] = Jf, Gf, eigf
-        ok = gram_resolved(eigf)
-        if not ok.all():
-            ok[~ok] = full_rank(np.linalg.svd(Jf[~ok], compute_uv=False))
-        failed = failed[~ok]
+        failed = failed[~full_rank_by_gram(Jf, eigf)]
         if not failed.size:
             if scalar:
                 J, G, eigvals = J[0], G[0], eigvals[0]

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contrast import full_rank, local_contrast_from_gram
+from .contrast import full_rank, full_rank_by_gram, local_contrast_from_gram
 from .errors import (
     REJECTABLE,
     DimensionMismatchError,
@@ -277,8 +277,8 @@ class SmoothGridMap(MixingMap):
     cells with the smooth step so the map is C^1; ``eps = 0`` keeps the
     raw map, whose Jacobian is refused on knots.  :func:`sample_grid_maps`
     builds a chunk of maps at once, checking their stacked blocks and
-    computing their prefix sums and block Grams in one pass each; a map
-    built on its own is the stack of one.
+    computing their block Grams in one pass each; a map built on its own
+    is the stack of one, through the same checks.
 
     A coordinate blends at most two adjacent blocks (:meth:`_blend_pair`),
     so the Jacobian and its Gram read two blocks per coordinate, not p.
@@ -295,28 +295,33 @@ class SmoothGridMap(MixingMap):
             raise DomainError("blocks must have shape (p, m, d)")
         stack = blocks[None]
         _check_blocks(stack, delta, eps)
-        self._set(blocks, delta, eps, _prefix_sums(stack, delta)[0], _block_grams(stack)[0])
+        self._set(blocks, delta, eps, _block_grams(stack)[0])
 
     @classmethod
-    def _of_stack(cls, blocks, delta: float, eps: float, prefix, block_gram) -> "SmoothGridMap":
+    def _of_stack(cls, blocks, delta: float, eps: float, block_gram) -> "SmoothGridMap":
         """A map on one slice of stacked blocks that :func:`_check_blocks`
-        has passed, with its slices of their prefix sums and block Grams."""
+        has passed, with its slice of their block Grams."""
         grid = cls.__new__(cls)
-        grid._set(blocks, delta, eps, prefix, block_gram)
+        grid._set(blocks, delta, eps, block_gram)
         return grid
 
-    def _set(self, blocks, delta, eps, prefix, block_gram) -> None:
+    def _set(self, blocks, delta, eps, block_gram) -> None:
         self.blocks = blocks
         self.p, self.m, self.d = blocks.shape
         self.delta = float(delta)
         self.eps = float(eps)
-        # prefix[t] = delta * sum_{i < t} blocks[i]; the affine intercept of cell t+1
-        self.prefix = prefix
         # block-column cross Grams, (d, d, p, p); lets the Gram of the
         # Jacobian at any point be assembled from the blend weights alone
         self._block_gram = block_gram
         # cell edges 0, delta, ..., p delta, where the blend windows sit
         self._edges = np.arange(self.p + 1) * self.delta
+
+    @property
+    def prefix(self) -> np.ndarray:
+        """prefix[t] = delta * sum_{i < t} blocks[i], (p, m, d): the affine
+        intercept of cell t+1, summed in order."""
+        sums = self.delta * np.cumsum(self.blocks[:-1], axis=0)
+        return np.concatenate([np.zeros((1, self.m, self.d)), sums])
 
     @property
     def knots(self) -> np.ndarray:
@@ -474,21 +479,6 @@ def _check_blocks(blocks: np.ndarray, delta: float, eps: float) -> None:
         raise DomainError(f"delta={delta} needs p={p_expected} blocks, got {blocks.shape[1]}")
 
 
-def _prefix_sums(blocks: np.ndarray, delta: float) -> np.ndarray:
-    """Prefix sums delta * sum_{i < t} blocks[:, i] of stacked grid blocks,
-    (T, p, m, d) -> (T, p, m, d): the running sum of a cumsum along the
-    block axis, in its order, so each map's slice is bit for bit its own.
-    One whole-stack add per block: a cumsum over the short block axis
-    runs one (map, row, column) at a time."""
-    prefix = np.zeros(blocks.shape)
-    running = blocks[:, 0].copy()
-    for t in range(1, blocks.shape[1]):
-        if t > 1:
-            running += blocks[:, t - 1]
-        np.multiply(float(delta), running, out=prefix[:, t])
-    return prefix
-
-
 def _block_grams(blocks: np.ndarray) -> np.ndarray:
     """Block-column cross Grams of stacked grid blocks, (T, p, m, d) ->
     (T, d, d, p, p); each map's slice is bit for bit its own einsum."""
@@ -564,13 +554,14 @@ def sample_grid_maps(
 ) -> list[SmoothGridMap]:
     """One grid map per seed, deterministic per seed, from one
     ``sample_columns`` call and one pass each over the stacked blocks: the
-    finite and shape checks, the rank check, the prefix sums, the knot
-    continuity check and the block-Gram einsum.  Each map has
+    finite and shape checks and the block-Gram einsum.  Each map has
     p = ceil(1/delta) + 1 blocks with i.i.d. spherically symmetric columns.
 
-    When m > p*d the stacked block columns of each map are checked for
-    joint linear independence (RankDeficientError on failure); otherwise
-    injectivity is not guaranteed, which :func:`sample_grid_map` warns of.
+    When m > p*d each map's stacked block columns are checked for joint
+    linear independence (RankDeficientError on failure) by
+    :func:`contrast.full_rank_by_gram`, from one eigen-solve of their
+    Grams, which the block Grams hold; otherwise injectivity is not
+    guaranteed, which :func:`sample_grid_map` warns of.
     """
     check_grid(delta, eps)
     if d < 1:
@@ -583,14 +574,13 @@ def sample_grid_maps(
     T = len(seeds)
     blocks = sampler.sample_columns(d, stream_seeds(seeds, p)).reshape(T, p, m, d)
     _check_blocks(blocks, delta, eps)
-    if m > p * d:
-        stacked = blocks.transpose(0, 2, 1, 3).reshape(T, m, p * d)
-        if not np.all(full_rank(np.linalg.svd(stacked, compute_uv=False))):
-            raise RankDeficientError("stacked block columns are not jointly independent")
-    prefix = _prefix_sums(blocks, delta)
-    _check_knot_continuity(blocks, prefix, delta)
     grams = _block_grams(blocks)
-    return [SmoothGridMap._of_stack(b, delta, eps, pre, g) for b, pre, g in zip(blocks, prefix, grams)]
+    if m > p * d:
+        # column t d + i of a map's stacked block columns is blocks[t][:, i]
+        eigvals = np.linalg.eigvalsh(grams.transpose(0, 3, 1, 4, 2).reshape(T, p * d, p * d))
+        if not np.all(full_rank_by_gram(blocks.transpose(0, 2, 1, 3), eigvals)):
+            raise RankDeficientError("stacked block columns are not jointly independent")
+    return [SmoothGridMap._of_stack(b, delta, eps, g) for b, g in zip(blocks, grams)]
 
 
 def sample_grid_map(
@@ -611,20 +601,6 @@ def sample_grid_map(
             stacklevel=2,
         )
     return grid
-
-
-def _check_knot_continuity(blocks: np.ndarray, prefix: np.ndarray, delta: float) -> None:
-    """Left/right evaluator limits of unsmoothed grid maps, stacked blocks
-    and prefix sums (T, p, m, d), must agree at interior knots (they do by
-    construction of the prefix sums)."""
-    t = np.arange(1, blocks.shape[1])
-    knot = t * delta
-    left = blocks[:, :-1] * delta + prefix[:, :-1]
-    right = blocks[:, 1:] * (knot - t * delta)[:, None, None] + prefix[:, 1:]
-    gap = np.max(np.abs(left - right), axis=(0, 2, 3), initial=0.0)
-    bad = np.flatnonzero(gap > _KNOT_TOL)
-    if bad.size:
-        raise ValidationError(f"evaluator discontinuous at knot {knot[bad[0]]}: gap {gap[bad[0]]:.3e}")
 
 
 # ---------------------------------------------------------------------------

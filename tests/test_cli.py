@@ -728,14 +728,28 @@ def readme_cli_section() -> str:
     return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
 
 
+README_CONFIGS = re.findall(r"```json\n(.*?)```", readme_cli_section(), re.S)
+
+#: SHA-256 of the CSV of each fenced README config, in README order: the
+#: README's output bytes, which a refactor must leave as they are
+README_CSV_SHA256 = [
+    "cf0fa9c807e3f5d3b18f54b425314ef8f83db7a06fc645e2a63e652f09c14e9c",
+    "a1b0bd9018899f43e594d6334f96232166d898c8800ff860c6925e3ab2969605",
+    "ae9bbbd56a44a512468022de4a69384268ffc9cfa3bfd6896d366f9f5cea3852",
+    "28ee4c87de3c3b0e1dfeb47bc4fff036515247bb2fb4822027f5a6c728aadee5",
+    "557e174968bcb03d2b6832a0852f1a3bc8d2b29b70fa1eaa042ebfaee1816c13",
+]
+
+
 class TestReadme:
-    @pytest.mark.parametrize("block", re.findall(r"```json\n(.*?)```", readme_cli_section(), re.S),
-                             ids=lambda block: json.loads(block)["command"])
+    @pytest.mark.parametrize("block", README_CONFIGS, ids=lambda block: json.loads(block)["command"])
     def test_every_cli_example_runs(self, block, tmp_path):
         config = dict(json.loads(block), output_dir=str(tmp_path))
         validate_run_config(config)
         assert run(config) == 0
-        assert (tmp_path / f"{config['command']}.csv").exists()
+        data = (tmp_path / f"{config['command']}.csv").read_bytes()
+        assert len(README_CSV_SHA256) == len(README_CONFIGS)
+        assert hashlib.sha256(data).hexdigest() == README_CSV_SHA256[README_CONFIGS.index(block)]
 
     # README row label -> the table it documents
     TABLES = {

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,9 @@ from hypothesis import strategies as st
 
 from ima_lab.contrast import (
     RANK_TOL,
+    full_rank,
+    full_rank_by_gram,
+    gram_resolved,
     hadamard_gap_upper_bound,
     local_contrast_batch,
     local_contrast_from_gram,
@@ -190,6 +195,43 @@ class TestContrastBatch:
     def test_matrices_without_columns_raise(self, shape):
         with pytest.raises(DomainError):
             local_contrast_batch(np.ones(shape))
+
+
+@st.composite
+def spread_stacks(draw):
+    """A stack of m x k matrices, m >= k, whose column scales spread from 1
+    down to 1e-14, some with a column that repeats another exactly, nearly
+    repeats it (off by a relative 10**-16 to 1) or is zero."""
+    k = draw(st.integers(1, 5))
+    m = draw(st.integers(k, k + 6))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    J = rng.standard_normal((n, m, k)) * 10.0 ** rng.uniform(-14.0, 0.0, (n, 1, k))
+    for row in J:
+        a, b = rng.integers(k, size=2)
+        kind = draw(st.sampled_from(["none", "repeat", "near", "zero"]))
+        if kind == "repeat":
+            row[:, a] = row[:, b]
+        elif kind == "near":
+            gap = 10.0 ** draw(st.floats(-16.0, 0.0)) * np.abs(row[:, b]).max()
+            row[:, a] = row[:, b] + gap * rng.standard_normal(m)
+        elif kind == "zero":
+            row[:, a] = 0.0
+    return J
+
+
+class TestFullRankByGram:
+    @settings(deadline=None, max_examples=300)
+    @given(J=spread_stacks())
+    def test_mask_is_the_svd_rank_check_on_the_unresolved_rows_only(self, J):
+        eigvals = np.linalg.eigvalsh(np.matrix_transpose(J) @ J)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            ok = full_rank_by_gram(J, eigvals)
+        assert np.array_equal(ok, full_rank(np.linalg.svd(J, compute_uv=False)))
+        # the columns on two trailing axes, (n, m, k, 1)
+        assert np.array_equal(full_rank_by_gram(J[..., None], eigvals), ok)
+        unresolved = np.count_nonzero(~gram_resolved(eigvals))
+        assert sum(len(call.args[0]) for call in svd.call_args_list) == unresolved
 
 
 class TestHadamardBound:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ima_lab import experiments
-from ima_lab.contrast import local_contrast_from_gram, local_ima_contrast
+from ima_lab.contrast import full_rank, local_contrast_from_gram, local_ima_contrast
 from ima_lab.distributions import FactorialDistribution, SphericalSampler, Uniform, sample_factorial
 from ima_lab.errors import (
     REJECTABLE,
@@ -98,6 +98,22 @@ class TestGridMap:
             s_left = np.array([knot - 1e-10, 0.4])
             s_right = np.array([knot + 1e-10, 0.4])
             assert np.max(np.abs(g.evaluate(s_left) - g.evaluate(s_right))) < 1e-8
+        # sampled maps at unit and at large column scale (chi and uniform
+        # radius) build, are the map built on their blocks, and are
+        # continuous at every interior knot to a tolerance of the block scale
+        m, delta = 40, 0.1
+        for sampler in (None, SphericalSampler(m, Uniform(1e5, 2e5))):
+            for grid in sample_grid_maps(2, m, delta, [substream(8, i) for i in range(5)], sampler):
+                own = SmoothGridMap(grid.blocks, delta, 0.0)
+                for name in ("blocks", "_block_gram", "prefix"):
+                    assert np.array_equal(bits(getattr(grid, name)), bits(getattr(own, name)))
+                tol = 1e-12 * np.max(np.abs(grid.blocks))
+                for knot in grid.knots[1:-1]:
+                    for k in range(2):
+                        left, right = np.full((2, 2), 0.37)
+                        left[k], right[k] = knot, np.nextafter(knot, 2.0)
+                        gap = grid.evaluate(left) - grid.evaluate(right)
+                        assert np.max(np.abs(gap)) <= tol
 
     def test_interior_jacobian_is_block_column_selection(self):
         g = sample_grid_map(d=2, m=25, delta=0.25, eps=0.02, seed=8)
@@ -226,6 +242,88 @@ class TestGridMap:
                 assert np.array_equal(got.blocks.view(np.int64), blocks.view(np.int64))
                 assert np.array_equal(got._block_gram.view(np.int64), block_gram.view(np.int64))
                 assert np.array_equal(got.prefix.view(np.int64), prefix.view(np.int64))
+
+
+def dependent_columns(T, p, m, d, spread, victim, log_gap, seed):
+    """A ``SphericalSampler.sample_columns`` that scales the columns of the
+    stacked grid draw (T maps of p blocks) apart, from 1 down to 10**spread, and
+    replaces one block column of map ``victim`` by a combination of that
+    map's other block columns, plus noise of relative size 10**log_gap
+    (none when None).  Returns it and the list of draws it returned."""
+    draw, drawn = SphericalSampler.sample_columns, []
+    rng = np.random.default_rng(seed)
+
+    def sample_columns(sampler, k, seeds):
+        blocks = draw(sampler, k, seeds).reshape(T, p, m, d) * np.geomspace(1.0, 10.0**spread, d)
+        columns = blocks[victim].transpose(1, 0, 2).reshape(m, p * d)
+        target = rng.integers(p * d)
+        mixed = columns @ (rng.standard_normal(p * d) * (np.arange(p * d) != target))
+        if log_gap is not None:
+            mixed += 10.0 ** log_gap * np.abs(mixed).max() * rng.standard_normal(m)
+        blocks[victim, target // d, :, target % d] = mixed
+        drawn.append(blocks)
+        return blocks.reshape(T * p, m, d)
+
+    return sample_columns, drawn
+
+
+class TestGridRankCheck:
+    """The stacked draw decides its rank check from the block Grams and
+    refuses exactly the draws that the SVD of every map's stacked block
+    columns, the rule it replaced, refuses."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        T=st.integers(1, 4),
+        d=st.integers(1, 3),
+        delta=st.sampled_from([1.0, 0.5, 0.3]),
+        extra=st.integers(1, 4),
+        spread=st.sampled_from([0.0, -3.0, -6.0]),
+        victim=st.integers(0, 3),
+        log_gap=st.one_of(st.none(), st.floats(-16.0, 0.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_refuses_exactly_where_the_stacked_svd_does(
+            self, T, d, delta, extra, spread, victim, log_gap, seed):
+        p = math.ceil(1.0 / delta) + 1
+        m = p * d + extra
+        sample_columns, drawn = dependent_columns(T, p, m, d, spread, victim % T, log_gap, seed)
+        with mock.patch.object(SphericalSampler, "sample_columns", sample_columns):
+            try:
+                sample_grid_maps(d, m, delta, [substream(seed, i) for i in range(T)], eps=0.01 * delta)
+                refused = False
+            except RankDeficientError:
+                refused = True
+        # the deleted rule: the SVD of each map's stacked block columns
+        stacked = drawn[0].transpose(0, 2, 1, 3).reshape(T, m, p * d)
+        assert refused == (not np.all(full_rank(np.linalg.svd(stacked, compute_uv=False))))
+        if log_gap is None:
+            assert refused
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        T=st.integers(1, 4),
+        d=st.integers(1, 3),
+        delta=st.sampled_from([1.0, 0.5, 0.3]),
+        extra=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_eigen_solve_reads_the_gram_of_the_stacked_block_columns(self, T, d, delta, extra, seed):
+        # eigvalsh reads one triangle, so a wrong transpose of the block
+        # Grams would pass unseen unless the matrix itself is checked
+        p = math.ceil(1.0 / delta) + 1
+        m = p * d + extra
+        sample_columns, drawn = dependent_columns(T, p, m, d, -6.0, 0, 0.0, seed)
+        with mock.patch.object(SphericalSampler, "sample_columns", sample_columns), \
+                mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+            sample_grid_maps(d, m, delta, [substream(seed, i) for i in range(T)])
+        (G,), _ = eigvalsh.call_args
+        stacked = drawn[0].transpose(0, 2, 1, 3).reshape(T, m, p * d)
+        norms = np.linalg.norm(stacked, axis=1)
+        rounding = 4 * m * np.finfo(float).eps * norms[:, :, None] * norms[:, None, :]
+        assert G.shape == (T, p * d, p * d)
+        assert np.all(np.abs(G - np.matrix_transpose(stacked) @ stacked) <= rounding)
+        assert np.array_equal(G, np.matrix_transpose(G))
 
 
 @st.composite
