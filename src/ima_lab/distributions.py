@@ -371,7 +371,8 @@ class SphericalSampler:
         return SphericalSampler(m, None)
 
     def sample_columns(self, d: int, seed) -> np.ndarray:
-        """(m, d) matrix with i.i.d. spherically symmetric columns.
+        """(m, d) matrix with i.i.d. spherically symmetric columns: the
+        :meth:`draw` scaled to its radii (:class:`ScaledColumns`).
 
         A 1-d sequence of k seeds, or a :class:`seeding.SeedBlock`, gives
         a (k, m, d) stack whose matrix j is bit for bit the int-seed call
@@ -381,17 +382,23 @@ class SphericalSampler:
         ndim = np.ndim(seed)
         if ndim > 1:
             raise DomainError(f"seed must be an integer or a 1-d sequence, got ndim {ndim}")
-        seeds = [seed] if ndim == 0 else seed
+        columns = ScaledColumns(*self.draw(d, [seed] if ndim == 0 else seed))[:]
+        return columns[0] if ndim == 0 else columns
+
+    def draw(self, d: int, seeds) -> tuple[np.ndarray, np.ndarray | None]:
+        """The raw draw under :meth:`sample_columns` for a 1-d sequence of
+        k seeds (or a :class:`seeding.SeedBlock`): (k, m, d) standard
+        normals and the (k, d) column radii, None for the unit radius.
+        Seed j's stream gives its normals, then its radius levels."""
         g = np.empty((len(seeds), self.ambient_dim, d))
         u = np.empty((len(seeds), d))
         for j, gen in enumerate(generators(seeds)):
             gen.standard_normal(out=g[j])
             if self.radial_law is not None:
                 gen.random(out=u[j])
-        columns = g / _column_norms(g)
-        if self.radial_law is not None:
-            columns *= self.radial_law.quantile_array(np.clip(u, 1e-16, 1.0 - 1e-16))[:, None, :]
-        return columns[0] if ndim == 0 else columns
+        if self.radial_law is None:
+            return g, None
+        return g, self.radial_law.quantile_array(np.clip(u, 1e-16, 1.0 - 1e-16))
 
 
 def _column_norms(g: np.ndarray) -> np.ndarray:
@@ -403,6 +410,37 @@ def _column_norms(g: np.ndarray) -> np.ndarray:
     if g.shape[-1] == 1:
         return np.linalg.norm(g, axis=-2, keepdims=True)
     return np.sqrt(np.einsum("kmd,kmd->kd", g, g))[:, None, :]
+
+
+class ScaledColumns:
+    """A (k, m, d) stack of drawn columns: the raw draw ``g`` of
+    :meth:`SphericalSampler.draw` scaled to its (k, d) ``radii`` (to unit
+    norm for None), ``(g / norms) * radii``, only where it is read.
+    ``stack[rows]``, for a slice, mask or index array of rows, scales
+    those rows alone, bit for bit the same rows of the whole scaled stack
+    ``stack[:]``."""
+
+    def __init__(self, g: np.ndarray, radii: np.ndarray | None):
+        self.g, self.radii = g, radii
+
+    def __getitem__(self, rows) -> np.ndarray:
+        g = self.g[rows]
+        columns = g / _column_norms(g)
+        if self.radii is not None:
+            columns *= self.radii[rows][:, None, :]
+        return columns
+
+    def gram(self) -> np.ndarray:
+        """(k, d, d) Grams of the scaled columns from those of the raw
+        ones, G = s s^T * g^T g with s = radii / sqrt(diag g^T g): equal to
+        J^T J to rounding, without scaling any column."""
+        G = np.matrix_transpose(self.g) @ self.g
+        s = 1.0 / np.sqrt(np.diagonal(G, axis1=-2, axis2=-1))
+        if self.radii is not None:
+            s = s * self.radii
+        G *= s[:, :, None]
+        G *= s[:, None, :]
+        return G
 
 
 def sample_isotropic_matrix(
@@ -421,9 +459,11 @@ def sample_isotropic_matrix(
     up to 3 draws in all, before RankDeficientError is raised.  A 1-d
     sequence of k seeds (or a :class:`seeding.SeedBlock`) gives a (k, m, d)
     stack whose matrix j is bit for bit the int-seed call with ``seed[j]``,
-    resamples included.  ``with_gram=True`` returns ``(J, G, eigvals)``:
-    the Gram matrices J^T J and their ascending eigenvalues that the rank
-    check computed, each row that of the draw returned.
+    resamples included.  ``with_gram=True`` returns ``(J, G, eigvals)``
+    with the Grams (:meth:`ScaledColumns.gram`, J^T J to rounding) and
+    their ascending eigenvalues that the rank check computed, each row that
+    of the draw returned; a seed vector's J is then a
+    :class:`ScaledColumns`, which scales only the rows a caller reads.
     """
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
@@ -439,17 +479,21 @@ def sample_isotropic_matrix(
     seeds = [seed] if scalar else seed
     failed = np.arange(len(seeds))
     for attempt in range(3):
-        Jf = sampler.sample_columns(
+        drawn = ScaledColumns(*sampler.draw(
             d, seeds if attempt == 0 else [substream(seeds[j], 0xA11E, attempt) for j in failed]
-        )
-        Gf = np.matrix_transpose(Jf) @ Jf
+        ))
+        Gf = drawn.gram()
         eigf = np.linalg.eigvalsh(Gf)
         if attempt == 0:
-            J, G, eigvals = Jf, Gf, eigf
+            J, G, eigvals = drawn, Gf, eigf
         else:
-            J[failed], G[failed], eigvals[failed] = Jf, Gf, eigf
-        failed = failed[~full_rank_by_gram(Jf, eigf)]
+            J.g[failed], G[failed], eigvals[failed] = drawn.g, Gf, eigf
+            if J.radii is not None:
+                J.radii[failed] = drawn.radii
+        failed = failed[~full_rank_by_gram(drawn, eigf)]
         if not failed.size:
+            if scalar or not with_gram:
+                J = J[:]
             if scalar:
                 J, G, eigvals = J[0], G[0], eigvals[0]
             return (J, G, eigvals) if with_gram else J

@@ -619,6 +619,10 @@ class TwoPieceMap(MixingMap):
         J1 = np.asarray(J1, dtype=float)
         if J0.shape != J1.shape or J0.ndim != 2:
             raise DimensionMismatchError("J0 and J1 must be matrices of equal shape")
+        if not (np.all(np.isfinite(J0)) and np.all(np.isfinite(J1))):
+            raise NonFiniteError("J0 and J1 must have finite entries")
+        if not math.isfinite(c):
+            raise DomainError(f"boundary c must be finite, got {c}")
         if eps < 0.0:
             raise DomainError(f"eps must be non-negative, got {eps}")
         self.J0 = J0
@@ -633,14 +637,6 @@ class TwoPieceMap(MixingMap):
         self.linear = bool(np.array_equal(J0, J1))
         # offset that makes the two pieces agree on the boundary
         self.c1 = self.c * (J0[:, k] - J1[:, k])
-        boundary_gap = np.max(np.abs((self.J0 - self.J1) @ self._boundary_point() - self.c1))
-        if boundary_gap > _KNOT_TOL:
-            raise ValidationError(f"pieces disagree on the boundary by {boundary_gap:.3e}")
-
-    def _boundary_point(self) -> np.ndarray:
-        s = np.zeros(self.d)
-        s[self.k] = self.c
-        return s
 
     def evaluate_batch(self, S):
         S = self._check_points(S)
@@ -688,12 +684,12 @@ def make_two_piece(
     new_col = np.asarray(new_col, dtype=float)
     if J0.ndim != 2 or new_col.shape != (J0.shape[0],):
         raise DimensionMismatchError("new_col must be an m-vector matching J0's rows")
-    if not np.array_equal(new_col, J0[:, k]):
-        if not full_rank(np.linalg.svd(np.column_stack([J0, new_col]), compute_uv=False)):
-            raise RankDeficientError("new column is linearly dependent on J0's columns")
     J1 = J0.copy()
     J1[:, k] = new_col
-    return TwoPieceMap(J0, J1, k, c, eps)
+    two_piece = TwoPieceMap(J0, J1, k, c, eps)
+    if not two_piece.linear and not full_rank(np.linalg.svd(np.column_stack([J0, new_col]), compute_uv=False)):
+        raise RankDeficientError("new column is linearly dependent on J0's columns")
+    return two_piece
 
 
 # ---------------------------------------------------------------------------

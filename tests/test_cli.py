@@ -343,6 +343,15 @@ class TestRuns:
         assert (tmp_path / "contrast.csv").read_text().splitlines() == [
             "mean,stderr,n_samples,clamp_count,rejection_count", row]
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-160])
+    def test_a_matrix_far_from_unit_scale_has_its_contrast(self, scale, tmp_path):
+        # the squares of its column norms overflow or leave the normal range
+        matrix = [[scale, scale], [0.0, scale]]
+        cfg = {"command": "contrast", "params": {"matrix": matrix}, "output_dir": str(tmp_path)}
+        assert main(["contrast", "--config", write_config(tmp_path, "c.json", cfg)]) == 0
+        mean = float((tmp_path / "contrast.csv").read_text().splitlines()[1].split(",")[0])
+        assert mean == pytest.approx(0.34657359027997264, abs=1e-12)
+
     def test_contrast_map_mode(self, tmp_path):
         cfg = {
             "command": "contrast",
@@ -520,6 +529,7 @@ _JUNK = st.one_of(
 _WORK = (
     (distributions.FactorialDistribution, "sample"),
     (distributions.SphericalSampler, "sample_columns"),
+    (distributions.SphericalSampler, "draw"),
     (mpa.DarmoisMap, "__init__"),
 )
 

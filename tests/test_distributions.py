@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ima_lab.distributions import (
     FactorialDistribution,
     Gaussian,
     Laplace,
+    ScaledColumns,
     SphericalSampler,
     TabulatedBeta,
     Uniform,
@@ -210,17 +212,18 @@ class ZeroFirstRadius(UnivariateLaw):
         return radii
 
 
-class ConditionedColumns:
+@dataclass(frozen=True)
+class ConditionedColumns(SphericalSampler):
     """Sampler whose matrix for each seed is Q diag(sv) V with orthonormal
     Q and V, largest singular value 1 and squared smallest-to-largest ratio
-    drawn from ``ratios``.  Logs every seed it is asked for."""
+    drawn from ``ratios``: its raw draw is that matrix, with its own column
+    norms as radii, so the scaled columns are it to rounding.  Logs every
+    seed it is asked for."""
 
-    def __init__(self, m, ratios):
-        self.ambient_dim = m
-        self.ratios = ratios
-        self.seeds = []
+    ratios: tuple = ()
+    seeds: list = field(default_factory=list)
 
-    def sample_columns(self, d, seeds):
+    def draw(self, d, seeds):
         self.seeds.extend(seeds)
         out = np.empty((len(seeds), self.ambient_dim, d))
         for j, s in enumerate(seeds):
@@ -230,7 +233,7 @@ class ConditionedColumns:
             low = np.sqrt(gen.choice(self.ratios))
             sv = np.concatenate([[1.0], gen.uniform(low, 1.0, d - 2), [low]])
             out[j] = (Q * sv) @ V
-        return out
+        return out, np.linalg.norm(out, axis=-2)
 
 
 def svd_only_sample(m, d, sampler, seeds):
@@ -271,7 +274,7 @@ class TestGramRankCheck:
         offsets = [-1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3]
         ratios = [t * (1.0 + o) for t in (GRAM_RATIO_TOL, rank_tol**2) for o in offsets] + [1.0]
         seeds = [substream(77, i) for i in range(60)]
-        fast, ref = ConditionedColumns(m, ratios), ConditionedColumns(m, ratios)
+        fast, ref = ConditionedColumns(m, ratios=tuple(ratios)), ConditionedColumns(m, ratios=tuple(ratios))
         kept = []
         # a seed whose 3 draws all fail fails only its block of 10
         for start in range(0, len(seeds), 10):
@@ -342,20 +345,46 @@ class TestSphericalSampler:
         single = sample_isotropic_matrix(m, d, SphericalSampler(m, ZeroFirstRadius(m, 1)), seeds[0])
         assert np.array_equal(single, batch[0])
 
-    def test_with_gram_returns_the_gram_and_eigenvalues_of_the_returned_draws(self):
+    def test_with_gram_returns_the_draws_and_the_gram_and_eigenvalues_of_their_rank_check(self):
         m, d = 9, 3
         seeds = [substream(4, i) for i in range(5)]
         plain = sample_isotropic_matrix(m, d, SphericalSampler.standard_gaussian(m), seeds)
         # the first draw of the first call fails and is drawn again
         sampler = SphericalSampler(m, ZeroFirstRadius(m, 1))
         J, G, eigvals = sample_isotropic_matrix(m, d, sampler, SeedBlock(seeds), with_gram=True)
-        assert np.array_equal(J[1:], plain[1:]) and not np.array_equal(J[0], plain[0])
-        for Jj, Gj, ej in zip(J, G, eigvals):
-            assert np.array_equal(Gj, Jj.T @ Jj)
-            assert np.array_equal(ej, np.linalg.eigvalsh(Gj))
+        assert isinstance(J, ScaledColumns)
+        resampled = sample_isotropic_matrix(m, d, SphericalSampler(m, ZeroFirstRadius(m, 1)), seeds)
+        assert np.array_equal(J[:], resampled)
+        assert np.array_equal(J[1:], plain[1:]) and not np.array_equal(J[:1], plain[:1])
+        assert np.array_equal(eigvals, np.linalg.eigvalsh(G))
+        # G and the computed J^T J each lie within about (m + 4) eps |J_i| |J_j|
+        # of the exact Gram of the unrounded scaled columns (the m-term dot
+        # product's rounding bound, plus the roundings of the norm, the
+        # division and the radius), so they differ by at most twice that
+        JtJ = np.matrix_transpose(resampled) @ resampled
+        diag = np.diagonal(G, axis1=-2, axis2=-1)
+        bound = 2 * (m + 4) * np.finfo(float).eps * np.sqrt(diag[:, :, None] * diag[:, None, :])
+        assert np.all(np.abs(G - JtJ) <= bound)
         one = sample_isotropic_matrix(m, d, SphericalSampler(m, ZeroFirstRadius(m, 1)), seeds[0],
                                       with_gram=True)
-        assert all(np.array_equal(a, b[0]) for a, b in zip(one, (J, G, eigvals)))
+        assert all(np.array_equal(a, b) for a, b in zip(one, (J[:1][0], G[0], eigvals[0])))
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 300), st.booleans(),
+           st.lists(st.booleans(), min_size=6, max_size=6), st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=60)
+    def test_any_rows_of_the_lazy_stack_are_those_of_sample_columns(self, k, d, m, chi, mask, seed):
+        m = max(m, d)
+        sampler = SphericalSampler.standard_gaussian(m) if chi else SphericalSampler.unit(m)
+        seeds = [substream(seed, j) for j in range(k)]
+        full = sampler.sample_columns(d, seeds)
+        lazy = ScaledColumns(*sampler.draw(d, seeds))
+        rows = np.array(mask[:k])
+        assert np.array_equal(lazy[rows], full[rows])
+        assert np.array_equal(lazy[np.flatnonzero(rows)[::-1]], full[np.flatnonzero(rows)[::-1]])
+        assert np.array_equal(lazy[k - 1:], full[k - 1:])
+        assert np.array_equal(lazy[:], full)
+        drawn, _, _ = sample_isotropic_matrix(m, d, sampler, seeds, with_gram=True)
+        assert np.array_equal(drawn[rows], sample_isotropic_matrix(m, d, sampler, seeds)[rows])
 
     def test_rank_failure_on_every_attempt_raises(self):
         sampler = SphericalSampler(9, ZeroFirstRadius(9, 3))

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from unittest import mock
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from ima_lab import experiments, mixing
 from ima_lab.contrast import (
@@ -345,17 +347,14 @@ class TestConcentrationSweep:
     def test_draws_the_gram_route_cannot_resolve_count_as_the_svd_does(self):
         # the last column is the first plus t times noise: at t near 1e-4 the
         # Gram eigenvalue ratio is near GRAM_RATIO_TOL, so some rows come back NaN
-        class NearDependent:
-            def __init__(self, m):
-                self.ambient_dim = m
-
-            def sample_columns(self, d, seeds):
-                out = np.empty((len(seeds), self.ambient_dim, d))
+        class NearDependent(SphericalSampler):
+            def draw(self, d, seeds):
+                g = np.empty((len(seeds), self.ambient_dim, d))
                 for j, s in enumerate(seeds):
                     gen = generator(s)
-                    gen.standard_normal(out=out[j])
-                    out[j, :, -1] = out[j, :, 0] + gen.choice([3e-5, 1e-4, 3e-4, 1.0]) * out[j, :, -1]
-                return out
+                    gen.standard_normal(out=g[j])
+                    g[j, :, -1] = g[j, :, 0] + gen.choice([3e-5, 1e-4, 3e-4, 1.0]) * g[j, :, -1]
+                return g, None
 
         m, d, trials, seed = 8, 3, 40, 22
         J = sample_isotropic_matrix(m, d, NearDependent(m), [substream(seed, 0, i) for i in range(trials)])
@@ -364,6 +363,26 @@ class TestConcentrationSweep:
         for delta in np.unique(svd_values):
             row, = concentration_sweep(d, delta, [m], trials, sampler_factory=NearDependent, seed=seed)
             assert row.empirical_success == np.count_nonzero(svd_values <= delta) / trials
+
+    #: (m, delta) of the exact-law check, with P(c <= delta) from 0.43 to 0.79
+    EXACT_LAW_CASES = [(3, 0.1), (4, 0.3), (8, 0.05), (16, 0.02), (64, 0.005)]
+
+    @pytest.mark.parametrize("radial", ["chi", "unit"])
+    @pytest.mark.parametrize("case", range(len(EXACT_LAW_CASES)))
+    def test_success_follows_the_exact_law_at_two_columns(self, radial, case):
+        """At d = 2 the contrast of spherically symmetric columns is
+        -1/2 log B with B ~ Beta((m - 1)/2, 1/2), whatever the radius law,
+        so P(c <= delta) = I_{1 - exp(-2 delta)}(1/2, (m - 1)/2).  The bound
+        was fixed before running: |z| <= 4, Bonferroni-corrected over the
+        cases so the family errs as rarely as one |z| <= 4 check."""
+        m, delta = self.EXACT_LAW_CASES[case]
+        n_cases, trials = 2 * len(self.EXACT_LAW_CASES), 4000
+        factory = SphericalSampler.standard_gaussian if radial == "chi" else SphericalSampler.unit
+        seed = 7100 + 2 * case + (radial == "unit")
+        row, = concentration_sweep(2, delta, [m], trials, sampler_factory=factory, seed=seed)
+        p = special.betaincc((m - 1) / 2, 0.5, math.exp(-2.0 * delta))
+        z = (row.empirical_success - p) / math.sqrt(p * (1.0 - p) / trials)
+        assert abs(z) <= -special.ndtri(special.ndtr(-4.0) / n_cases)
 
     @pytest.mark.parametrize("d", [0, -1])
     def test_no_columns_is_a_domain_error(self, d):

@@ -14,6 +14,7 @@ from ima_lab.errors import (
     REJECTABLE,
     DomainError,
     NearPoleError,
+    NonFiniteError,
     OnKnotError,
     OutOfDomainError,
     RankDeficientError,
@@ -621,6 +622,24 @@ class TestTwoPiece:
         tp = TwoPieceMap(J, J, 1, 0.25)
         assert tp.linear
         assert np.array_equal(tp.jacobian(np.array([0.3, 0.25, -1.0])), J)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("piece", [0, 1])
+    def test_a_non_finite_entry_is_refused(self, bad, piece):
+        J0 = np.random.default_rng(9).standard_normal((6, 2))
+        pieces = [J0, J0.copy()]
+        pieces[1][:, 1] += 1.0
+        pieces[piece][0, 1] = bad
+        with pytest.raises(NonFiniteError):
+            TwoPieceMap(*pieces, 1, 0.3)
+        with pytest.raises(NonFiniteError):
+            make_two_piece(pieces[0], 1, pieces[1][:, 1], c=0.3)
+
+    @pytest.mark.parametrize("c", [np.inf, np.nan])
+    def test_a_non_finite_boundary_is_refused(self, c):
+        J = np.random.default_rng(10).standard_normal((6, 2))
+        with pytest.raises(DomainError):
+            TwoPieceMap(J, J, 0, c)
 
     def test_dependent_column_rejected(self):
         rng = np.random.default_rng(6)
