@@ -83,27 +83,26 @@ def local_contrast_batch(J) -> np.ndarray:
     m, d = J.shape[-2:]
     if not 1 <= d <= m:
         raise DomainError(f"Jacobian must be tall or square with a column (m >= d >= 1), got {m}x{d}")
-    sv = np.linalg.svd(J, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = np.sum(np.log(_safe_column_norms(J)), axis=-1) - np.sum(np.log(sv), axis=-1)
-    return np.where(full_rank(sv), value, np.nan)
-
-
-def _safe_column_norms(J: np.ndarray) -> np.ndarray:
-    """Column norms (..., d) of finite stacked matrices (..., m, d): those
-    of ``np.linalg.norm(J, axis=-2)``, except where its sum of squares
-    left the normal range (a norm below sqrt of the smallest normal, where
-    squares lose bits or underflow, or an overflow to inf).  Those columns
-    are summed again scaled by a power of two, as the SVD scales itself,
-    so a finite scale of J changes its contrast by rounding only."""
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(J, axis=-2)
-    rescale = (norms < _SQRT_TINY) | (norms == math.inf)
-    if rescale.any():
-        columns = np.moveaxis(J, -1, -2)[rescale]
-        exponent = np.frexp(np.max(np.abs(columns), axis=-1))[1]
-        norms[rescale] = np.ldexp(np.linalg.norm(np.ldexp(columns, -exponent[:, None]), axis=-1), exponent)
-    return norms
+    sv = np.linalg.svd(J, compute_uv=False)
+    # a matrix with a column whose sum of squares leaves the normal range (a
+    # norm below sqrt of the smallest normal, where squares lose bits or
+    # underflow, or an overflow to inf) is scored scaled by a power of two,
+    # exactly, to a largest entry in [0.5, 1): the contrast does not change
+    # under a scale, and its norms and singular values keep their bits.  A
+    # column still that small after the scale fails the rank check.
+    outside = (norms < _SQRT_TINY) | (norms == math.inf)
+    if outside.any():
+        outside = outside.any(axis=-1)
+        rows = J[outside]
+        exponent = np.frexp(np.max(np.abs(rows), axis=(-2, -1)))[1]
+        rows = np.ldexp(rows, -exponent[:, None, None])
+        norms[outside] = np.linalg.norm(rows, axis=-2)
+        sv[outside] = np.linalg.svd(rows, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.sum(np.log(norms), axis=-1) - np.sum(np.log(sv), axis=-1)
+    return np.where(full_rank(sv), value, np.nan)
 
 
 def local_contrast_unclamped(J) -> float:

@@ -1,10 +1,11 @@
 """Univariate laws, factorial source distributions, and spherically
 symmetric column samplers.
 
-Laws expose ``pdf``/``cdf``/``quantile_array``; the scalar ``quantile``
-is a 0-d call of ``quantile_array`` (``Laplace`` alone keeps a scalar
-formula of its own), and ``FactorialDistribution.sample`` draws from them
-by inverse CDF.  ``law_from_config`` reads the CLI's JSON law
+Laws expose ``pdf``/``cdf``/``quantile_array``; ``quantile`` is
+``quantile_array`` on levels checked to lie in (0, 1), a float at a 0-d
+level (``Laplace`` alone keeps a ``math.log`` formula of its own, applied
+at each level), and ``FactorialDistribution.sample`` draws from them by
+inverse CDF.  ``law_from_config`` reads the CLI's JSON law
 objects and ``to_config`` writes them.  Every law has a closed-form
 quantile; the beta-shaped law is backed by a quantile table built with
 trapezoid quadrature.
@@ -31,11 +32,23 @@ from .errors import (
 from .seeding import generators, stream_seeds, substream
 
 
-def _check_u(u: float) -> float:
-    u = float(u)
-    if not 0.0 < u < 1.0:
-        raise DomainError(f"quantile argument must lie in (0, 1), got {u}")
+def _check_levels(u) -> np.ndarray:
+    """The levels u as a float array, each checked to lie in (0, 1)."""
+    u = np.asarray(u, dtype=float)
+    outside = ~((0.0 < u) & (u < 1.0))
+    if outside.any():
+        raise DomainError(f"quantile argument must lie in (0, 1), got {u[outside].flat[0]}")
     return u
+
+
+def _scalar_if_0d(values: np.ndarray):
+    """A float for a 0-d result, the array otherwise."""
+    return float(values) if values.ndim == 0 else values
+
+
+#: ``math.log`` at each element, bit for bit the scalar call (``np.log``
+#: differs from it in the last bit on about 0.3% of arguments)
+_math_log = np.frompyfunc(math.log, 1, 1)
 
 
 class UnivariateLaw:
@@ -51,9 +64,11 @@ class UnivariateLaw:
     def cdf(self, x):
         raise NotImplementedError
 
-    def quantile(self, u: float) -> float:
-        """The quantile at one level: a 0-d call of ``quantile_array``."""
-        return float(self.quantile_array(_check_u(u)))
+    def quantile(self, u):
+        """The quantile at each level of u, each in (0, 1) (DomainError
+        otherwise): ``quantile_array`` on checked levels, a float at a
+        0-d level."""
+        return _scalar_if_0d(np.asarray(self.quantile_array(_check_levels(u))))
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -97,8 +112,14 @@ class Gaussian(UnivariateLaw):
             raise DomainError("gaussian law requires sigma > 0")
 
     def pdf(self, x):
-        z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
-        return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
+        z = np.array(x, dtype=float)  # a fresh array, 0-d included, worked in place
+        z -= self.mu
+        z /= self.sigma
+        q = np.multiply(z, -0.5, out=np.empty_like(z))
+        q *= z
+        np.exp(q, out=q)
+        q /= self.sigma * math.sqrt(2.0 * math.pi)
+        return q[()]
 
     def cdf(self, x):
         z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
@@ -121,8 +142,14 @@ class Laplace(UnivariateLaw):
             raise DomainError("laplace law requires b > 0")
 
     def pdf(self, x):
-        z = np.abs(np.asarray(x, dtype=float) - self.mu) / self.b
-        return np.exp(-z) / (2.0 * self.b)
+        z = np.array(x, dtype=float)  # a fresh array, 0-d included, worked in place
+        z -= self.mu
+        np.abs(z, out=z)
+        z /= self.b
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z /= 2.0 * self.b
+        return z[()]
 
     def cdf(self, x):
         z = (np.asarray(x, dtype=float) - self.mu) / self.b
@@ -130,11 +157,13 @@ class Laplace(UnivariateLaw):
         e = np.exp(-np.abs(z))
         return np.where(z < 0, 0.5 * e, 1.0 - 0.5 * e)
 
-    def quantile(self, u: float) -> float:
-        u = _check_u(u)
-        if u < 0.5:
-            return self.mu + self.b * math.log(2.0 * u)
-        return self.mu - self.b * math.log(2.0 * (1.0 - u))
+    def quantile(self, u):
+        """The quantile by ``math.log`` at each level, bit for bit the
+        scalar formula; a float at a 0-d level."""
+        u = _check_levels(u)
+        lower = u < 0.5
+        logs = np.asarray(_math_log(np.where(lower, 2.0 * u, 2.0 * (1.0 - u))), dtype=float)
+        return _scalar_if_0d(np.where(lower, self.mu + self.b * logs, self.mu - self.b * logs))
 
     # np.log here, math.log in quantile: the two differ in the last bit on a
     # few points, and the spurious CSV pins both (sampling and the MPA output)
@@ -433,14 +462,30 @@ class ScaledColumns:
     def gram(self) -> np.ndarray:
         """(k, d, d) Grams of the scaled columns from those of the raw
         ones, G = s s^T * g^T g with s = radii / sqrt(diag g^T g): equal to
-        J^T J to rounding, without scaling any column."""
+        J^T J to rounding, without scaling any column.  Radii whose squares
+        pass the largest float give infinite entries."""
         G = np.matrix_transpose(self.g) @ self.g
         s = 1.0 / np.sqrt(np.diagonal(G, axis1=-2, axis2=-1))
         if self.radii is not None:
             s = s * self.radii
-        G *= s[:, :, None]
-        G *= s[:, None, :]
+        with np.errstate(over="ignore"):
+            G *= s[:, :, None]
+            G *= s[:, None, :]
         return G
+
+
+def _gram_eigenvalues(G: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of stacked Grams (k, d, d); NaN on a Gram with
+    an infinite entry, which no rank check resolves (the SVD decides).
+    LAPACK gives such a Gram NaN eigenvalues or fails to converge on it;
+    only then are the finite Grams solved apart."""
+    try:
+        return np.linalg.eigvalsh(G)
+    except np.linalg.LinAlgError:
+        finite = np.isfinite(G).all(axis=(-2, -1))
+        eig = np.full(G.shape[:-1], np.nan)
+        eig[finite] = np.linalg.eigvalsh(G[finite])
+        return eig
 
 
 def sample_isotropic_matrix(
@@ -464,6 +509,8 @@ def sample_isotropic_matrix(
     their ascending eigenvalues that the rank check computed, each row that
     of the draw returned; a seed vector's J is then a
     :class:`ScaledColumns`, which scales only the rows a caller reads.
+    Radii so large that a Gram overflows leave that draw's eigenvalues NaN
+    and its rank check to the SVD of its columns.
     """
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
@@ -483,7 +530,7 @@ def sample_isotropic_matrix(
             d, seeds if attempt == 0 else [substream(seeds[j], 0xA11E, attempt) for j in failed]
         ))
         Gf = drawn.gram()
-        eigf = np.linalg.eigvalsh(Gf)
+        eigf = _gram_eigenvalues(Gf)
         if attempt == 0:
             J, G, eigvals = drawn, Gf, eigf
         else:

@@ -55,6 +55,7 @@ from .mixing import (
     ComposedMap,
     LinearMap,
     MixingMap,
+    Stage,
     check_grid,
     grid_chunk_scores,
     random_conformal_map,
@@ -612,11 +613,12 @@ def _validate_monotone(transform: ElementwiseTransform, probe: np.ndarray) -> No
         raise NonMonotoneError(f"{transform!r} is not strictly monotone on the probe grid")
 
 
-class InverseElementwiseStage:
+class InverseElementwiseStage(Stage):
     """Stage applying component-wise inverses h_i^{-1}; Jacobian is
     diag(1 / h_i'(h_i^{-1}(x_i))).  ``evaluate`` and ``jacobian`` broadcast
     over leading axes, (..., d) -> (..., d) and (..., d, d), so the batch
-    methods are one call each."""
+    methods are one call each, and ``forward_batch`` one ``evaluate`` for
+    both."""
 
     def __init__(self, transforms):
         self.transforms = tuple(transforms)
@@ -630,8 +632,9 @@ class InverseElementwiseStage:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.stack([t.inverse(x[..., i]) for i, t in enumerate(self.transforms)], axis=-1)
 
-    def jacobian(self, x):
-        pre = self.evaluate(x)
+    def jacobian(self, x, preimage=None):
+        """``preimage`` is ``evaluate(x)`` when the caller already has it."""
+        pre = self.evaluate(x) if preimage is None else preimage
         derivs = np.stack([t.dforward(pre[..., i]) for i, t in enumerate(self.transforms)], axis=-1)
         J = np.zeros(derivs.shape + (self.d,))
         diag = np.arange(self.d)
@@ -645,6 +648,10 @@ class InverseElementwiseStage:
 
     def jacobian_batch(self, X):
         return self.jacobian(X), np.zeros(len(X), dtype=np.int8)
+
+    def forward_batch(self, X):
+        pre = self.evaluate(X)
+        return pre, self.jacobian(X, pre), np.zeros(len(X), dtype=np.int8)
 
 
 def permutation_matrix(perm) -> np.ndarray:
@@ -717,7 +724,24 @@ def reparam_invariance_check(
 ) -> ReparamReport:
     """Paired estimate of C(f, p_s) against C(f o h^{-1} o P^{-1}, p_s~)
     where s~ = P h(s), using common random numbers; the global-contrast
-    proposition predicts exact equality."""
+    proposition predicts exact equality.  The draws are scored by
+    :func:`reparam_scores`."""
+    base, re = reparam_scores(mapping, p_s, perm, transforms, n, seed)
+    return _reparam_report(n, _estimate_from_values(base), _estimate_from_values(re))
+
+
+def reparam_scores(
+    mapping: MixingMap,
+    p_s: FactorialDistribution,
+    perm,
+    transforms,
+    n: int,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The paired local contrasts of :func:`reparam_invariance_check`,
+    unclamped and NaN where rejected: f at n draws s of p_s, and the
+    reparametrized map f o h^{-1} o P^{-1} at P h(s), draw by draw.  The
+    proposition predicts they are equal point by point."""
     transforms = tuple(transforms)
     P = check_reparam(mapping, p_s, perm, transforms)
 
@@ -731,11 +755,13 @@ def reparam_invariance_check(
     if not np.all(np.isfinite(transformed)):
         raise NumericalError("a transform took a draw to a non-finite value")
 
-    reparam_map = ComposedMap([LinearMap(P.T), InverseElementwiseStage(transforms), mapping])
+    reparam_map = reparametrized_map(mapping, P, transforms)
+    return _score_at_points(mapping, draws), _score_at_points(reparam_map, transformed)
 
-    base = _estimate_from_values(_score_at_points(mapping, draws))
-    re = _estimate_from_values(_score_at_points(reparam_map, transformed))
-    return _reparam_report(n, base, re)
+
+def reparametrized_map(mapping: MixingMap, P: np.ndarray, transforms) -> ComposedMap:
+    """f o h^{-1} o P^{-1} for a permutation matrix P, as a chain."""
+    return ComposedMap([LinearMap(P.T), InverseElementwiseStage(transforms), mapping])
 
 
 def _reparam_report(n: int, base: ContrastEstimate, re: ContrastEstimate) -> ReparamReport:

@@ -26,7 +26,10 @@ point.  Any other error, such as a point outside the domain, is raised by
 both batch calls, and every map checks its points by
 ``MixingMap._check_points``.  The spurious stages of :mod:`ima_lab.mpa`
 broadcast their single-point calls over leading axes instead, like
-``experiments.InverseElementwiseStage``.
+``experiments.InverseElementwiseStage``.  Every map and stage is a
+:class:`Stage`, whose ``forward_batch`` gives its outputs at the kept rows
+with its batch Jacobian: the one call a :class:`ComposedMap` makes on
+each stage but the last.
 """
 
 from __future__ import annotations
@@ -110,7 +113,27 @@ def _blend_inside(s, eps: float):
 # batch protocol and map base class
 # ---------------------------------------------------------------------------
 
-class MixingMap:
+class Stage:
+    """A composition stage: the batch calls ``evaluate_batch`` and
+    ``jacobian_batch`` (see the module docstring for the protocol), and
+    ``forward_batch``, the one call a :class:`ComposedMap` makes on every
+    stage but its last."""
+
+    def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def jacobian_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def forward_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(Y, J, code)``: the stage's outputs at the rows of code 0, then
+        ``jacobian_batch(X)``.  A stage whose Jacobian computes its outputs
+        on the way returns those; this default makes the two batch calls."""
+        J, code = self.jacobian_batch(X)
+        return self.evaluate_batch(X[code == 0] if code.any() else X), J, code
+
+
+class MixingMap(Stage):
     """A map s -> x from R^d onto a d-dimensional manifold in R^m with an
     analytic Jacobian.  Immutable after construction; evaluation is pure.
 
@@ -134,12 +157,6 @@ class MixingMap:
         if code[0]:
             raise REJECTABLE[code[0] - 1](f"{type(self).__name__} has no Jacobian at {s.tolist()}")
         return J[0]
-
-    def evaluate_batch(self, S: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def jacobian_batch(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return self.evaluate(s)
@@ -194,10 +211,12 @@ class LinearMap(MixingMap):
 class ComposedMap(MixingMap):
     """Stage-wise composition, stages applied first to last: the one home
     of the chain rule.  Each stage maps R^d to R^m, exposes ``d`` and
-    ``m``, and has the batch calls.  The Jacobian is the ordered product
+    ``m``, and is a :class:`Stage`.  The Jacobian is the ordered product
     of stacked stage Jacobians; a row one stage refuses is dropped from
     the later ones and keeps that stage's code, so ``jacobian`` raises the
-    refusing stage's own error.  The last stage is never evaluated."""
+    refusing stage's own error.  Every stage but the last is called once
+    (``forward_batch``) for its outputs and Jacobian; the last stage is
+    never evaluated."""
 
     def __init__(self, stages):
         self.stages = tuple(stages)
@@ -216,15 +235,14 @@ class ComposedMap(MixingMap):
     def evaluate_batch(self, S):
         X = self._check_points(S)
         for stage in self.stages:
-            X = self._stage_output(stage, X)
+            X = self._stage_output(stage, stage.evaluate_batch(X))
         return X
 
     @staticmethod
     def _stage_output(stage, X):
-        """The points a stage hands on.  They are computed, not given, so a
-        non-finite one is a NumericalError (exit 3), which the next stage's
-        point check would call a malformed input."""
-        X = stage.evaluate_batch(X)
+        """The points a stage hands on, X.  They are computed, not given, so
+        a non-finite one is a NumericalError (exit 3), which the next
+        stage's point check would call a malformed input."""
         if not np.all(np.isfinite(X)):
             raise NumericalError(f"{type(stage).__name__} computed non-finite points")
         return X
@@ -235,19 +253,23 @@ class ComposedMap(MixingMap):
         alive = np.arange(n)
         code = np.zeros(n, dtype=np.int8)
         J = None
+        last = len(self.stages) - 1
         for i, stage in enumerate(self.stages):
-            Js, stage_code = stage.jacobian_batch(X)
+            if i < last:
+                Y, Js, stage_code = stage.forward_batch(X)
+            else:
+                Js, stage_code = stage.jacobian_batch(X)
             if stage_code.any():
                 keep = stage_code == 0
                 code[alive[~keep]] = stage_code[~keep]
-                alive, X, Js = alive[keep], X[keep], Js[keep]
+                alive, Js = alive[keep], Js[keep]
                 J = None if J is None else J[keep]
             # a non-finite stage Jacobian makes NaN products, which the contrast
             # kernel refuses as a NumericalError; numpy need not warn first
             with np.errstate(invalid="ignore", over="ignore"):
                 J = Js if J is None else Js @ J
-            if i + 1 < len(self.stages):
-                X = self._stage_output(stage, X)
+            if i < last:
+                X = self._stage_output(stage, Y)
         out = np.full((n, self.m, self.d), np.nan)
         out[alive] = J
         return out, code
@@ -696,7 +718,7 @@ def make_two_piece(
 # conformal maps
 # ---------------------------------------------------------------------------
 
-class Similarity:
+class Similarity(Stage):
     """x -> scale * Q x + shift with Q orthogonal; conformal factor = scale."""
 
     def __init__(self, scale: float, Q: np.ndarray, shift: np.ndarray | None = None):
@@ -724,7 +746,7 @@ class Similarity:
         return np.broadcast_to(self.scale * self.Q, (n,) + self.Q.shape), np.zeros(n, dtype=np.int8)
 
 
-class Inversion:
+class Inversion(Stage):
     """Sphere inversion x -> x / ||x||^2; conformal factor 1 / ||x||^2,
     pole at the origin."""
 

@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
     reject_codes,
 )
-from .mixing import ComposedMap, LinearMap, MixingMap
+from .mixing import ComposedMap, LinearMap, MixingMap, Stage
 from .seeding import generator
 
 _CDF_CLAMP = 1e-15
@@ -58,13 +58,14 @@ def is_signed_permutation(R: np.ndarray) -> bool:
 # rotated-Gaussian MPA
 # ---------------------------------------------------------------------------
 
-class RotatedGaussianMPA:
+class RotatedGaussianMPA(Stage):
     """Latent-space automorphism F_s^{-1} o Phi o R o Phi^{-1} o F_s that
     leaves the factorial source distribution invariant.
 
     ``evaluate`` and ``jacobian`` broadcast over leading axes, (..., d) ->
-    (..., d) and (..., d, d), so the batch methods are one call each.  CDF
-    values are clamped into [1e-15, 1 - 1e-15]; ``evaluate`` warns with
+    (..., d) and (..., d, d), so the batch methods are one call each, and
+    ``forward_batch`` one forward pass for both.  CDF values are clamped
+    into [1e-15, 1 - 1e-15]; ``evaluate`` and ``forward_batch`` warn with
     the number clamped.  Immutable and thread-safe.
     """
 
@@ -104,29 +105,31 @@ class RotatedGaussianMPA:
         U_out = special.ndtr(Z_rot)
         clamped = np.clip(U_out, _CDF_CLAMP, 1.0 - _CDF_CLAMP)
         clamps += int(np.count_nonzero(clamped != U_out))
-        # the scalar quantile: Laplace.quantile_array's np.log differs from
-        # quantile's math.log in the last bit, and the spurious CSV pins this one
-        Y = np.stack([
-            np.reshape([law.quantile(u) for u in clamped[..., i].ravel().tolist()], Z.shape[:-1])
-            for i, law in enumerate(laws)
-        ], axis=-1)
+        # quantile, not quantile_array: Laplace's math.log differs from np.log
+        # in the last bit, and the spurious CSV pins this one
+        Y = np.stack([law.quantile(clamped[..., i]) for i, law in enumerate(laws)], axis=-1)
         return Z, Z_rot, Y, clamps
+
+    @staticmethod
+    def _warn_clamps(clamps: int) -> None:
+        if clamps:
+            warnings.warn(f"{clamps} CDF values clamped during MPA evaluation", ClampWarning,
+                          stacklevel=3)
 
     def evaluate(self, s) -> np.ndarray:
         _, _, Y, clamps = self._forward(s)
-        if clamps:
-            warnings.warn(f"{clamps} CDF values clamped during MPA evaluation", ClampWarning,
-                          stacklevel=2)
+        self._warn_clamps(clamps)
         return Y
 
     __call__ = evaluate
     evaluate_batch = evaluate
 
-    def jacobian(self, s) -> np.ndarray:
+    def jacobian(self, s, forward=None) -> np.ndarray:
         """D_out(s) R D_in(s) with D_in = diag(p_i(s_i)/phi(z_i)) and
-        D_out = diag(phi(z'_i)/p_i(y_i))."""
+        D_out = diag(phi(z'_i)/p_i(y_i)).  ``forward`` is ``_forward(s)``
+        when the caller already has it."""
         S = np.asarray(s, dtype=float)
-        Z, Z_rot, Y, _ = self._forward(S)
+        Z, Z_rot, Y, _ = self._forward(S) if forward is None else forward
         laws = self.source.components
         p_in = np.stack([law.pdf(S[..., i]) for i, law in enumerate(laws)], axis=-1)
         p_out = np.stack([law.pdf(Y[..., i]) for i, law in enumerate(laws)], axis=-1)
@@ -139,6 +142,14 @@ class RotatedGaussianMPA:
 
     def jacobian_batch(self, S):
         return self.jacobian(S), np.zeros(len(S), dtype=np.int8)
+
+    def forward_batch(self, S):
+        """``evaluate``, ``jacobian`` and the codes from one forward pass."""
+        forward = self._forward(S)
+        _, _, Y, clamps = forward
+        J = self.jacobian(S, forward)
+        self._warn_clamps(clamps)
+        return Y, J, np.zeros(len(J), dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +245,11 @@ class RotatedFactorial:
     def density(self, x1, x2):
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
-        X1, X2 = np.meshgrid(x1, x2, indexing="ij")
         Rt = self.rotation.T
-        s1 = Rt[0, 0] * X1 + Rt[0, 1] * X2
-        s2 = Rt[1, 0] * X1 + Rt[1, 1] * X2
-        return np.asarray(self.laws[0].pdf(s1)) * np.asarray(self.laws[1].pdf(s2))
+        # s = R^T x at every grid node (x1[i], x2[j]), broadcast from the axes
+        P = np.asarray(self.laws[0].pdf((Rt[0, 0] * x1)[:, None] + (Rt[0, 1] * x2)[None, :]))
+        P *= self.laws[1].pdf((Rt[1, 0] * x1)[:, None] + (Rt[1, 1] * x2)[None, :])
+        return P
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         s = FactorialDistribution(self.laws).sample(n, seed)
@@ -271,29 +282,40 @@ class DarmoisMap:
         self.resolution = int(resolution)
         self.x1 = np.linspace(lo1, hi1, resolution)
         self.x2 = np.linspace(lo2, hi2, resolution)
+        # the density's grid is a fresh array, which the table takes over
+        # and works on in place
         P = np.asarray(spec.density(self.x1, self.x2), dtype=float)
         if P.shape != (resolution, resolution):
             raise DimensionMismatchError("density grid has wrong shape")
-        if np.any(P <= 0.0) or not np.all(np.isfinite(P)):
+        # a NaN makes the minimum NaN, which fails the comparison
+        if not (P.min() > 0.0 and P.max() < math.inf):
             raise NonPositiveDensityError(
                 "density must be strictly positive and finite on its bounding rectangle"
             )
         h1 = self.x1[1] - self.x1[0]
         h2 = self.x2[1] - self.x2[0]
-        row_mass = np.trapezoid(P, dx=h2, axis=1)
+        # the trapezoid sums along x2, formed once: np.trapezoid's row sums
+        # ((h2 S) / 2).sum(axis=1), then the cumulative (0.5 S) h2
+        S = P[:, 1:] + P[:, :-1]
+        T = h2 * S
+        T /= 2.0
+        row_mass = T.sum(axis=1)
         total = float(np.trapezoid(row_mass, dx=h1))
         if abs(total - 1.0) > 1e-4:
             raise NormalizationError(f"quadrature mass {total:.6f} deviates from 1 by > 1e-4")
         self.total_mass = total
-        self.joint = P / total
+        P /= total
+        self.joint = P
         self.marginal_pdf = row_mass / total
         cdf1 = np.concatenate([[0.0], np.cumsum(0.5 * (row_mass[1:] + row_mass[:-1]) * h1)])
         self.marginal_cdf = cdf1 / cdf1[-1]
-        cond = np.concatenate(
-            [np.zeros((resolution, 1)), np.cumsum(0.5 * (P[:, 1:] + P[:, :-1]) * h2, axis=1)],
-            axis=1,
-        )
-        self.conditional_cdf_table = cond / cond[:, -1:]
+        np.multiply(S, 0.5, out=S)
+        S *= h2
+        cond = np.empty((resolution, resolution))
+        cond[:, 0] = 0.0
+        np.cumsum(S, axis=1, out=cond[:, 1:])
+        cond /= cond[:, -1:].copy()
+        self.conditional_cdf_table = cond
         self.h1 = h1
         self.h2 = h2
 
@@ -404,7 +426,7 @@ def darmois_build(spec, resolution: int = 512) -> DarmoisMap:
     return DarmoisMap(spec, resolution)
 
 
-class DarmoisInverse:
+class DarmoisInverse(Stage):
     """Inverse Darmois stage (0,1)^2 -> rectangle; its Jacobian is the
     triangular inverse of the forward Jacobian at the preimage; both
     broadcast over leading axes."""
@@ -431,17 +453,23 @@ class DarmoisInverse:
         inv[..., 1, 1] = 1.0 / b
         return inv
 
-    def jacobian_batch(self, U):
-        """``(J, code)`` at the rows of U: a row whose preimage lies within
-        one table cell of the edge, where ``jacobian`` raises
+    def forward_batch(self, U):
+        """``(X, J, code)`` at the rows of U: a row whose preimage lies
+        within one table cell of the edge, where ``jacobian`` raises
         OutOfTableError, is refused with that error's code.  The preimages
-        are computed once, for the codes and the Jacobian."""
+        are computed once, for the outputs X (at the kept rows), the codes
+        and the Jacobian."""
         U = np.asarray(U, dtype=float)
         X = self.dm.inverse(U)
-        rejected = ~self.dm._inside(X, self.dm.h1)
+        kept = self.dm._inside(X, self.dm.h1)
+        X = X[kept]
         J = np.full((len(U), 2, 2), np.nan)
-        J[~rejected] = self.jacobian(U[~rejected], X[~rejected])
-        return J, reject_codes(rejected, OutOfTableError)
+        J[kept] = self.jacobian(U[kept], X)
+        return X, J, reject_codes(~kept, OutOfTableError)
+
+    def jacobian_batch(self, U):
+        _, J, code = self.forward_batch(U)
+        return J, code
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from ima_lab.errors import (
     RankDeficientError,
     ValidationError,
 )
+from ima_lab.experiments import concentration_sweep
 from ima_lab.seeding import SeedBlock, generator, substream
 
 ALL_LAWS = [
@@ -140,6 +141,52 @@ def test_scalar_quantile_is_the_array_quantile_bit_for_bit(law):
     zero_d = np.array([law.quantile_array(np.array(ui)) for ui in u])
     for values in (scalar, zero_d):
         assert np.array_equal(values.view(np.int64), law.quantile_array(u).view(np.int64))
+
+
+def _scalar_laplace_quantile(law, u):
+    """The scalar math.log formula that the array call must repeat."""
+    if u < 0.5:
+        return law.mu + law.b * math.log(2.0 * u)
+    return law.mu - law.b * math.log(2.0 * (1.0 - u))
+
+
+_LAPLACE_EDGES = [1e-15, 1.0 - 1e-15, float(np.nextafter(0.5, 0.0)), 0.5, 5e-324, 1.0 - 1.1e-16]
+
+
+class TestLaplaceQuantileArrays:
+    @settings(deadline=None, max_examples=200)
+    @given(law=st.sampled_from([Laplace(0.0, 1.0), Laplace(-1.0, 2.5), Laplace(3.0, 1e-3)]),
+           us=st.lists(st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                                 st.sampled_from(_LAPLACE_EDGES)), max_size=40),
+           shape=st.sampled_from([(-1,), (1, -1)]))
+    def test_array_call_is_the_scalar_formula_bit_for_bit(self, law, us, shape):
+        U = np.array(us, dtype=float).reshape(shape)
+        got = law.quantile(U)
+        expected = np.array([_scalar_laplace_quantile(law, u) for u in us]).reshape(U.shape)
+        assert got.shape == U.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("u", _LAPLACE_EDGES)
+    def test_a_0d_level_gives_a_float(self, u):
+        law = Laplace(-1.0, 2.5)
+        for level in (u, np.float64(u), np.array(u)):
+            value = law.quantile(level)
+            assert type(value) is float and value == _scalar_laplace_quantile(law, u)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7, math.nan, math.inf])
+    def test_levels_outside_the_open_interval_are_refused(self, bad):
+        with pytest.raises(DomainError):
+            Laplace(0.0, 1.0).quantile(np.array([0.3, bad, 0.6]))
+        with pytest.raises(DomainError):
+            Laplace(0.0, 1.0).quantile(bad)
+
+    @pytest.mark.parametrize("law", [law for law in ALL_LAWS if not isinstance(law, Laplace)],
+                             ids=lambda l: repr(l)[:40])
+    def test_every_law_takes_arrays_of_levels(self, law):
+        u = np.random.default_rng(4).random((3, 50))
+        assert np.array_equal(law.quantile(u).view(np.int64), law.quantile_array(u).view(np.int64))
+        with pytest.raises(DomainError):
+            law.quantile(np.array([0.5, 1.0]))
 
 
 class TestFactorial:
@@ -308,6 +355,31 @@ class TestGramRankCheck:
         assert sum(rows) == svd_rows
         monkeypatch.undo()
         assert np.array_equal(J, svd_only_sample(8, 3, SphericalSampler.standard_gaussian(8), seeds))
+
+
+class TestGramOverflow:
+    """Radii whose squares pass the largest float: each overflowing Gram's
+    rank check falls to the SVD, and the draws are those of the unit
+    sampler, scaled."""
+
+    SAMPLER = SphericalSampler(8, Uniform(1e200, 2e200))
+
+    def test_overflowing_grams_leave_the_rank_check_to_the_svd(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            J, G, eig = sample_isotropic_matrix(8, 3, self.SAMPLER, [1, 2, 3], with_gram=True)
+            plain = sample_isotropic_matrix(8, 3, self.SAMPLER, [1, 2, 3])
+        assert np.isinf(G).any(axis=(1, 2)).all() and np.isnan(eig).all()
+        assert np.array_equal(J[:], plain)
+        norms = np.linalg.norm(plain / 1e200, axis=1, keepdims=True)
+        assert np.all((1.0 - 1e-12 <= norms) & (norms <= 2.0 + 1e-12))
+        unit = sample_isotropic_matrix(8, 3, SphericalSampler.unit(8), [1, 2, 3])
+        assert np.allclose(plain / 1e200 / norms, unit, rtol=0, atol=1e-15)
+
+    def test_the_sweep_counts_as_with_unit_radii(self):
+        scaled = concentration_sweep(3, 0.1, [8, 32], 300, seed=4, sampler_factory=lambda m: SphericalSampler(m, Uniform(1e200, 2e200)))
+        unit = concentration_sweep(3, 0.1, [8, 32], 300, seed=4, sampler_factory=SphericalSampler.unit)
+        assert [r.empirical_success for r in scaled] == [r.empirical_success for r in unit]
 
 
 class TestSphericalSampler:

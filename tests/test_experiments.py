@@ -54,6 +54,8 @@ from ima_lab.experiments import (
     genericity_experiment,
     permutation_matrix,
     reparam_invariance_check,
+    reparam_scores,
+    reparametrized_map,
     run_indexed,
     spurious_gap_experiment,
     transform_from_config,
@@ -63,6 +65,7 @@ from ima_lab.mixing import (
     LinearMap,
     MixingMap,
     SmoothGridMap,
+    jacobian_fd,
     random_conformal_map,
     sample_grid_map,
 )
@@ -793,6 +796,16 @@ class TestSpuriousGap:
         assert report.spurious_darmois.exceeds_gap
         assert report.passed
 
+    def test_darmois_mean_converges_with_the_table_resolution(self):
+        """At the README seed and draws, the spurious_darmois mean moves
+        less from each resolution doubling to the next, 256 to 2048, by a
+        shrink factor of at least 2, fixed before running (a first-order
+        table error would halve; a scan read 3.2 to 3.5)."""
+        means = [spurious_gap_experiment(m=5, n_mc=2000, darmois_resolution=r, seed=20250809)
+                 .spurious_darmois.mean for r in (256, 512, 1024, 2048)]
+        steps = np.abs(np.diff(means))
+        assert np.all(steps[1:] * 2.0 <= steps[:-1]), steps
+
     def test_gaussian_control_shows_no_gap(self):
         src = FactorialDistribution.iid(Gaussian(0, 1), 2)
         report = spurious_gap_experiment(m=5, source=src, n_mc=800,
@@ -883,6 +896,96 @@ class TestReparam:
             t = transform_from_config(cfg)
             x = 0.37
             assert t.inverse(t.forward(x)) == pytest.approx(x, abs=1e-12)
+
+
+#: bound on the pointwise |c - c'| of the reparametrization check, fixed
+#: before any run: the proposition predicts equality, and h^{-1}(h(s)) and
+#: the chain's products round by a few eps
+REPARAM_POINTWISE_TOL = 1e-12
+
+
+def assert_pointwise_invariant(base, re):
+    """Both sides reject the same draws and agree on the rest to the bound."""
+    assert np.array_equal(np.isnan(base), np.isnan(re))
+    kept = ~np.isnan(base)
+    assert np.max(np.abs(base[kept] - re[kept]), initial=0.0) <= REPARAM_POINTWISE_TOL
+
+
+_AFFINE = st.builds(AffineTransform, st.one_of(st.floats(0.2, 5.0), st.floats(-5.0, -0.2)),
+                    st.floats(-1.0, 1.0))
+
+
+@st.composite
+def reparam_cases(draw):
+    """(map, source, perm, transforms): a linear or conformal map on
+    Gaussian latents with affine and tanh transforms, or a smoothed grid map
+    (m above p d, where it is injective) on Uniform(0.01, 0.99) latents
+    with affine and cube transforms."""
+    kind = draw(st.sampled_from(["linear", "conformal", "grid"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    d = draw(st.integers(2, 3))
+    if kind == "grid":
+        mapping = sample_grid_map(d=d, m=draw(st.integers(2**d * d + 1, 2**d * d + 16)), delta=0.5,
+                                  eps=0.02, seed=seed)
+        law, warp = Uniform(0.01, 0.99), st.just(CubeTransform())
+    else:
+        m = draw(st.integers(d + 1, 8))
+        mapping = (LinearMap(generator(seed).standard_normal((m, d))) if kind == "linear"
+                   else random_conformal_map(d, m, seed, with_inversion=draw(st.booleans())))
+        law, warp = Gaussian(0.0, 1.0), st.just(TanhTransform())
+    transforms = draw(st.lists(st.one_of(_AFFINE, warp), min_size=d, max_size=d))
+    return mapping, FactorialDistribution.iid(law, d), draw(st.permutations(range(d))), transforms
+
+
+class TestReparamPointwise:
+    """The proposition point by point: the contrast of f o h^{-1} o P^{-1}
+    at P h(s) is the contrast of f at s, draw by draw."""
+
+    @pytest.mark.parametrize("seed", [20250809, 77])
+    def test_readme_configs_agree_point_by_point(self, seed, tmp_path, monkeypatch):
+        pairs = []
+
+        def recording(*args):
+            pairs.append(reparam_scores(*args))
+            return pairs[-1]
+
+        monkeypatch.setattr(experiments, "reparam_scores", recording)
+        config = {"command": "reparam", "params": REPARAM_PARAMS, "master_seed": seed}
+        assert run(dict(config, output_dir=str(tmp_path))) == 0
+        assert len(pairs) == len(REPARAM_PARAMS["configs"])
+        for base, re in pairs:
+            assert_pointwise_invariant(base, re)
+
+    @settings(deadline=None, max_examples=60)
+    @given(case=reparam_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_generated_configs_agree_point_by_point(self, case, seed):
+        mapping, p_s, perm, transforms = case
+        assert_pointwise_invariant(*reparam_scores(mapping, p_s, perm, transforms, 200, seed))
+
+    @settings(deadline=None, max_examples=100)
+    @given(t=st.one_of(_AFFINE, st.sampled_from([CubeTransform(), TanhTransform()])),
+           x=st.floats(-3.0, 3.0))
+    def test_dforward_matches_finite_differences(self, t, x):
+        """A sign-keeping error in dforward cannot show in any contrast (it
+        scales a column), so it is checked here.  Central difference at
+        step 1e-6: its truncation (h^2 / 6 times the third derivative) and
+        rounding (eps |f| / h) are both under the bound."""
+        h = 1e-6
+        fd = (t.forward(x + h) - t.forward(x - h)) / (2.0 * h)
+        assert abs(fd - float(t.dforward(x))) <= 1e-6 * (1.0 + abs(float(t.dforward(x))))
+
+    @settings(deadline=None, max_examples=40)
+    @given(case=reparam_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_the_chain_jacobian_matches_finite_differences(self, case, seed):
+        mapping, p_s, perm, transforms = case
+        P = permutation_matrix(perm)
+        chain = reparametrized_map(mapping, P, transforms)
+        # latents inside [0.2, 0.8], off the cube's zero derivative and the
+        # grid's cube edges
+        s = 0.2 + 0.6 * generator(seed).random((5, mapping.d))
+        for x in np.column_stack([t.forward(s[:, i]) for i, t in enumerate(transforms)]) @ P.T:
+            J = chain.jacobian(x)
+            assert np.max(np.abs(J - jacobian_fd(chain, x, 1e-6))) <= 1e-5 * (1.0 + np.max(np.abs(J)))
 
 
 class TestRunIndexed:

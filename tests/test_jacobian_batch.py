@@ -8,10 +8,12 @@ it was vectorised; they are kept here as the oracle."""
 
 import functools
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from scipy import special
@@ -31,6 +33,7 @@ from ima_lab.errors import (
     DomainError,
     NearPoleError,
     NonFiniteError,
+    NumericalError,
     OnKnotError,
     OutOfDomainError,
     OutOfTableError,
@@ -42,6 +45,7 @@ from ima_lab.experiments import (
     InverseElementwiseStage,
     TanhTransform,
     permutation_matrix,
+    reparametrized_map,
 )
 from ima_lab.mixing import (
     _KNOT_TOL,
@@ -57,6 +61,7 @@ from ima_lab.mixing import (
     random_conformal_map,
 )
 from ima_lab.mpa import (
+    ClampWarning,
     ComposedMap,
     CorrelatedGaussian,
     DarmoisInverse,
@@ -651,7 +656,7 @@ class TestSpuriousStages:
 
 
 def _reparam_chain(mapping, perm, transforms):
-    return ComposedMap([LinearMap(permutation_matrix(perm).T), InverseElementwiseStage(transforms), mapping])
+    return reparametrized_map(mapping, permutation_matrix(perm), transforms)
 
 
 class TestComposed:
@@ -719,6 +724,134 @@ class TestComposed:
         assert code.tolist() == [0, REJECTABLE.index(NearPoleError) + 1, 0]
         assert np.array_equal(probe.seen, first.evaluate_batch(S[[0, 2]]))
         assert np.all(np.isnan(J[1])) and not np.isnan(J[[0, 2]]).any()
+
+
+# ---------------------------------------------------------------------------
+# one forward pass per stage
+# ---------------------------------------------------------------------------
+
+
+def two_pass_jacobian_batch(chain, S):
+    """The chain rule with two calls per stage, the reference for the
+    one-pass chain: each stage's ``jacobian_batch``, then, on every stage
+    but the last, its ``evaluate_batch`` on the rows it keeps, checked
+    finite."""
+    X = chain._check_points(S)
+    n = len(X)
+    alive, code, J = np.arange(n), np.zeros(n, dtype=np.int8), None
+    for i, stage in enumerate(chain.stages):
+        Js, stage_code = stage.jacobian_batch(X)
+        keep = stage_code == 0
+        code[alive[~keep]] = stage_code[~keep]
+        alive, X = alive[keep], X[keep]
+        with np.errstate(invalid="ignore", over="ignore"):
+            J = Js[keep] if J is None else Js[keep] @ J[keep]
+        if i + 1 < len(chain.stages):
+            X = stage.evaluate_batch(X)
+            if not np.all(np.isfinite(X)):
+                raise NumericalError(f"{type(stage).__name__} computed non-finite points")
+    out = np.full((n, chain.m, chain.d), np.nan)
+    out[alive] = J
+    return out, code
+
+
+def _outcome(fn, S):
+    """(result or (error type, message), ClampWarning messages) of fn(S)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ClampWarning)
+        try:
+            result = fn(S)
+        except Exception as exc:  # the two passes must raise alike
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught if w.category is ClampWarning]
+
+
+def _draw_transforms(draw, d):
+    return [_TRANSFORMS[k] for k in draw(st.lists(st.sampled_from(range(len(_TRANSFORMS))),
+                                                  min_size=d, max_size=d))]
+
+
+@st.composite
+def chain_cases(draw):
+    """A spurious MPA or Darmois chain, a reparam chain on a grid or a
+    conformal map, or a conformal map with an inversion, and points that
+    reach its clamps, its refused rows and its errors: support errors,
+    table edges, knots, the inversion pole, and tanh's ends, where the
+    inverse stage computes infinite points."""
+    kind = draw(st.sampled_from(["mpa", "darmois", "reparam-grid", "reparam-conformal", "conformal"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "mpa":
+        a, S = draw(mpa_cases())
+        return spurious_mpa(random_conformal_map(2, 5, seed), a), S.reshape(-1, 2)
+    if kind == "darmois":
+        dm = draw(darmois_tables())
+        level = _unit_coordinate(dm.marginal_cdf)
+        U = np.array(draw(st.lists(st.tuples(level, level), min_size=1, max_size=40)))
+        R = rotation_matrix_2d(draw(st.floats(0.1, 3.0)))
+        return spurious_darmois(random_conformal_map(2, 5, seed), R, dm), U
+    if kind == "reparam-grid":
+        grid, S = draw(grid_cases())
+        transforms = _draw_transforms(draw, grid.d)
+        perm = draw(st.permutations(range(grid.d)))
+        X = np.column_stack([t.forward(S[:, i]) for i, t in enumerate(transforms)]).reshape(len(S), grid.d)
+        return _reparam_chain(grid, perm, transforms), X @ permutation_matrix(perm).T
+    cmap = random_conformal_map(2, 7, seed, with_inversion=True, shift_distance=1.0, exclusion_radius=0.5)
+    coord = st.one_of(st.floats(-0.99, 0.99), st.sampled_from([-1.0, 1.0, 0.0]))
+    X = np.array(draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40)))
+    if kind == "conformal":
+        return cmap, X
+    return _reparam_chain(cmap, draw(st.permutations(range(2))), _draw_transforms(draw, 2)), X
+
+
+class TestOnePassChain:
+    @settings(deadline=None, max_examples=300)
+    @given(case=chain_cases())
+    def test_one_pass_matches_the_two_pass_reference(self, case):
+        """Bit for bit: the Jacobians, the codes of the refused rows, the
+        error raised (a non-finite stage output is a NumericalError) and
+        the ClampWarning messages with their counts."""
+        chain, S = case
+        one, one_warned = _outcome(chain.jacobian_batch, S)
+        two, two_warned = _outcome(functools.partial(two_pass_jacobian_batch, chain), S)
+        assert one_warned == two_warned
+        event(f"clamp warnings: {bool(two_warned)}")
+        if isinstance(two[0], type):
+            event(f"raised {two[0].__name__}")
+            assert one == two
+            return
+        event(f"refused rows: {bool(two[1].any())}")
+        assert np.array_equal(one[1], two[1])
+        assert np.array_equal(bits(one[0]), bits(two[0]))
+
+    def test_tanh_ends_raise_numerical_error(self):
+        chain = _reparam_chain(random_conformal_map(2, 7, 3), [1, 0], [TanhTransform(), TanhTransform()])
+        with pytest.raises(NumericalError, match="InverseElementwiseStage"):
+            chain.jacobian_batch(np.array([[0.5, 0.2], [1.0, 0.3]]))
+
+    def test_clamped_mpa_chain_warns_with_the_count(self):
+        uniform = FactorialDistribution.iid(Uniform(0.0, 1.0), 2)
+        chain = spurious_mpa(random_conformal_map(2, 5, 3), RotatedGaussianMPA(uniform, rotation_matrix_2d(0.5)))
+        with pytest.warns(ClampWarning, match="^2 CDF values clamped"):
+            chain.jacobian_batch(np.array([[1.0 - 1e-16, 0.5], [0.5, 0.5], [0.5, 1e-17]]))
+
+    def test_each_stage_runs_its_forward_pass_once(self):
+        f = random_conformal_map(2, 5, 3)
+        laplace = FactorialDistribution.iid(Laplace(0.0, 1.0), 2)
+        a = RotatedGaussianMPA(laplace, rotation_matrix_2d(0.5))
+        S = np.random.default_rng(4).laplace(size=(30, 2))
+        with mock.patch.object(RotatedGaussianMPA, "_forward", autospec=True,
+                               side_effect=RotatedGaussianMPA._forward) as forward:
+            spurious_mpa(f, a).jacobian_batch(S)
+        assert forward.call_count == 1
+        dm = _darmois(2, 128)
+        U = np.random.default_rng(5).uniform(0.01, 0.99, (30, 2))
+        with mock.patch.object(type(dm), "inverse", autospec=True, side_effect=type(dm).inverse) as inverse:
+            spurious_darmois(f, rotation_matrix_2d(0.5), dm).jacobian_batch(U)
+        assert inverse.call_count == 1
+        with mock.patch.object(InverseElementwiseStage, "evaluate", autospec=True,
+                               side_effect=InverseElementwiseStage.evaluate) as evaluate:
+            _reparam_chain(f, [1, 0], [CubeTransform(), TanhTransform()]).jacobian_batch(U)
+        assert evaluate.call_count == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from ima_lab.contrast import offdiag_coherence
-from ima_lab.distributions import FactorialDistribution, Gaussian, Laplace, Uniform, sample_factorial
+from ima_lab.distributions import Chi, FactorialDistribution, Gaussian, Laplace, Uniform, sample_factorial
 from ima_lab.errors import (
     DimensionMismatchError,
     DomainError,
@@ -17,6 +21,7 @@ from ima_lab.errors import (
 from ima_lab.mixing import LinearMap
 from ima_lab.mpa import (
     ComposedMap,
+    DarmoisMap,
     CorrelatedGaussian,
     DarmoisInverse,
     IndependentProduct,
@@ -214,6 +219,107 @@ class TestDarmois:
         dm = darmois_build(CorrelatedGaussian(0.6), 256)
         with pytest.raises(OutOfTableError):
             dm.evaluate(np.array([100.0, 0.0]))
+
+
+def _old_pdf(law, x):
+    """The density formulas of the laws whose ``pdf`` now works in place,
+    as they were written before."""
+    if isinstance(law, Laplace):
+        z = np.abs(np.asarray(x, dtype=float) - law.mu) / law.b
+        return np.exp(-z) / (2.0 * law.b)
+    if isinstance(law, Gaussian):
+        z = (np.asarray(x, dtype=float) - law.mu) / law.sigma
+        return np.exp(-0.5 * z * z) / (law.sigma * math.sqrt(2.0 * math.pi))
+    return law.pdf(x)
+
+
+def _old_density(spec, x1, x2):
+    if isinstance(spec, RotatedFactorial):
+        X1, X2 = np.meshgrid(x1, x2, indexing="ij")
+        Rt = spec.rotation.T
+        s1 = Rt[0, 0] * X1 + Rt[0, 1] * X2
+        s2 = Rt[1, 0] * X1 + Rt[1, 1] * X2
+        return np.asarray(_old_pdf(spec.laws[0], s1)) * np.asarray(_old_pdf(spec.laws[1], s2))
+    if isinstance(spec, IndependentProduct):
+        return np.outer(_old_pdf(spec.laws[0], x1), _old_pdf(spec.laws[1], x2))
+    return spec.density(x1, x2)
+
+
+def _old_darmois_tables(spec, resolution):
+    """The Darmois table as it was built before it was built in place:
+    (total_mass, joint, marginal_pdf, marginal_cdf, conditional_cdf_table),
+    or the type of the error that refused it."""
+    if resolution < 128:
+        return DomainError
+    (lo1, hi1), (lo2, hi2) = spec.rectangle()
+    x1 = np.linspace(lo1, hi1, resolution)
+    x2 = np.linspace(lo2, hi2, resolution)
+    P = np.asarray(_old_density(spec, x1, x2), dtype=float)
+    if np.any(P <= 0.0) or not np.all(np.isfinite(P)):
+        return NonPositiveDensityError
+    h1, h2 = x1[1] - x1[0], x2[1] - x2[0]
+    row_mass = np.trapezoid(P, dx=h2, axis=1)
+    total = float(np.trapezoid(row_mass, dx=h1))
+    if abs(total - 1.0) > 1e-4:
+        return NormalizationError
+    cdf1 = np.concatenate([[0.0], np.cumsum(0.5 * (row_mass[1:] + row_mass[:-1]) * h1)])
+    cond = np.concatenate(
+        [np.zeros((resolution, 1)), np.cumsum(0.5 * (P[:, 1:] + P[:, :-1]) * h2, axis=1)], axis=1)
+    return total, P / total, row_mass / total, cdf1 / cdf1[-1], cond / cond[:, -1:]
+
+
+_TABLE_LAWS = [Laplace(0.0, 1.0), Laplace(0.3, 0.7), Gaussian(0.0, 1.0), Gaussian(-0.2, 1.6),
+               Uniform(-1.0, 1.0), Chi(3)]
+
+
+@st.composite
+def darmois_specs(draw):
+    laws = tuple(draw(st.sampled_from(_TABLE_LAWS)) for _ in range(2))
+    kind = draw(st.sampled_from(["rotated", "product", "correlated"]))
+    if kind == "rotated":
+        return RotatedFactorial(laws, rotation_matrix_2d(draw(st.floats(-math.pi, math.pi))))
+    if kind == "product":
+        return IndependentProduct(laws)
+    return CorrelatedGaussian(draw(st.floats(-0.95, 0.95)))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+class TestDarmoisTableBuild:
+    @settings(deadline=None, max_examples=60)
+    @given(spec=darmois_specs(), resolution=st.one_of(st.integers(100, 700), st.sampled_from([128, 512])))
+    def test_table_matches_the_old_build_bit_for_bit(self, spec, resolution):
+        """Across laws, rotations and resolutions, refusals included: a
+        uniform law's rotated square leaves zeros in the rectangle, a coarse
+        table misses the mass, and a resolution below 128 is refused."""
+        expected = _old_darmois_tables(spec, resolution)
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                DarmoisMap(spec, resolution)
+            return
+        dm = DarmoisMap(spec, resolution)
+        assert dm.total_mass == expected[0]
+        got = (dm.joint, dm.marginal_pdf, dm.marginal_cdf, dm.conditional_cdf_table)
+        for array, old in zip(got, expected[1:]):
+            assert array.shape == old.shape and np.array_equal(_bits(array), _bits(old))
+
+    @settings(deadline=None, max_examples=200)
+    @given(law=st.sampled_from(_TABLE_LAWS[:4]),
+           xs=st.lists(st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=True, allow_infinity=True),
+                                 st.sampled_from([0.0, -0.0, 1e-160, 1e-320, 1e154, 1.4e154, 2e154, 1e300])),
+                       max_size=30))
+    def test_in_place_densities_match_the_old_formulas(self, law, xs):
+        X = np.array(xs, dtype=float)
+        kept = X.copy()
+        # both overflow alike on the largest inputs
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(_bits(law.pdf(X)), _bits(_old_pdf(law, X)))
+            assert np.array_equal(_bits(X), _bits(kept))  # the input is left as it was
+            for x in xs[:3]:
+                value = law.pdf(x)
+                assert isinstance(value, np.float64) and _bits(value) == _bits(_old_pdf(law, x))
 
 
 class TestComposition:
