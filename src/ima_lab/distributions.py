@@ -61,6 +61,11 @@ class UnivariateLaw:
     def pdf(self, x):
         raise NotImplementedError
 
+    def _pdf_in_place(self, z: np.ndarray) -> np.ndarray:
+        """``pdf`` at the float array z, which the call may overwrite and
+        return: a law whose density works in place spares the copy."""
+        return self.pdf(z)
+
     def cdf(self, x):
         raise NotImplementedError
 
@@ -112,14 +117,16 @@ class Gaussian(UnivariateLaw):
             raise DomainError("gaussian law requires sigma > 0")
 
     def pdf(self, x):
-        z = np.array(x, dtype=float)  # a fresh array, 0-d included, worked in place
+        return self._pdf_in_place(np.array(x, dtype=float))[()]
+
+    def _pdf_in_place(self, z):
         z -= self.mu
         z /= self.sigma
         q = np.multiply(z, -0.5, out=np.empty_like(z))
         q *= z
         np.exp(q, out=q)
         q /= self.sigma * math.sqrt(2.0 * math.pi)
-        return q[()]
+        return q
 
     def cdf(self, x):
         z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
@@ -142,14 +149,16 @@ class Laplace(UnivariateLaw):
             raise DomainError("laplace law requires b > 0")
 
     def pdf(self, x):
-        z = np.array(x, dtype=float)  # a fresh array, 0-d included, worked in place
+        return self._pdf_in_place(np.array(x, dtype=float))[()]
+
+    def _pdf_in_place(self, z):
         z -= self.mu
         np.abs(z, out=z)
         z /= self.b
         np.negative(z, out=z)
         np.exp(z, out=z)
         z /= 2.0 * self.b
-        return z[()]
+        return z
 
     def cdf(self, x):
         z = (np.asarray(x, dtype=float) - self.mu) / self.b

@@ -247,8 +247,9 @@ class RotatedFactorial:
         x2 = np.asarray(x2, dtype=float)
         Rt = self.rotation.T
         # s = R^T x at every grid node (x1[i], x2[j]), broadcast from the axes
-        P = np.asarray(self.laws[0].pdf((Rt[0, 0] * x1)[:, None] + (Rt[0, 1] * x2)[None, :]))
-        P *= self.laws[1].pdf((Rt[1, 0] * x1)[:, None] + (Rt[1, 1] * x2)[None, :])
+        # into fresh grids, which the densities may work on in place
+        P = np.asarray(self.laws[0]._pdf_in_place((Rt[0, 0] * x1)[:, None] + (Rt[0, 1] * x2)[None, :]))
+        P *= self.laws[1]._pdf_in_place((Rt[1, 0] * x1)[:, None] + (Rt[1, 1] * x2)[None, :])
         return P
 
     def sample(self, n: int, seed: int) -> np.ndarray:

@@ -377,7 +377,8 @@ class TestGramOverflow:
         assert np.allclose(plain / 1e200 / norms, unit, rtol=0, atol=1e-15)
 
     def test_the_sweep_counts_as_with_unit_radii(self):
-        scaled = concentration_sweep(3, 0.1, [8, 32], 300, seed=4, sampler_factory=lambda m: SphericalSampler(m, Uniform(1e200, 2e200)))
+        scaled = concentration_sweep(3, 0.1, [8, 32], 300, seed=4,
+                                     sampler_factory=lambda m: SphericalSampler(m, Uniform(1e200, 2e200)))
         unit = concentration_sweep(3, 0.1, [8, 32], 300, seed=4, sampler_factory=SphericalSampler.unit)
         assert [r.empirical_success for r in scaled] == [r.empirical_success for r in unit]
 

@@ -830,7 +830,8 @@ class TestOnePassChain:
 
     def test_clamped_mpa_chain_warns_with_the_count(self):
         uniform = FactorialDistribution.iid(Uniform(0.0, 1.0), 2)
-        chain = spurious_mpa(random_conformal_map(2, 5, 3), RotatedGaussianMPA(uniform, rotation_matrix_2d(0.5)))
+        a = RotatedGaussianMPA(uniform, rotation_matrix_2d(0.5))
+        chain = spurious_mpa(random_conformal_map(2, 5, 3), a)
         with pytest.warns(ClampWarning, match="^2 CDF values clamped"):
             chain.jacobian_batch(np.array([[1.0 - 1e-16, 0.5], [0.5, 0.5], [0.5, 1e-17]]))
 
