@@ -306,17 +306,22 @@ def run(config: dict) -> int:
     except OSError as exc:
         raise ValidationError(f"cannot create output_dir {output_dir!r}: {exc}") from exc
     rows = runner(args, config["master_seed"], config["threads"])
-    rows_to_csv(os.path.join(output_dir, f"{command}.csv"), rows)
-    manifest = {
-        "command": command,
-        "config": config,
-        "master_seed": config["master_seed"],
-        "wall_time_s": time.perf_counter() - started,
-        "version": __version__,
-    }
-    with open(os.path.join(output_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path = os.path.join(output_dir, f"{command}.csv")
+    try:
+        rows_to_csv(path, rows)
+        manifest = {
+            "command": command,
+            "config": config,
+            "master_seed": config["master_seed"],
+            "wall_time_s": time.perf_counter() - started,
+            "version": __version__,
+        }
+        path = os.path.join(output_dir, "manifest.json")
+        with open(path, "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path!r}: {exc}") from exc
     return 0
 
 

@@ -78,13 +78,13 @@ class DegenerateMapError(NumericalError):
     """Too many Monte Carlo draws were rejected for rank deficiency."""
 
 
-#: errors that reject one Monte Carlo draw rather than the whole run.  A
-#: map's ``jacobian_batch`` returns an int8 code per row: 0 for a kept row,
-#: k for a row refused with ``REJECTABLE[k - 1]``
+#: errors that reject one Monte Carlo draw rather than the whole run.  The
+#: Jacobian batch calls return an int8 code per row: 0 for a kept row, k
+#: for a row refused with ``REJECTABLE[k - 1]``
 REJECTABLE = (RankDeficientError, OnKnotError, NearPoleError, OutOfTableError)
 
 
 def reject_codes(rejected, error: type[ImaLabError]):
-    """The int8 ``jacobian_batch`` codes of a bool mask of the rows refused
-    with ``error``, one of :data:`REJECTABLE`."""
+    """The int8 batch codes of a bool mask of the rows refused with
+    ``error``, one of :data:`REJECTABLE`."""
     return rejected.astype("int8") * (REJECTABLE.index(error) + 1)

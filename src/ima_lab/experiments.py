@@ -616,9 +616,9 @@ def _validate_monotone(transform: ElementwiseTransform, probe: np.ndarray) -> No
 class InverseElementwiseStage(Stage):
     """Stage applying component-wise inverses h_i^{-1}; Jacobian is
     diag(1 / h_i'(h_i^{-1}(x_i))).  ``evaluate`` and ``jacobian`` broadcast
-    over leading axes, (..., d) -> (..., d) and (..., d, d), so the batch
-    methods are one call each, and ``forward_batch`` one ``evaluate`` for
-    both."""
+    over leading axes, (..., d) -> (..., d) and (..., d, d), so
+    ``evaluate_batch`` is ``evaluate``, and ``forward_batch`` takes one
+    ``evaluate`` for both."""
 
     def __init__(self, transforms):
         self.transforms = tuple(transforms)
@@ -645,9 +645,6 @@ class InverseElementwiseStage(Stage):
         return J
 
     evaluate_batch = evaluate
-
-    def jacobian_batch(self, X):
-        return self.jacobian(X), np.zeros(len(X), dtype=np.int8)
 
     def forward_batch(self, X):
         pre = self.evaluate(X)

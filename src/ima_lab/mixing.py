@@ -18,18 +18,24 @@ and nothing else per point: the single-point ``evaluate``/``jacobian`` of
 :class:`MixingMap` are a batch of one.  ``jacobian_fd`` provides the
 central-difference oracle used by the tests.
 
-Jacobian protocol: ``jacobian_batch(S)`` takes (n, d) points and returns
-``(J, code)``, J of shape (n, m, d) and ``code`` an int8 array that is 0
-on a kept row and k on a row refused with ``errors.REJECTABLE[k - 1]``
-(those rows of J are NaN); ``jacobian`` raises that error at such a
-point.  Any other error, such as a point outside the domain, is raised by
-both batch calls, and every map checks its points by
-``MixingMap._check_points``.  The spurious stages of :mod:`ima_lab.mpa`
-broadcast their single-point calls over leading axes instead, like
-``experiments.InverseElementwiseStage``.  Every map and stage is a
-:class:`Stage`, whose ``forward_batch`` gives its outputs at the kept rows
-with its batch Jacobian: the one call a :class:`ComposedMap` makes on
-each stage but the last.
+Jacobian protocol: two calls, each on (n, d) points.
+
+* A map (:class:`MixingMap`) gives ``jacobian_batch(S) -> (J, code)``, J
+  of shape (n, m, d) and ``code`` an int8 array that is 0 on a kept row
+  and k on a row refused with ``errors.REJECTABLE[k - 1]`` (those rows of
+  J are NaN); ``jacobian`` raises that error at such a point.  Any other
+  error, such as a point outside the domain, is raised by both batch
+  calls, and every map checks its points by ``MixingMap._check_points``.
+  The Monte Carlo scorer and a composition's last stage make this call.
+* Every :class:`Stage` names ``d`` and ``m`` and gives
+  ``forward_batch(X) -> (Y, J, code)``: its outputs at the rows of code 0
+  with its Jacobian and codes, the one call a :class:`ComposedMap` makes
+  on each stage but the last.  A map makes its two batch calls; the
+  conformal primitives, the spurious stages of :mod:`ima_lab.mpa` and
+  ``experiments.InverseElementwiseStage`` are stages and not maps, and
+  return the outputs their Jacobian computes on the way.  They leave
+  their points to the composition to check; the last two broadcast their
+  single-point calls over leading axes.
 """
 
 from __future__ import annotations
@@ -114,23 +120,20 @@ def _blend_inside(s, eps: float):
 # ---------------------------------------------------------------------------
 
 class Stage:
-    """A composition stage: the batch calls ``evaluate_batch`` and
-    ``jacobian_batch`` (see the module docstring for the protocol), and
-    ``forward_batch``, the one call a :class:`ComposedMap` makes on every
+    """A composition stage from R^d to R^m, which names ``d`` and ``m``:
+    ``evaluate_batch(X)``, and ``forward_batch(X) -> (Y, J, code)``, its
+    outputs at the rows of code 0 with its Jacobian and codes (see the
+    module docstring), the one call a :class:`ComposedMap` makes on every
     stage but its last."""
+
+    d: int
+    m: int
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def jacobian_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
     def forward_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(Y, J, code)``: the stage's outputs at the rows of code 0, then
-        ``jacobian_batch(X)``.  A stage whose Jacobian computes its outputs
-        on the way returns those; this default makes the two batch calls."""
-        J, code = self.jacobian_batch(X)
-        return self.evaluate_batch(X[code == 0] if code.any() else X), J, code
+        raise NotImplementedError
 
 
 class MixingMap(Stage):
@@ -142,9 +145,13 @@ class MixingMap(Stage):
     are a batch of one, and ``jacobian`` raises the REJECTABLE error that
     the batch's code names."""
 
-    d: int
-    m: int
     domain: str = FULL_SPACE
+
+    def forward_batch(self, X):
+        """``jacobian_batch(X)``, then ``evaluate_batch`` on the rows it
+        keeps: a map computes its outputs apart from its Jacobian."""
+        J, code = self.jacobian_batch(X)
+        return self.evaluate_batch(X[code == 0] if code.any() else X), J, code
 
     def evaluate(self, s: np.ndarray) -> np.ndarray:
         """f(s) at one point: a batch of one of ``evaluate_batch``."""
@@ -210,18 +217,20 @@ class LinearMap(MixingMap):
 
 class ComposedMap(MixingMap):
     """Stage-wise composition, stages applied first to last: the one home
-    of the chain rule.  Each stage maps R^d to R^m, exposes ``d`` and
-    ``m``, and is a :class:`Stage`.  The Jacobian is the ordered product
-    of stacked stage Jacobians; a row one stage refuses is dropped from
-    the later ones and keeps that stage's code, so ``jacobian`` raises the
-    refusing stage's own error.  Every stage but the last is called once
-    (``forward_batch``) for its outputs and Jacobian; the last stage is
-    never evaluated."""
+    of the chain rule and of the check that the stages chain.  Each stage
+    is a :class:`Stage`, and the last one a :class:`MixingMap`.  The
+    Jacobian is the ordered product of stacked stage Jacobians; a row one
+    stage refuses is dropped from the later ones and keeps that stage's
+    code, so ``jacobian`` raises the refusing stage's own error.  Every
+    stage but the last is called once (``forward_batch``) for its outputs
+    and Jacobian; the last one gives only its ``jacobian_batch``."""
 
     def __init__(self, stages):
         self.stages = tuple(stages)
         if not self.stages:
             raise ValidationError("composition needs at least one stage")
+        if not isinstance(self.stages[-1], MixingMap):
+            raise ValidationError(f"the last stage must be a map, not {type(self.stages[-1]).__name__}")
         for here, after in zip(self.stages, self.stages[1:]):
             if here.m != after.d:
                 raise DimensionMismatchError(
@@ -249,29 +258,24 @@ class ComposedMap(MixingMap):
 
     def jacobian_batch(self, S):
         X = self._check_points(S)
-        n = len(X)
-        alive = np.arange(n)
-        code = np.zeros(n, dtype=np.int8)
+        code = np.zeros(len(X), dtype=np.int8)  # 0 on the rows no stage has refused
         J = None
-        last = len(self.stages) - 1
-        for i, stage in enumerate(self.stages):
-            if i < last:
-                Y, Js, stage_code = stage.forward_batch(X)
+        for i, stage in enumerate(self.stages, 1):
+            if i < len(self.stages):
+                X, Js, stage_code = stage.forward_batch(X)
+                X = self._stage_output(stage, X)
             else:
                 Js, stage_code = stage.jacobian_batch(X)
             if stage_code.any():
                 keep = stage_code == 0
-                code[alive[~keep]] = stage_code[~keep]
-                alive, Js = alive[keep], Js[keep]
-                J = None if J is None else J[keep]
+                code[code == 0] = stage_code  # X holds exactly the rows of code 0
+                Js, J = Js[keep], None if J is None else J[keep]
             # a non-finite stage Jacobian makes NaN products, which the contrast
             # kernel refuses as a NumericalError; numpy need not warn first
             with np.errstate(invalid="ignore", over="ignore"):
                 J = Js if J is None else Js @ J
-            if i < last:
-                X = self._stage_output(stage, Y)
-        out = np.full((n, self.m, self.d), np.nan)
-        out[alive] = J
+        out = np.full((len(code), self.m, self.d), np.nan)
+        out[code == 0] = J
         return out, code
 
 
@@ -732,27 +736,29 @@ class Similarity(Stage):
             raise ValidationError(f"Q is not orthogonal (defect {defect:.3e})")
         self.scale = float(scale)
         self.Q = Q
-        self.dim = Q.shape[0]
-        self.shift = np.zeros(self.dim) if shift is None else np.asarray(shift, dtype=float)
-        if self.shift.shape != (self.dim,):
+        self.d = self.m = Q.shape[0]
+        self.shift = np.zeros(self.d) if shift is None else np.asarray(shift, dtype=float)
+        if self.shift.shape != (self.d,):
             raise DimensionMismatchError("shift dimension must match Q")
 
     def evaluate_batch(self, X):
         # one matrix-vector product per row, bit for bit the scalar Q @ x
         return self.scale * (self.Q @ X[..., None])[..., 0] + self.shift
 
-    def jacobian_batch(self, X):
+    def forward_batch(self, X):
         n = len(X)
-        return np.broadcast_to(self.scale * self.Q, (n,) + self.Q.shape), np.zeros(n, dtype=np.int8)
+        J = np.broadcast_to(self.scale * self.Q, (n,) + self.Q.shape)
+        return self.evaluate_batch(X), J, np.zeros(n, dtype=np.int8)
 
 
 class Inversion(Stage):
-    """Sphere inversion x -> x / ||x||^2; conformal factor 1 / ||x||^2,
-    pole at the origin."""
+    """Sphere inversion x -> x / ||x||^2 on R^d; conformal factor
+    1 / ||x||^2, pole at the origin."""
 
-    def __init__(self, exclusion_radius: float = 1e-6):
+    def __init__(self, d: int, exclusion_radius: float = 1e-6):
         if not exclusion_radius > 0:
             raise DomainError("exclusion radius must be positive")
+        self.d = self.m = int(d)
         self.exclusion_radius = float(exclusion_radius)
 
     def _near_pole(self, X) -> tuple[np.ndarray, np.ndarray]:
@@ -768,13 +774,15 @@ class Inversion(Stage):
             )
         return X / r2[:, None]
 
-    def jacobian_batch(self, X):
+    def forward_batch(self, X):
+        """One pole test for the outputs, the Jacobian and the codes."""
         r2, near = self._near_pole(X)
         with np.errstate(divide="ignore", invalid="ignore"):
             xhat = X / np.sqrt(r2)[:, None]
-            J = (np.eye(X.shape[1]) - 2.0 * xhat[:, :, None] * xhat[:, None, :]) / r2[:, None, None]
+            J = (np.eye(self.d) - 2.0 * xhat[:, :, None] * xhat[:, None, :]) / r2[:, None, None]
         J[near] = np.nan
-        return J, reject_codes(near, NearPoleError)
+        keep = ~near
+        return X[keep] / r2[keep, None], J, reject_codes(near, NearPoleError)
 
 
 class ConformalMap(ComposedMap):
@@ -790,15 +798,8 @@ class ConformalMap(ComposedMap):
         if defect > 1e-10:
             raise ValidationError(f"embedding columns not orthonormal (defect {defect:.3e})")
         self.embed = embed
-        self.m, self.d = embed.shape
-        for stage in inner:
-            dim = getattr(stage, "dim", self.d)
-            if dim != self.d:
-                raise DimensionMismatchError("inner primitives must act on R^d")
         self.inner = tuple(inner)
-        # the check above chains the primitives, which need not name d and m
-        # (an inversion acts on any R^d), so ComposedMap's own check is skipped
-        self.stages = self.inner + (LinearMap(embed),)
+        super().__init__(self.inner + (LinearMap(embed),))
 
     jacobian = MixingMap.jacobian  # held on the class, as on LinearMap
 
@@ -835,7 +836,7 @@ def random_conformal_map(
     if with_inversion:
         shift = np.full(d, shift_distance / math.sqrt(d))
         stages.append(Similarity(1.0, np.eye(d), shift))
-        stages.append(Inversion(exclusion_radius))
+        stages.append(Inversion(d, exclusion_radius))
     return ConformalMap(embed, tuple(stages))
 
 

@@ -63,10 +63,10 @@ class RotatedGaussianMPA(Stage):
     leaves the factorial source distribution invariant.
 
     ``evaluate`` and ``jacobian`` broadcast over leading axes, (..., d) ->
-    (..., d) and (..., d, d), so the batch methods are one call each, and
-    ``forward_batch`` one forward pass for both.  CDF values are clamped
-    into [1e-15, 1 - 1e-15]; ``evaluate`` and ``forward_batch`` warn with
-    the number clamped.  Immutable and thread-safe.
+    (..., d) and (..., d, d), so ``evaluate_batch`` is ``evaluate``, and
+    ``forward_batch`` takes one forward pass for both.  CDF values are
+    clamped into [1e-15, 1 - 1e-15]; ``evaluate`` and ``forward_batch``
+    warn with the number clamped.  Immutable and thread-safe.
     """
 
     def __init__(self, source: FactorialDistribution, rotation: np.ndarray):
@@ -139,9 +139,6 @@ class RotatedGaussianMPA(Stage):
         scale_in = p_in / phi(Z)
         scale_out = phi(Z_rot) / p_out
         return self.rotation * (scale_out[..., :, None] * scale_in[..., None, :])
-
-    def jacobian_batch(self, S):
-        return self.jacobian(S), np.zeros(len(S), dtype=np.int8)
 
     def forward_batch(self, S):
         """``evaluate``, ``jacobian`` and the codes from one forward pass."""
@@ -467,10 +464,6 @@ class DarmoisInverse(Stage):
         J = np.full((len(U), 2, 2), np.nan)
         J[kept] = self.jacobian(U[kept], X)
         return X, J, reject_codes(~kept, OutOfTableError)
-
-    def jacobian_batch(self, U):
-        _, J, code = self.forward_batch(U)
-        return J, code
 
 
 # ---------------------------------------------------------------------------

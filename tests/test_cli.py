@@ -214,6 +214,17 @@ class TestConfigValidation:
             assert "Traceback" not in err
             assert json.loads(err)["type"] == "ValidationError"
 
+    @pytest.mark.parametrize("name", ["contrast.csv", "manifest.json"])
+    def test_unwritable_output_file_is_exit_2(self, name, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        config = write_config(tmp_path, "c.json", MALFORMED_BASES["contrast matrix"])
+        assert main(["contrast", "--config", config, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        error = json.loads(err)
+        assert error["type"] == "ValidationError" and repr(str(out / name)) in error["message"]
+
     def test_a_law_error_names_its_source_list_index(self):
         config = copy.deepcopy(REPARAM_CONFIG)
         config["params"]["configs"][2]["source"][1] = {"kind": "chi", "params": {"dof": 3}}

@@ -265,7 +265,7 @@ class TestBatchedScoring:
         config = {"command": "spurious", "params": SPURIOUS_PARAMS, "master_seed": seed}
         assert run(dict(config, output_dir=str(tmp_path / "batched"))) == 0
         for stage in (RotatedGaussianMPA, DarmoisInverse):
-            monkeypatch.setattr(stage, "jacobian_batch", reference_jacobian_rows)
+            monkeypatch.setattr(stage, "forward_batch", reference_forward_rows)
             monkeypatch.setattr(stage, "evaluate_batch", reference_evaluate_rows)
         assert run(dict(config, output_dir=str(tmp_path / "reference"))) == 0
         batched = (tmp_path / "batched" / "spurious.csv").read_bytes()
@@ -277,7 +277,7 @@ SPURIOUS_PARAMS = {"m": 5, "rotation_deg": 30, "darmois_resolution": 512, "n_mc"
 
 
 def reference_jacobian_rows(stage, S):
-    """Per-point ``jacobian_batch``: the stage's reference Jacobian at each
+    """(J, code) point by point: the stage's reference Jacobian at each
     row, and the code of the REJECTABLE error where it raises one."""
     J = np.full((len(S), stage.m, stage.d), np.nan)
     code = np.zeros(len(S), dtype=np.int8)
@@ -291,6 +291,14 @@ def reference_jacobian_rows(stage, S):
 
 def reference_evaluate_rows(stage, S):
     return np.array([reference_evaluate(stage, s) for s in S]).reshape(len(S), stage.m)
+
+
+def reference_forward_rows(stage, S):
+    """Per-point ``forward_batch``: :func:`reference_evaluate_rows` at the
+    rows that :func:`reference_jacobian_rows` keeps, with its Jacobian and
+    codes."""
+    J, code = reference_jacobian_rows(stage, S)
+    return reference_evaluate_rows(stage, S[code == 0]), J, code
 
 
 def trial_by_trial_success(d, delta, m, mi, trials, seed):

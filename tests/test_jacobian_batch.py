@@ -38,6 +38,7 @@ from ima_lab.errors import (
     OutOfDomainError,
     OutOfTableError,
     SupportError,
+    ValidationError,
 )
 from ima_lab.experiments import (
     AffineTransform,
@@ -55,6 +56,7 @@ from ima_lab.mixing import (
     MixingMap,
     Similarity,
     SmoothGridMap,
+    Stage,
     TwoPieceMap,
     _blend_coeff,
     make_two_piece,
@@ -110,22 +112,23 @@ def _two_piece_reference(tp, s):
     return J
 
 
+def _primitive_reference(stage, x):
+    """(Jacobian, output) of a Similarity or an Inversion at one point."""
+    if isinstance(stage, Similarity):
+        return stage.scale * stage.Q, stage.scale * (stage.Q @ x) + stage.shift
+    r2 = float(x @ x)
+    if math.sqrt(r2) < stage.exclusion_radius:
+        raise NearPoleError("near the pole")
+    xhat = x / math.sqrt(r2)
+    return (np.eye(x.shape[0]) - 2.0 * np.outer(xhat, xhat)) / r2, x / r2
+
+
 def _conformal_reference(cmap, s):
     x = s
     J = np.eye(cmap.d)
     for stage in cmap.inner:
-        if isinstance(stage, Similarity):
-            Js = stage.scale * stage.Q
-            x_next = stage.scale * (stage.Q @ x) + stage.shift
-        else:
-            r2 = float(x @ x)
-            if math.sqrt(r2) < stage.exclusion_radius:
-                raise NearPoleError("near the pole")
-            xhat = x / math.sqrt(r2)
-            Js = (np.eye(x.shape[0]) - 2.0 * np.outer(xhat, xhat)) / r2
-            x_next = x / r2
+        Js, x = _primitive_reference(stage, x)
         J = Js @ J
-        x = x_next
     return cmap.embed @ J
 
 
@@ -311,6 +314,43 @@ def test_single_point_calls_are_the_base_batch_of_one():
     assert own == {("Laplace", "quantile")}
 
 
+def _stage_examples():
+    """One instance of every concrete Stage subclass of the package, each
+    from R^2."""
+    laplace = FactorialDistribution.iid(Laplace(0.0, 1.0), 2)
+    E, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 2)))
+    return [
+        LinearMap(np.ones((3, 2))),
+        SmoothGridMap(np.ones((3, 4, 2)), 0.5, 0.02),
+        make_two_piece(np.eye(3)[:, :2], 0, np.ones(3), 0.5),
+        ComposedMap([LinearMap(np.eye(2)), LinearMap(np.ones((3, 2)))]),
+        ConformalMap(E, (Inversion(2),)),
+        Similarity(2.0, np.eye(2)),
+        Inversion(2),
+        RotatedGaussianMPA(laplace, rotation_matrix_2d(0.5)),
+        DarmoisInverse(_darmois(1, 128)),
+        InverseElementwiseStage(_TRANSFORMS[:2]),
+    ]
+
+
+def test_one_stage_protocol():
+    """Every stage names d and m and gives forward_batch, whose outputs,
+    Jacobians and codes have the shapes they name; only maps give
+    jacobian_batch."""
+    stages = _package_subclasses(Stage)
+    examples = _stage_examples()
+    assert {type(stage) for stage in examples} == set(stages) - {MixingMap}
+    X = np.random.default_rng(1).uniform(0.1, 0.9, (5, 2))
+    for stage in examples:
+        assert isinstance(stage.d, int) and isinstance(stage.m, int) and stage.d == 2
+        assert type(stage).forward_batch is not Stage.forward_batch
+        Y, J, code = stage.forward_batch(X)
+        assert code.shape == (5,) and code.dtype == np.int8
+        assert Y.shape == (np.count_nonzero(code == 0), stage.m) and J.shape == (5, stage.m, stage.d)
+    assert [cls for cls in [Stage] + stages
+            if "jacobian_batch" in vars(cls) and not issubclass(cls, MixingMap)] == []
+
+
 # ---------------------------------------------------------------------------
 # families
 # ---------------------------------------------------------------------------
@@ -361,13 +401,14 @@ class TestFamilies:
                 with pytest.raises(OutOfDomainError):
                     call(S[-1])
 
-    # the composed map's stages do not check their points, so only the
-    # composition can refuse them
+    # the composed map's first stage does not check its points, so only the
+    # composition can refuse them before it runs
     _CHECKED_MAPS = pytest.mark.parametrize(
         "mapping",
         [SmoothGridMap(np.ones((3, 4, 2)), 0.5, 0.0), SmoothGridMap(np.ones((3, 4, 2)), 0.5, 0.02),
          LinearMap(np.ones((3, 2))),
-         ComposedMap([InverseElementwiseStage([AffineTransform(2.0, 1.0), AffineTransform(-0.5)])] * 2)],
+         ComposedMap([InverseElementwiseStage([AffineTransform(2.0, 1.0), AffineTransform(-0.5)]),
+                      LinearMap(np.ones((3, 2)))])],
         ids=["grid", "smoothed", "linear", "composed"])
 
     @_CHECKED_MAPS
@@ -441,8 +482,12 @@ class TestFamilies:
         assert np.array_equal(bits(cmap.evaluate(S[0])), bits(expected[0]))
 
     def test_inversion_evaluate_batch_refuses_the_pole(self):
+        X = np.array([[1.0, 0.0], [0.01, 0.0]])
         with pytest.raises(NearPoleError):
-            Inversion(0.1).evaluate_batch(np.array([[1.0, 0.0], [0.01, 0.0]]))
+            Inversion(2, 0.1).evaluate_batch(X)
+        Y, J, code = Inversion(2, 0.1).forward_batch(X)
+        assert code.tolist() == [0, REJECTABLE.index(NearPoleError) + 1]
+        assert np.array_equal(Y, [[1.0, 0.0]]) and np.all(np.isnan(J[1])) and not np.isnan(J[0]).any()
 
 
 _TRANSFORMS = [AffineTransform(0.5, 0.25), AffineTransform(-1.5, 0.2), CubeTransform(), TanhTransform()]
@@ -461,8 +506,9 @@ class TestInverseElementwiseStage:
         flat = X.reshape(-1, d)
         expected = np.stack([_inverse_elementwise_reference(stage, x) for x in flat])
         assert np.array_equal(bits(J.reshape(-1, d, d)), bits(expected))
-        batch, code = stage.jacobian_batch(flat)
+        Y, batch, code = stage.forward_batch(flat)
         assert np.array_equal(bits(batch), bits(expected)) and not code.any()
+        assert np.array_equal(bits(Y), bits(stage.evaluate(flat)))
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +624,7 @@ class TestSpuriousStages:
         try:
             Y = np.array([_mpa_reference(a, s)[2] for s in flat]).reshape(S.shape)
         except SupportError:
-            for fn in (a.evaluate, a.jacobian, a.jacobian_batch):
+            for fn in (a.evaluate, a.jacobian, a.forward_batch):
                 with pytest.raises(SupportError):
                     fn(flat)
             return
@@ -590,13 +636,14 @@ class TestSpuriousStages:
             J = np.array([_mpa_jacobian_reference(a, s) for s in flat]).reshape(S.shape + (2,))
         except SupportError:
             with pytest.raises(SupportError):
-                a.jacobian_batch(flat)
+                a.forward_batch(flat)
             return
         assert np.array_equal(bits(a.jacobian(S)), bits(J))
         if len(flat):
             assert np.array_equal(bits(a.jacobian(flat[0])), bits(J.reshape(-1, 2, 2)[0]))
-        batch, code = a.jacobian_batch(flat)
+        Y_batch, batch, code = a.forward_batch(flat)
         assert np.array_equal(bits(batch), bits(J.reshape(-1, 2, 2))) and not code.any()
+        assert np.array_equal(bits(Y_batch), bits(Y.reshape(-1, 2)))
 
     @settings(deadline=None, max_examples=150)
     @given(dm=darmois_tables(), data=st.data())
@@ -639,7 +686,7 @@ class TestSpuriousStages:
         U = U[np.all((0.0 < U) & (U < 1.0), axis=1)]
         assert_stacked_matches_reference(
             stage.jacobian, lambda u: _darmois_inverse_jacobian_reference(dm, u), U, OutOfTableError)
-        J, code = stage.jacobian_batch(U)
+        X, J, code = stage.forward_batch(U)
         for i, u in enumerate(U):
             try:
                 expected = _darmois_inverse_jacobian_reference(dm, u)
@@ -648,6 +695,9 @@ class TestSpuriousStages:
                 continue
             assert code[i] == 0
             assert np.array_equal(bits(J[i]), bits(expected))
+        kept = U[code == 0]
+        assert np.array_equal(bits(X), bits(np.array([_darmois_inverse_reference(dm, u) for u in kept])
+                                            .reshape(len(kept), 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -702,8 +752,40 @@ class TestComposed:
         assert_batch_matches_reference(chain, U)
         assert chain.jacobian_batch(U)[1][:4].any()
 
+    def test_a_chain_of_primitives_is_its_conformal_map(self):
+        E = np.eye(3)[:, :2]
+        S = np.random.default_rng(9).standard_normal((20, 2))
+        pairs = [(ComposedMap([Similarity(1.0, np.eye(2)), LinearMap(E)]),
+                  ConformalMap(E, (Similarity(1.0, np.eye(2)),)))]
+        cmap = random_conformal_map(3, 7, 4, with_inversion=True, shift_distance=1.0, exclusion_radius=0.5)
+        pairs.append((ComposedMap(cmap.inner + (LinearMap(cmap.embed),)), cmap))
+        similarity, shift = cmap.inner[0], cmap.inner[1].shift
+        pole = -similarity.Q.T @ shift / similarity.scale  # latent point mapped onto the pole
+        T = pole + 0.4 * np.random.default_rng(10).standard_normal((20, 3))
+        for (chain, conformal), points in zip(pairs, (S, T)):
+            J, code = chain.jacobian_batch(points)
+            J_c, code_c = conformal.jacobian_batch(points)
+            assert np.array_equal(code, code_c) and np.array_equal(bits(J), bits(J_c))
+            kept = points[code == 0]
+            assert np.array_equal(bits(chain.evaluate_batch(kept)), bits(conformal.evaluate_batch(kept)))
+        assert code.any() and not code.all()
+
+    def test_inner_primitives_of_the_wrong_dimension_raise(self):
+        E, _ = np.linalg.qr(np.random.default_rng(11).standard_normal((5, 2)))
+        for inner in ((Similarity(1.0, np.eye(3)),), (Inversion(3),), (Inversion(2), Similarity(1.0, np.eye(3)))):
+            with pytest.raises(DimensionMismatchError):
+                ConformalMap(E, inner)
+            with pytest.raises(DimensionMismatchError):
+                ComposedMap(inner + (LinearMap(E),))
+
+    def test_a_chain_ends_in_a_map(self):
+        stage = InverseElementwiseStage(_TRANSFORMS[:2])
+        with pytest.raises(ValidationError, match="the last stage must be a map"):
+            ComposedMap([LinearMap(np.eye(2)), stage])
+        assert ComposedMap([stage, LinearMap(np.eye(2))]).d == 2
+
     def test_only_surviving_rows_reach_later_stages(self):
-        class Probe:
+        class Probe(MixingMap):
             d = m = 2
 
             def __init__(self):
@@ -717,7 +799,7 @@ class TestComposed:
                 raise AssertionError("the last stage is never evaluated")
 
         E, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((2, 2)))
-        first = ConformalMap(E, (Inversion(exclusion_radius=0.5),))
+        first = ConformalMap(E, (Inversion(2, exclusion_radius=0.5),))
         probe = Probe()
         S = np.array([[2.0, 0.0], [0.1, 0.1], [0.0, 3.0]])  # the middle row is at the pole
         J, code = ComposedMap([first, probe]).jacobian_batch(S)
@@ -731,16 +813,36 @@ class TestComposed:
 # ---------------------------------------------------------------------------
 
 
+def two_call_jacobian(stage, X):
+    """A stage's (J, code) at rows X apart from its outputs: a map's
+    ``jacobian_batch``; the broadcast ``jacobian`` of a stage that refuses
+    no row; row by row elsewhere, where a REJECTABLE error gives the row
+    its code (``DarmoisInverse.jacobian`` and the conformal primitives'
+    per-point formulas)."""
+    if isinstance(stage, MixingMap):
+        return stage.jacobian_batch(X)
+    if isinstance(stage, (RotatedGaussianMPA, InverseElementwiseStage)):
+        return stage.jacobian(X), np.zeros(len(X), dtype=np.int8)
+    J = np.full((len(X), stage.m, stage.d), np.nan)
+    code = np.zeros(len(X), dtype=np.int8)
+    for i, x in enumerate(X):
+        try:
+            J[i] = stage.jacobian(x) if isinstance(stage, DarmoisInverse) else _primitive_reference(stage, x)[0]
+        except REJECTABLE as exc:
+            code[i] = REJECTABLE.index(type(exc)) + 1
+    return J, code
+
+
 def two_pass_jacobian_batch(chain, S):
     """The chain rule with two calls per stage, the reference for the
-    one-pass chain: each stage's ``jacobian_batch``, then, on every stage
-    but the last, its ``evaluate_batch`` on the rows it keeps, checked
-    finite."""
+    one-pass chain: each stage's Jacobian (:func:`two_call_jacobian`),
+    then, on every stage but the last, its ``evaluate_batch`` on the rows
+    it keeps, checked finite."""
     X = chain._check_points(S)
     n = len(X)
     alive, code, J = np.arange(n), np.zeros(n, dtype=np.int8), None
     for i, stage in enumerate(chain.stages):
-        Js, stage_code = stage.jacobian_batch(X)
+        Js, stage_code = two_call_jacobian(stage, X)
         keep = stage_code == 0
         code[alive[~keep]] = stage_code[~keep]
         alive, X = alive[keep], X[keep]
@@ -853,6 +955,11 @@ class TestOnePassChain:
                                side_effect=InverseElementwiseStage.evaluate) as evaluate:
             _reparam_chain(f, [1, 0], [CubeTransform(), TanhTransform()]).jacobian_batch(U)
         assert evaluate.call_count == 1
+        cmap = random_conformal_map(2, 5, 3, with_inversion=True)  # the inversion is not the last stage
+        with mock.patch.object(Inversion, "_near_pole", autospec=True,
+                               side_effect=Inversion._near_pole) as near_pole:
+            _reparam_chain(cmap, [1, 0], [CubeTransform(), TanhTransform()]).jacobian_batch(U)
+        assert near_pole.call_count == 1
 
 
 # ---------------------------------------------------------------------------

@@ -695,7 +695,7 @@ class TestConformal:
 
     def test_inversion_factor_at_radius_two(self):
         E, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((7, 3)))
-        cmap = ConformalMap(E, (Inversion(),))
+        cmap = ConformalMap(E, (Inversion(3),))
         s = np.array([2.0, 0.0, 0.0])
         J = cmap.jacobian(s)
         assert math.sqrt(np.trace(J.T @ J) / cmap.d) == pytest.approx(0.25, abs=1e-12)
@@ -710,7 +710,7 @@ class TestConformal:
 
     def test_near_pole_raises(self):
         E, _ = np.linalg.qr(np.random.default_rng(6).standard_normal((5, 2)))
-        cmap = ConformalMap(E, (Inversion(exclusion_radius=0.5),))
+        cmap = ConformalMap(E, (Inversion(2, exclusion_radius=0.5),))
         with pytest.raises(NearPoleError):
             cmap.evaluate(np.array([0.1, 0.1]))
 
