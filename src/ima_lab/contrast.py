@@ -237,12 +237,6 @@ def offdiag_coherence(J) -> float:
 
     defined as 0 for a single column."""
     J = _as_jacobian(J)
-    d = J.shape[1]
-    if d == 1:
-        norms = np.linalg.norm(J, axis=0)
-        if norms[0] < _ZERO_COLUMN_FLOOR:
-            raise ZeroColumnError("column 0 has numerically zero norm")
-        return 0.0
     norms = np.linalg.norm(J, axis=0)
     tiny = np.nonzero(norms < _ZERO_COLUMN_FLOOR)[0]
     if tiny.size:

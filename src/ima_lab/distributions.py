@@ -5,10 +5,14 @@ Laws expose ``pdf``/``cdf``/``quantile_array``; ``quantile`` is
 ``quantile_array`` on levels checked to lie in (0, 1), a float at a 0-d
 level (``Laplace`` alone keeps a ``math.log`` formula of its own, applied
 at each level), and ``FactorialDistribution.sample`` draws from them by
-inverse CDF.  ``law_from_config`` reads the CLI's JSON law
-objects and ``to_config`` writes them.  Every law has a closed-form
-quantile; the beta-shaped law is backed by a quantile table built with
-trapezoid quadrature.
+inverse CDF.  ``_LAW_KINDS`` is the one schema of the CLI's JSON law
+objects, which ``law_from_config`` reads and ``UnivariateLaw.to_config``
+writes.  Every law has a closed-form quantile; the beta-shaped law is
+backed by a quantile table built with trapezoid quadrature.
+
+One home per sampling rule: :func:`seeding.seed_list` reads every seed,
+:func:`column_sampler` picks the column sampler of R^m, and
+``_open_levels`` keeps uniform levels strictly inside (0, 1).
 """
 
 from __future__ import annotations
@@ -29,7 +33,13 @@ from .errors import (
     RankDeficientError,
     ValidationError,
 )
-from .seeding import generators, stream_seeds, substream
+from .seeding import generators, seed_list, stream_seeds, substream
+
+
+def _open_levels(u: np.ndarray) -> np.ndarray:
+    """The uniform levels u clipped in place to [1e-16, 1 - 1e-16],
+    strictly inside (0, 1), where every quantile is finite."""
+    return np.clip(u, 1e-16, 1.0 - 1e-16, out=u)
 
 
 def _check_levels(u) -> np.ndarray:
@@ -79,7 +89,13 @@ class UnivariateLaw:
         raise NotImplementedError
 
     def to_config(self) -> dict:
-        raise NotImplementedError
+        """The ``{"kind": ..., "params": {...}}`` object that
+        :func:`law_from_config` reads back: the law's kind and its params
+        by name, as ``_LAW_KINDS`` lists them."""
+        for kind, (cls, table) in _LAW_KINDS.items():
+            if isinstance(self, cls):
+                return {"kind": kind, "params": {name: getattr(self, name) for name in table}}
+        raise NotImplementedError(f"{type(self).__name__} has no config kind")
 
 
 @dataclass(frozen=True)
@@ -102,9 +118,6 @@ class Uniform(UnivariateLaw):
 
     def quantile_array(self, u):
         return self.a + (self.b - self.a) * np.asarray(u, dtype=float)
-
-    def to_config(self):
-        return {"kind": "uniform", "params": {"a": self.a, "b": self.b}}
 
 
 @dataclass(frozen=True)
@@ -134,9 +147,6 @@ class Gaussian(UnivariateLaw):
 
     def quantile_array(self, u):
         return self.mu + self.sigma * special.ndtri(np.asarray(u, dtype=float))
-
-    def to_config(self):
-        return {"kind": "gaussian", "params": {"mu": self.mu, "sigma": self.sigma}}
 
 
 @dataclass(frozen=True)
@@ -182,9 +192,6 @@ class Laplace(UnivariateLaw):
         upper = self.mu - self.b * np.log(2.0 * (1.0 - u))
         return np.where(u < 0.5, lower, upper)
 
-    def to_config(self):
-        return {"kind": "laplace", "params": {"mu": self.mu, "b": self.b}}
-
 
 @dataclass(frozen=True)
 class Chi(UnivariateLaw):
@@ -213,9 +220,6 @@ class Chi(UnivariateLaw):
     def quantile_array(self, u):
         return np.sqrt(2.0 * special.gammaincinv(self.k / 2.0, np.asarray(u, dtype=float)))
 
-    def to_config(self):
-        return {"kind": "chi", "params": {"k": self.k}}
-
 
 @dataclass(frozen=True)
 class TabulatedBeta(UnivariateLaw):
@@ -241,7 +245,7 @@ class TabulatedBeta(UnivariateLaw):
             raise DomainError("quantile table needs at least 65 points")
         object.__setattr__(self, "support", (0.0, 1.0))
         grid = np.linspace(0.0, 1.0, self.points)
-        dens = self._raw_pdf(grid)
+        dens = self.pdf(grid)
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
         # a density too peaked for the grid underflows at every point (or
         # overflows at some), so it has no table
@@ -254,7 +258,7 @@ class TabulatedBeta(UnivariateLaw):
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "_cdf_table", cdf)
 
-    def _raw_pdf(self, x):
+    def pdf(self, x):
         x = np.asarray(x, dtype=float)
         log_norm = -special.betaln(self.alpha, self.beta)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -269,18 +273,12 @@ class TabulatedBeta(UnivariateLaw):
             out[edge] = 1.0 / math.exp(special.betaln(self.alpha, self.beta))
         return out
 
-    def pdf(self, x):
-        return self._raw_pdf(x)
-
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         return np.interp(x, self._grid, self._cdf_table)
 
     def quantile_array(self, u):
         return np.interp(np.asarray(u, dtype=float), self._cdf_table, self._grid)
-
-    def to_config(self):
-        return {"kind": "beta", "params": {"alpha": self.alpha, "beta": self.beta, "points": self.points}}
 
 
 _OPTIONAL_REAL = (schema.real, schema.OPTIONAL)
@@ -347,16 +345,13 @@ class FactorialDistribution:
         """
         if n < 1:
             raise DomainError("sample count must be >= 1")
-        ndim = np.ndim(seed)
-        if ndim > 1:
-            raise DomainError(f"seed must be an integer or a 1-d sequence, got ndim {ndim}")
-        seeds = [seed] if ndim == 0 else seed
+        seeds, scalar = seed_list(seed)
         d = self.dim
         u = np.empty((d, len(seeds), n))  # one contiguous (k, n) level block per law
         streams = generators(stream_seeds(seeds, d))
         for (j, i), gen in zip(np.ndindex(len(seeds), d), streams):
             gen.random(out=u[i, j])
-        np.clip(u, 1e-16, 1.0 - 1e-16, out=u)  # strictly inside (0, 1)
+        _open_levels(u)
         draws = np.empty((len(seeds), n, d))
         for i, law in enumerate(self.components):
             draws[:, :, i] = law.quantile_array(u[i])
@@ -364,7 +359,7 @@ class FactorialDistribution:
         # numerical failure, which a map's point check would call a malformed input
         if not np.all(np.isfinite(draws)):
             raise NumericalError("a source law drew non-finite values")
-        return draws[0] if ndim == 0 else draws
+        return draws[0] if scalar else draws
 
     @staticmethod
     def from_config(configs, where: str = "source law list") -> "FactorialDistribution":
@@ -417,11 +412,9 @@ class SphericalSampler:
         with ``seed[j]``; its streams come from one seed hash
         (:func:`seeding.generators`).
         """
-        ndim = np.ndim(seed)
-        if ndim > 1:
-            raise DomainError(f"seed must be an integer or a 1-d sequence, got ndim {ndim}")
-        columns = ScaledColumns(*self.draw(d, [seed] if ndim == 0 else seed))[:]
-        return columns[0] if ndim == 0 else columns
+        seeds, scalar = seed_list(seed)
+        columns = ScaledColumns(*self.draw(d, seeds))[:]
+        return columns[0] if scalar else columns
 
     def draw(self, d: int, seeds) -> tuple[np.ndarray, np.ndarray | None]:
         """The raw draw under :meth:`sample_columns` for a 1-d sequence of
@@ -436,7 +429,20 @@ class SphericalSampler:
                 gen.random(out=u[j])
         if self.radial_law is None:
             return g, None
-        return g, self.radial_law.quantile_array(np.clip(u, 1e-16, 1.0 - 1e-16))
+        return g, self.radial_law.quantile_array(_open_levels(u))
+
+
+def column_sampler(m: int, sampler: SphericalSampler | None = None) -> SphericalSampler:
+    """The sampler of columns in R^m: ``sampler``, or the standard
+    Gaussian for None; a sampler of another ambient dimension is a
+    DimensionMismatchError."""
+    if sampler is None:
+        return SphericalSampler.standard_gaussian(m)
+    if sampler.ambient_dim != m:
+        raise DimensionMismatchError(
+            f"sampler ambient dimension {sampler.ambient_dim} does not match m={m}"
+        )
+    return sampler
 
 
 def _column_norms(g: np.ndarray) -> np.ndarray:
@@ -525,14 +531,8 @@ def sample_isotropic_matrix(
         raise DomainError(f"d must be >= 1, got {d}")
     if m < d:
         raise DimensionMismatchError(f"need m >= d, got m={m}, d={d}")
-    if sampler is None:
-        sampler = SphericalSampler.standard_gaussian(m)
-    if sampler.ambient_dim != m:
-        raise DimensionMismatchError(
-            f"sampler ambient dimension {sampler.ambient_dim} does not match m={m}"
-        )
-    scalar = np.ndim(seed) == 0
-    seeds = [seed] if scalar else seed
+    sampler = column_sampler(m, sampler)
+    seeds, scalar = seed_list(seed)
     failed = np.arange(len(seeds))
     for attempt in range(3):
         drawn = ScaledColumns(*sampler.draw(

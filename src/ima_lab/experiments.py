@@ -361,8 +361,9 @@ def _trial_statistics(maps, draws: np.ndarray, values: np.ndarray, boundary: np.
 def expected_boundary_fraction(d: int, delta: float, eps: float) -> float:
     """Probability that a uniform draw on the cube has a coordinate within
     eps of a knot: 1 - (1 - 2 eps (p - 1))^d, exact when 1/delta is an
-    integer (edge knots contribute half windows)."""
-    p = math.ceil(1.0 / delta) + 1
+    integer (edge knots contribute half windows).  A grid that
+    :func:`check_grid` refuses is a DomainError."""
+    p = check_grid(delta, eps)
     per_axis = 2.0 * eps * (p - 1)
     return 1.0 - (1.0 - per_axis) ** d
 
@@ -384,7 +385,7 @@ def genericity_experiment(
     m_list = sorted(m_list)
     if not eps > 0:
         raise DomainError("genericity experiment needs a smoothed map (eps > 0)")
-    check_grid(delta_grid, eps)
+    p = check_grid(delta_grid, eps)
     if trials < 1 or n_mc < 1:
         raise DomainError(f"trials and n_mc must be >= 1, got {trials} and {n_mc}")
     if not m_list:
@@ -392,7 +393,6 @@ def genericity_experiment(
     if m_list[0] < d:  # before it sizes a chunk or draws a map
         raise DomainError(f"ambient dimension m must be >= d={d}, got {m_list[0]}")
     p_s = FactorialDistribution.iid(Uniform(0.0, 1.0), d)
-    p = math.ceil(1.0 / delta_grid) + 1
     rows = []
     for mi, m in enumerate(m_list):
         # a trial holds (n_mc, d) draws and (p, m, d) blocks; chunk bounds

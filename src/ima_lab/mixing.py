@@ -60,8 +60,8 @@ from .errors import (
     ValidationError,
     reject_codes,
 )
-from .distributions import SphericalSampler
-from .seeding import generator, stream_seeds
+from .distributions import SphericalSampler, column_sampler
+from .seeding import generator, seed_list, stream_seeds
 
 UNIT_CUBE = "unit-cube"
 FULL_SPACE = "all-of-Rd"
@@ -164,9 +164,6 @@ class MixingMap(Stage):
         if code[0]:
             raise REJECTABLE[code[0] - 1](f"{type(self).__name__} has no Jacobian at {s.tolist()}")
         return J[0]
-
-    def __call__(self, s: np.ndarray) -> np.ndarray:
-        return self.evaluate(s)
 
     def fast_contrasts(self, S: np.ndarray) -> np.ndarray:
         """Unclamped local contrast at each row of S by a route cheaper than
@@ -283,15 +280,17 @@ class ComposedMap(MixingMap):
 # grid-wise piecewise-affine maps
 # ---------------------------------------------------------------------------
 
-def check_grid(delta: float, eps: float = 0.0) -> None:
-    """Refuse a grid width outside (0, 1] and a smoothing half-width that
-    is neither 0 nor inside (0, delta/4) with DomainError."""
+def check_grid(delta: float, eps: float = 0.0) -> int:
+    """The block count p = ceil(1/delta) + 1 of a grid of width delta,
+    which a smoothing half-width eps may blend; DomainError for a width
+    outside (0, 1] and an eps that is neither 0 nor inside (0, delta/4)."""
     if not 0.0 < delta <= 1.0:
         raise DomainError(f"grid width delta must lie in (0, 1], got {delta}")
     if eps < 0.0:
         raise DomainError(f"eps must be non-negative, got {eps}")
     if eps > 0.0 and not eps < delta / 4.0:
         raise DomainError(f"smoothing requires eps < delta/4, got eps={eps}, delta={delta}")
+    return math.ceil(1.0 / delta) + 1
 
 
 class SmoothGridMap(MixingMap):
@@ -495,12 +494,11 @@ def _any_coordinate(mask: np.ndarray) -> np.ndarray:
 
 def _check_blocks(blocks: np.ndarray, delta: float, eps: float) -> None:
     """Refuse stacked grid blocks (T, p, m, d) with a non-finite entry
-    (NonFiniteError) or other than p = ceil(1/delta) + 1 blocks a map, and
-    a grid that :func:`check_grid` refuses (DomainError)."""
+    (NonFiniteError), and a grid that :func:`check_grid` refuses or other
+    than the block count it returns (DomainError)."""
     if not np.all(np.isfinite(blocks)):
         raise NonFiniteError("blocks contain non-finite entries")
-    check_grid(delta, eps)
-    p_expected = math.ceil(1.0 / delta) + 1
+    p_expected = check_grid(delta, eps)
     if blocks.shape[1] != p_expected:
         raise DomainError(f"delta={delta} needs p={p_expected} blocks, got {blocks.shape[1]}")
 
@@ -581,7 +579,8 @@ def sample_grid_maps(
     """One grid map per seed, deterministic per seed, from one
     ``sample_columns`` call and one pass each over the stacked blocks: the
     finite and shape checks and the block-Gram einsum.  Each map has
-    p = ceil(1/delta) + 1 blocks with i.i.d. spherically symmetric columns.
+    p = :func:`check_grid` blocks with i.i.d. spherically symmetric columns.
+    ``seeds`` is a 1-d sequence of seeds (an int is one seed).
 
     When m > p*d each map's stacked block columns are checked for joint
     linear independence (RankDeficientError on failure) by
@@ -589,14 +588,11 @@ def sample_grid_maps(
     Grams, which the block Grams hold; otherwise injectivity is not
     guaranteed, which :func:`sample_grid_map` warns of.
     """
-    check_grid(delta, eps)
+    p = check_grid(delta, eps)
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
-    p = math.ceil(1.0 / delta) + 1
-    if sampler is None:
-        sampler = SphericalSampler.standard_gaussian(m)
-    if sampler.ambient_dim != m:
-        raise DimensionMismatchError(f"sampler ambient dimension {sampler.ambient_dim} != m={m}")
+    sampler = column_sampler(m, sampler)
+    seeds, _ = seed_list(seeds)
     T = len(seeds)
     blocks = sampler.sample_columns(d, stream_seeds(seeds, p)).reshape(T, p, m, d)
     _check_blocks(blocks, delta, eps)
@@ -619,7 +615,7 @@ def sample_grid_map(
 ) -> SmoothGridMap:
     """Draw a grid map, deterministic per seed: the batch of one of
     :func:`sample_grid_maps`, with a warning when m <= p*d."""
-    grid = sample_grid_maps(d, m, delta, [seed], sampler, eps)[0]
+    grid = sample_grid_maps(d, m, delta, seed, sampler, eps)[0]
     if m <= grid.p * d:
         warnings.warn(
             f"m={m} <= p*d={grid.p * d}: block columns cannot be jointly independent; "
@@ -637,8 +633,6 @@ class TwoPieceMap(MixingMap):
     """Two affine pieces on R^d glued along the axis-aligned boundary
     {s_k = c}; the Jacobians differ in exactly column k, so the
     difference has column rank one."""
-
-    domain = FULL_SPACE
 
     def __init__(self, J0: np.ndarray, J1: np.ndarray, k: int, c: float, eps: float = 0.0):
         J0 = np.asarray(J0, dtype=float)
@@ -722,6 +716,14 @@ def make_two_piece(
 # conformal maps
 # ---------------------------------------------------------------------------
 
+def check_orthonormal(Q: np.ndarray, tol: float, message: str) -> None:
+    """Refuse a matrix whose columns are not orthonormal, max |Q^T Q - I|
+    > tol, with a ValidationError of ``message`` and that defect."""
+    defect = np.max(np.abs(Q.T @ Q - np.eye(Q.shape[1])))
+    if defect > tol:
+        raise ValidationError(f"{message} (defect {defect:.3e})")
+
+
 class Similarity(Stage):
     """x -> scale * Q x + shift with Q orthogonal; conformal factor = scale."""
 
@@ -731,9 +733,7 @@ class Similarity(Stage):
             raise DimensionMismatchError("Q must be square")
         if not scale > 0:
             raise DomainError(f"similarity scale must be positive, got {scale}")
-        defect = np.max(np.abs(Q.T @ Q - np.eye(Q.shape[0])))
-        if defect > 1e-10:
-            raise ValidationError(f"Q is not orthogonal (defect {defect:.3e})")
+        check_orthonormal(Q, 1e-10, "Q is not orthogonal")
         self.scale = float(scale)
         self.Q = Q
         self.d = self.m = Q.shape[0]
@@ -794,9 +794,7 @@ class ConformalMap(ComposedMap):
         embed = np.asarray(embed, dtype=float)
         if embed.ndim != 2 or embed.shape[0] < embed.shape[1]:
             raise DimensionMismatchError("embedding must be a tall m x d matrix")
-        defect = np.max(np.abs(embed.T @ embed - np.eye(embed.shape[1])))
-        if defect > 1e-10:
-            raise ValidationError(f"embedding columns not orthonormal (defect {defect:.3e})")
+        check_orthonormal(embed, 1e-10, "embedding columns not orthonormal")
         self.embed = embed
         self.inner = tuple(inner)
         super().__init__(self.inner + (LinearMap(embed),))

@@ -23,10 +23,9 @@ from .errors import (
     OutOfTableError,
     SupportError,
     TrivialRotationError,
-    ValidationError,
     reject_codes,
 )
-from .mixing import ComposedMap, LinearMap, MixingMap, Stage
+from .mixing import ComposedMap, LinearMap, MixingMap, Stage, check_orthonormal
 from .seeding import generator
 
 _CDF_CLAMP = 1e-15
@@ -74,9 +73,7 @@ class RotatedGaussianMPA(Stage):
         d = source.dim
         if rotation.shape != (d, d):
             raise DimensionMismatchError(f"rotation must be {d}x{d}, got {rotation.shape}")
-        defect = np.max(np.abs(rotation.T @ rotation - np.eye(d)))
-        if defect > 1e-12:
-            raise ValidationError(f"rotation is not orthonormal (defect {defect:.3e})")
+        check_orthonormal(rotation, 1e-12, "rotation is not orthonormal")
         self.source = source
         self.rotation = rotation
         self.d = self.m = d
@@ -121,7 +118,6 @@ class RotatedGaussianMPA(Stage):
         self._warn_clamps(clamps)
         return Y
 
-    __call__ = evaluate
     evaluate_batch = evaluate
 
     def jacobian(self, s, forward=None) -> np.ndarray:
@@ -226,8 +222,7 @@ class RotatedFactorial:
         R = np.asarray(self.rotation, dtype=float)
         if R.shape != (2, 2):
             raise DimensionMismatchError("rotation must be 2x2")
-        if np.max(np.abs(R.T @ R - np.eye(2))) > 1e-12:
-            raise ValidationError("rotation is not orthonormal")
+        check_orthonormal(R, 1e-12, "rotation is not orthonormal")
         object.__setattr__(self, "rotation", R)
 
     def rectangle(self):
@@ -380,8 +375,6 @@ class DarmoisMap:
         u1 = np.interp(X[..., 0], self.x1, self.marginal_cdf)
         return np.stack([u1, self._conditional(X[..., 0], X[..., 1])], axis=-1)
 
-    __call__ = evaluate
-
     def inverse(self, u) -> np.ndarray:
         U = np.asarray(u, dtype=float)
         if U.ndim < 1 or U.shape[-1] != 2:
@@ -437,7 +430,6 @@ class DarmoisInverse(Stage):
     def evaluate(self, u) -> np.ndarray:
         return self.dm.inverse(u)
 
-    __call__ = evaluate
     evaluate_batch = evaluate
 
     def jacobian(self, u, preimage=None) -> np.ndarray:

@@ -23,6 +23,8 @@ from collections.abc import Iterator
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .errors import DomainError
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -77,6 +79,16 @@ def stream_seeds(seeds, n: int):
     if len(seeds) * n < _MIX_MIN:
         return [substream(s, i) for s in seeds for i in range(n)]
     return substreams(_uint64(seeds)[:, None], np.arange(n)).reshape(-1)
+
+
+def seed_list(seed) -> tuple:
+    """``(seeds, scalar)`` for a sampler's ``seed``: an int gives ``([seed],
+    True)``, a 1-d sequence or a :class:`SeedBlock` ``(seed, False)``; a
+    seed of more axes is a DomainError.  The one rule of what a seed is."""
+    ndim = np.ndim(seed)
+    if ndim > 1:
+        raise DomainError(f"seed must be an integer or a 1-d sequence, got ndim {ndim}")
+    return ([seed], True) if ndim == 0 else (seed, False)
 
 
 def generator(master: int, *counters: int) -> np.random.Generator:

@@ -317,10 +317,10 @@ class TestCoherence:
     def test_single_column_is_zero(self):
         assert offdiag_coherence(np.array([[3.0], [4.0]])) == 0.0
 
-    def test_zero_column_raises(self):
-        J = np.array([[1.0, 0.0], [0.0, 0.0]])
+    @pytest.mark.parametrize("J", [[[1.0, 0.0], [0.0, 0.0]], [[0.0], [0.0]]])
+    def test_zero_column_raises(self, J):
         with pytest.raises(ZeroColumnError):
-            offdiag_coherence(J)
+            offdiag_coherence(np.array(J))
 
     def test_zero_contrast_implies_tiny_coherence(self):
         # construct near-orthogonal matrices; whenever c <= 1e-10 the

@@ -32,7 +32,17 @@ from ima_lab.errors import (
     ValidationError,
 )
 from ima_lab.experiments import concentration_sweep
+from ima_lab.mixing import sample_grid_maps
 from ima_lab.seeding import SeedBlock, generator, substream
+
+#: the config object that each law kind writes, key for key and in order
+WRITTEN_CONFIGS = {
+    Uniform(-2.0, 5.0): {"kind": "uniform", "params": {"a": -2.0, "b": 5.0}},
+    Gaussian(1.5, 0.3): {"kind": "gaussian", "params": {"mu": 1.5, "sigma": 0.3}},
+    Laplace(-1.0, 2.5): {"kind": "laplace", "params": {"mu": -1.0, "b": 2.5}},
+    Chi(64): {"kind": "chi", "params": {"k": 64}},
+    TabulatedBeta(1.0, 3.0): {"kind": "beta", "params": {"alpha": 1.0, "beta": 3.0, "points": 4097}},
+}
 
 ALL_LAWS = [
     Uniform(0.0, 1.0),
@@ -82,9 +92,18 @@ class TestLawContracts:
                 law.quantile(bad)
 
     def test_config_roundtrip(self, law):
-        rebuilt = law_from_config(law.to_config())
+        config = law.to_config()
+        if law in WRITTEN_CONFIGS:
+            assert config == WRITTEN_CONFIGS[law]
+            assert list(config["params"]) == list(WRITTEN_CONFIGS[law]["params"])
+        rebuilt = law_from_config(config)
         u = np.linspace(0.01, 0.99, 25)
         assert np.allclose(rebuilt.quantile_array(u), law.quantile_array(u), atol=1e-12)
+
+
+def test_a_law_outside_the_table_has_no_config():
+    with pytest.raises(NotImplementedError):
+        UnivariateLaw().to_config()
 
 
 def test_gaussian_median_is_mu():
@@ -221,9 +240,16 @@ class TestFactorial:
             assert np.array_equal(single.view(np.int64), reference.view(np.int64))
             assert np.array_equal(draws.view(np.int64), reference.view(np.int64))
 
-    def test_a_seed_array_of_two_axes_is_refused(self):
-        with pytest.raises(DomainError):
-            FactorialDistribution.iid(Uniform(0, 1), 2).sample(5, [[1, 2]])
+    @pytest.mark.parametrize("sample", [
+        lambda seed: FactorialDistribution.iid(Uniform(0, 1), 2).sample(5, seed),
+        lambda seed: SphericalSampler.standard_gaussian(4).sample_columns(2, seed),
+        lambda seed: sample_isotropic_matrix(4, 2, seed=seed),
+        lambda seed: sample_grid_maps(2, 8, 0.5, seed, eps=0.01),
+    ], ids=["factorial", "sample_columns", "sample_isotropic_matrix", "sample_grid_maps"])
+    @pytest.mark.parametrize("seed", [[[1, 2]], np.array([[1], [2]], dtype=np.uint64), [[[3]]]])
+    def test_a_seed_array_of_two_axes_is_refused(self, sample, seed):
+        with pytest.raises(DomainError, match="seed must be an integer or a 1-d sequence"):
+            sample(seed)
 
     def test_single_component_single_draw(self):
         p = FactorialDistribution((Gaussian(0, 1),))

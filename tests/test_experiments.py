@@ -429,6 +429,11 @@ class TestGenericity:
         tol = 3.0 * np.sqrt(expected * (1 - expected) / (2000 * 20))
         assert abs(rows[0].boundary_fraction_mean - expected) <= tol
 
+    @pytest.mark.parametrize("delta, eps", [(0.5, 0.3), (1.5, 0.1), (0.0, 0.0), (0.5, -0.01)])
+    def test_boundary_fraction_refuses_a_grid_that_check_grid_refuses(self, delta, eps):
+        with pytest.raises(DomainError):
+            expected_boundary_fraction(2, delta, eps)
+
     def test_thread_count_invariance(self):
         kwargs = dict(d=2, m_list=[16], delta_grid=0.5, eps=0.01,
                       delta_contrast=0.1, trials=10, n_mc=500, seed=14)
