@@ -312,6 +312,7 @@ def run(config: dict) -> int:
         manifest = {
             "command": command,
             "config": config,
+            "environment": _environment(config["threads"]),
             "master_seed": config["master_seed"],
             "wall_time_s": time.perf_counter() - started,
             "version": __version__,
@@ -323,6 +324,20 @@ def run(config: dict) -> int:
     except OSError as exc:
         raise ValidationError(f"cannot write {path!r}: {exc}") from exc
     return 0
+
+
+def _environment(threads: int) -> dict:
+    """The numerical environment of a run, for its manifest."""
+    import platform  # both loaded already, by numpy and the laws' scipy.special:
+    import scipy  # no import cost, and setup time does not move
+
+    return {
+        "cpu_count": os.cpu_count(),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "scipy": scipy.__version__,
+        "threads": threads,
+    }
 
 
 def _error_json(kind: str, exc: Exception) -> str:

@@ -117,7 +117,9 @@ class Uniform(UnivariateLaw):
         return np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
 
     def quantile_array(self, u):
-        return self.a + (self.b - self.a) * np.asarray(u, dtype=float)
+        q = (self.b - self.a) * np.asarray(u, dtype=float)
+        q += self.a  # a + (b - a) u, in one buffer
+        return q
 
 
 @dataclass(frozen=True)
@@ -413,7 +415,7 @@ class SphericalSampler:
         (:func:`seeding.generators`).
         """
         seeds, scalar = seed_list(seed)
-        columns = ScaledColumns(*self.draw(d, seeds))[:]
+        columns = ScaledColumns(*self.draw(d, seeds)).scale_in_place()
         return columns[0] if scalar else columns
 
     def draw(self, d: int, seeds) -> tuple[np.ndarray, np.ndarray | None]:
@@ -468,8 +470,16 @@ class ScaledColumns:
         self.g, self.radii = g, radii
 
     def __getitem__(self, rows) -> np.ndarray:
+        return self._scaled(rows, None)
+
+    def scale_in_place(self) -> np.ndarray:
+        """``self[:]``, bit for bit, written over the raw draw ``g``, for a
+        caller that keeps no raw column: the scaling holds no second stack."""
+        return self._scaled(slice(None), self.g)
+
+    def _scaled(self, rows, out) -> np.ndarray:
         g = self.g[rows]
-        columns = g / _column_norms(g)
+        columns = np.divide(g, _column_norms(g), out=out)
         if self.radii is not None:
             columns *= self.radii[rows][:, None, :]
         return columns

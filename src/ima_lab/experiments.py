@@ -7,8 +7,11 @@ Trials are independent tasks keyed by their index; each derives its own
 counter-mixed sub-seed, and results are reduced in index order, so the
 numerical output is identical for any worker-pool size.  The sweep and
 the genericity experiment score a chunk of trials per task, with chunk
-bounds set by :data:`CHUNK_BYTES` and the problem sizes alone: a sweep
-chunk is one stack of Jacobians, a genericity chunk one stacked grid
+bounds set by the problem sizes alone: a sweep chunk is one stack of
+Jacobians of :data:`CHUNK_BYTES`, and a genericity chunk holds as many
+trials as :data:`GENERICITY_CHUNK_BYTES` of traced peak memory holds, at
+the per-trial bytes of its scoring pass (:func:`_genericity_trial_bytes`,
+which follow n_mc d).  A genericity chunk is one stacked grid
 draw (``mixing.sample_grid_maps``), one batched draw of every trial's
 points (``FactorialDistribution.sample`` on the trials' seeds), and one
 routing pass, one window-Gram gather and one eigen-solve over the
@@ -75,20 +78,45 @@ from .seeding import SeedBlock, substream, substreams
 #: largest tolerated fraction of rejected Monte Carlo draws
 MAX_REJECTION_FRACTION = 1e-3
 
-#: bytes of stacked m x d Jacobians scored per contrast-kernel call, and
-#: of draws plus grid blocks per genericity chunk ((n_mc + p m) x d floats a
-#: trial).  The stack and its temporaries stay resident while a chunk is
-#: scored, so peak memory grows with this budget (2 MiB raised the sweep's
-#: peak RSS by about 6 MiB, 256 KiB by under 1 MiB; genericity chunks
-#: sized on the draws alone raised its peak RSS by 4 MiB), while the
-#: per-call overhead it amortizes is already small at 256 KiB.
+#: bytes of stacked m x d Jacobians scored per contrast-kernel call.  The
+#: stack and its temporaries stay resident while a chunk is scored, so peak
+#: memory grows with this budget (2 MiB raised the sweep's peak RSS by about
+#: 6 MiB, 256 KiB by under 1 MiB), while the per-call overhead it amortizes
+#: is already small at 256 KiB.
 CHUNK_BYTES = 256 * 1024
+
+#: traced peak bytes of one genericity chunk: its maps, draws, scoring pass
+#: and reduction (:func:`_genericity_chunk`).  1.7 MB is the largest chunk
+#: peak of the genericity workload when chunks held CHUNK_BYTES of draws
+#: and blocks (8 trials at m = 16), so no chunk peaks higher than that.
+GENERICITY_CHUNK_BYTES = 1_700_000
 
 
 def _chunk_size(m: int, d: int) -> int:
-    """Number of m x d float64 matrices (or trials of m x d floats) scored
-    per kernel call."""
+    """Number of m x d float64 matrices scored per kernel call."""
     return max(1, CHUNK_BYTES // (8 * m * d))
+
+
+def _genericity_trial_bytes(n_mc: int, m: int, d: int, p: int, window: float) -> float:
+    """Traced peak bytes of one genericity trial, an upper bound measured on
+    its chunk's passes.  Per draw: 2 d + 3 floats (the draw and its levels,
+    the routing, the cell bookkeeping, the reduction), and 8 d (d + 1) more
+    for the ``window`` fraction of draws in a blend window (the flat gather
+    of ``SmoothGridMap.gram_batch``).  Per map: 5/4 of its p m d block
+    floats (the draw and its finite check), its (p d)^2 block Grams and
+    2 KiB of objects (the map, its seeds' generators)."""
+    per_draw = 2 * d + 3 + 8 * window * d * (d + 1)
+    return 8 * (n_mc * per_draw + 1.25 * p * m * d + (p * d) ** 2) + 2048
+
+
+def _genericity_chunk(n_mc: int, m: int, d: int, delta: float, eps: float) -> int:
+    """Trials per genericity chunk: as many as GENERICITY_CHUNK_BYTES holds
+    at :func:`_genericity_trial_bytes`, with the window fraction of
+    :func:`expected_boundary_fraction` (an upper bound when 1/delta is not
+    an integer).  It depends on the sizes alone, never on threads."""
+    p = check_grid(delta, eps)
+    trial = _genericity_trial_bytes(n_mc, m, d, p, expected_boundary_fraction(d, delta, eps))
+    return max(1, int(GENERICITY_CHUNK_BYTES // trial))
 
 
 def run_indexed(n: int, fn, threads: int = 1) -> list:
@@ -358,6 +386,16 @@ def _trial_statistics(maps, draws: np.ndarray, values: np.ndarray, boundary: np.
         raise
 
 
+def _chunk_statistics(d: int, m: int, delta: float, eps: float, n_mc: int, seeds: np.ndarray):
+    """:func:`_trial_statistics` of one genericity chunk, from its trials'
+    (k, 2) map and point seeds: the k maps in one ``sample_grid_maps``
+    call, their n_mc uniform draws each in one ``sample`` call, and one
+    ``grid_chunk_scores`` pass."""
+    grids = sample_grid_maps(d, m, delta, seeds[:, 0], eps=eps)
+    draws = FactorialDistribution.iid(Uniform(0.0, 1.0), d).sample(n_mc, seeds[:, 1])
+    return _trial_statistics(grids, draws, *grid_chunk_scores(grids, draws))
+
+
 def expected_boundary_fraction(d: int, delta: float, eps: float) -> float:
     """Probability that a uniform draw on the cube has a coordinate within
     eps of a knot: 1 - (1 - 2 eps (p - 1))^d, exact when 1/delta is an
@@ -392,22 +430,17 @@ def genericity_experiment(
         raise DomainError("m_list must name at least one ambient dimension")
     if m_list[0] < d:  # before it sizes a chunk or draws a map
         raise DomainError(f"ambient dimension m must be >= d={d}, got {m_list[0]}")
-    p_s = FactorialDistribution.iid(Uniform(0.0, 1.0), d)
     rows = []
     for mi, m in enumerate(m_list):
-        # a trial holds (n_mc, d) draws and (p, m, d) blocks; chunk bounds
-        # depend on the sizes and trials only, never on threads
-        chunk = _chunk_size(n_mc + p * m, d)
+        chunk = _genericity_chunk(n_mc, m, d, delta_grid, eps)
 
         # trial i's map and point seeds, substream(seed, mi, i, 0) and
         # substream(seed, mi, i, 1), for every trial in two vectorized passes
         seeds = substreams(substreams(substream(seed, mi), np.arange(trials))[:, None], np.arange(2))
 
         def one_chunk(c: int, m=m, chunk=chunk, seeds=seeds) -> tuple:
-            chunk_seeds = seeds[c * chunk:(c + 1) * chunk]
-            grids = sample_grid_maps(d, m, delta_grid, chunk_seeds[:, 0], eps=eps)
-            draws = p_s.sample(n_mc, chunk_seeds[:, 1])
-            means, fractions, boundary_means = _trial_statistics(grids, draws, *grid_chunk_scores(grids, draws))
+            means, fractions, boundary_means = _chunk_statistics(
+                d, m, delta_grid, eps, n_mc, seeds[c * chunk:(c + 1) * chunk])
             return means <= delta_contrast, fractions, boundary_means
 
         success, fractions, boundary_means = (

@@ -340,6 +340,9 @@ class SmoothGridMap(MixingMap):
         self._block_gram = block_gram
         # cell edges 0, delta, ..., p delta, where the blend windows sit
         self._edges = np.arange(self.p + 1) * self.delta
+        # the smallest signed int holding every block index and k0 - 1:
+        # the routed indices are an eighth of the points' bytes at p < 128
+        self._index_dtype = np.min_scalar_type(-self.p)
 
     @property
     def prefix(self) -> np.ndarray:
@@ -363,9 +366,16 @@ class SmoothGridMap(MixingMap):
         This is exact because eps < delta/4 (:func:`check_grid`): every other
         edge is more than delta/4 away, with s - edge > eps below the
         coordinate and <= -eps above it, so no other edge holds a window or
-        a knot within eps of the coordinate."""
-        k0 = np.rint(S / self.delta).astype(np.intp)
-        return k0, S - self._edges[k0]
+        a knot within eps of the coordinate.
+
+        k0 comes in the map's small index dtype; x0 takes the buffer of
+        s / delta, so the pass holds one float array beside the points."""
+        x0 = S / self.delta
+        np.rint(x0, out=x0)
+        k0 = x0.astype(self._index_dtype)
+        x0 *= self.delta  # edges[k0]: the whole float k0 times delta, as in _edges
+        np.subtract(S, x0, out=x0)
+        return k0, x0
 
     def _in_window(self, x0: np.ndarray) -> np.ndarray:
         return (-self.eps < x0) & (x0 <= self.eps)
@@ -373,7 +383,10 @@ class SmoothGridMap(MixingMap):
     def _on_knot(self, k0: np.ndarray, x0: np.ndarray, tol: float) -> np.ndarray:
         """Points, routed by :meth:`_route`, with a coordinate within tol of
         a knot."""
-        return _any_coordinate((np.abs(x0) <= tol) & (k0 < len(self.knots)))
+        near = -tol <= x0  # |x0| <= tol, without a float temporary
+        near &= x0 <= tol
+        near &= k0 < len(self.knots)
+        return _any_coordinate(near)
 
     def _blend_pair(self, k0: np.ndarray, x0: np.ndarray, ramp):
         """The two blocks that routed coordinates blend, and their weights:
@@ -452,20 +465,29 @@ class SmoothGridMap(MixingMap):
         (:func:`grid_chunk_scores`); each row keeps its own map's bits.
         Stacked as :func:`_block_grams` lays them out, in (T, t, u, i, j)
         order, they are read without a copy."""
-        lo, hi, w_lo, w_hi = self._blend_pair(*self._route(self._check_points(S)), _blend_inside)
+        pair = self._blend_pair(*self._route(self._check_points(S)), _blend_inside)
         p, d, k = self.p, self.d, np.arange(self.d)
-        t, w = np.stack([lo, hi], axis=-1), np.stack([w_lo, w_hi], axis=-1)  # (n, d, 2)
+        # (n, d, 2); the block indices in intp, as the flat offsets below need
+        t, w = np.stack(pair[:2], axis=-1, dtype=np.intp), np.stack(pair[2:], axis=-1)
+        del pair
         if block_grams is None:
             block_grams, owner = self._block_gram[None], np.zeros(len(t), dtype=np.intp)
         # one flat take of B in (T, t, u, i, j) order, where B[T, i, j, t, u]
         # is entry (((T p + t) p + u) d + i) d + j; few whole-array steps,
         # because many small numpy calls contend for the interpreter lock in
-        # the genericity pool
+        # the genericity pool.  The offsets are made in place, the column
+        # offsets in t's own buffer
         flat = block_grams.transpose(0, 3, 4, 1, 2).reshape(-1)
-        rows = ((owner * p)[:, None, None] + t) * (p * d * d) + (k * d)[:, None]
-        rows = rows[:, :, None, :, None]
-        cols = (t * (d * d) + k[:, None])[:, None, :, None, :]
-        products = (w[:, :, None, :, None] * flat[rows + cols]) * w[:, None, :, None, :]  # (n, i, j, t, u)
+        rows = (owner * p)[:, None, None] + t
+        rows *= p * d * d
+        rows += (k * d)[:, None]
+        cols = t
+        cols *= d * d
+        cols += k[:, None]
+        rows, cols = rows[:, :, None, :, None], cols[:, None, :, None, :]
+        products = flat[rows + cols]  # (n, i, j, t, u)
+        products *= w[:, :, None, :, None]  # (w_i B) w_j, in place
+        products *= w[:, None, :, None, :]
         u_sums = products[..., 0] + products[..., 1]
         return u_sums[..., 0] + u_sums[..., 1]
 
@@ -532,38 +554,44 @@ def grid_chunk_scores(grids, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k0, x0 = grid._route(points)
     window = _any_coordinate(grid._in_window(x0))
     boundary = grid._on_knot(k0, x0, grid.eps)
-    t = k0 - (x0 <= -grid.eps)
-    del k0, x0  # not held through the gather and the eigen-solve (peak memory)
-    rows = np.flatnonzero(~window)
+    t = k0  # in k0's buffer: the block of each coordinate outside the windows
+    t -= x0 <= -grid.eps
+    del k0, x0  # not held through the gathers and the eigen-solve (peak memory)
+    # (T, d, d, p, p) in the (T, t, u, i, j) layout that gram_batch reads flat
+    block_grams = np.stack([g._block_gram.transpose(2, 3, 0, 1) for g in grids]).transpose(0, 3, 4, 1, 2)
+    # the window rows first, so that their gather's temporaries and the
+    # cell bookkeeping below are never held at once (peak memory)
+    outside, window = ~window, np.flatnonzero(window)
+    window_grams = grid.gram_batch(points[window], block_grams, window // n)
+    rows = np.flatnonzero(outside)
     cells = grid.p ** d
     if T * cells <= np.iinfo(np.intp).max:
-        cell = t[:, d - 1]
-        # sum_i t_i p^i by Horner's rule, column by column: an integer
-        # matmul over the short coordinate axis runs row by row
-        for i in range(d - 2, -1, -1):
-            cell = cell * grid.p + t[:, i]
-        key = rows // n * cells + cell[rows]
+        # key = (map) p^d + sum_i t_i p^i by Horner's rule, in place, column
+        # by column: an integer matmul over the short coordinate axis runs
+        # row by row
+        key = rows // n
+        for i in range(d - 1, -1, -1):
+            key *= grid.p
+            key += t[rows, i]
         if T * cells <= len(key):  # a table of every (map, cell), no longer than the rows: no sort
             seen = np.bincount(key, minlength=T * cells) > 0
             keys, cell_of_row = np.flatnonzero(seen), (np.cumsum(seen) - 1)[key]
         else:
             keys, cell_of_row = np.unique(key, return_inverse=True)
+        del key
     else:  # no flat (map, cell) index fits: each row is its own cell
         keys, cell_of_row = rows, np.arange(len(rows))
     member = np.empty(len(keys), dtype=np.intp)
     member[cell_of_row] = rows  # one row of each occupied cell
     occupied = t[member]  # (c, d)
+    del t, rows  # the scatter below reads the mask, an eighth of the row indices' bytes
     k = np.arange(d)
-    # (T, d, d, p, p) in the (T, t, u, i, j) layout that gram_batch reads flat
-    block_grams = np.stack([g._block_gram.transpose(2, 3, 0, 1) for g in grids]).transpose(0, 3, 4, 1, 2)
     cell_grams = block_grams[
         (member // n)[:, None, None], k[:, None], k, occupied[:, :, None], occupied[:, None, :]
     ]
-    window = np.flatnonzero(window)
-    window_grams = grid.gram_batch(points[window], block_grams, window // n)
     scored = local_contrast_from_gram(np.concatenate([cell_grams, window_grams]))
     values = np.empty(T * n)
-    values[rows] = scored[cell_of_row]
+    values[outside] = scored[cell_of_row]
     values[window] = scored[len(keys):]
     return values.reshape(T, n), boundary.reshape(T, n)
 
@@ -718,9 +746,10 @@ def make_two_piece(
 
 def check_orthonormal(Q: np.ndarray, tol: float, message: str) -> None:
     """Refuse a matrix whose columns are not orthonormal, max |Q^T Q - I|
-    > tol, with a ValidationError of ``message`` and that defect."""
+    > tol or NaN (a NaN entry), with a ValidationError of ``message`` and
+    that defect."""
     defect = np.max(np.abs(Q.T @ Q - np.eye(Q.shape[1])))
-    if defect > tol:
+    if not defect <= tol:
         raise ValidationError(f"{message} (defect {defect:.3e})")
 
 

@@ -6,12 +6,15 @@ import io
 import itertools
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -412,6 +415,19 @@ class TestRuns:
         run(dict(SWEEP_CONFIG, output_dir=str(tmp_path)))
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert 0.0 <= manifest["wall_time_s"] < 60.0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_manifest_records_the_environment(self, tmp_path, threads):
+        run(dict(SWEEP_CONFIG, output_dir=str(tmp_path), threads=threads))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(manifest) == {"command", "config", "environment", "master_seed", "version", "wall_time_s"}
+        assert manifest["environment"] == {
+            "cpu_count": os.cpu_count(),
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "scipy": scipy.__version__,
+            "threads": threads,
+        }
 
     def test_seed_env_var_overrides_config(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, "sweep.json", SWEEP_CONFIG)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -70,7 +71,7 @@ from ima_lab.mixing import (
     sample_grid_map,
 )
 from ima_lab.mpa import ComposedMap, DarmoisInverse, RotatedGaussianMPA, rotation_matrix_2d
-from ima_lab.seeding import generator, substream
+from ima_lab.seeding import generator, substream, substreams
 from test_jacobian_batch import reference_evaluate, reference_jacobian
 
 
@@ -514,13 +515,25 @@ class TestGenericity:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_uneven_chunks_equal_the_two_pass_reference(self, threads, monkeypatch):
-        # a trial of m = 4, 16 and 64 holds 2 * (200 + 3 m) floats: the budget
-        # of 5 trials at m = 16 splits the 13 trials 5+5+3, 5+5+3 and 3+3+3+3+1
-        monkeypatch.setattr(experiments, "CHUNK_BYTES", 5 * 8 * 2 * (200 + 3 * 16))
-        assert [experiments._chunk_size(200 + 3 * m, 2) for m in (4, 16, 64)] == [5, 5, 3]
+        # a budget of 5.5 trials at m = 16 holds 5, 5 and 4 trials at m = 4, 16
+        # and 64, whose blocks cost more: the 13 trials split 5+5+3, 5+5+3
+        # and 4+4+4+1
+        window = expected_boundary_fraction(2, 0.5, 0.01)
+        budget = int(5.5 * experiments._genericity_trial_bytes(200, 16, 2, 3, window))
+        monkeypatch.setattr(experiments, "GENERICITY_CHUNK_BYTES", budget)
+        assert [experiments._genericity_chunk(200, m, 2, 0.5, 0.01) for m in (4, 16, 64)] == [5, 5, 4]
+        chunks, chunk_statistics = [], experiments._chunk_statistics
+
+        def recorded(d, m, delta, eps, n_mc, seeds):
+            chunks.append((m, len(seeds)))
+            return chunk_statistics(d, m, delta, eps, n_mc, seeds)
+
+        monkeypatch.setattr(experiments, "_chunk_statistics", recorded)
         kwargs = dict(d=2, m_list=[4, 16, 64], delta_grid=0.5, eps=0.01, delta_contrast=0.1,
                       trials=13, n_mc=200, seed=43)
         assert genericity_experiment(**kwargs, threads=threads) == two_pass_genericity(**kwargs)
+        assert sorted(chunks) == [(4, 3), (4, 5), (4, 5), (16, 3), (16, 5), (16, 5),
+                                  (64, 1), (64, 4), (64, 4), (64, 4)]
 
     @settings(deadline=None, max_examples=25)
     @given(
@@ -537,9 +550,29 @@ class TestGenericity:
         kwargs = dict(d=d, m_list=[max(m, d) for m in m_list], delta_grid=delta_grid, eps=0.01,
                       delta_contrast=0.1, trials=trials, n_mc=n_mc, seed=seed)
         rows = genericity_experiment(**kwargs)
-        with mock.patch.object(experiments, "CHUNK_BYTES", 1):
-            assert experiments._chunk_size(1, 1) == 1  # every chunk is one trial
+        with mock.patch.object(experiments, "GENERICITY_CHUNK_BYTES", 1):
+            assert experiments._genericity_chunk(1, 1, 1, 1.0, 0.01) == 1  # every chunk is one trial
             assert genericity_experiment(**kwargs) == rows
+
+    @pytest.mark.parametrize("m", [16, 1024])
+    def test_a_chunk_peaks_within_the_bytes_its_rule_assumes(self, m):
+        # the traced peak of one chunk of the genericity workload's shape (maps,
+        # points, scores and reduction) at the rule's own trial count, against
+        # the rule's per-trial bytes times those trials, a bound fixed by the rule
+        d, n_mc, delta, eps = 2, 2000, 0.5, 0.01
+        trials = experiments._genericity_chunk(n_mc, m, d, delta, eps)
+        trial_bytes = experiments._genericity_trial_bytes(
+            n_mc, m, d, mixing.check_grid(delta, eps), expected_boundary_fraction(d, delta, eps))
+        seeds = substreams(substreams(substream(20250809, 0), np.arange(trials))[:, None], np.arange(2))
+        experiments._chunk_statistics(d, m, delta, eps, n_mc, seeds)  # first-call caches are not the chunk's
+        tracemalloc.start()
+        try:
+            experiments._chunk_statistics(d, m, delta, eps, n_mc, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trials > 1
+        assert peak <= trials * trial_bytes <= experiments.GENERICITY_CHUNK_BYTES
 
 
 def two_pass_genericity(d, m_list, delta_grid, eps, delta_contrast, trials, n_mc, seed):

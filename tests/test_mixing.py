@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ima_lab import experiments
 from ima_lab.contrast import full_rank, local_contrast_from_gram, local_ima_contrast
-from ima_lab.distributions import FactorialDistribution, SphericalSampler, Uniform, sample_factorial
+from ima_lab.distributions import FactorialDistribution, Laplace, SphericalSampler, Uniform, sample_factorial
 from ima_lab.errors import (
     REJECTABLE,
     DomainError,
@@ -41,6 +41,7 @@ from ima_lab.mixing import (
     smooth_step,
     smooth_step_deriv,
 )
+from ima_lab.mpa import RotatedFactorial, RotatedGaussianMPA
 from ima_lab.seeding import substream
 from test_jacobian_batch import assert_batch_matches_reference, bits, every_edge_weights
 
@@ -735,6 +736,20 @@ class TestConformal:
     def test_similarity_requires_orthogonal_q(self):
         with pytest.raises(ValidationError):
             Similarity(1.0, np.array([[1.0, 0.2], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("caller", ["similarity", "embedding", "mpa", "rotated_factorial"])
+    def test_a_nan_entry_is_not_orthonormal(self, caller):
+        # a NaN defect compares false with any tolerance; check_orthonormal,
+        # the one home of the rule, refuses it for all four callers
+        Q = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        build = {
+            "similarity": lambda: Similarity(1.0, Q),
+            "embedding": lambda: ConformalMap(np.vstack([Q, np.zeros((1, 2))])),
+            "mpa": lambda: RotatedGaussianMPA(FactorialDistribution.iid(Laplace(0, 1), 2), Q),
+            "rotated_factorial": lambda: RotatedFactorial((Laplace(0, 1), Laplace(0, 1)), Q),
+        }[caller]
+        with pytest.raises(ValidationError, match=r"\(defect nan\)"):
+            build()
 
 
 class TestProbes:
