@@ -5,13 +5,14 @@ reparametrization-invariance checks.
 
 Trials are independent tasks keyed by their index; each derives its own
 counter-mixed sub-seed, and results are reduced in index order, so the
-numerical output is identical for any worker-pool size.  The sweep and
-the genericity experiment score a chunk of trials per task, with chunk
-bounds set by the problem sizes alone: a sweep chunk is one stack of
-Jacobians of :data:`CHUNK_BYTES`, and a genericity chunk holds as many
-trials as :data:`GENERICITY_CHUNK_BYTES` of traced peak memory holds, at
-the per-trial bytes of its scoring pass (:func:`_genericity_trial_bytes`,
-which follow n_mc d).  A genericity chunk is one stacked grid
+numerical output is identical for any worker-pool size.  Every runner
+works in chunks sized by one rule (:func:`_chunks`): a chunk holds as many
+items as :data:`CHUNK_BYTES` of traced peak memory holds at the bytes an
+item costs in the pass that peaks, a sweep trial
+(:func:`_sweep_trial_bytes`), a row scored by the SVD fallback
+(:func:`_score_row_bytes`) or a genericity trial
+(:func:`_genericity_trial_bytes`, which follow n_mc d), so chunk bounds
+depend on the problem sizes alone.  A genericity chunk is one stacked grid
 draw (``mixing.sample_grid_maps``), one batched draw of every trial's
 points (``FactorialDistribution.sample`` on the trials' seeds), and one
 routing pass, one window-Gram gather and one eigen-solve over the
@@ -78,23 +79,41 @@ from .seeding import SeedBlock, substream, substreams
 #: largest tolerated fraction of rejected Monte Carlo draws
 MAX_REJECTION_FRACTION = 1e-3
 
-#: bytes of stacked m x d Jacobians scored per contrast-kernel call.  The
-#: stack and its temporaries stay resident while a chunk is scored, so peak
-#: memory grows with this budget (2 MiB raised the sweep's peak RSS by about
-#: 6 MiB, 256 KiB by under 1 MiB), while the per-call overhead it amortizes
-#: is already small at 256 KiB.
-CHUNK_BYTES = 256 * 1024
-
-#: traced peak bytes of one genericity chunk: its maps, draws, scoring pass
-#: and reduction (:func:`_genericity_chunk`).  1.7 MB is the largest chunk
-#: peak of the genericity workload when chunks held CHUNK_BYTES of draws
-#: and blocks (8 trials at m = 16), so no chunk peaks higher than that.
-GENERICITY_CHUNK_BYTES = 1_700_000
+#: traced peak bytes of one chunk of any runner, the budget of :func:`_chunks`.
+#: It bounds the peak of the whole pass, not the Jacobians alone, so pool
+#: tasks stay large enough for a second thread to pay: a chunk holds 33
+#: sweep trials at m = 2048 and d = 3, where 256 KiB of Jacobians holds 5,
+#: and 7 to 9 genericity trials.  Peaks traced at the workloads' shapes:
+#: sweep 0.72 to 1.63 MB (d = 3, m = 8 to 2048), scorer 0.70 to 1.57 MB
+#: (the spurious and reparam chains), genericity 0.95 to 1.09 MB.
+CHUNK_BYTES = 1_700_000
 
 
-def _chunk_size(m: int, d: int) -> int:
-    """Number of m x d float64 matrices scored per kernel call."""
-    return max(1, CHUNK_BYTES // (8 * m * d))
+def _chunks(n: int, item_bytes: float) -> list[slice]:
+    """Slices of the chunks of n items, in order: each spans as many items
+    as CHUNK_BYTES holds at ``item_bytes``, at least one, and the last is
+    cut at n when it slices.  They depend on the sizes alone, never on
+    threads."""
+    size = max(1, int(CHUNK_BYTES // item_bytes))
+    return [slice(start, start + size) for start in range(0, n, size)]
+
+
+def _sweep_trial_bytes(m: int, d: int) -> float:
+    """Traced peak bytes of one sweep trial (:func:`_sweep_chunk`), an upper
+    bound measured on its chunk: its m d column floats, 2% over them for
+    the stack, 3 d^2 floats of Gram and eigen-solve, and 32 floats of
+    per-trial seeds, radii and values."""
+    return 8 * (1.02 * m * d + 3 * d * d + 32)
+
+
+def _score_row_bytes(m: int, d: int) -> float:
+    """Traced peak bytes of one row scored by :func:`_score_at_points`, an
+    upper bound measured on its chunks (grid, linear and conformal maps and
+    their reparam and spurious chains): 3.3 m d floats (the batch's
+    Jacobians, the kernel's squares and, when the map refuses a row, the
+    kept rows' copy), 4 d^2 floats of stage Jacobians and 16 floats of
+    points, codes and values."""
+    return 8 * (3.3 * m * d + 4 * d * d + 16)
 
 
 def _genericity_trial_bytes(n_mc: int, m: int, d: int, p: int, window: float) -> float:
@@ -107,16 +126,6 @@ def _genericity_trial_bytes(n_mc: int, m: int, d: int, p: int, window: float) ->
     2 KiB of objects (the map, its seeds' generators)."""
     per_draw = 2 * d + 3 + 8 * window * d * (d + 1)
     return 8 * (n_mc * per_draw + 1.25 * p * m * d + (p * d) ** 2) + 2048
-
-
-def _genericity_chunk(n_mc: int, m: int, d: int, delta: float, eps: float) -> int:
-    """Trials per genericity chunk: as many as GENERICITY_CHUNK_BYTES holds
-    at :func:`_genericity_trial_bytes`, with the window fraction of
-    :func:`expected_boundary_fraction` (an upper bound when 1/delta is not
-    an integer).  It depends on the sizes alone, never on threads."""
-    p = check_grid(delta, eps)
-    trial = _genericity_trial_bytes(n_mc, m, d, p, expected_boundary_fraction(d, delta, eps))
-    return max(1, int(GENERICITY_CHUNK_BYTES // trial))
 
 
 def run_indexed(n: int, fn, threads: int = 1) -> list:
@@ -210,12 +219,12 @@ def _score_at_points(mapping: MixingMap, points: np.ndarray, values: np.ndarray 
     if values is None:
         values = np.full(len(points), np.nan)
     redo = np.flatnonzero(np.isnan(values))
-    chunk = _chunk_size(mapping.m, mapping.d)
-    for start in range(0, len(redo), chunk):
-        rows = redo[start:start + chunk]
+    for chunk in _chunks(len(redo), _score_row_bytes(mapping.m, mapping.d)):
+        rows = redo[chunk]
         J, code = mapping.jacobian_batch(points[rows])
         kept = code == 0
-        values[rows[kept]] = local_contrast_batch(J[kept])
+        # a batch with no refused row is scored as it is, with no copy
+        values[rows[kept]] = local_contrast_batch(J if kept.all() else J[kept])
     return values
 
 
@@ -258,6 +267,21 @@ class SweepRow:
     kappa_used: float
 
 
+def _sweep_chunk(m: int, d: int, delta: float, sampler, seeds: SeedBlock) -> int:
+    """Successes, contrasts at most delta, among one sweep chunk's trials:
+    their m x d draws in one ``sample_isotropic_matrix`` call, scored by
+    the Gram route, with the rows it leaves or cannot place against delta
+    re-scored by the SVD kernel."""
+    J, G, eigvals = sample_isotropic_matrix(m, d, sampler, seeds, with_gram=True)
+    values = local_contrast_from_gram(G, eigvals)
+    # the sampler's rank check follows the SVD kernel's, so no re-scored row
+    # comes back NaN
+    redo = np.isnan(values) | (np.abs(values - delta) <= GRAM_SLACK)
+    if redo.any():
+        values[redo] = local_contrast_batch(J[redo])
+    return int(np.count_nonzero(values <= delta))
+
+
 def concentration_sweep(
     d: int,
     delta: float,
@@ -291,26 +315,15 @@ def concentration_sweep(
     rows = []
     for mi, m in enumerate(m_list):
         sampler = sampler_factory(m)
-        # chunk bounds depend on m, d and trials only, never on threads
-        chunk = _chunk_size(m, d)
-
+        chunks = _chunks(trials, _sweep_trial_bytes(m, d))
         # every chunk's streams come from one seed hash per m, shared
         # read-only by the pool's threads
         seeds = SeedBlock(substreams(substream(seed, mi), np.arange(trials)))
 
-        def one_chunk(c: int, m=m, sampler=sampler, seeds=seeds, chunk=chunk) -> int:
-            J, G, eigvals = sample_isotropic_matrix(
-                m, d, sampler, seeds[c * chunk:(c + 1) * chunk], with_gram=True
-            )
-            values = local_contrast_from_gram(G, eigvals)
-            # the sampler's rank check follows the SVD kernel's, so no
-            # re-scored row comes back NaN
-            redo = np.isnan(values) | (np.abs(values - delta) <= GRAM_SLACK)
-            if redo.any():
-                values[redo] = local_contrast_batch(J[redo])
-            return int(np.count_nonzero(values <= delta))
+        def one_chunk(c: int, m=m, sampler=sampler, seeds=seeds, chunks=chunks) -> int:
+            return _sweep_chunk(m, d, delta, sampler, seeds[chunks[c]])
 
-        successes = run_indexed(-(-trials // chunk), one_chunk, threads)
+        successes = run_indexed(len(chunks), one_chunk, threads)
         rows.append(
             SweepRow(
                 m=m,
@@ -430,21 +443,22 @@ def genericity_experiment(
         raise DomainError("m_list must name at least one ambient dimension")
     if m_list[0] < d:  # before it sizes a chunk or draws a map
         raise DomainError(f"ambient dimension m must be >= d={d}, got {m_list[0]}")
+    window = expected_boundary_fraction(d, delta_grid, eps)
     rows = []
     for mi, m in enumerate(m_list):
-        chunk = _genericity_chunk(n_mc, m, d, delta_grid, eps)
+        chunks = _chunks(trials, _genericity_trial_bytes(n_mc, m, d, p, window))
 
         # trial i's map and point seeds, substream(seed, mi, i, 0) and
         # substream(seed, mi, i, 1), for every trial in two vectorized passes
         seeds = substreams(substreams(substream(seed, mi), np.arange(trials))[:, None], np.arange(2))
 
-        def one_chunk(c: int, m=m, chunk=chunk, seeds=seeds) -> tuple:
+        def one_chunk(c: int, m=m, chunks=chunks, seeds=seeds) -> tuple:
             means, fractions, boundary_means = _chunk_statistics(
-                d, m, delta_grid, eps, n_mc, seeds[c * chunk:(c + 1) * chunk])
+                d, m, delta_grid, eps, n_mc, seeds[chunks[c]])
             return means <= delta_contrast, fractions, boundary_means
 
         success, fractions, boundary_means = (
-            np.concatenate(r) for r in zip(*run_indexed(-(-trials // chunk), one_chunk, threads))
+            np.concatenate(r) for r in zip(*run_indexed(len(chunks), one_chunk, threads))
         )
         rows.append(
             GenericityRow(

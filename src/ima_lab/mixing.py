@@ -338,8 +338,6 @@ class SmoothGridMap(MixingMap):
         # block-column cross Grams, (d, d, p, p); lets the Gram of the
         # Jacobian at any point be assembled from the blend weights alone
         self._block_gram = block_gram
-        # cell edges 0, delta, ..., p delta, where the blend windows sit
-        self._edges = np.arange(self.p + 1) * self.delta
         # the smallest signed int holding every block index and k0 - 1:
         # the routed indices are an eighth of the points' bytes at p < 128
         self._index_dtype = np.min_scalar_type(-self.p)
@@ -358,7 +356,7 @@ class SmoothGridMap(MixingMap):
 
     def _route(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The edge nearest each coordinate of points (..., d) in the cube,
-        k0 = rint(s / delta), and the offset x0 = s - edges[k0]: the only
+        k0 = rint(s / delta), and the offset x0 = s - k0 delta: the only
         place a coordinate is located on the grid.  Past x0 > eps the
         coordinate is in block k0, at or below -eps in block k0 - 1, and in
         the window (-eps, eps] between it blends the two.
@@ -373,7 +371,7 @@ class SmoothGridMap(MixingMap):
         x0 = S / self.delta
         np.rint(x0, out=x0)
         k0 = x0.astype(self._index_dtype)
-        x0 *= self.delta  # edges[k0]: the whole float k0 times delta, as in _edges
+        x0 *= self.delta  # the edge: the whole float k0 times delta
         np.subtract(S, x0, out=x0)
         return k0, x0
 

@@ -26,7 +26,6 @@ from .errors import (
     reject_codes,
 )
 from .mixing import ComposedMap, LinearMap, MixingMap, Stage, check_orthonormal
-from .seeding import generator
 
 _CDF_CLAMP = 1e-15
 #: tail mass at which the Darmois table cuts an unbounded support
@@ -158,57 +157,6 @@ def _law_bounds(law: UnivariateLaw) -> tuple[float, float]:
     if math.isinf(hi):
         hi = law.quantile(1.0 - _LAW_TAIL)
     return lo, hi
-
-
-@dataclass(frozen=True)
-class IndependentProduct:
-    """p(x1, x2) = p_1(x1) p_2(x2)."""
-
-    laws: tuple[UnivariateLaw, UnivariateLaw]
-
-    def rectangle(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        return _law_bounds(self.laws[0]), _law_bounds(self.laws[1])
-
-    def density(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        return np.outer(self.laws[0].pdf(x1), self.laws[1].pdf(x2))
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        return FactorialDistribution(self.laws).sample(n, seed)
-
-
-@dataclass(frozen=True)
-class CorrelatedGaussian:
-    """Bivariate Gaussian with standard margins and correlation rho."""
-
-    rho: float
-    half_width: float = 8.0
-
-    def __post_init__(self):
-        if not -1.0 < self.rho < 1.0:
-            raise DomainError(f"correlation must lie in (-1, 1), got {self.rho}")
-
-    def rectangle(self):
-        r = self.half_width
-        return (-r, r), (-r, r)
-
-    def density(self, x1, x2):
-        x1 = np.asarray(x1, dtype=float)[:, None]
-        x2 = np.asarray(x2, dtype=float)[None, :]
-        det = 1.0 - self.rho**2
-        quad = (x1**2 - 2.0 * self.rho * x1 * x2 + x2**2) / det
-        return np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
-
-    def conditional_cdf(self, x1: float, x2: float) -> float:
-        """Closed-form conditional CDF, the oracle the tables are checked against."""
-        z = (x2 - self.rho * x1) / math.sqrt(1.0 - self.rho**2)
-        return float(special.ndtr(z))
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        gen = generator(seed)
-        g = gen.standard_normal((n, 2))
-        x1 = g[:, 0]
-        x2 = self.rho * g[:, 0] + math.sqrt(1.0 - self.rho**2) * g[:, 1]
-        return np.column_stack([x1, x2])
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from ima_lab.mixing import (
     sample_grid_map,
 )
 from ima_lab.mpa import RotatedGaussianMPA, darmois_build, rotation_matrix_2d
-from ima_lab.mpa import CorrelatedGaussian
+from darmois_oracles import CorrelatedGaussian
 
 
 class _Clock:

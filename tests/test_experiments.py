@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import tracemalloc
@@ -70,9 +71,41 @@ from ima_lab.mixing import (
     random_conformal_map,
     sample_grid_map,
 )
-from ima_lab.mpa import ComposedMap, DarmoisInverse, RotatedGaussianMPA, rotation_matrix_2d
-from ima_lab.seeding import generator, substream, substreams
+from ima_lab.mpa import (
+    ComposedMap,
+    DarmoisInverse,
+    RotatedFactorial,
+    RotatedGaussianMPA,
+    darmois_build,
+    rotation_matrix_2d,
+    spurious_darmois,
+    spurious_mpa,
+)
+from ima_lab.seeding import SeedBlock, generator, substream, substreams
 from test_jacobian_batch import reference_evaluate, reference_jacobian
+
+
+def per_chunk(item_bytes):
+    """Items a chunk holds under the one chunk rule at ``item_bytes``."""
+    return experiments._chunks(1, item_bytes)[0].stop
+
+
+def assert_chunk_peaks_within_its_rule(make_chunk, item_bytes):
+    """The traced peak of one chunk at the rule's own item count, the call
+    ``make_chunk(items)`` returns with its inputs made, against the rule's
+    bytes for those items, a bound fixed by the rule: at most items x
+    item_bytes, which is at most the budget."""
+    items = per_chunk(item_bytes)
+    chunk = make_chunk(items)
+    chunk()  # first-call caches are not the chunk's
+    tracemalloc.start()
+    try:
+        chunk()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert items > 1
+    assert peak <= items * item_bytes <= experiments.CHUNK_BYTES
 
 
 class TestEstimateGlobalContrast:
@@ -174,8 +207,8 @@ class TestChunkedEstimate:
         points = np.random.default_rng(3).standard_normal((2000, 2))
         points[[4, 700]] = [[0.5, 1.0], [2.0, 0.0]]  # one refused, one rank deficient
         # 7 points per chunk, so the rejections fall in different chunks
-        monkeypatch.setattr(experiments, "CHUNK_BYTES", 8 * 3 * 2 * 7)
-        assert experiments._chunk_size(3, 2) == 7
+        monkeypatch.setattr(experiments, "CHUNK_BYTES", int(7.5 * experiments._score_row_bytes(3, 2)))
+        assert per_chunk(experiments._score_row_bytes(3, 2)) == 7
         chunked = chunked_estimate(KinkedMap(), points)
         assert chunked == scalar_estimate(KinkedMap(), points)
         assert chunked.rejection_count == 2
@@ -183,7 +216,8 @@ class TestChunkedEstimate:
     def test_only_the_nan_rows_are_scored_by_svd(self, monkeypatch):
         points = np.random.default_rng(5).standard_normal((200, 2))
         points[[9, 150]] = [[0.5, 1.0], [2.0, 0.0]]  # one refused, one rank deficient
-        monkeypatch.setattr(experiments, "CHUNK_BYTES", 8 * 3 * 2 * 7)  # 7 rows per chunk
+        # 7 rows per chunk
+        monkeypatch.setattr(experiments, "CHUNK_BYTES", int(7.5 * experiments._score_row_bytes(3, 2)))
         given = np.random.default_rng(6).uniform(0.0, 1.0, 200)
         redo = np.zeros(200, dtype=bool)
         redo[[0, 3, 4, 9, 17, 18, 19, 20, 21, 22, 23, 24, 60, 150, 199]] = True
@@ -240,7 +274,7 @@ class TestBatchedScoring:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunk_boundaries_match_the_per_point_reference(self, offset):
         grid = sample_grid_map(d=2, m=24, delta=0.5, eps=0.0, seed=30)  # raw: knots are refused
-        n = experiments._chunk_size(24, 2) + offset
+        n = per_chunk(experiments._score_row_bytes(24, 2)) + offset
         points = np.random.default_rng(31).uniform(0.01, 0.99, (n, 2))
         points[[0, n // 2, n - 1], 0] = 0.5  # on a knot, in the first and the last chunk
         transforms = [CubeTransform(), AffineTransform(0.5, 0.25)]
@@ -251,6 +285,34 @@ class TestBatchedScoring:
             got = experiments._score_at_points(mapping, pts)
             assert np.array_equal(got.view(np.int64), per_point_scores(mapping, pts).view(np.int64))
             assert np.isnan(got[[0, n // 2, n - 1]]).all()
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        name=st.sampled_from(["grid", "reparam chain", "spurious mpa", "spurious darmois"]),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        knots=st.lists(st.integers(0, 39), max_size=4),
+    )
+    def test_a_chunk_of_one_row_gives_the_same_scores(self, name, n, seed, knots):
+        # a row's Jacobian, rejection and SVD score do not depend on the
+        # other rows of its chunk
+        mapping, points = scoring_case(name, n, seed, knots)
+        scores = experiments._score_at_points(mapping, points)
+        with mock.patch.object(experiments, "CHUNK_BYTES", 1):
+            assert per_chunk(1.0) == 1  # every chunk is one row
+            assert np.array_equal(bits(experiments._score_at_points(mapping, points)), bits(scores))
+
+    @pytest.mark.parametrize("name", ["reparam grid chain 40x3", "spurious darmois"])
+    def test_a_chunk_peaks_within_the_bytes_its_rule_assumes(self, name):
+        # one chunk of a workload's scoring shape: Jacobians, rejections and
+        # SVD scores
+        mapping, _ = scoring_case(name, 1, 0, [])
+
+        def chunk(rows):
+            points = scoring_case(name, rows, 20250809, [])[1]
+            return lambda: experiments._score_at_points(mapping, points)
+
+        assert_chunk_peaks_within_its_rule(chunk, experiments._score_row_bytes(mapping.m, mapping.d))
 
     @pytest.mark.parametrize("seed", [20250809, 77])
     def test_reparam_configs_match_the_per_point_reference(self, seed, tmp_path, monkeypatch):
@@ -271,6 +333,53 @@ class TestBatchedScoring:
         assert run(dict(config, output_dir=str(tmp_path / "reference"))) == 0
         batched = (tmp_path / "batched" / "spurious.csv").read_bytes()
         assert batched == (tmp_path / "reference" / "spurious.csv").read_bytes()
+
+
+@functools.cache
+def scoring_map(name):
+    """The maps of the scoring shapes: a raw grid map of the README reparam
+    config's shape (24 x 2), whose knots are refused, and its reparam
+    chain; the chain of the second reparam config (40 x 3); the README
+    spurious config's two chains."""
+    if name == "reparam grid chain 40x3":
+        grid = sample_grid_map(d=3, m=40, delta=0.5, eps=0.02, seed=32)
+        return reparametrized_map(grid, permutation_matrix([2, 0, 1]), REPARAM_TRANSFORMS[3])
+    if name in ("grid", "reparam chain"):
+        grid = sample_grid_map(d=2, m=24, delta=0.5, eps=0.0, seed=30)
+        if name == "grid":
+            return grid
+        return reparametrized_map(grid, permutation_matrix([1, 0]), REPARAM_TRANSFORMS[2])
+    f = random_conformal_map(2, 5, seed=33)
+    source, R = FactorialDistribution.iid(Laplace(0.0, 1.0), 2), rotation_matrix_2d(math.radians(30.0))
+    if name == "spurious mpa":
+        return spurious_mpa(f, RotatedGaussianMPA(source, R))
+    return spurious_darmois(f, R, darmois_build(RotatedFactorial(source.components, R), 512))
+
+
+#: the element-wise transforms of the README reparam configs, by dimension
+REPARAM_TRANSFORMS = {
+    2: (CubeTransform(), AffineTransform(0.5, 0.25)),
+    3: (CubeTransform(), AffineTransform(0.5, 0.25), CubeTransform()),
+}
+
+
+def scoring_case(name, n, seed, knots):
+    """(map, n points) of a scoring shape, the points drawn as its run
+    draws them; on the grid shapes the rows ``knots`` (mod n) have their
+    first latent on the knot 0.5."""
+    mapping, rng = scoring_map(name), np.random.default_rng(seed)
+    if name == "spurious mpa":
+        return mapping, rng.laplace(size=(n, 2))
+    if name == "spurious darmois":
+        return mapping, rng.uniform(0.0, 1.0, (n, 2))
+    S = rng.uniform(0.01, 0.99, (n, mapping.d))
+    S[np.asarray(knots, dtype=int) % n, 0] = 0.5
+    if name == "grid":
+        return mapping, S
+    # P h(s), with P the chain's permutation: its first stage is P^T
+    transforms = mapping.stages[1].transforms
+    P = mapping.stages[0].J.T
+    return mapping, np.column_stack([t.forward(S[:, i]) for i, t in enumerate(transforms)]) @ P.T
 
 
 #: the README spurious config
@@ -313,20 +422,48 @@ def trial_by_trial_success(d, delta, m, mi, trials, seed):
 
 
 class TestConcentrationSweep:
-    # m = 512, d = 3 gives 21 trials per chunk; m = 2048 gives 5
+    # m = 512, d = 3 gives 130 trials per chunk; m = 2048 gives 33
     CHUNKED = dict(d=3, delta=0.1, m_list=[512, 2048], seed=13)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunk_boundaries_leave_rows_unchanged(self, offset):
-        trials = experiments._chunk_size(512, 3) + offset
+        trials = per_chunk(experiments._sweep_trial_bytes(512, 3)) + offset
         rows = concentration_sweep(**self.CHUNKED, trials=trials)
         for mi, row in enumerate(rows):
             assert row.empirical_success == trial_by_trial_success(3, 0.1, row.m, mi, trials, 13)
 
     def test_chunked_rows_do_not_depend_on_threads(self):
-        trials = experiments._chunk_size(512, 3) + 1
+        trials = per_chunk(experiments._sweep_trial_bytes(512, 3)) + 1
         one = concentration_sweep(**self.CHUNKED, trials=trials, threads=1)
         assert one == concentration_sweep(**self.CHUNKED, trials=trials, threads=2)
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        d=st.integers(1, 4),
+        m_list=st.lists(st.integers(4, 64), min_size=1, max_size=3, unique=True),
+        delta=st.floats(0.01, 1.0),
+        trials=st.integers(1, 40),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_a_chunk_of_one_trial_gives_the_same_rows(self, d, m_list, delta, trials, seed):
+        # a trial's draw, Gram route and SVD re-score do not depend on the
+        # other trials of its chunk
+        kwargs = dict(d=d, delta=delta, m_list=m_list, trials=trials, seed=seed)
+        rows = concentration_sweep(**kwargs)
+        with mock.patch.object(experiments, "CHUNK_BYTES", 1):
+            assert per_chunk(1.0) == 1  # every chunk is one trial
+            assert concentration_sweep(**kwargs) == rows
+
+    @pytest.mark.parametrize("m", [8, 2048])
+    def test_a_chunk_peaks_within_the_bytes_its_rule_assumes(self, m):
+        # one chunk of the README sweep's shape: draws, Grams and scores
+        sampler = SphericalSampler.standard_gaussian(m)
+
+        def chunk(trials):
+            seeds = SeedBlock(substreams(substream(20250809, 0), np.arange(trials)))
+            return lambda: experiments._sweep_chunk(m, 3, 0.1, sampler, seeds)
+
+        assert_chunk_peaks_within_its_rule(chunk, experiments._sweep_trial_bytes(m, 3))
 
     def test_d1_always_succeeds(self):
         rows = concentration_sweep(d=1, delta=0.05, m_list=[4, 16], trials=200, seed=10)
@@ -520,8 +657,9 @@ class TestGenericity:
         # and 4+4+4+1
         window = expected_boundary_fraction(2, 0.5, 0.01)
         budget = int(5.5 * experiments._genericity_trial_bytes(200, 16, 2, 3, window))
-        monkeypatch.setattr(experiments, "GENERICITY_CHUNK_BYTES", budget)
-        assert [experiments._genericity_chunk(200, m, 2, 0.5, 0.01) for m in (4, 16, 64)] == [5, 5, 4]
+        monkeypatch.setattr(experiments, "CHUNK_BYTES", budget)
+        trial_bytes = [experiments._genericity_trial_bytes(200, m, 2, 3, window) for m in (4, 16, 64)]
+        assert [per_chunk(b) for b in trial_bytes] == [5, 5, 4]
         chunks, chunk_statistics = [], experiments._chunk_statistics
 
         def recorded(d, m, delta, eps, n_mc, seeds):
@@ -550,29 +688,23 @@ class TestGenericity:
         kwargs = dict(d=d, m_list=[max(m, d) for m in m_list], delta_grid=delta_grid, eps=0.01,
                       delta_contrast=0.1, trials=trials, n_mc=n_mc, seed=seed)
         rows = genericity_experiment(**kwargs)
-        with mock.patch.object(experiments, "GENERICITY_CHUNK_BYTES", 1):
-            assert experiments._genericity_chunk(1, 1, 1, 1.0, 0.01) == 1  # every chunk is one trial
+        with mock.patch.object(experiments, "CHUNK_BYTES", 1):
+            assert per_chunk(1.0) == 1  # every chunk is one trial
             assert genericity_experiment(**kwargs) == rows
 
     @pytest.mark.parametrize("m", [16, 1024])
     def test_a_chunk_peaks_within_the_bytes_its_rule_assumes(self, m):
-        # the traced peak of one chunk of the genericity workload's shape (maps,
-        # points, scores and reduction) at the rule's own trial count, against
-        # the rule's per-trial bytes times those trials, a bound fixed by the rule
+        # one chunk of the genericity workload's shape: maps, points, scores
+        # and reduction
         d, n_mc, delta, eps = 2, 2000, 0.5, 0.01
-        trials = experiments._genericity_chunk(n_mc, m, d, delta, eps)
         trial_bytes = experiments._genericity_trial_bytes(
             n_mc, m, d, mixing.check_grid(delta, eps), expected_boundary_fraction(d, delta, eps))
-        seeds = substreams(substreams(substream(20250809, 0), np.arange(trials))[:, None], np.arange(2))
-        experiments._chunk_statistics(d, m, delta, eps, n_mc, seeds)  # first-call caches are not the chunk's
-        tracemalloc.start()
-        try:
-            experiments._chunk_statistics(d, m, delta, eps, n_mc, seeds)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert trials > 1
-        assert peak <= trials * trial_bytes <= experiments.GENERICITY_CHUNK_BYTES
+
+        def chunk(trials):
+            seeds = substreams(substreams(substream(20250809, 0), np.arange(trials))[:, None], np.arange(2))
+            return lambda: experiments._chunk_statistics(d, m, delta, eps, n_mc, seeds)
+
+        assert_chunk_peaks_within_its_rule(chunk, trial_bytes)
 
 
 def two_pass_genericity(d, m_list, delta_grid, eps, delta_contrast, trials, n_mc, seed):

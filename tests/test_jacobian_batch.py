@@ -65,7 +65,6 @@ from ima_lab.mixing import (
 from ima_lab.mpa import (
     ClampWarning,
     ComposedMap,
-    CorrelatedGaussian,
     DarmoisInverse,
     RotatedFactorial,
     RotatedGaussianMPA,
@@ -74,6 +73,7 @@ from ima_lab.mpa import (
     spurious_darmois,
     spurious_mpa,
 )
+from darmois_oracles import CorrelatedGaussian
 
 # ---------------------------------------------------------------------------
 # per-point references

@@ -380,6 +380,12 @@ class TestGridWindows:
         assert np.array_equal(grid.boundary_mask(S), np.any(nearest <= grid.eps, axis=1))
 
 
+def edges(grid):
+    """The cell edges 0, delta, ..., p delta of a grid map, where its blend
+    windows sit, each the whole float k times delta, as the map routes them."""
+    return np.arange(grid.p + 1) * grid.delta
+
+
 @st.composite
 def cell_scoring_cases(draw):
     """A grid map with random blocks and points on and around every window:
@@ -394,7 +400,7 @@ def cell_scoring_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spread = np.geomspace(1.0, 10.0 ** draw(st.sampled_from([0.0, -3.0, -4.5, -6.0])), d)
     grid = SmoothGridMap(rng.standard_normal((p, m, d)) * spread, delta, eps)
-    around = [e + s for e in grid._edges for s in (0.0, -eps, eps)]
+    around = [e + s for e in edges(grid) for s in (0.0, -eps, eps)]
     special = {c2 for c in around for c2 in (c, np.nextafter(c, -1.0), np.nextafter(c, 2.0))}
     special = sorted({0.0, 1.0} | {float(c) for c in special if 0.0 <= c <= 1.0})
     coord = st.one_of(st.floats(0.0, 1.0), st.sampled_from(special))
@@ -416,7 +422,7 @@ def grid_chunks(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spread = np.geomspace(1.0, 10.0 ** draw(st.sampled_from([0.0, -4.5, -6.0])), d)
     grids = [SmoothGridMap(rng.standard_normal((p, m, d)) * spread, delta, eps) for _ in range(T)]
-    around = [e + s for e in grids[0]._edges for s in (0.0, -eps, eps)]
+    around = [e + s for e in edges(grids[0]) for s in (0.0, -eps, eps)]
     special = {c2 for c in around for c2 in (c, np.nextafter(c, -1.0), np.nextafter(c, 2.0))}
     special = sorted({0.0, 1.0} | {float(c) for c in special if 0.0 <= c <= 1.0})
     coord = st.one_of(st.floats(0.0, 1.0), st.sampled_from(special))
@@ -444,7 +450,7 @@ class TestCellScoring:
         assert np.array_equal(fast.view(np.int64), reference.view(np.int64))
         # one gather, over the rows inside a window by the weights' own
         # predicate, every row on this map's own block Grams
-        x = S[:, :, None] - grid._edges
+        x = S[:, :, None] - edges(grid)
         window = np.any((-grid.eps < x) & (x <= grid.eps), axis=(1, 2))
         assert gram_batch.call_count == 1
         points, block_grams, owner = gram_batch.call_args.args
@@ -571,7 +577,7 @@ class TestTwoBlockGathers:
         transforms = [cube, affine, cube][:d]
         P = experiments.permutation_matrix(np.roll(np.arange(d), 1))  # [1, 0] and [2, 0, 1]
         moved = np.column_stack([t.forward(draws[:, i]) for i, t in enumerate(transforms)]) @ P.T
-        assert np.any(np.abs(draws[:, :, None] - grid._edges) < grid.eps)  # some draws blend
+        assert np.any(np.abs(draws[:, :, None] - edges(grid)) < grid.eps)  # some draws blend
 
         def scores(f):
             chain = ComposedMap([LinearMap(P.T), experiments.InverseElementwiseStage(transforms), f])

@@ -22,9 +22,7 @@ from ima_lab.mixing import LinearMap
 from ima_lab.mpa import (
     ComposedMap,
     DarmoisMap,
-    CorrelatedGaussian,
     DarmoisInverse,
-    IndependentProduct,
     RotatedFactorial,
     RotatedGaussianMPA,
     darmois_build,
@@ -34,6 +32,7 @@ from ima_lab.mpa import (
     spurious_darmois,
     spurious_mpa,
 )
+from darmois_oracles import CorrelatedGaussian, IndependentProduct
 
 R30 = rotation_matrix_2d(np.radians(30.0))
 
