@@ -22,7 +22,6 @@ from .distributions import (
     SphericalSampler,
     TabulatedBeta,
     Uniform,
-    sample_factorial,
     sample_isotropic_matrix,
 )
 from .experiments import (
@@ -39,7 +38,6 @@ from .mixing import (
     LinearMap,
     SmoothGridMap,
     TwoPieceMap,
-    conformality_defect,
     injectivity_probe,
     jacobian_fd,
     make_two_piece,
@@ -51,7 +49,6 @@ from .mixing import (
 from .mpa import (
     DarmoisMap,
     RotatedGaussianMPA,
-    darmois_build,
     rotation_matrix_2d,
     spurious_darmois,
     spurious_mpa,
@@ -70,7 +67,6 @@ __all__ = [
     "SphericalSampler",
     "TabulatedBeta",
     "Uniform",
-    "sample_factorial",
     "sample_isotropic_matrix",
     "ContrastEstimate",
     "concentration_sweep",
@@ -83,7 +79,6 @@ __all__ = [
     "LinearMap",
     "SmoothGridMap",
     "TwoPieceMap",
-    "conformality_defect",
     "injectivity_probe",
     "jacobian_fd",
     "make_two_piece",
@@ -93,7 +88,6 @@ __all__ = [
     "smooth_step_deriv",
     "DarmoisMap",
     "RotatedGaussianMPA",
-    "darmois_build",
     "rotation_matrix_2d",
     "spurious_darmois",
     "spurious_mpa",

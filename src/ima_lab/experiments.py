@@ -437,6 +437,8 @@ def genericity_experiment(
     if not eps > 0:
         raise DomainError("genericity experiment needs a smoothed map (eps > 0)")
     p = check_grid(delta_grid, eps)
+    if d < 1:
+        raise DomainError(f"d must be >= 1, got {d}")
     if trials < 1 or n_mc < 1:
         raise DomainError(f"trials and n_mc must be >= 1, got {trials} and {n_mc}")
     if not m_list:

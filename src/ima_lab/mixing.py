@@ -539,7 +539,8 @@ def grid_chunk_scores(grids, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     One routing pass (``SmoothGridMap._route``) locates every coordinate.
     A row outside every window has one-hot Jacobian weights on its cell t,
     so its Gram is the gather G_ij = _block_gram[i, j, t_i, t_j] of its
-    map, scored once per occupied (map, cell).  Only the window rows go
+    map, scored once per occupied (map, cell), or once per row when the
+    (map, cell) pairs outnumber the rows.  Only the window rows go
     through ``gram_batch``, one gather for all maps of the chunk; one
     eigen-solve covers the chunk.
     """
@@ -562,8 +563,8 @@ def grid_chunk_scores(grids, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     outside, window = ~window, np.flatnonzero(window)
     window_grams = grid.gram_batch(points[window], block_grams, window // n)
     rows = np.flatnonzero(outside)
-    cells = grid.p ** d
-    if T * cells <= np.iinfo(np.intp).max:
+    pairs = T * grid.p ** d  # a Python int: it cannot overflow
+    if pairs <= len(rows):  # a table of every (map, cell), no longer than the rows: no sort
         # key = (map) p^d + sum_i t_i p^i by Horner's rule, in place, column
         # by column: an integer matmul over the short coordinate axis runs
         # row by row
@@ -571,13 +572,10 @@ def grid_chunk_scores(grids, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for i in range(d - 1, -1, -1):
             key *= grid.p
             key += t[rows, i]
-        if T * cells <= len(key):  # a table of every (map, cell), no longer than the rows: no sort
-            seen = np.bincount(key, minlength=T * cells) > 0
-            keys, cell_of_row = np.flatnonzero(seen), (np.cumsum(seen) - 1)[key]
-        else:
-            keys, cell_of_row = np.unique(key, return_inverse=True)
+        seen = np.bincount(key, minlength=pairs) > 0
+        keys, cell_of_row = np.flatnonzero(seen), (np.cumsum(seen) - 1)[key]
         del key
-    else:  # no flat (map, cell) index fits: each row is its own cell
+    else:  # more (map, cell) pairs than rows: each row is its own cell
         keys, cell_of_row = rows, np.arange(len(rows))
     member = np.empty(len(keys), dtype=np.intp)
     member[cell_of_row] = rows  # one row of each occupied cell
@@ -827,17 +825,6 @@ class ConformalMap(ComposedMap):
         super().__init__(self.inner + (LinearMap(embed),))
 
     jacobian = MixingMap.jacobian  # held on the class, as on LinearMap
-
-
-def conformality_defect(cmap: ConformalMap, s) -> float:
-    """max-norm deviation of J^T J / mean(diag) from the identity; at most
-    ~1e-8 for valid conformal compositions."""
-    J = cmap.jacobian(s)
-    G = J.T @ J
-    lam2 = float(np.trace(G)) / cmap.d
-    if not lam2 > 0:
-        raise RankDeficientError("conformal factor vanished")
-    return float(np.max(np.abs(G / lam2 - np.eye(cmap.d))))
 
 
 def random_conformal_map(

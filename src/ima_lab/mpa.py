@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .distributions import FactorialDistribution, UnivariateLaw
+from .distributions import FactorialDistribution, Gaussian, UnivariateLaw
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -130,7 +130,7 @@ class RotatedGaussianMPA(Stage):
         p_out = np.stack([law.pdf(Y[..., i]) for i, law in enumerate(laws)], axis=-1)
         if np.any(p_out <= 0.0):
             raise SupportError("output landed outside the support of a component law")
-        phi = lambda t: np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+        phi = Gaussian(0.0, 1.0).pdf
         scale_in = p_in / phi(Z)
         scale_out = phi(Z_rot) / p_out
         return self.rotation * (scale_out[..., :, None] * scale_in[..., None, :])
@@ -191,10 +191,6 @@ class RotatedFactorial:
         P = np.asarray(self.laws[0]._pdf_in_place((Rt[0, 0] * x1)[:, None] + (Rt[0, 1] * x2)[None, :]))
         P *= self.laws[1]._pdf_in_place((Rt[1, 0] * x1)[:, None] + (Rt[1, 1] * x2)[None, :])
         return P
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        s = FactorialDistribution(self.laws).sample(n, seed)
-        return s @ self.rotation.T
 
 
 # ---------------------------------------------------------------------------

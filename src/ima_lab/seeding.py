@@ -66,18 +66,10 @@ def substreams(master, counters) -> np.ndarray:
     return (z ^ (z >> np.uint64(31))).reshape(shape)
 
 
-#: below this many sub-seeds, the Python mix (about 0.7 us each) is faster
-#: than one vectorized pass (about 10 us fixed, with the seeds' conversion)
-_MIX_MIN = 15
-
-
-def stream_seeds(seeds, n: int):
+def stream_seeds(seeds, n: int) -> np.ndarray:
     """``substream(s, i)`` for every seed s of ``seeds`` (a 1-d sequence or
-    a :class:`SeedBlock`) and i < n, seed by seed: the sub-seeds of n
-    streams per seed, from one :func:`substreams` pass (from the Python mix
-    for fewer than ``_MIX_MIN``, as an int seed's few streams are)."""
-    if len(seeds) * n < _MIX_MIN:
-        return [substream(s, i) for s in seeds for i in range(n)]
+    a :class:`SeedBlock`) and i < n, seed by seed, as uint64: the sub-seeds
+    of n streams per seed, from one :func:`substreams` pass."""
     return substreams(_uint64(seeds)[:, None], np.arange(n)).reshape(-1)
 
 

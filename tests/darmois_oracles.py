@@ -1,6 +1,7 @@
 """Bivariate densities with a known Darmois construction, the oracles the
 tables of ``ima_lab.mpa.DarmoisMap`` are checked against.  Each gives what
-a table reads (``rectangle`` and ``density``) and ``sample``."""
+a table reads (``rectangle`` and ``density``) and ``sample``;
+:func:`sample_rotated` samples the package's ``RotatedFactorial``."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from scipy import special
 
 from ima_lab.distributions import FactorialDistribution, UnivariateLaw
 from ima_lab.errors import DomainError
-from ima_lab.mpa import _law_bounds
+from ima_lab.mpa import RotatedFactorial, _law_bounds
 from ima_lab.seeding import generator
 
 
@@ -65,3 +66,8 @@ class CorrelatedGaussian:
         x1 = g[:, 0]
         x2 = self.rho * g[:, 0] + math.sqrt(1.0 - self.rho**2) * g[:, 1]
         return np.column_stack([x1, x2])
+
+
+def sample_rotated(spec: RotatedFactorial, n: int, seed: int) -> np.ndarray:
+    """n draws of x = O s, s from the factorial law of ``spec.laws``."""
+    return FactorialDistribution(spec.laws).sample(n, seed) @ spec.rotation.T

@@ -588,7 +588,7 @@ class TestGenericity:
                                      {"delta_grid": 0.0}, {"delta_grid": 1.5},
                                      {"eps": 0.125}, {"eps": 0.3},
                                      {"m_list": [0]}, {"m_list": [-100], "n_mc": 300},
-                                     {"m_list": [1]}])
+                                     {"m_list": [1]}, {"d": 0}, {"d": -1}])
     def test_empty_experiments_are_a_domain_error_before_any_map(self, bad, monkeypatch):
         def no_maps(*args, **kwargs):
             raise AssertionError("built a map")

@@ -30,7 +30,6 @@ from ima_lab.mixing import (
     SmoothGridMap,
     TwoPieceMap,
     _blend_coeff,
-    conformality_defect,
     grid_chunk_scores,
     injectivity_probe,
     jacobian_fd,
@@ -438,6 +437,18 @@ def _one_cell_grid():
     return grid, S
 
 
+def _two_map_chunk(outside: int):
+    """Two maps of a d = 2, p = 3 grid, 18 (map, cell) pairs, with
+    ``outside`` of their 20 rows outside every window.  At 18 the keys are
+    tabled, at 17 each outside row is its own cell; repeated points share
+    a cell either way."""
+    rng = np.random.default_rng(outside)
+    grids = [SmoothGridMap(rng.standard_normal((3, 5, 2)), 0.5, 1 / 64) for _ in range(2)]
+    S = rng.choice([0.1, 0.3, 0.7, 0.9], size=(20, 2))
+    S[outside:, 0] = 0.5  # in the window at the edge 0.5
+    return grids, S.reshape(2, 10, 2)
+
+
 class TestCellScoring:
     @settings(deadline=None, max_examples=300)
     @given(case=cell_scoring_cases())
@@ -466,6 +477,8 @@ class TestCellScoring:
 
     @settings(deadline=None, max_examples=300)
     @given(case=grid_chunks())
+    @example(case=_two_map_chunk(18))
+    @example(case=_two_map_chunk(17))
     def test_chunk_scores_equal_each_map_bit_for_bit(self, case):
         grids, S = case
         values, boundary = grid_chunk_scores(grids, S)
@@ -491,7 +504,8 @@ class TestCellScoring:
 
     def test_cells_past_a_flat_index_with_a_trial_axis_are_scored_per_row(self):
         # 2**62 cells fit a flat int64 index, five maps of them do not: a
-        # key of map 4 would wrap onto the same cell's key of map 0
+        # key of map 4 would wrap onto the same cell's key of map 0, so the
+        # (map, cell) pairs, more than the rows, are never keyed
         rng = np.random.default_rng(2)
         grids = [SmoothGridMap(rng.standard_normal((2, 64, 62)), 1.0, 0.01) for _ in range(5)]
         S = rng.random((5, 60, 62))
@@ -502,7 +516,7 @@ class TestCellScoring:
             assert np.array_equal(v.view(np.int64), reference.view(np.int64))
 
     def test_cells_past_a_flat_index_are_scored_per_row(self):
-        # 3**40 cells do not fit a flat int64 index
+        # 3**40 cells do not fit a flat int64 index, nor a table of them
         rng = np.random.default_rng(1)
         grid = SmoothGridMap(rng.standard_normal((3, 48, 40)), 0.5, 0.01)
         S = rng.random((200, 40))
@@ -678,6 +692,17 @@ class TestTwoPiece:
             s = rng.standard_normal(3)
             if abs(s[1] - 0.4) > 0.05:
                 assert np.max(np.abs(raw.evaluate(s) - smooth.evaluate(s))) <= 1e-12
+
+
+def conformality_defect(cmap: ConformalMap, s) -> float:
+    """max-norm deviation of J^T J / mean(diag) from the identity; at most
+    ~1e-8 for valid conformal compositions."""
+    J = cmap.jacobian(s)
+    G = J.T @ J
+    lam2 = float(np.trace(G)) / cmap.d
+    if not lam2 > 0:
+        raise RankDeficientError("conformal factor vanished")
+    return float(np.max(np.abs(G / lam2 - np.eye(cmap.d))))
 
 
 class TestConformal:

@@ -101,8 +101,8 @@ def test_substreams_over_an_array_of_masters_equal_substream(masters, counters, 
 
 @given(st.lists(uint64s, max_size=9), st.integers(0, 4),
        st.sampled_from([list, functools.partial(np.array, dtype=np.uint64), SeedBlock]))
-def test_stream_seeds_equal_substream_on_both_sides_of_the_mix_threshold(seeds, n, kind):
-    # up to 36 sub-seeds: the Python mix below seeding._MIX_MIN, one pass above
+def test_stream_seeds_equal_substream_seed_by_seed(seeds, n, kind):
+    # 0 to 36 sub-seeds, from lists, uint64 arrays and seed blocks
     got = seeding.stream_seeds(kind(seeds), n)
     assert [int(s) for s in got] == [substream(s, i) for s in seeds for i in range(n)]
 
