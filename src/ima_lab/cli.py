@@ -253,13 +253,15 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 def _master_seed(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < 2**64:
+    value = schema.integer(value, where)
+    if not 0 <= value < 2**64:
         raise ValidationError(f"{where} must be a 64-bit unsigned integer, got {value!r}")
     return value
 
 
 def _threads(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+    value = schema.integer(value, where)
+    if value < 1:
         raise ValidationError(f"{where} must be an integer >= 1, got {value!r}")
     return value
 

@@ -21,10 +21,17 @@ then reduced together (:func:`_trial_statistics`): whole-chunk passes
 give every trial's contrast mean and boundary statistics, and only the
 trials holding rows left to the SVD are scored one by one.  Every
 trial's seeds come from vectorized ``seeding.substreams`` passes.
+
+The sweep and genericity runners hand every chunk of every ambient
+dimension to one :func:`run_indexed` pass, in (m, chunk) order, and reduce
+each m's results in chunk order (:func:`_run_chunks`): the pool drains once
+a run, not once per m, and a thread that finishes the last chunks of one m
+goes on to the next m's.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -83,9 +90,10 @@ MAX_REJECTION_FRACTION = 1e-3
 #: It bounds the peak of the whole pass, not the Jacobians alone, so pool
 #: tasks stay large enough for a second thread to pay: a chunk holds 33
 #: sweep trials at m = 2048 and d = 3, where 256 KiB of Jacobians holds 5,
-#: and 7 to 9 genericity trials.  Peaks traced at the workloads' shapes:
-#: sweep 0.72 to 1.63 MB (d = 3, m = 8 to 2048), scorer 0.70 to 1.57 MB
-#: (the spurious and reparam chains), genericity 0.95 to 1.09 MB.
+#: and 9 to 14 genericity trials.  Peaks traced at the workloads' shapes:
+#: sweep 0.92 to 1.63 MB (d = 3, m = 8 to 2048), scorer 1.25 to 1.57 MB
+#: (the spurious and reparam chains), genericity 1.39 to 1.47 MB (d = 2,
+#: m = 16 to 1024).
 CHUNK_BYTES = 1_700_000
 
 
@@ -118,14 +126,20 @@ def _score_row_bytes(m: int, d: int) -> float:
 
 def _genericity_trial_bytes(n_mc: int, m: int, d: int, p: int, window: float) -> float:
     """Traced peak bytes of one genericity trial, an upper bound measured on
-    its chunk's passes.  Per draw: 2 d + 3 floats (the draw and its levels,
-    the routing, the cell bookkeeping, the reduction), and 8 d (d + 1) more
-    for the ``window`` fraction of draws in a blend window (the flat gather
-    of ``SmoothGridMap.gram_batch``).  Per map: 5/4 of its p m d block
-    floats (the draw and its finite check), its (p d)^2 block Grams and
-    2 KiB of objects (the map, its seeds' generators)."""
-    per_draw = 2 * d + 3 + 8 * window * d * (d + 1)
-    return 8 * (n_mc * per_draw + 1.25 * p * m * d + (p * d) ** 2) + 2048
+    its chunk's passes.  Per draw, the larger of the two phases that
+    ``mixing.grid_chunk_scores`` holds apart, which peak apart, so a draw
+    is not charged their sum: the cell bookkeeping, 2 d + 3 floats (the
+    draw and its levels, the routing, the cell keys, the reduction), and
+    the window gather, (d + 1)(1 + 9 window d) floats (the draw and its
+    routing, and the flat gather of ``SmoothGridMap.gram_batch`` for the
+    ``window`` fraction of draws in a blend window).  Per map, the larger
+    of 5/4 of its p m d block floats, held through those phases, and 5/2 of
+    them while the maps are drawn (the blocks, the copy that the
+    block-Gram einsum reads and that einsum's buffers); then its (p d)^2
+    block Grams and 2 KiB of objects (the map, its seeds' generators)."""
+    blocks = p * m * d
+    per_draw = max(2 * d + 3, (d + 1) * (1 + 9 * window * d))
+    return 8 * (max(n_mc * per_draw + 1.25 * blocks, 2.5 * blocks) + (p * d) ** 2) + 2048
 
 
 def run_indexed(n: int, fn, threads: int = 1) -> list:
@@ -139,6 +153,16 @@ def run_indexed(n: int, fn, threads: int = 1) -> list:
         return [fn(i) for i in range(n)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(n)))
+
+
+def _run_chunks(tasks: list[list], threads: int) -> list[list]:
+    """Results of the chunk tasks of every ambient dimension, ``tasks[mi][c]()``,
+    from one :func:`run_indexed` pass over all of them, in (m, chunk) order,
+    so the pool drains once a run, not once per m; they come back per m,
+    each in chunk order."""
+    flat = [task for chunks in tasks for task in chunks]
+    results = iter(run_indexed(len(flat), lambda i: flat[i](), threads))
+    return [[next(results) for _ in chunks] for chunks in tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -312,30 +336,26 @@ def concentration_sweep(
         raise DomainError(f"kappa must be positive, got {kappa}")
     if sampler_factory is None:
         sampler_factory = SphericalSampler.standard_gaussian
-    rows = []
+    tasks = []
     for mi, m in enumerate(m_list):
         sampler = sampler_factory(m)
-        chunks = _chunks(trials, _sweep_trial_bytes(m, d))
         # every chunk's streams come from one seed hash per m, shared
         # read-only by the pool's threads
         seeds = SeedBlock(substreams(substream(seed, mi), np.arange(trials)))
-
-        def one_chunk(c: int, m=m, sampler=sampler, seeds=seeds, chunks=chunks) -> int:
-            return _sweep_chunk(m, d, delta, sampler, seeds[chunks[c]])
-
-        successes = run_indexed(len(chunks), one_chunk, threads)
-        rows.append(
-            SweepRow(
-                m=m,
-                d=d,
-                delta=delta,
-                trials=trials,
-                empirical_success=sum(successes) / trials,
-                theoretical_bound_at_kappa=theoretical_success_bound(m, d, delta, kappa),
-                kappa_used=kappa,
-            )
+        tasks.append([functools.partial(_sweep_chunk, m, d, delta, sampler, seeds[chunk])
+                      for chunk in _chunks(trials, _sweep_trial_bytes(m, d))])
+    return [
+        SweepRow(
+            m=m,
+            d=d,
+            delta=delta,
+            trials=trials,
+            empirical_success=sum(successes) / trials,
+            theoretical_bound_at_kappa=theoretical_success_bound(m, d, delta, kappa),
+            kappa_used=kappa,
         )
-    return rows
+        for m, successes in zip(m_list, _run_chunks(tasks, threads))
+    ]
 
 
 def binomial_stderr(p_hat: float, n: int) -> float:
@@ -446,22 +466,21 @@ def genericity_experiment(
     if m_list[0] < d:  # before it sizes a chunk or draws a map
         raise DomainError(f"ambient dimension m must be >= d={d}, got {m_list[0]}")
     window = expected_boundary_fraction(d, delta_grid, eps)
-    rows = []
-    for mi, m in enumerate(m_list):
-        chunks = _chunks(trials, _genericity_trial_bytes(n_mc, m, d, p, window))
 
+    def one_chunk(m: int, seeds: np.ndarray) -> tuple:
+        means, fractions, boundary_means = _chunk_statistics(d, m, delta_grid, eps, n_mc, seeds)
+        return means <= delta_contrast, fractions, boundary_means
+
+    tasks = []
+    for mi, m in enumerate(m_list):
         # trial i's map and point seeds, substream(seed, mi, i, 0) and
         # substream(seed, mi, i, 1), for every trial in two vectorized passes
         seeds = substreams(substreams(substream(seed, mi), np.arange(trials))[:, None], np.arange(2))
-
-        def one_chunk(c: int, m=m, chunks=chunks, seeds=seeds) -> tuple:
-            means, fractions, boundary_means = _chunk_statistics(
-                d, m, delta_grid, eps, n_mc, seeds[chunks[c]])
-            return means <= delta_contrast, fractions, boundary_means
-
-        success, fractions, boundary_means = (
-            np.concatenate(r) for r in zip(*run_indexed(len(chunks), one_chunk, threads))
-        )
+        tasks.append([functools.partial(one_chunk, m, seeds[chunk])
+                      for chunk in _chunks(trials, _genericity_trial_bytes(n_mc, m, d, p, window))])
+    rows = []
+    for m, results in zip(m_list, _run_chunks(tasks, threads)):
+        success, fractions, boundary_means = (np.concatenate(r) for r in zip(*results))
         rows.append(
             GenericityRow(
                 m=m,

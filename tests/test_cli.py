@@ -67,6 +67,24 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             validate_run_config(bad)
 
+    @pytest.mark.parametrize("key", ["master_seed", "threads"])
+    def test_integral_floats_are_read_as_integers(self, key):
+        config = validate_run_config(dict(SWEEP_CONFIG, **{key: 1.0}))
+        assert config[key] == 1 and type(config[key]) is int
+
+    @pytest.mark.parametrize("key, bad", [
+        ("master_seed", True), ("master_seed", False), ("master_seed", -1), ("master_seed", -1.0),
+        ("master_seed", 2**64), ("master_seed", 1.5), ("master_seed", "7"),
+        ("threads", True), ("threads", 0), ("threads", 0.0), ("threads", -2), ("threads", 2.5),
+        ("threads", None),
+    ])
+    def test_bools_and_out_of_range_integers_exit_2(self, key, bad):
+        with pytest.raises(ValidationError):
+            validate_run_config(dict(SWEEP_CONFIG, **{key: bad}))
+        code, err = run_main(dict(SWEEP_CONFIG, **{key: bad}), "sweep")
+        assert code == 2
+        assert json.loads(err)["error"] == "validation"
+
     def test_unknown_command(self):
         with pytest.raises(ValidationError):
             validate_run_config({"command": "plot", "params": {}})

@@ -433,9 +433,14 @@ class TestConcentrationSweep:
             assert row.empirical_success == trial_by_trial_success(3, 0.1, row.m, mi, trials, 13)
 
     def test_chunked_rows_do_not_depend_on_threads(self):
+        # chunks of 130 + 1 trials at m = 512 and 33 + 33 + 33 + 32 at m = 2048,
+        # six tasks in one pool pass, which 8 threads outnumber
         trials = per_chunk(experiments._sweep_trial_bytes(512, 3)) + 1
+        assert [len(experiments._chunks(trials, experiments._sweep_trial_bytes(m, 3)))
+                for m in self.CHUNKED["m_list"]] == [2, 4]
         one = concentration_sweep(**self.CHUNKED, trials=trials, threads=1)
-        assert one == concentration_sweep(**self.CHUNKED, trials=trials, threads=2)
+        for threads in (2, 3, 8):
+            assert concentration_sweep(**self.CHUNKED, trials=trials, threads=threads) == one
 
     @settings(deadline=None, max_examples=25)
     @given(
@@ -650,11 +655,11 @@ class TestGenericity:
         kwargs = dict(config, delta_contrast=0.1, trials=12, n_mc=400, seed=42)
         assert genericity_experiment(**kwargs, threads=threads) == two_pass_genericity(**kwargs)
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 3, 12])
     def test_uneven_chunks_equal_the_two_pass_reference(self, threads, monkeypatch):
         # a budget of 5.5 trials at m = 16 holds 5, 5 and 4 trials at m = 4, 16
         # and 64, whose blocks cost more: the 13 trials split 5+5+3, 5+5+3
-        # and 4+4+4+1
+        # and 4+4+4+1, ten tasks in one pool pass, which 12 threads outnumber
         window = expected_boundary_fraction(2, 0.5, 0.01)
         budget = int(5.5 * experiments._genericity_trial_bytes(200, 16, 2, 3, window))
         monkeypatch.setattr(experiments, "CHUNK_BYTES", budget)
@@ -692,11 +697,18 @@ class TestGenericity:
             assert per_chunk(1.0) == 1  # every chunk is one trial
             assert genericity_experiment(**kwargs) == rows
 
-    @pytest.mark.parametrize("m", [16, 1024])
-    def test_a_chunk_peaks_within_the_bytes_its_rule_assumes(self, m):
-        # one chunk of the genericity workload's shape: maps, points, scores
-        # and reduction
-        d, n_mc, delta, eps = 2, 2000, 0.5, 0.01
+    # the workload's shape at its n_mc; d 1 to 3 at eps 0.01 to 0.1 at an n_mc
+    # where a chunk still holds two trials at d = 3 and eps 0.1, the tightest
+    # shape; and an m so large next to n_mc that drawing the maps peaks
+    @pytest.mark.parametrize(
+        "d, eps, m, n_mc",
+        [(2, 0.01, 16, 2000), (2, 0.01, 1024, 2000)]
+        + [(d, eps, m, 1000) for d in (1, 2, 3) for eps in (0.01, 0.05, 0.1) for m in (16, 1024)]
+        + [(1, 0.01, 4096, 100), (2, 0.01, 4096, 100)],
+    )
+    def test_a_chunk_peaks_within_the_bytes_its_rule_assumes(self, d, eps, m, n_mc):
+        # one chunk: maps, points, scores and reduction
+        delta = 0.5
         trial_bytes = experiments._genericity_trial_bytes(
             n_mc, m, d, mixing.check_grid(delta, eps), expected_boundary_fraction(d, delta, eps))
 
@@ -705,6 +717,12 @@ class TestGenericity:
             return lambda: experiments._chunk_statistics(d, m, delta, eps, n_mc, seeds)
 
         assert_chunk_peaks_within_its_rule(chunk, trial_bytes)
+
+    def test_workload_chunks_hold_at_least_twelve_trials_up_to_m_256(self):
+        # the rule charges a draw the peak of one phase, not the sum of two
+        window = expected_boundary_fraction(2, 0.5, 0.01)
+        sizes = [per_chunk(experiments._genericity_trial_bytes(2000, m, 2, 3, window)) for m in (16, 64, 256)]
+        assert min(sizes) >= 12
 
 
 def two_pass_genericity(d, m_list, delta_grid, eps, delta_contrast, trials, n_mc, seed):

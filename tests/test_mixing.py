@@ -30,6 +30,7 @@ from ima_lab.mixing import (
     SmoothGridMap,
     TwoPieceMap,
     _blend_coeff,
+    _block_grams,
     grid_chunk_scores,
     injectivity_probe,
     jacobian_fd,
@@ -243,6 +244,24 @@ class TestGridMap:
                 assert np.array_equal(got.blocks.view(np.int64), blocks.view(np.int64))
                 assert np.array_equal(got._block_gram.view(np.int64), block_gram.view(np.int64))
                 assert np.array_equal(got.prefix.view(np.int64), prefix.view(np.int64))
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        T=st.integers(1, 6),
+        p=st.integers(2, 6),
+        m=st.integers(1, 1200),
+        d=st.integers(1, 4),
+        scale=st.integers(-100, 100),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(T=14, p=3, m=1024, d=2, scale=0, seed=0)  # a genericity workload chunk
+    @example(T=8, p=3, m=1024, d=1, scale=0, seed=1)
+    def test_block_grams_equal_the_einsum_on_the_blocks_bit_for_bit(self, T, p, m, d, scale, seed):
+        # d >= 2 runs the einsum on an (m, T, p, d) copy, d = 1 on the blocks
+        # as they are; both must give the bits of the einsum on the blocks
+        blocks = np.random.default_rng(seed).standard_normal((T, p, m, d)) * 10.0**scale
+        reference = np.einsum("stmi,sumj->sijtu", blocks, blocks)
+        assert np.array_equal(bits(_block_grams(blocks)), bits(reference))
 
 
 def dependent_columns(T, p, m, d, spread, victim, log_gap, seed):
@@ -661,6 +680,15 @@ class TestTwoPiece:
         J = np.random.default_rng(10).standard_normal((6, 2))
         with pytest.raises(DomainError):
             TwoPieceMap(J, J, 0, c)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_pieces_that_differ_outside_column_k_are_refused(self, k):
+        # with k = 0 the map jumped from (0.5, 0.7, 0) to (0.5, 1.4, 0.7)
+        # across the boundary s_0 = 0.5, at s_1 = 0.7
+        J0 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        J1 = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+        with pytest.raises(DomainError, match="column k"):
+            TwoPieceMap(J0, J1, k, 0.5)
 
     def test_dependent_column_rejected(self):
         rng = np.random.default_rng(6)
