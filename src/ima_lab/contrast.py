@@ -126,16 +126,18 @@ def local_ima_contrast(J) -> float:
     return clamp_contrast(local_contrast_unclamped(J))
 
 
-def clamp_contrast(value):
+def clamp_contrast(value, out=None):
     """Clamp tiny negative contrast values (floating-point noise) to zero,
-    a float to a float and an array to an array: the only code that
-    compares with :data:`CLAMP_SLACK`.  A value below -CLAMP_SLACK is more
-    than rounding error and raises FloatingPointError."""
+    a float to a float and an array to an array (into ``out`` when given,
+    which may be the array itself): the only code that compares with
+    :data:`CLAMP_SLACK`.  A value below -CLAMP_SLACK is more than rounding
+    error and raises FloatingPointError, before anything is written.  A
+    NaN entry is passed over by that check and stays NaN."""
     values = np.asarray(value, dtype=float)
-    lowest = np.min(values, initial=0.0)
+    lowest = np.fmin.reduce(values, axis=None, initial=0.0)
     if lowest < -CLAMP_SLACK:
         raise FloatingPointError(f"contrast {lowest:.3e} below -{CLAMP_SLACK:.0e}; lost precision")
-    clamped = np.maximum(values, 0.0)
+    clamped = np.maximum(values, 0.0, out=out)
     return clamped if clamped.ndim else float(clamped)
 
 

@@ -88,6 +88,12 @@ class UnivariateLaw:
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _quantile_in_place(self, u: np.ndarray) -> np.ndarray:
+        """``quantile_array`` at the float levels u, which the call may
+        overwrite and return: a law whose quantile works in place spares
+        the copy."""
+        return self.quantile_array(u)
+
     def to_config(self) -> dict:
         """The ``{"kind": ..., "params": {...}}`` object that
         :func:`law_from_config` reads back: the law's kind and its params
@@ -117,9 +123,12 @@ class Uniform(UnivariateLaw):
         return np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
 
     def quantile_array(self, u):
-        q = (self.b - self.a) * np.asarray(u, dtype=float)
-        q += self.a  # a + (b - a) u, in one buffer
-        return q
+        return self._quantile_in_place(np.array(u, dtype=float))
+
+    def _quantile_in_place(self, u):
+        u *= self.b - self.a
+        u += self.a  # a + (b - a) u, in u's buffer
+        return u
 
 
 @dataclass(frozen=True)
@@ -348,15 +357,16 @@ class FactorialDistribution:
         if n < 1:
             raise DomainError("sample count must be >= 1")
         seeds, scalar = seed_list(seed)
-        d = self.dim
-        u = np.empty((d, len(seeds), n))  # one contiguous (k, n) level block per law
-        streams = generators(stream_seeds(seeds, d))
-        for (j, i), gen in zip(np.ndindex(len(seeds), d), streams):
-            gen.random(out=u[i, j])
-        _open_levels(u)
-        draws = np.empty((len(seeds), n, d))
+        d, k = self.dim, len(seeds)
+        # the streams law by law, so one contiguous (k, n) level block, which
+        # its law's quantile may overwrite, serves every law in turn
+        streams = generators(stream_seeds(seeds, d).reshape(k, d).T.reshape(-1))
+        levels = np.empty((k, n))
+        draws = np.empty((k, n, d))
         for i, law in enumerate(self.components):
-            draws[:, :, i] = law.quantile_array(u[i])
+            for row in levels:
+                next(streams).random(out=row)
+            draws[:, :, i] = law._quantile_in_place(_open_levels(levels))
         # computed from valid params (uniform(-1e308, 1e308) overflows), so a
         # numerical failure, which a map's point check would call a malformed input
         if not np.all(np.isfinite(draws)):

@@ -7,20 +7,23 @@ Trials are independent tasks keyed by their index; each derives its own
 counter-mixed sub-seed, and results are reduced in index order, so the
 numerical output is identical for any worker-pool size.  Every runner
 works in chunks sized by one rule (:func:`_chunks`): a chunk holds as many
-items as :data:`CHUNK_BYTES` of traced peak memory holds at the bytes an
-item costs in the pass that peaks, a sweep trial
-(:func:`_sweep_trial_bytes`), a row scored by the SVD fallback
-(:func:`_score_row_bytes`) or a genericity trial
+items as :data:`CHUNK_BYTES` of traced peak memory holds in every phase
+of its pass, at the bytes an item and the chunk itself cost there: a
+sweep trial (:func:`_sweep_trial_bytes`), a row scored by the SVD
+fallback (:func:`_score_row_bytes`), or a genericity trial in each of
+three phases, the last of which also holds fixed bytes
 (:func:`_genericity_trial_bytes`, which follow n_mc d), so chunk bounds
-depend on the problem sizes alone.  A genericity chunk is one stacked grid
-draw (``mixing.sample_grid_maps``), one batched draw of every trial's
-points (``FactorialDistribution.sample`` on the trials' seeds), and one
-routing pass, one window-Gram gather and one eigen-solve over the
-stacked draws (``mixing.grid_chunk_scores``).  Its trials' values are
-then reduced together (:func:`_trial_statistics`): whole-chunk passes
-give every trial's contrast mean and boundary statistics, and only the
-trials holding rows left to the SVD are scored one by one.  Every
-trial's seeds come from vectorized ``seeding.substreams`` passes.
+depend on the problem sizes alone.  A genericity chunk is one stacked
+grid draw (``mixing.sample_grid_maps``), one batched draw of every
+trial's points (``FactorialDistribution.sample`` on the trials' seeds),
+and one routing pass, which writes over the points, one sliced
+window-Gram gather and one eigen-solve over the stacked draws
+(``mixing.grid_chunk_scores``).  Its trials' values are then clamped in
+place and reduced together (:func:`_trial_statistics`): whole-chunk
+passes give every trial's contrast mean and boundary statistics, and
+only the trials holding rows left to the SVD draw their points again and
+are scored one by one.  Every trial's seeds come from vectorized
+``seeding.substreams`` passes.
 
 The sweep and genericity runners hand every chunk of every ambient
 dimension to one :func:`run_indexed` pass, in (m, chunk) order, and reduce
@@ -62,6 +65,7 @@ from .errors import (
     ValidationError,
 )
 from .mixing import (
+    GATHER_SLICE_BYTES,
     UNIT_CUBE,
     ComposedMap,
     LinearMap,
@@ -90,19 +94,21 @@ MAX_REJECTION_FRACTION = 1e-3
 #: It bounds the peak of the whole pass, not the Jacobians alone, so pool
 #: tasks stay large enough for a second thread to pay: a chunk holds 33
 #: sweep trials at m = 2048 and d = 3, where 256 KiB of Jacobians holds 5,
-#: and 9 to 14 genericity trials.  Peaks traced at the workloads' shapes:
+#: and 13 to 28 genericity trials.  Peaks traced at the workloads' shapes:
 #: sweep 0.92 to 1.63 MB (d = 3, m = 8 to 2048), scorer 1.25 to 1.57 MB
-#: (the spurious and reparam chains), genericity 1.39 to 1.47 MB (d = 2,
-#: m = 16 to 1024).
+#: (the spurious and reparam chains), genericity 1.41 to 1.51 MB (d = 2,
+#: m = 16 to 1024, where drawing and routing the points peaks).
 CHUNK_BYTES = 1_700_000
 
 
-def _chunks(n: int, item_bytes: float) -> list[slice]:
-    """Slices of the chunks of n items, in order: each spans as many items
-    as CHUNK_BYTES holds at ``item_bytes``, at least one, and the last is
-    cut at n when it slices.  They depend on the sizes alone, never on
-    threads."""
-    size = max(1, int(CHUNK_BYTES // item_bytes))
+def _chunks(n: int, *phases: tuple[float, float]) -> list[slice]:
+    """Slices of the chunks of n items, in order.  Each of ``phases``, the
+    parts of a chunk's pass that peak apart, is a pair (bytes an item holds
+    there, bytes the chunk holds there whatever its size); a chunk spans as
+    many items as CHUNK_BYTES holds in every phase, at least one, and the
+    last is cut at n when it slices.  They depend on the sizes alone, never
+    on threads."""
+    size = max(1, int(min((CHUNK_BYTES - fixed) // item for item, fixed in phases)))
     return [slice(start, start + size) for start in range(0, n, size)]
 
 
@@ -124,22 +130,48 @@ def _score_row_bytes(m: int, d: int) -> float:
     return 8 * (3.3 * m * d + 4 * d * d + 16)
 
 
-def _genericity_trial_bytes(n_mc: int, m: int, d: int, p: int, window: float) -> float:
-    """Traced peak bytes of one genericity trial, an upper bound measured on
-    its chunk's passes.  Per draw, the larger of the two phases that
-    ``mixing.grid_chunk_scores`` holds apart, which peak apart, so a draw
-    is not charged their sum: the cell bookkeeping, 2 d + 3 floats (the
-    draw and its levels, the routing, the cell keys, the reduction), and
-    the window gather, (d + 1)(1 + 9 window d) floats (the draw and its
-    routing, and the flat gather of ``SmoothGridMap.gram_batch`` for the
-    ``window`` fraction of draws in a blend window).  Per map, the larger
-    of 5/4 of its p m d block floats, held through those phases, and 5/2 of
-    them while the maps are drawn (the blocks, the copy that the
-    block-Gram einsum reads and that einsum's buffers); then its (p d)^2
-    block Grams and 2 KiB of objects (the map, its seeds' generators)."""
+#: traced peak bytes a genericity chunk holds whatever its trial count, an
+#: upper bound measured on its passes: while its points are scored, the
+#: buffers of the window gather's slices and 32 KiB of cell tables and
+#: small temporaries; while its maps are drawn, the block-Gram einsum's
+#: buffers, about 133 KB at d >= 2, which it also bounds
+_GENERICITY_FIXED_BYTES = GATHER_SLICE_BYTES + 32768
+
+
+def _genericity_trial_bytes(n_mc: int, m: int, d: int, p: int, window: float) -> tuple:
+    """Traced peak bytes of a genericity chunk in the three phases of its
+    pass that peak apart, each a pair (bytes a trial, bytes the chunk
+    whatever its size) for :func:`_chunks`: upper bounds measured on its
+    passes.  A trial holds twice its (p d)^2 block Grams (they and the
+    chunk's stack of them) and 2 KiB of objects (the map, its seeds'
+    generators) throughout, and 5/4 of its p m d block floats once its map
+    is drawn.
+    - Drawing the maps: twice the block floats and 512 floats (the blocks
+      and the copy that the block-Gram einsum reads), and the chunk's
+      :data:`_GENERICITY_FIXED_BYTES`.
+    - Drawing and routing the points: the larger of d + 1.5 floats a draw
+      (the points, whose buffer the routing overwrites, one law's levels
+      or one coordinate's temporary, and the small-int blocks) and 1.6 d
+      (the routed offsets, and the small-int blocks and the byte masks of
+      the window and knot tests, which grow with d).
+    - Scoring them: 1 float a draw and 3 d^2 + 2 d + 3 floats for each
+      Gram it scores (the blend weights, offsets and Gram of
+      ``SmoothGridMap.gram_batch`` and the eigen-solve's copy), one a draw
+      in a blend window, the ``window`` fraction of them, and one a (map,
+      cell) pair, at most min(p^d, n_mc); and the chunk's
+      :data:`_GENERICITY_FIXED_BYTES`.
+    At the workload's shape (d 2, eps 0.01, n_mc 2000, m 16) the points
+    phase binds: the chunk traces 3.35 floats a (trial, draw) drawing and
+    routing the points, against 3.5 charged, and about 2 floats and 260 KB
+    scoring them."""
     blocks = p * m * d
-    per_draw = max(2 * d + 3, (d + 1) * (1 + 9 * window * d))
-    return 8 * (max(n_mc * per_draw + 1.25 * blocks, 2.5 * blocks) + (p * d) ** 2) + 2048
+    held = 8 * 2 * (p * d) ** 2 + 2048
+    grams = n_mc * window + min(p**d, n_mc)
+    return (
+        (8 * (2 * blocks + 512) + held, _GENERICITY_FIXED_BYTES),
+        (8 * (n_mc * max(d + 1.5, 1.6 * d) + 1.25 * blocks) + held, 0.0),
+        (8 * (n_mc + grams * (3 * d * d + 2 * d + 3) + 1.25 * blocks) + held, _GENERICITY_FIXED_BYTES),
+    )
 
 
 def run_indexed(n: int, fn, threads: int = 1) -> list:
@@ -180,15 +212,16 @@ class ContrastEstimate:
     rejection_count: int
 
 
-def _clamped_draws(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(clamped, rejected) for per-draw unclamped contrasts (..., n), NaN
-    where the draw was rejected: ``clamp_contrast`` of the kept draws, 0 at
-    the rejected ones, and the rejected mask.  The one home of the
-    rejection limit: a row with more than :data:`MAX_REJECTION_FRACTION` of
-    its draws rejected raises DegenerateMapError, after the clamp's own
-    FloatingPointError."""
+def _clamped_draws(values: np.ndarray) -> np.ndarray:
+    """The rejected mask of per-draw unclamped contrasts (..., n), NaN
+    where the draw was rejected, which are clamped in place by
+    ``clamp_contrast``: a kept draw is clamped, a rejected one stays NaN.
+    The one home of the rejection limit: a row with more than
+    :data:`MAX_REJECTION_FRACTION` of its draws rejected raises
+    DegenerateMapError, after the clamp's own FloatingPointError, which
+    the clamp raises before it writes."""
     rejected = np.isnan(values)
-    clamped = clamp_contrast(np.where(rejected, 0.0, values))
+    clamp_contrast(values, out=values)
     n = rejected.shape[-1]
     rejections = rejected.sum(axis=-1)
     over = rejections > MAX_REJECTION_FRACTION * n
@@ -196,19 +229,19 @@ def _clamped_draws(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DegenerateMapError(
             f"{np.ravel(rejections)[over.argmax()]}/{n} draws rejected (> {MAX_REJECTION_FRACTION:.1%})"
         )
-    return clamped, rejected
+    return rejected
 
 
 def _estimate_from_values(values: np.ndarray) -> ContrastEstimate:
     """Contrast estimate from per-draw unclamped contrasts, NaN where the
-    draw was rejected."""
-    clamped, rejected = _clamped_draws(values)
-    clamped = clamped[~rejected]
+    draw was rejected, which it clamps in place."""
+    # counted before the clamp; a rejected draw's NaN is not below 0
+    clamps = int(np.count_nonzero(values < 0.0))
+    clamped = values[~_clamped_draws(values)]
     n = clamped.size
     mean = float(clamped.mean()) if n else 0.0
     stderr = float(clamped.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    # a rejected draw's NaN is not below 0
-    return ContrastEstimate(mean, stderr, n, int(np.count_nonzero(values < 0.0)), values.size - n)
+    return ContrastEstimate(mean, stderr, n, clamps, values.size - n)
 
 
 def estimate_global_contrast(
@@ -243,7 +276,7 @@ def _score_at_points(mapping: MixingMap, points: np.ndarray, values: np.ndarray 
     if values is None:
         values = np.full(len(points), np.nan)
     redo = np.flatnonzero(np.isnan(values))
-    for chunk in _chunks(len(redo), _score_row_bytes(mapping.m, mapping.d)):
+    for chunk in _chunks(len(redo), (_score_row_bytes(mapping.m, mapping.d), 0.0)):
         rows = redo[chunk]
         J, code = mapping.jacobian_batch(points[rows])
         kept = code == 0
@@ -343,7 +376,7 @@ def concentration_sweep(
         # read-only by the pool's threads
         seeds = SeedBlock(substreams(substream(seed, mi), np.arange(trials)))
         tasks.append([functools.partial(_sweep_chunk, m, d, delta, sampler, seeds[chunk])
-                      for chunk in _chunks(trials, _sweep_trial_bytes(m, d))])
+                      for chunk in _chunks(trials, (_sweep_trial_bytes(m, d), 0.0))])
     return [
         SweepRow(
             m=m,
@@ -391,28 +424,32 @@ class GenericityRow:
     construction_warning: bool
 
 
-def _trial_statistics(maps, draws: np.ndarray, values: np.ndarray, boundary: np.ndarray):
+def _trial_statistics(maps, points, values: np.ndarray, boundary: np.ndarray):
     """(mean contrast, boundary fraction, boundary mean) of each trial of a
-    genericity chunk, three (T,) arrays, from the maps, their (T, n, d)
-    draws, and the draws' contrasts (NaN on rows the fast route left to the
-    SVD) and boundary masks, C-contiguous (T, n) each.  Only the trials
-    that hold such rows are scored by :func:`_score_at_points` (in place);
-    the rest is whole-chunk passes.  Trial j is bit for bit the mean of
-    ``_estimate_from_values`` and ``boundary_statistics`` of its own row."""
+    genericity chunk, three (T,) arrays, from the maps, a call
+    ``points(j)`` that gives trial j's (n, d) draws, and the draws'
+    contrasts (NaN on rows the fast route left to the SVD) and boundary
+    masks, C-contiguous (T, n) each.  Only the trials that hold such rows
+    draw their points and are scored by :func:`_score_at_points`; the
+    values are then clamped in place, and the rest is whole-chunk passes.
+    Trial j is bit for bit the mean of ``_estimate_from_values`` and
+    ``boundary_statistics`` of its own row."""
     for j in np.flatnonzero(np.isnan(values).any(axis=1)):
-        _score_at_points(maps[j], draws[j], values[j])
+        _score_at_points(maps[j], points(j), values[j])
     try:
-        clamped, rejected = _clamped_draws(values)
+        rejected = _clamped_draws(values)
         # a row-wise mean of a C-contiguous stack sums each row as its own
         # 1-d mean does; a row with rejections is one 1-d mean of its kept draws
-        means = clamped.mean(axis=1)
+        means = values.mean(axis=1)
         for j in np.flatnonzero(rejected.any(axis=1)):
-            means[j] = clamped[j][~rejected[j]].mean()
+            means[j] = values[j][~rejected[j]].mean()
         return (means, *boundary_statistics(boundary, values))
     except (FloatingPointError, DegenerateMapError):
         # the chunk's passes name a failure of any trial; raise that of the
         # first failing trial, as one trial at a time would have, its
-        # boundary statistics before its estimate
+        # boundary statistics before its estimate.  The clamp writes only
+        # once no value is below its slack, and keeps every NaN, so each
+        # trial still fails as it would have
         for mask, v in zip(boundary, values):
             boundary_statistics(mask, v)
             _estimate_from_values(v)
@@ -422,11 +459,14 @@ def _trial_statistics(maps, draws: np.ndarray, values: np.ndarray, boundary: np.
 def _chunk_statistics(d: int, m: int, delta: float, eps: float, n_mc: int, seeds: np.ndarray):
     """:func:`_trial_statistics` of one genericity chunk, from its trials'
     (k, 2) map and point seeds: the k maps in one ``sample_grid_maps``
-    call, their n_mc uniform draws each in one ``sample`` call, and one
-    ``grid_chunk_scores`` pass."""
+    call, and their n_mc uniform draws each in one ``sample`` call, which
+    one ``grid_chunk_scores`` pass routes in place and so spends.  A trial
+    with rows left to the SVD draws its points again from its seed: slice
+    j of the stacked draw is bit for bit the int-seed call."""
     grids = sample_grid_maps(d, m, delta, seeds[:, 0], eps=eps)
-    draws = FactorialDistribution.iid(Uniform(0.0, 1.0), d).sample(n_mc, seeds[:, 1])
-    return _trial_statistics(grids, draws, *grid_chunk_scores(grids, draws))
+    p_s = FactorialDistribution.iid(Uniform(0.0, 1.0), d)
+    scores = grid_chunk_scores(grids, p_s.sample(n_mc, seeds[:, 1]))
+    return _trial_statistics(grids, lambda j: p_s.sample(n_mc, int(seeds[j, 1])), *scores)
 
 
 def expected_boundary_fraction(d: int, delta: float, eps: float) -> float:
@@ -477,7 +517,7 @@ def genericity_experiment(
         # substream(seed, mi, i, 1), for every trial in two vectorized passes
         seeds = substreams(substreams(substream(seed, mi), np.arange(trials))[:, None], np.arange(2))
         tasks.append([functools.partial(one_chunk, m, seeds[chunk])
-                      for chunk in _chunks(trials, _genericity_trial_bytes(n_mc, m, d, p, window))])
+                      for chunk in _chunks(trials, *_genericity_trial_bytes(n_mc, m, d, p, window))])
     rows = []
     for m, results in zip(m_list, _run_chunks(tasks, threads)):
         success, fractions, boundary_means = (np.concatenate(r) for r in zip(*results))

@@ -68,6 +68,11 @@ FULL_SPACE = "all-of-Rd"
 
 _KNOT_TOL = 1e-12
 
+#: bytes of flat offsets, products and partial sums, 80 d^2 a row, that one
+#: row slice of :meth:`SmoothGridMap.gram_batch` holds, in buffers its slices
+#: share: its gather temporaries stay this size however many rows it gathers
+GATHER_SLICE_BYTES = 1 << 18
+
 
 # ---------------------------------------------------------------------------
 # smooth step
@@ -354,7 +359,7 @@ class SmoothGridMap(MixingMap):
         """Multiples of delta inside [0, 1] (cell boundaries)."""
         return np.arange(0, math.floor(1.0 / self.delta + _KNOT_TOL) + 1) * self.delta
 
-    def _route(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _route(self, S: np.ndarray, x0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The edge nearest each coordinate of points (..., d) in the cube,
         k0 = rint(s / delta), and the offset x0 = s - k0 delta: the only
         place a coordinate is located on the grid.  Past x0 > eps the
@@ -364,15 +369,24 @@ class SmoothGridMap(MixingMap):
         This is exact because eps < delta/4 (:func:`check_grid`): every other
         edge is more than delta/4 away, with s - edge > eps below the
         coordinate and <= -eps above it, so no other edge holds a window or
-        a knot within eps of the coordinate.
+        a knot within eps of the coordinate.  x0 itself is exact too
+        (Sterbenz: s lies within delta/2 of its edge, so at k0 > 0 within a
+        factor two of it), so x0 + k0 delta gives s back bit for bit.
 
-        k0 comes in the map's small index dtype; x0 takes the buffer of
-        s / delta, so the pass holds one float array beside the points."""
-        x0 = S / self.delta
-        np.rint(x0, out=x0)
-        k0 = x0.astype(self._index_dtype)
-        x0 *= self.delta  # the edge: the whole float k0 times delta
-        np.subtract(S, x0, out=x0)
+        k0 comes in the map's small index dtype; x0 goes to the buffer
+        ``x0``, a new array by default, or S itself, which a caller done
+        with its points passes to route them in place.  The pass runs one
+        coordinate at a time, so it holds one coordinate's float temporary
+        besides S and x0."""
+        x0 = np.empty_like(S) if x0 is None else x0
+        k0 = np.empty(S.shape, dtype=self._index_dtype)
+        edge = np.empty(S.shape[:-1])
+        for i in range(S.shape[-1]):
+            np.divide(S[..., i], self.delta, out=edge)
+            np.rint(edge, out=edge)
+            k0[..., i] = edge
+            edge *= self.delta  # the edge: the whole float k0 times delta
+            np.subtract(S[..., i], edge, out=x0[..., i])
         return k0, x0
 
     def _in_window(self, x0: np.ndarray) -> np.ndarray:
@@ -462,32 +476,50 @@ class SmoothGridMap(MixingMap):
         ``owner[i]``, so one gather serves a whole chunk
         (:func:`grid_chunk_scores`); each row keeps its own map's bits.
         Stacked as :func:`_block_grams` lays them out, in (T, t, u, i, j)
-        order, they are read without a copy."""
+        order, they are read without a copy.
+
+        The gather runs over slices of rows that hold
+        :data:`GATHER_SLICE_BYTES` of offsets and products, in buffers the
+        slices share, so its temporaries are a fixed size; each row is
+        gathered, weighted and summed as in one take over all rows."""
         pair = self._blend_pair(*self._route(self._check_points(S)), _blend_inside)
         p, d, k = self.p, self.d, np.arange(self.d)
-        # (n, d, 2); the block indices in intp, as the flat offsets below need
-        t, w = np.stack(pair[:2], axis=-1, dtype=np.intp), np.stack(pair[2:], axis=-1)
-        del pair
         if block_grams is None:
-            block_grams, owner = self._block_gram[None], np.zeros(len(t), dtype=np.intp)
-        # one flat take of B in (T, t, u, i, j) order, where B[T, i, j, t, u]
-        # is entry (((T p + t) p + u) d + i) d + j; few whole-array steps,
+            block_grams, owner = self._block_gram[None], np.zeros(len(S), dtype=np.intp)
+        # flat takes of B in (T, t, u, i, j) order, where B[T, i, j, t, u] is
+        # entry (((T p + t) p + u) d + i) d + j; few whole-slice steps,
         # because many small numpy calls contend for the interpreter lock in
-        # the genericity pool.  The offsets are made in place, the column
-        # offsets in t's own buffer
+        # the genericity pool.  The offsets are made in place, in the
+        # narrowest signed int that holds every entry's, the column offsets
+        # in t's own buffer; each slice widens its sums to intp
         flat = block_grams.transpose(0, 3, 4, 1, 2).reshape(-1)
-        rows = (owner * p)[:, None, None] + t
+        index = np.min_scalar_type(-flat.size)
+        # (n, d, 2)
+        t, w = np.stack(pair[:2], axis=-1, dtype=index), np.stack(pair[2:], axis=-1)
+        del pair
+        n = len(t)
+        rows = (owner * p).astype(index)[:, None, None] + t
         rows *= p * d * d
         rows += (k * d)[:, None]
         cols = t
         cols *= d * d
         cols += k[:, None]
         rows, cols = rows[:, :, None, :, None], cols[:, None, :, None, :]
-        products = flat[rows + cols]  # (n, i, j, t, u)
-        products *= w[:, :, None, :, None]  # (w_i B) w_j, in place
-        products *= w[:, None, :, None, :]
-        u_sums = products[..., 0] + products[..., 1]
-        return u_sums[..., 0] + u_sums[..., 1]
+        w_i, w_j = w[:, :, None, :, None], w[:, None, :, None, :]
+        G = np.empty((n, d, d))
+        step = max(1, GATHER_SLICE_BYTES // (80 * d * d))
+        offsets = np.empty((min(step, n), d, d, 2, 2), dtype=np.intp)  # (rows, i, j, t, u)
+        products, u_sums = np.empty(offsets.shape), np.empty(offsets.shape[:-1])
+        for start in range(0, n, step):
+            s, size = slice(start, start + step), min(step, n - start)
+            o, prod, u = offsets[:size], products[:size], u_sums[:size]
+            np.add(rows[s], cols[s], out=o)
+            flat.take(o, out=prod, mode="clip")  # in range; "raise" would buffer a copy
+            prod *= w_i[s]  # (w_i B) w_j, in place
+            prod *= w_j[s]
+            np.add(prod[..., 0], prod[..., 1], out=u)
+            np.add(u[..., 0], u[..., 1], out=G[s])
+        return G
 
     def fast_contrasts(self, S):
         """Gram-route contrasts for eps > 0, bit for bit
@@ -495,7 +527,8 @@ class SmoothGridMap(MixingMap):
         row to the SVD route: the chunk of one of :func:`grid_chunk_scores`."""
         if self.eps == 0.0:
             return super().fast_contrasts(S)
-        return grid_chunk_scores([self], self._check_points(S)[None])[0][0]
+        # a copy: the chunk pass routes its points in place
+        return grid_chunk_scores([self], self._check_points(np.array(S, dtype=float))[None])[0][0]
 
     def boundary_mask(self, S: np.ndarray) -> np.ndarray:
         """True for points with some coordinate within eps of a knot."""
@@ -543,15 +576,18 @@ def grid_chunk_scores(grids, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     grid (delta, eps > 0, d), map j at the points S[j]: S is (T, n, d) and
     both results are (T, n).  Row i of map j is bit for bit
     ``local_contrast_from_gram(grids[j].gram_batch(S[j]))[i]`` and
-    ``grids[j].boundary_mask(S[j])[i]``.
+    ``grids[j].boundary_mask(S[j])[i]``.  S is spent: a C-contiguous float
+    S is overwritten by the routing, so the chunk holds its points only
+    until they are routed.
 
-    One routing pass (``SmoothGridMap._route``) locates every coordinate.
-    A row outside every window has one-hot Jacobian weights on its cell t,
-    so its Gram is the gather G_ij = _block_gram[i, j, t_i, t_j] of its
-    map, scored once per occupied (map, cell), or once per row when the
-    (map, cell) pairs outnumber the rows.  Only the window rows go
-    through ``gram_batch``, one gather for all maps of the chunk; one
-    eigen-solve covers the chunk.
+    One routing pass (``SmoothGridMap._route``, in place) locates every
+    coordinate.  A row outside every window has one-hot Jacobian weights
+    on its cell t, so its Gram is the gather G_ij = _block_gram[i, j, t_i,
+    t_j] of its map, scored once per occupied (map, cell), or once per row
+    when the (map, cell) pairs outnumber the rows.  Only the window rows go
+    through ``gram_batch``, one gather for all maps of the chunk, on their
+    points rebuilt exactly from the routing; one eigen-solve covers the
+    chunk, and one take fills the values.
     """
     grid = grids[0]
     T, n, d = S.shape
@@ -559,9 +595,11 @@ def grid_chunk_scores(grids, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             (g.delta, g.eps, g.d) != (grid.delta, grid.eps, d) for g in grids):
         raise DomainError("a chunk needs one point set per smoothed grid map on one grid")
     points = grid._check_points(S.reshape(T * n, d))
-    k0, x0 = grid._route(points)
-    window = _any_coordinate(grid._in_window(x0))
+    k0, x0 = grid._route(points, x0=points)
+    del S, points
+    window = np.flatnonzero(_any_coordinate(grid._in_window(x0)))
     boundary = grid._on_knot(k0, x0, grid.eps)
+    window_points = x0[window] + k0[window] * grid.delta  # the points, bit for bit (see _route)
     t = k0  # in k0's buffer: the block of each coordinate outside the windows
     t -= x0 <= -grid.eps
     del k0, x0  # not held through the gathers and the eigen-solve (peak memory)
@@ -569,35 +607,32 @@ def grid_chunk_scores(grids, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     block_grams = np.stack([g._block_gram.transpose(2, 3, 0, 1) for g in grids]).transpose(0, 3, 4, 1, 2)
     # the window rows first, so that their gather's temporaries and the
     # cell bookkeeping below are never held at once (peak memory)
-    outside, window = ~window, np.flatnonzero(window)
-    window_grams = grid.gram_batch(points[window], block_grams, window // n)
-    rows = np.flatnonzero(outside)
+    window_grams = grid.gram_batch(window_points, block_grams, window // n)
+    del window_points
     pairs = T * grid.p ** d  # a Python int: it cannot overflow
-    if pairs <= len(rows):  # a table of every (map, cell), no longer than the rows: no sort
+    if pairs <= T * n:  # a table of every (map, cell), no longer than the rows: no sort
         # key = (map) p^d + sum_i t_i p^i by Horner's rule, in place, column
-        # by column: an integer matmul over the short coordinate axis runs
-        # row by row
-        key = rows // n
+        # by column, in the narrowest signed int that holds it.  A window
+        # row's cell is keyed too: its score is never read
+        key = np.empty((T, n), dtype=np.min_scalar_type(-pairs))
+        key[...] = np.arange(T)[:, None]
+        by_map = t.reshape(T, n, d)
         for i in range(d - 1, -1, -1):
             key *= grid.p
-            key += t[rows, i]
-        seen = np.bincount(key, minlength=pairs) > 0
-        keys, cell_of_row = np.flatnonzero(seen), (np.cumsum(seen) - 1)[key]
-        del key
+            key += by_map[:, :, i]
+        seen = np.bincount(key.reshape(-1), minlength=pairs) > 0
+        cell = (np.cumsum(seen, dtype=key.dtype) - 1)[key.reshape(-1)]
+        del key, t
+        keys = np.flatnonzero(seen)
+        owner, occupied = keys // grid.p ** d, (keys[:, None] // grid.p ** np.arange(d)) % grid.p
     else:  # more (map, cell) pairs than rows: each row is its own cell
-        keys, cell_of_row = rows, np.arange(len(rows))
-    member = np.empty(len(keys), dtype=np.intp)
-    member[cell_of_row] = rows  # one row of each occupied cell
-    occupied = t[member]  # (c, d)
-    del t, rows  # the scatter below reads the mask, an eighth of the row indices' bytes
+        cell = slice(None, T * n)
+        owner, occupied = np.arange(T * n) // n, t
     k = np.arange(d)
-    cell_grams = block_grams[
-        (member // n)[:, None, None], k[:, None], k, occupied[:, :, None], occupied[:, None, :]
-    ]
+    cell_grams = block_grams[owner[:, None, None], k[:, None], k, occupied[:, :, None], occupied[:, None, :]]
     scored = local_contrast_from_gram(np.concatenate([cell_grams, window_grams]))
-    values = np.empty(T * n)
-    values[outside] = scored[cell_of_row]
-    values[window] = scored[len(keys):]
+    values = scored[cell]
+    values[window] = scored[len(cell_grams):]
     return values.reshape(T, n), boundary.reshape(T, n)
 
 

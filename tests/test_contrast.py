@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ima_lab.contrast import (
+    CLAMP_SLACK,
     RANK_TOL,
+    clamp_contrast,
     full_rank,
     full_rank_by_gram,
     gram_resolved,
@@ -249,6 +251,25 @@ class TestFullRankByGram:
         assert np.array_equal(full_rank_by_gram(J[..., None], eigvals), ok)
         unresolved = np.count_nonzero(~gram_resolved(eigvals))
         assert sum(len(call.args[0]) for call in svd.call_args_list) == unresolved
+
+
+class TestClamp:
+    def test_nan_entries_stay_nan_and_hide_no_lost_precision(self):
+        values = np.array([np.nan, -0.5 * CLAMP_SLACK, 0.25])
+        clamped = clamp_contrast(values)
+        assert np.isnan(clamped[0]) and clamped[1:].tolist() == [0.0, 0.25]
+        with pytest.raises(FloatingPointError):
+            clamp_contrast(np.array([np.nan, -2.0 * CLAMP_SLACK]))
+        assert clamp_contrast(-0.5 * CLAMP_SLACK) == 0.0
+
+    def test_in_place_writes_nothing_before_it_raises(self):
+        values = np.array([-0.5 * CLAMP_SLACK, np.nan])
+        assert clamp_contrast(values, out=values) is values
+        assert values[0] == 0.0 and np.isnan(values[1])
+        spoiled = np.array([-0.5 * CLAMP_SLACK, -2.0 * CLAMP_SLACK])
+        with pytest.raises(FloatingPointError):
+            clamp_contrast(spoiled, out=spoiled)
+        assert spoiled.tolist() == [-0.5 * CLAMP_SLACK, -2.0 * CLAMP_SLACK]
 
 
 class TestHadamardBound:

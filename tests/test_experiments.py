@@ -85,17 +85,20 @@ from ima_lab.seeding import SeedBlock, generator, substream, substreams
 from test_jacobian_batch import reference_evaluate, reference_jacobian
 
 
-def per_chunk(item_bytes):
-    """Items a chunk holds under the one chunk rule at ``item_bytes``."""
-    return experiments._chunks(1, item_bytes)[0].stop
+def per_chunk(*phases):
+    """Items a chunk holds under the one chunk rule in ``phases``, pairs
+    (item bytes, fixed bytes) as ``experiments._chunks`` takes them."""
+    return experiments._chunks(1, *phases)[0].stop
 
 
-def assert_chunk_peaks_within_its_rule(make_chunk, item_bytes):
-    """The traced peak of one chunk at the rule's own item count, the call
-    ``make_chunk(items)`` returns with its inputs made, against the rule's
-    bytes for those items, a bound fixed by the rule: at most items x
-    item_bytes, which is at most the budget."""
-    items = per_chunk(item_bytes)
+def assert_chunk_peaks_within_its_rule(make_chunk, phases, items=None):
+    """The traced peak of one chunk of ``items`` items, the rule's own
+    count by default, the call ``make_chunk(items)`` returns with its
+    inputs made, against the rule's bytes for those items, a bound fixed by
+    the rule: at most fixed bytes + items x item bytes in its costliest
+    phase, which is at most the budget."""
+    assert per_chunk(*phases) > 1
+    items = per_chunk(*phases) if items is None else items
     chunk = make_chunk(items)
     chunk()  # first-call caches are not the chunk's
     tracemalloc.start()
@@ -104,8 +107,7 @@ def assert_chunk_peaks_within_its_rule(make_chunk, item_bytes):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert items > 1
-    assert peak <= items * item_bytes <= experiments.CHUNK_BYTES
+    assert peak <= max(fixed + items * item for item, fixed in phases) <= experiments.CHUNK_BYTES
 
 
 class TestEstimateGlobalContrast:
@@ -208,7 +210,7 @@ class TestChunkedEstimate:
         points[[4, 700]] = [[0.5, 1.0], [2.0, 0.0]]  # one refused, one rank deficient
         # 7 points per chunk, so the rejections fall in different chunks
         monkeypatch.setattr(experiments, "CHUNK_BYTES", int(7.5 * experiments._score_row_bytes(3, 2)))
-        assert per_chunk(experiments._score_row_bytes(3, 2)) == 7
+        assert per_chunk((experiments._score_row_bytes(3, 2), 0.0)) == 7
         chunked = chunked_estimate(KinkedMap(), points)
         assert chunked == scalar_estimate(KinkedMap(), points)
         assert chunked.rejection_count == 2
@@ -274,7 +276,7 @@ class TestBatchedScoring:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunk_boundaries_match_the_per_point_reference(self, offset):
         grid = sample_grid_map(d=2, m=24, delta=0.5, eps=0.0, seed=30)  # raw: knots are refused
-        n = per_chunk(experiments._score_row_bytes(24, 2)) + offset
+        n = per_chunk((experiments._score_row_bytes(24, 2), 0.0)) + offset
         points = np.random.default_rng(31).uniform(0.01, 0.99, (n, 2))
         points[[0, n // 2, n - 1], 0] = 0.5  # on a knot, in the first and the last chunk
         transforms = [CubeTransform(), AffineTransform(0.5, 0.25)]
@@ -299,7 +301,7 @@ class TestBatchedScoring:
         mapping, points = scoring_case(name, n, seed, knots)
         scores = experiments._score_at_points(mapping, points)
         with mock.patch.object(experiments, "CHUNK_BYTES", 1):
-            assert per_chunk(1.0) == 1  # every chunk is one row
+            assert per_chunk((1.0, 0.0)) == 1  # every chunk is one row
             assert np.array_equal(bits(experiments._score_at_points(mapping, points)), bits(scores))
 
     @pytest.mark.parametrize("name", ["reparam grid chain 40x3", "spurious darmois"])
@@ -312,7 +314,7 @@ class TestBatchedScoring:
             points = scoring_case(name, rows, 20250809, [])[1]
             return lambda: experiments._score_at_points(mapping, points)
 
-        assert_chunk_peaks_within_its_rule(chunk, experiments._score_row_bytes(mapping.m, mapping.d))
+        assert_chunk_peaks_within_its_rule(chunk, [(experiments._score_row_bytes(mapping.m, mapping.d), 0.0)])
 
     @pytest.mark.parametrize("seed", [20250809, 77])
     def test_reparam_configs_match_the_per_point_reference(self, seed, tmp_path, monkeypatch):
@@ -427,7 +429,7 @@ class TestConcentrationSweep:
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunk_boundaries_leave_rows_unchanged(self, offset):
-        trials = per_chunk(experiments._sweep_trial_bytes(512, 3)) + offset
+        trials = per_chunk((experiments._sweep_trial_bytes(512, 3), 0.0)) + offset
         rows = concentration_sweep(**self.CHUNKED, trials=trials)
         for mi, row in enumerate(rows):
             assert row.empirical_success == trial_by_trial_success(3, 0.1, row.m, mi, trials, 13)
@@ -435,8 +437,8 @@ class TestConcentrationSweep:
     def test_chunked_rows_do_not_depend_on_threads(self):
         # chunks of 130 + 1 trials at m = 512 and 33 + 33 + 33 + 32 at m = 2048,
         # six tasks in one pool pass, which 8 threads outnumber
-        trials = per_chunk(experiments._sweep_trial_bytes(512, 3)) + 1
-        assert [len(experiments._chunks(trials, experiments._sweep_trial_bytes(m, 3)))
+        trials = per_chunk((experiments._sweep_trial_bytes(512, 3), 0.0)) + 1
+        assert [len(experiments._chunks(trials, (experiments._sweep_trial_bytes(m, 3), 0.0)))
                 for m in self.CHUNKED["m_list"]] == [2, 4]
         one = concentration_sweep(**self.CHUNKED, trials=trials, threads=1)
         for threads in (2, 3, 8):
@@ -456,7 +458,7 @@ class TestConcentrationSweep:
         kwargs = dict(d=d, delta=delta, m_list=m_list, trials=trials, seed=seed)
         rows = concentration_sweep(**kwargs)
         with mock.patch.object(experiments, "CHUNK_BYTES", 1):
-            assert per_chunk(1.0) == 1  # every chunk is one trial
+            assert per_chunk((1.0, 0.0)) == 1  # every chunk is one trial
             assert concentration_sweep(**kwargs) == rows
 
     @pytest.mark.parametrize("m", [8, 2048])
@@ -468,7 +470,7 @@ class TestConcentrationSweep:
             seeds = SeedBlock(substreams(substream(20250809, 0), np.arange(trials)))
             return lambda: experiments._sweep_chunk(m, 3, 0.1, sampler, seeds)
 
-        assert_chunk_peaks_within_its_rule(chunk, experiments._sweep_trial_bytes(m, 3))
+        assert_chunk_peaks_within_its_rule(chunk, [(experiments._sweep_trial_bytes(m, 3), 0.0)])
 
     def test_d1_always_succeeds(self):
         rows = concentration_sweep(d=1, delta=0.05, m_list=[4, 16], trials=200, seed=10)
@@ -560,6 +562,16 @@ class TestConcentrationSweep:
         kwargs = dict(d=2, delta=0.2, m_list=[8], trials=10, seed=15, threads=2)
         with pytest.raises(DomainError):
             concentration_sweep(**{**kwargs, **bad})
+
+
+#: the workload's shape at its n_mc; d 3 at eps 0.05 and 0.1 at the
+#: workload's n_mc, the tightest shapes; d 1 to 3 at eps 0.01 to 0.1 at a
+#: smaller n_mc; and an m so large next to n_mc that drawing the maps peaks
+GENERICITY_GUARD_SHAPES = (
+    [(2, 0.01, 16, 2000), (2, 0.01, 1024, 2000), (3, 0.05, 16, 2000), (3, 0.1, 16, 2000)]
+    + [(d, eps, m, 1000) for d in (1, 2, 3) for eps in (0.01, 0.05, 0.1) for m in (16, 1024)]
+    + [(1, 0.01, 4096, 100), (2, 0.01, 4096, 100)]
+)
 
 
 class TestGenericity:
@@ -657,14 +669,15 @@ class TestGenericity:
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 12])
     def test_uneven_chunks_equal_the_two_pass_reference(self, threads, monkeypatch):
-        # a budget of 5.5 trials at m = 16 holds 5, 5 and 4 trials at m = 4, 16
-        # and 64, whose blocks cost more: the 13 trials split 5+5+3, 5+5+3
-        # and 4+4+4+1, ten tasks in one pool pass, which 12 threads outnumber
+        # a budget of the scoring phase's fixed bytes and 5.5 trials at
+        # m = 16 holds 5, 5 and 3 trials at m = 4, 16 and 64, whose blocks
+        # cost more: the 13 trials split 5+5+3, 5+5+3 and 3+3+3+3+1, eleven
+        # tasks in one pool pass, which 12 threads outnumber
         window = expected_boundary_fraction(2, 0.5, 0.01)
-        budget = int(5.5 * experiments._genericity_trial_bytes(200, 16, 2, 3, window))
-        monkeypatch.setattr(experiments, "CHUNK_BYTES", budget)
-        trial_bytes = [experiments._genericity_trial_bytes(200, m, 2, 3, window) for m in (4, 16, 64)]
-        assert [per_chunk(b) for b in trial_bytes] == [5, 5, 4]
+        trial_bytes, fixed = experiments._genericity_trial_bytes(200, 16, 2, 3, window)[-1]
+        monkeypatch.setattr(experiments, "CHUNK_BYTES", int(fixed + 5.5 * trial_bytes))
+        phases = [experiments._genericity_trial_bytes(200, m, 2, 3, window) for m in (4, 16, 64)]
+        assert [per_chunk(*p) for p in phases] == [5, 5, 3]
         chunks, chunk_statistics = [], experiments._chunk_statistics
 
         def recorded(d, m, delta, eps, n_mc, seeds):
@@ -676,7 +689,37 @@ class TestGenericity:
                       trials=13, n_mc=200, seed=43)
         assert genericity_experiment(**kwargs, threads=threads) == two_pass_genericity(**kwargs)
         assert sorted(chunks) == [(4, 3), (4, 5), (4, 5), (16, 3), (16, 5), (16, 5),
-                                  (64, 1), (64, 4), (64, 4), (64, 4)]
+                                  (64, 1), (64, 3), (64, 3), (64, 3), (64, 3)]
+
+    def test_trials_left_to_the_svd_are_scored_on_their_points_drawn_again(self, monkeypatch):
+        # the chunk's points are spent by the routing; trials 0 and 2 get rows
+        # left to the SVD, which scores them on points drawn again from their
+        # seeds: the chunk equals the per-trial loop on the draws held
+        d, m, delta, eps, n_mc = 2, 16, 0.5, 0.01, 300
+        seeds = substreams(substreams(substream(44, 0), np.arange(4))[:, None], np.arange(2))
+
+        def spoiled(grids, S):
+            values, boundary = mixing.grid_chunk_scores(grids, S)
+            values[0, :7] = values[2, ::50] = np.nan
+            return values, boundary
+
+        p_s = FactorialDistribution.iid(Uniform(0.0, 1.0), d)
+        maps = mixing.sample_grid_maps(d, m, delta, seeds[:, 0], eps=eps)
+        draws = p_s.sample(n_mc, seeds[:, 1])
+        values, boundary = spoiled(maps, draws.copy())
+        reference = per_trial_statistics(maps, draws, values, boundary)
+        sampled, sample = [], FactorialDistribution.sample
+
+        def recorded(self, n, seed):
+            sampled.append(np.array(seed).tolist())
+            return sample(self, n, seed)
+
+        monkeypatch.setattr(experiments, "grid_chunk_scores", spoiled)
+        monkeypatch.setattr(FactorialDistribution, "sample", recorded)
+        got = experiments._chunk_statistics(d, m, delta, eps, n_mc, seeds)
+        assert sampled == [seeds[:, 1].tolist(), int(seeds[0, 1]), int(seeds[2, 1])]
+        for column, expected in zip(got, reference):
+            assert np.array_equal(bits(column), bits(expected))
 
     @settings(deadline=None, max_examples=25)
     @given(
@@ -694,35 +737,40 @@ class TestGenericity:
                       delta_contrast=0.1, trials=trials, n_mc=n_mc, seed=seed)
         rows = genericity_experiment(**kwargs)
         with mock.patch.object(experiments, "CHUNK_BYTES", 1):
-            assert per_chunk(1.0) == 1  # every chunk is one trial
+            assert per_chunk((1.0, 0.0)) == 1  # every chunk is one trial
             assert genericity_experiment(**kwargs) == rows
 
-    # the workload's shape at its n_mc; d 1 to 3 at eps 0.01 to 0.1 at an n_mc
-    # where a chunk still holds two trials at d = 3 and eps 0.1, the tightest
-    # shape; and an m so large next to n_mc that drawing the maps peaks
-    @pytest.mark.parametrize(
-        "d, eps, m, n_mc",
-        [(2, 0.01, 16, 2000), (2, 0.01, 1024, 2000)]
-        + [(d, eps, m, 1000) for d in (1, 2, 3) for eps in (0.01, 0.05, 0.1) for m in (16, 1024)]
-        + [(1, 0.01, 4096, 100), (2, 0.01, 4096, 100)],
-    )
+    @pytest.mark.parametrize("d, eps, m, n_mc", GENERICITY_GUARD_SHAPES)
     def test_a_chunk_peaks_within_the_bytes_its_rule_assumes(self, d, eps, m, n_mc):
         # one chunk: maps, points, scores and reduction
-        delta = 0.5
-        trial_bytes = experiments._genericity_trial_bytes(
-            n_mc, m, d, mixing.check_grid(delta, eps), expected_boundary_fraction(d, delta, eps))
+        assert_genericity_chunk_within_its_rule(d, eps, m, n_mc)
 
-        def chunk(trials):
-            seeds = substreams(substreams(substream(20250809, 0), np.arange(trials))[:, None], np.arange(2))
-            return lambda: experiments._chunk_statistics(d, m, delta, eps, n_mc, seeds)
+    @pytest.mark.parametrize("d, eps, m, n_mc", GENERICITY_GUARD_SHAPES)
+    def test_a_chunk_of_one_trial_peaks_within_the_bytes_its_rule_assumes(self, d, eps, m, n_mc):
+        # the chunk's fixed bytes are charged once, so a chunk of one trial
+        # holds them too
+        assert_genericity_chunk_within_its_rule(d, eps, m, n_mc, trials=1)
 
-        assert_chunk_peaks_within_its_rule(chunk, trial_bytes)
-
-    def test_workload_chunks_hold_at_least_twelve_trials_up_to_m_256(self):
-        # the rule charges a draw the peak of one phase, not the sum of two
+    def test_workload_chunks_hold_their_trial_floors(self):
+        # the rule charges a chunk the peak of one phase, not the sum of
+        # two, and its fixed bytes only in the phases that hold them
         window = expected_boundary_fraction(2, 0.5, 0.01)
-        sizes = [per_chunk(experiments._genericity_trial_bytes(2000, m, 2, 3, window)) for m in (16, 64, 256)]
-        assert min(sizes) >= 12
+        sizes = [per_chunk(*experiments._genericity_trial_bytes(2000, m, 2, 3, window)) for m in (16, 64, 256, 1024)]
+        assert all(size >= floor for size, floor in zip(sizes, [28, 27, 22, 13]))
+
+
+def assert_genericity_chunk_within_its_rule(d, eps, m, n_mc, trials=None):
+    """:func:`assert_chunk_peaks_within_its_rule` on one genericity chunk of
+    the given shape, on a 0.5 grid."""
+    delta = 0.5
+    phases = experiments._genericity_trial_bytes(
+        n_mc, m, d, mixing.check_grid(delta, eps), expected_boundary_fraction(d, delta, eps))
+
+    def chunk(trials):
+        seeds = substreams(substreams(substream(20250809, 0), np.arange(trials))[:, None], np.arange(2))
+        return lambda: experiments._chunk_statistics(d, m, delta, eps, n_mc, seeds)
+
+    assert_chunk_peaks_within_its_rule(chunk, phases, trials)
 
 
 def two_pass_genericity(d, m_list, delta_grid, eps, delta_contrast, trials, n_mc, seed):
@@ -872,7 +920,7 @@ class TestChunkStatistics:
     )
     def test_the_chunk_passes_equal_the_per_trial_loop_bit_for_bit(self, kinds, n, seed, delta_contrast):
         maps, draws, values, boundary = chunk_of(kinds, n, seed)
-        means, fractions, boundary_means = experiments._trial_statistics(maps, draws, values.copy(), boundary)
+        means, fractions, boundary_means = experiments._trial_statistics(maps, draws.__getitem__, values.copy(), boundary)
         ref_means, ref_fractions, ref_boundary_means = per_trial_statistics(maps, draws, values.copy(), boundary)
         assert np.array_equal(bits(means), bits(ref_means))
         assert np.array_equal(bits(fractions), bits(ref_fractions))
@@ -882,7 +930,7 @@ class TestChunkStatistics:
         assert 0.0 in ref_fractions and np.isnan(values).any()
         # the 1-d call is the batch of one
         scored = values.copy()
-        experiments._trial_statistics(maps, draws, scored, boundary)
+        experiments._trial_statistics(maps, draws.__getitem__, scored, boundary)
         for mask, v in zip(boundary, scored):
             assert np.array_equal(bits(boundary_statistics(mask, v)), bits(reference_boundary_statistics(mask, v)))
 
@@ -902,7 +950,7 @@ class TestChunkStatistics:
         first = failures[0][1]
         assert expected.type is (DegenerateMapError if first == "rejections" else FloatingPointError)
         with pytest.raises(expected.type) as got:
-            experiments._trial_statistics(maps, draws, values.copy(), boundary)
+            experiments._trial_statistics(maps, draws.__getitem__, values.copy(), boundary)
         assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize("spoil, error", [("below_slack", "FloatingPointError"),

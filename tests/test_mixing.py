@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ima_lab import experiments
+from ima_lab import experiments, mixing
 from ima_lab.contrast import full_rank, local_contrast_from_gram, local_ima_contrast
 from ima_lab.distributions import FactorialDistribution, Laplace, SphericalSampler, Uniform, sample_factorial
 from ima_lab.errors import (
@@ -30,6 +30,7 @@ from ima_lab.mixing import (
     SmoothGridMap,
     TwoPieceMap,
     _blend_coeff,
+    _blend_inside,
     _block_grams,
     grid_chunk_scores,
     injectivity_probe,
@@ -392,6 +393,18 @@ class TestGridWindows:
 
     @settings(deadline=None, max_examples=200)
     @given(case=grid_points())
+    def test_routing_in_place_keeps_the_offsets_and_gives_the_points_back(self, case):
+        grid, S = case
+        k0, x0 = grid._route(S)
+        spent = S.copy()
+        k0_spent, x0_spent = grid._route(spent, x0=spent)
+        assert x0_spent is spent
+        assert np.array_equal(k0_spent, k0) and np.array_equal(bits(x0_spent), bits(x0))
+        # x0 is exact, so the chunk pass rebuilds its window points from it
+        assert np.array_equal(bits(x0 + k0 * grid.delta), bits(S))
+
+    @settings(deadline=None, max_examples=200)
+    @given(case=grid_points())
     def test_boundary_mask_equals_the_nearest_knot_rule(self, case):
         grid, S = case
         nearest = np.abs(S[:, :, None] - grid.knots).min(axis=2)
@@ -468,6 +481,21 @@ def _two_map_chunk(outside: int):
     return grids, S.reshape(2, 10, 2)
 
 
+def one_take_grams(grid, S, block_grams, owner):
+    """Reference for the sliced gather of ``SmoothGridMap.gram_batch``: its
+    Grams by one flat take of (n, d, d, 2, 2) offsets over every row."""
+    lo, hi, w_lo, w_hi = grid._blend_pair(*grid._route(S), _blend_inside)
+    p, d, k = grid.p, grid.d, np.arange(grid.d)
+    t, w = np.stack([lo, hi], axis=-1).astype(np.intp), np.stack([w_lo, w_hi], axis=-1)
+    flat = block_grams.transpose(0, 3, 4, 1, 2).reshape(-1)
+    rows = ((owner * p)[:, None, None] + t) * (p * d * d) + (k * d)[:, None]
+    cols = t * (d * d) + k[:, None]
+    products = flat[rows[:, :, None, :, None] + cols[:, None, :, None, :]]  # (n, i, j, t, u)
+    products = products * w[:, :, None, :, None] * w[:, None, :, None, :]
+    u_sums = products[..., 0] + products[..., 1]
+    return u_sums[..., 0] + u_sums[..., 1]
+
+
 class TestCellScoring:
     @settings(deadline=None, max_examples=300)
     @given(case=cell_scoring_cases())
@@ -500,7 +528,7 @@ class TestCellScoring:
     @example(case=_two_map_chunk(17))
     def test_chunk_scores_equal_each_map_bit_for_bit(self, case):
         grids, S = case
-        values, boundary = grid_chunk_scores(grids, S)
+        values, boundary = grid_chunk_scores(grids, S.copy())  # the pass spends its points
         for grid, points, v, mask in zip(grids, S, values, boundary):
             reference = local_contrast_from_gram(grid.gram_batch(points))
             assert np.array_equal(v.view(np.int64), reference.view(np.int64))
@@ -521,6 +549,21 @@ class TestCellScoring:
         for j, grid in enumerate(grids):
             assert np.array_equal(bits(G[owner[rows] == j]), bits(grid.gram_batch(S[j][rows[rows // n == j] % n])))
 
+    @settings(deadline=None, max_examples=300)
+    @given(case=grid_chunks(), rows_a_slice=st.integers(1, 3), interleaved=st.booleans())
+    def test_the_sliced_gather_equals_one_take_bit_for_bit(self, case, rows_a_slice, interleaved):
+        # slices of 1 to 3 rows, which cross from one map's rows to the next
+        # ones, or run over maps interleaved row by row
+        grids, S = case
+        T, n, d = S.shape
+        block_grams = np.stack([g._block_gram for g in grids])
+        owner = np.repeat(np.arange(T), n)
+        rows = np.random.default_rng(T * n).permutation(T * n) if interleaved else np.arange(T * n)
+        points, owner = S.reshape(T * n, d)[rows], owner[rows]
+        with mock.patch.object(mixing, "GATHER_SLICE_BYTES", rows_a_slice * 80 * d * d):
+            G = grids[-1].gram_batch(points, block_grams, owner)
+        assert np.array_equal(bits(G), bits(one_take_grams(grids[-1], points, block_grams, owner)))
+
     def test_cells_past_a_flat_index_with_a_trial_axis_are_scored_per_row(self):
         # 2**62 cells fit a flat int64 index, five maps of them do not: a
         # key of map 4 would wrap onto the same cell's key of map 0, so the
@@ -529,7 +572,7 @@ class TestCellScoring:
         grids = [SmoothGridMap(rng.standard_normal((2, 64, 62)), 1.0, 0.01) for _ in range(5)]
         S = rng.random((5, 60, 62))
         S[:, :5] = 0.25  # one cell in every map, and repeated within each
-        values, _ = grid_chunk_scores(grids, S)
+        values, _ = grid_chunk_scores(grids, S.copy())  # the pass spends its points
         for grid, points, v in zip(grids, S, values):
             reference = local_contrast_from_gram(grid.gram_batch(points))
             assert np.array_equal(v.view(np.int64), reference.view(np.int64))
