@@ -11,7 +11,7 @@ items as :data:`CHUNK_BYTES` of traced peak memory holds in every phase
 of its pass, at the bytes an item and the chunk itself cost there: a
 sweep trial (:func:`_sweep_trial_bytes`), a row scored by the SVD
 fallback (:func:`_score_row_bytes`), or a genericity trial in each of
-three phases, the last of which also holds fixed bytes
+two phases, the second of which also holds fixed bytes
 (:func:`_genericity_trial_bytes`, which follow n_mc d), so chunk bounds
 depend on the problem sizes alone.  A genericity chunk is one stacked
 grid draw (``mixing.sample_grid_maps``), one batched draw of every
@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, make_dataclass
 
 import numpy as np
 
@@ -139,27 +139,27 @@ _GENERICITY_FIXED_BYTES = GATHER_SLICE_BYTES + 32768
 
 
 def _genericity_trial_bytes(n_mc: int, m: int, d: int, p: int, window: float) -> tuple:
-    """Traced peak bytes of a genericity chunk in the three phases of its
+    """Traced peak bytes of a genericity chunk in the two phases of its
     pass that peak apart, each a pair (bytes a trial, bytes the chunk
     whatever its size) for :func:`_chunks`: upper bounds measured on its
     passes.  A trial holds twice its (p d)^2 block Grams (they and the
     chunk's stack of them) and 2 KiB of objects (the map, its seeds'
     generators) throughout, and 5/4 of its p m d block floats once its map
     is drawn.
-    - Drawing the maps: twice the block floats and 512 floats (the blocks
-      and the copy that the block-Gram einsum reads), and the chunk's
-      :data:`_GENERICITY_FIXED_BYTES`.
     - Drawing and routing the points: the larger of d + 1.5 floats a draw
       (the points, whose buffer the routing overwrites, one law's levels
       or one coordinate's temporary, and the small-int blocks) and 1.6 d
       (the routed offsets, and the small-int blocks and the byte masks of
       the window and knot tests, which grow with d).
-    - Scoring them: 1 float a draw and 3 d^2 + 2 d + 3 floats for each
-      Gram it scores (the blend weights, offsets and Gram of
-      ``SmoothGridMap.gram_batch`` and the eigen-solve's copy), one a draw
-      in a blend window, the ``window`` fraction of them, and one a (map,
-      cell) pair, at most min(p^d, n_mc); and the chunk's
-      :data:`_GENERICITY_FIXED_BYTES`.
+    - Drawing the maps, then scoring the points: one phase, as both hold
+      the chunk's :data:`_GENERICITY_FIXED_BYTES`, at the larger of their
+      costs a trial, which sizes a chunk as two phases would.  The maps
+      hold twice the block floats and 512 floats (the blocks and the copy
+      that the block-Gram einsum reads); scoring holds 1 float a draw and
+      3 d^2 + 2 d + 3 floats for each Gram it scores (the blend weights,
+      offsets and Gram of ``SmoothGridMap.gram_batch`` and the
+      eigen-solve's copy), one a draw in a blend window, the ``window``
+      fraction of them, and one a (map, cell) pair, at most min(p^d, n_mc).
     At the workload's shape (d 2, eps 0.01, n_mc 2000, m 16) the points
     phase binds: the chunk traces 3.35 floats a (trial, draw) drawing and
     routing the points, against 3.5 charged, and about 2 floats and 260 KB
@@ -167,10 +167,11 @@ def _genericity_trial_bytes(n_mc: int, m: int, d: int, p: int, window: float) ->
     blocks = p * m * d
     held = 8 * 2 * (p * d) ** 2 + 2048
     grams = n_mc * window + min(p**d, n_mc)
+    maps = 8 * (2 * blocks + 512)
+    scores = 8 * (n_mc + grams * (3 * d * d + 2 * d + 3) + 1.25 * blocks)
     return (
-        (8 * (2 * blocks + 512) + held, _GENERICITY_FIXED_BYTES),
         (8 * (n_mc * max(d + 1.5, 1.6 * d) + 1.25 * blocks) + held, 0.0),
-        (8 * (n_mc + grams * (3 * d * d + 2 * d + 3) + 1.25 * blocks) + held, _GENERICITY_FIXED_BYTES),
+        (max(maps, scores) + held, _GENERICITY_FIXED_BYTES),
     )
 
 
@@ -210,6 +211,15 @@ class ContrastEstimate:
     n_samples: int
     clamp_count: int
     rejection_count: int
+
+
+def _row_type(name: str, head: list, source, tail: list = ()) -> type:
+    """A frozen CSV row dataclass: the ``head`` columns, then every field of
+    the dataclass ``source`` in its order, then the ``tail`` columns, each
+    column a (name, type) pair."""
+    columns = [*head, *((f.name, f.type) for f in fields(source)), *tail]
+    # the module a pickled row names; make_dataclass gives 'types' otherwise
+    return make_dataclass(name, columns, frozen=True, namespace={"__module__": __name__})
 
 
 def _clamped_draws(values: np.ndarray) -> np.ndarray:
@@ -544,17 +554,8 @@ def genericity_experiment(
 # spurious-solution contrast gaps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GapRow:
-    branch: str
-    mean: float
-    stderr: float
-    n_samples: int
-    clamp_count: int
-    rejection_count: int
-    floor: float
-    exceeds_gap: bool
-    is_zero: bool
+GapRow = _row_type("GapRow", [("branch", str)], ContrastEstimate,
+                   [("floor", float), ("exceeds_gap", bool), ("is_zero", bool)])
 
 
 def _gap_row(branch: str, estimate: ContrastEstimate, floor: float) -> GapRow:
@@ -583,7 +584,7 @@ class GapReport:
         )
 
     def branches(self) -> list[GapRow]:
-        return [self.truth_mpa, self.spurious_mpa, self.truth_darmois, self.spurious_darmois]
+        return [getattr(self, f.name) for f in fields(self)]
 
 
 def spurious_gap_experiment(
@@ -636,21 +637,8 @@ def spurious_gap_experiment(
 # reparametrization invariance
 # ---------------------------------------------------------------------------
 
-class ElementwiseTransform:
-    """Strictly monotone scalar transform with closed-form inverse."""
-
-    def forward(self, x):
-        raise NotImplementedError
-
-    def inverse(self, y):
-        raise NotImplementedError
-
-    def dforward(self, x):
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class AffineTransform(ElementwiseTransform):
+class AffineTransform:
     a: float = 1.0
     b: float = 0.0
 
@@ -668,7 +656,7 @@ class AffineTransform(ElementwiseTransform):
         return self.a * np.ones_like(np.asarray(x, dtype=float))
 
 
-class CubeTransform(ElementwiseTransform):
+class CubeTransform:
     """x -> x^3; monotone with inverse cbrt (derivative vanishes at 0,
     which has measure zero under the sources used here)."""
 
@@ -682,7 +670,7 @@ class CubeTransform(ElementwiseTransform):
         return 3.0 * np.asarray(x, dtype=float) ** 2
 
 
-class TanhTransform(ElementwiseTransform):
+class TanhTransform:
     """x -> tanh(x), a bounded monotone warp for maps on all of R^d."""
 
     def forward(self, x):
@@ -697,22 +685,22 @@ class TanhTransform(ElementwiseTransform):
         return 1.0 / np.square(np.cosh(np.asarray(x, dtype=float)))
 
 
-#: transform kind -> table of its keys besides 'kind'
+#: transform kind -> (class, table of its keys besides 'kind')
 _TRANSFORM_KINDS = {
-    "affine": {"a": (schema.real, schema.OPTIONAL), "b": (schema.real, schema.OPTIONAL)},
-    "cube": {},
-    "tanh": {},
+    "affine": (AffineTransform, {"a": (schema.real, schema.OPTIONAL), "b": (schema.real, schema.OPTIONAL)}),
+    "cube": (CubeTransform, {}),
+    "tanh": (TanhTransform, {}),
 }
 
 
-def transform_from_config(config: dict) -> ElementwiseTransform:
-    kind, args = schema.choice(config, "kind", _TRANSFORM_KINDS, "transform")
-    if kind == "affine":
-        return AffineTransform(**args)
-    return CubeTransform() if kind == "cube" else TanhTransform()
+def transform_from_config(config: dict):
+    """The element-wise transform of a ``{"kind": ...}`` config object."""
+    tables = {kind: table for kind, (_, table) in _TRANSFORM_KINDS.items()}
+    kind, args = schema.choice(config, "kind", tables, "transform")
+    return _TRANSFORM_KINDS[kind][0](**args)
 
 
-def _validate_monotone(transform: ElementwiseTransform, probe: np.ndarray) -> None:
+def _validate_monotone(transform, probe: np.ndarray) -> None:
     # a transform may overflow on the probe (a = 1.7e308); numpy need not
     # warn before its steps are read
     with np.errstate(over="ignore", invalid="ignore"):
@@ -789,21 +777,6 @@ def check_reparam(mapping, p_s: FactorialDistribution, perm, transforms) -> np.n
 
 
 @dataclass(frozen=True)
-class ReparamRow:
-    config_index: int
-    perm: str
-    transforms: str
-    n_samples: int
-    mean_base: float
-    stderr_base: float
-    mean_reparam: float
-    stderr_reparam: float
-    abs_difference: float
-    combined_stderr: float
-    within_3sigma: bool
-
-
-@dataclass(frozen=True)
 class ReparamReport:
     """The numeric columns of a reparam CSV row.  The reparametrized mean
     is within 3 sigma when its distance from the base mean is at most
@@ -817,6 +790,10 @@ class ReparamReport:
     abs_difference: float
     combined_stderr: float
     within_3sigma: bool
+
+
+ReparamRow = _row_type("ReparamRow", [("config_index", int), ("perm", str), ("transforms", str)],
+                       ReparamReport)
 
 
 def reparam_invariance_check(

@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import platform
 import re
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ima_lab import cli, distributions, mpa, schema
+from ima_lab.contrast import local_ima_contrast
 from ima_lab.cli import SEED_ENV_VAR, build_parser, main, run, validate_run_config
 from ima_lab.errors import ValidationError
 
@@ -267,6 +269,29 @@ class TestConfigValidation:
         path = write_config(tmp_path, "sweep.json", SWEEP_CONFIG)
         assert main(["genericity", "--config", path]) == 2
 
+    def test_a_missing_config_file_is_exit_2(self, tmp_path, capsys):
+        assert main(["sweep", "--config", str(tmp_path / "absent.json")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation" and "cannot read config" in err["message"]
+
+    def test_a_seed_env_var_that_is_not_an_integer_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        path = write_config(tmp_path, "sweep.json", SWEEP_CONFIG)
+        monkeypatch.setenv(SEED_ENV_VAR, "abc")
+        assert main(["sweep", "--config", path, "--output-dir", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation" and SEED_ENV_VAR in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_a_number_beyond_float_range_is_exit_2(self):
+        # a JSON integer that no float holds: float() overflows, which is
+        # read as a non-finite number
+        config = copy.deepcopy(SWEEP_CONFIG)
+        config["params"]["delta"] = 10**400
+        code, err = run_main(config, "sweep")
+        assert code == 2
+        err = json.loads(err)
+        assert err["error"] == "validation" and "'delta' must be finite" in err["message"]
+
     @pytest.mark.parametrize("base, path, value, message", [
         # draws near 20 saturate tanh at 1.0, whose inverse is infinite
         ("reparam", ("configs", 1, "source", 0, "params", "mu"), 20,
@@ -399,6 +424,21 @@ class TestRuns:
         lines = (tmp_path / "out" / "contrast.csv").read_text().splitlines()
         assert float(lines[1].split(",")[0]) <= 1e-8
 
+    def test_contrast_of_a_linear_map_with_a_matrix(self, tmp_path):
+        matrix = [[1, 1], [0, 1], [0, 0]]
+        cfg = {
+            "command": "contrast",
+            "params": {"map": {"family": "linear", "matrix": matrix},
+                       "source": [{"kind": "gaussian", "params": {}}] * 2, "n_samples": 100},
+            "output_dir": str(tmp_path),
+        }
+        assert main(["contrast", "--config", write_config(tmp_path, "c.json", cfg)]) == 0
+        header, row = (tmp_path / "contrast.csv").read_text().splitlines()
+        values = dict(zip(header.split(","), row.split(",")))
+        assert float(values["mean"]) == pytest.approx(local_ima_contrast(np.array(matrix, float)), abs=1e-12)
+        assert float(values["mean"]) == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
+        assert (values["n_samples"], values["clamp_count"], values["rejection_count"]) == ("100", "0", "0")
+
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         out_a = str(tmp_path / "a")
         out_b = str(tmp_path / "b")
@@ -412,6 +452,19 @@ class TestRuns:
         run(dict(SWEEP_CONFIG, output_dir=out_a, threads=1))
         run(dict(SWEEP_CONFIG, output_dir=out_b, threads=4))
         assert sha256(os.path.join(out_a, "sweep.csv")) == sha256(os.path.join(out_b, "sweep.csv"))
+
+    def test_threads_flag_leaves_the_readme_genericity_csv_identical(self, tmp_path):
+        block = next(b for b in README_CONFIGS if json.loads(b)["command"] == "genericity")
+        path = write_config(tmp_path, "genericity.json", json.loads(block))
+        digests = []
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            assert main(["genericity", "--config", path, "--threads", str(threads),
+                         "--output-dir", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["threads"] == manifest["environment"]["threads"] == threads
+            digests.append(sha256(out / "genericity.csv"))
+        assert digests[0] == digests[1]
 
     def test_manifest_roundtrips_to_valid_config(self, tmp_path):
         out = str(tmp_path / "out")

@@ -1,6 +1,9 @@
+import dataclasses
 import functools
+import itertools
 import json
 import math
+import pickle
 import tracemalloc
 import warnings
 from unittest import mock
@@ -45,7 +48,6 @@ from ima_lab.experiments import (
     AffineTransform,
     ContrastEstimate,
     CubeTransform,
-    ElementwiseTransform,
     InverseElementwiseStage,
     TanhTransform,
     binomial_stderr,
@@ -758,6 +760,29 @@ class TestGenericity:
         sizes = [per_chunk(*experiments._genericity_trial_bytes(2000, m, 2, 3, window)) for m in (16, 64, 256, 1024)]
         assert all(size >= floor for size, floor in zip(sizes, [28, 27, 22, 13]))
 
+    def test_one_phase_for_the_fixed_bytes_slices_as_two(self):
+        # the maps and the scoring hold the same fixed bytes, so one phase at
+        # the larger per-trial cost cuts every chunk where two phases did
+        def three_phases(n_mc, m, d, p, window):
+            blocks = p * m * d
+            held = 8 * 2 * (p * d) ** 2 + 2048
+            grams = n_mc * window + min(p**d, n_mc)
+            fixed = experiments._GENERICITY_FIXED_BYTES
+            return (
+                (8 * (2 * blocks + 512) + held, fixed),
+                (8 * (n_mc * max(d + 1.5, 1.6 * d) + 1.25 * blocks) + held, 0.0),
+                (8 * (n_mc + grams * (3 * d * d + 2 * d + 3) + 1.25 * blocks) + held, fixed),
+            )
+
+        window = expected_boundary_fraction(2, 0.5, 0.01)
+        workload = [per_chunk(*three_phases(2000, m, 2, 3, window)) for m in (16, 64, 256, 1024)]
+        assert workload == [28, 27, 22, 13]
+        for d, eps, m, n_mc in itertools.product(range(1, 6), (1e-4, 0.01, 0.05, 0.1), (16, 256, 4096),
+                                                 (1, 100, 2000)):
+            shape = (n_mc, m, d, mixing.check_grid(0.5, eps), expected_boundary_fraction(d, 0.5, eps))
+            assert experiments._chunks(200, *experiments._genericity_trial_bytes(*shape)) == \
+                experiments._chunks(200, *three_phases(*shape)), shape
+
 
 def assert_genericity_chunk_within_its_rule(d, eps, m, n_mc, trials=None):
     """:func:`assert_chunk_peaks_within_its_rule` on one genericity chunk of
@@ -1090,6 +1115,22 @@ class TestFlagRules:
         assert (report.abs_difference, report.combined_stderr, report.within_3sigma) == (0.0, 0.0, True)
 
 
+@pytest.mark.parametrize("row_type, columns", [
+    (experiments.GapRow, "branch mean stderr n_samples clamp_count rejection_count floor exceeds_gap is_zero"),
+    (experiments.ReparamRow, "config_index perm transforms n_samples mean_base stderr_base mean_reparam "
+                             "stderr_reparam abs_difference combined_stderr within_3sigma"),
+])
+def test_a_row_type_keeps_its_columns_module_and_frozenness(row_type, columns):
+    # the row types are built from the source dataclass's fields
+    names = columns.split()
+    assert [f.name for f in dataclasses.fields(row_type)] == names
+    row = row_type(**dict.fromkeys(names, 1))
+    assert row_type.__module__ == "ima_lab.experiments"
+    assert pickle.loads(pickle.dumps(row)) == row
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.n_samples = 2
+
+
 class TestReparam:
     def test_identity_reparam_exact(self):
         rng = np.random.default_rng(21)
@@ -1126,7 +1167,7 @@ class TestReparam:
             AffineTransform(0.0, 1.0)
 
     def test_the_probe_refuses_a_non_monotone_transform(self):
-        class Square(ElementwiseTransform):
+        class Square:
             def forward(self, x):
                 return np.square(x)
 

@@ -537,6 +537,19 @@ class TestCellScoring:
             assert np.array_equal(mask, np.any(nearest <= grid.eps, axis=1))
             assert np.array_equal(grid.boundary_mask(points), mask)
 
+    @pytest.mark.parametrize("shapes, T, d", [
+        ([(0.5, 0.01), (0.25, 0.01)], 2, 2),  # maps on two grids
+        ([(0.5, 0.01), (0.5, 0.02)], 2, 2),  # two window widths
+        ([(0.5, 0.0), (0.5, 0.0)], 2, 2),  # no blend windows
+        ([(0.5, 0.01), (0.5, 0.01)], 3, 2),  # a point set more than maps
+        ([(0.5, 0.01), (0.5, 0.01)], 2, 3),  # points of another dimension
+    ])
+    def test_a_chunk_off_one_smoothed_grid_is_refused(self, shapes, T, d):
+        grids = [sample_grid_map(2, 12, delta, eps=eps, seed=i) for i, (delta, eps) in enumerate(shapes)]
+        S = np.random.default_rng(0).random((T, 10, d))
+        with pytest.raises(DomainError, match="smoothed grid map on one grid"):
+            grid_chunk_scores(grids, S)
+
     @settings(deadline=None, max_examples=300)
     @given(case=grid_chunks())
     def test_one_gather_for_a_chunk_equals_each_map_bit_for_bit(self, case):
